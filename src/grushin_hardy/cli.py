@@ -37,6 +37,7 @@ from .geometry import (
     rho,
 )
 from .verifier import (
+    _ZERO_PHI_PAIRS,
     CknParams,
     sharpness_probe,
     verify_ckn,
@@ -100,9 +101,15 @@ class RunConfig:
     seed: int
 
 
-def _take(data: Dict, allowed: Dict[str, object], section: str) -> Dict:
+def _section(value: object, label: str) -> Dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{label} must be an object")
+    return value
+
+
+def _take(data: object, allowed: Dict[str, object], section: str) -> Dict:
     out = dict(allowed)
-    for key, value in data.items():
+    for key, value in _section(data, section).items():
         if key not in allowed:
             raise ValueError(f"unknown {section} key {key!r}")
         out[key] = value
@@ -110,17 +117,26 @@ def _take(data: Dict, allowed: Dict[str, object], section: str) -> Dict:
 
 
 def _num(value: object, label: str) -> float:
-    """Reject config values that are not plain numbers; a nested structure
-    in a numeric slot would otherwise surface as a bare TypeError."""
+    """Reject config values that are not finite plain numbers: a nested
+    structure would raise a bare TypeError, a NaN pass every comparison."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{label} must be a number")
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{label} must be finite")
     return float(value)
+
+
+def _int(value: object, label: str) -> int:
+    number = _num(value, label)
+    if not number.is_integer():
+        raise ValueError(f"{label} must be an integer")
+    return int(number)
 
 
 def config_from_dict(data: Dict) -> RunConfig:
     """Build and validate a RunConfig; raises ValueError on any bad value."""
     known = {"space", "pair", "p", "field", "quadrature", "checks", "ckn", "seed"}
-    for key in data:
+    for key in _section(data, "config"):
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
     if "space" not in data or "pair" not in data:
@@ -128,15 +144,15 @@ def config_from_dict(data: Dict) -> RunConfig:
 
     sp = _take(data["space"], {"m": 1, "k": 1, "gamma": 1.0}, "space")
     space = SpaceParams(
-        int(_num(sp["m"], "space.m")),
-        int(_num(sp["k"], "space.k")),
+        _int(sp["m"], "space.m"),
+        _int(sp["k"], "space.k"),
         _num(sp["gamma"], "space.gamma"),
     )
 
-    pair_section = dict(data["pair"])
+    pair_section = dict(_section(data["pair"], "pair"))
     pair_id = pair_section.pop("id", None)
-    if pair_id is None:
-        raise ValueError("pair section requires an 'id'")
+    if not isinstance(pair_id, str):
+        raise ValueError("pair section requires a string 'id'")
     pair_params = {k: _num(v, f"pair.{k}") for k, v in pair_section.items()}
 
     p = _num(data.get("p", 2.0), "p")
@@ -150,19 +166,17 @@ def config_from_dict(data: Dict) -> RunConfig:
         "phase_kappa": 0.0,
         "truncation_level": 0,
     }
-    field_cfg = _take(dict(data.get("field", {})), defaults, "field")
+    field_cfg = _take(data.get("field", {}), defaults, "field")
     if field_cfg["family"] is not None and not isinstance(field_cfg["family"], str):
         raise ValueError("field.family must be a string")
     for key in ("inner_rho", "outer_rho", "smoothness_margin", "phase_kappa"):
         field_cfg[key] = _num(field_cfg[key], f"field.{key}")
     if field_cfg["x_floor"] is not None:
         field_cfg["x_floor"] = _num(field_cfg["x_floor"], "field.x_floor")
-    field_cfg["truncation_level"] = int(
-        _num(field_cfg["truncation_level"], "field.truncation_level")
-    )
+    field_cfg["truncation_level"] = _int(field_cfg["truncation_level"], "field.truncation_level")
 
     quad = _take(
-        dict(data.get("quadrature", {})),
+        data.get("quadrature", {}),
         {"rel_tol": 1e-8, "abs_tol": 1e-12, "max_evals": 50_000_000, "rule": None},
         "quadrature",
     )
@@ -171,12 +185,12 @@ def config_from_dict(data: Dict) -> RunConfig:
     settings = IntegrationSettings(
         rel_tol=_num(quad["rel_tol"], "quadrature.rel_tol"),
         abs_tol=_num(quad["abs_tol"], "quadrature.abs_tol"),
-        max_evals=int(_num(quad["max_evals"], "quadrature.max_evals")),
+        max_evals=_int(quad["max_evals"], "quadrature.max_evals"),
         rule=quad["rule"],
     )
 
     raw_checks = data.get("checks", [])
-    if isinstance(raw_checks, str) or not all(isinstance(c, str) for c in raw_checks):
+    if not isinstance(raw_checks, (list, tuple)) or not all(isinstance(c, str) for c in raw_checks):
         raise ValueError("checks must be a list of check names")
     checks = tuple(raw_checks)
     for name in checks:
@@ -186,7 +200,7 @@ def config_from_dict(data: Dict) -> RunConfig:
     ckn = None
     if data.get("ckn") is not None:
         ck = _take(
-            dict(data["ckn"]),
+            data["ckn"],
             {"p": p, "q": 2.0, "r": 2.0, "delta": 0.5, "b": -0.5, "c": 0.0},
             "ckn",
         )
@@ -199,10 +213,10 @@ def config_from_dict(data: Dict) -> RunConfig:
             c=_num(ck["c"], "ckn.c"),
         )
 
-    seed = int(_num(data.get("seed", 0), "seed"))
+    seed = _int(data.get("seed", 0), "seed")
     return RunConfig(
         space=space,
-        pair_id=str(pair_id),
+        pair_id=pair_id,
         pair_params=pair_params,
         p=p,
         field=field_cfg,
@@ -289,19 +303,14 @@ def _build_objects(config: RunConfig):
 
 def _validate_checks(config: RunConfig, pair, field) -> None:
     """Every referenced check's preconditions, before any integration."""
-    zero_phi = ("dambrosio_power", "darca_power")
     for name in config.checks:
-        if name == "remainder_pge2":
-            if pair.id not in zero_phi:
-                raise ValueError("remainder bounds need a pair with phi identically 0")
-            if config.p < 2.0:
-                raise ValueError("remainder_pge2 needs p >= 2")
-        elif name == "remainder_plt2":
-            if pair.id not in zero_phi:
-                raise ValueError("remainder bounds need a pair with phi identically 0")
-            if not 1.0 < config.p < 2.0:
-                raise ValueError("remainder_plt2 needs 1 < p < 2")
-        elif name == "ckn":
+        if name.startswith("remainder") and pair.id not in _ZERO_PHI_PAIRS:
+            raise ValueError("remainder bounds need a pair with phi identically 0")
+        if name == "remainder_pge2" and config.p < 2.0:
+            raise ValueError("remainder_pge2 needs p >= 2")
+        if name == "remainder_plt2" and not 1.0 < config.p < 2.0:
+            raise ValueError("remainder_plt2 needs 1 < p < 2")
+        if name == "ckn":
             if config.ckn is None:
                 raise ValueError("ckn check requires a ckn section in the config")
             if abs(config.ckn.p - config.p) > 1e-12:
@@ -591,12 +600,12 @@ def _apply_overrides(data: Dict, args) -> Dict:
         data["seed"] = args.seed
     if args.checks is not None:
         data["checks"] = [c.strip() for c in args.checks.split(",") if c.strip()]
-    quad = dict(data.get("quadrature", {}))
-    if args.rel_tol is not None:
-        quad["rel_tol"] = args.rel_tol
-    if args.max_evals is not None:
-        quad["max_evals"] = args.max_evals
-    if quad:
+    if args.rel_tol is not None or args.max_evals is not None:
+        quad = dict(_section(data.get("quadrature", {}), "quadrature"))
+        if args.rel_tol is not None:
+            quad["rel_tol"] = args.rel_tol
+        if args.max_evals is not None:
+            quad["max_evals"] = args.max_evals
         data["quadrature"] = quad
     return data
 
@@ -611,7 +620,7 @@ def cmd_verify(args) -> int:
     if args.config is None:
         raise ValueError("verify needs --config FILE or --all")
     with open(args.config) as fh:
-        data = json.load(fh)
+        data = _section(json.load(fh), "config")
     data = _apply_overrides(data, args)
     report = run(config_from_dict(data))
     _emit(report, args.out)
@@ -700,12 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--checks", help="override: comma-separated check names")
     pv.add_argument("--rel-tol", dest="rel_tol", type=float, help="override: quadrature rel_tol")
     pv.add_argument("--max-evals", dest="max_evals", type=int, help="override: quadrature max_evals")
-    pv.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap worker count; results never depend on this value",
-    )
     pv.set_defaults(func=cmd_verify)
 
     pc = sub.add_parser("constants", help="compute one remainder constant")

@@ -102,26 +102,29 @@ class SearchSettings:
 
 
 def cp_value_batch(xi: np.ndarray, eta: np.ndarray, p: float) -> np.ndarray:
-    """C_p for a batch of vector pairs; xi, eta of shape (N,) or (N, d)."""
-    if p <= 1.0:
+    """C_p for a batch of vector pairs; xi, eta of shape (N,) or (N, d).
+
+    Shape (N,) holds scalars: their moduli come from np.abs and
+    Re((xi-eta) conj(eta)) from the real and imaginary parts, elementwise.
+    """
+    if not p > 1.0:
         raise ValueError("p must be > 1")
-    xi = np.asarray(xi, dtype=complex)
-    eta = np.asarray(eta, dtype=complex)
+    xi, eta = np.asarray(xi), np.asarray(eta)
     if xi.shape != eta.shape:
         raise ValueError("xi and eta must have the same shape")
-    if xi.ndim == 1:
-        xi = xi[:, None]
-        eta = eta[:, None]
     diff = xi - eta
-    t = np.linalg.norm(diff, axis=1)
-    a = np.linalg.norm(xi, axis=1)
-    re = np.real(np.einsum("ij,ij->i", diff, np.conj(eta)))
-    out = a**p
-    pos = t > 0.0
+    if xi.ndim == 1:
+        t, a = np.abs(diff), np.abs(xi)
+        re = diff.real * eta.real + diff.imag * eta.imag if np.iscomplexobj(diff) else diff * eta
+    else:
+        t, a = np.linalg.norm(diff, axis=1), np.linalg.norm(xi, axis=1)
+        re = np.real(np.einsum("ij,ij->i", diff, np.conj(eta)))
+    ap = a**p
     # p t^(p-2) Re(...) is written p t^(p-1) (Re(...)/t): |Re(...)/t| <= |eta|,
-    # so the factor stays finite for every p > 1 as t -> 0
-    out[pos] = out[pos] - t[pos] ** p - p * t[pos] ** (p - 1.0) * (re[pos] / t[pos])
-    return out
+    # so the factor stays finite for every p > 1 as t -> 0, and t = 0 takes
+    # the continuous extension |xi|^p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t > 0.0, ap - t**p - p * t ** (p - 1.0) * (re / t), ap)
 
 
 def cp_value(xi, eta, p: float) -> float:

@@ -108,8 +108,8 @@ class IntegrationSettings:
     rule: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be > 0")
+        if not (0 < self.rel_tol < np.inf and 0 < self.abs_tol < np.inf):
+            raise ValueError("tolerances must be > 0 and finite")
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
         if self.rule not in (None, "gauss_kronrod_tensor", "genz_malik"):

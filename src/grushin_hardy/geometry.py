@@ -57,8 +57,8 @@ class SpaceParams:
     def __post_init__(self) -> None:
         if self.m < 1 or self.k < 1:
             raise ValueError("m and k must be positive integers")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be >= 0 and finite")
 
     @property
     def n(self) -> int:

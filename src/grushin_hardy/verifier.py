@@ -26,7 +26,7 @@ import numpy as np
 from .cp import ConstantEstimate, CpObjectiveKind, cp_value_batch, find_constant
 from .cubature import IntegrationSettings, Region, integrate_vector
 from .fields import ExtremalField, TestField, build_extremal_field, radial_derivative_batch
-from .geometry import radial_coords
+from .geometry import SpaceParams, radial_coords
 from .weights import WeightPair
 
 __all__ = [
@@ -54,8 +54,13 @@ HPW_CASES = ("ball_nch", "whole_dambrosio", "log_ball")
 _ZERO_PHI_PAIRS = ("dambrosio_power", "darca_power")
 
 
+class _Report:
+    def to_dict(self) -> Dict[str, object]:
+        return asdict(self)
+
+
 @dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Report):
     lhs: float
     w_term: float
     cp_term: float
@@ -66,12 +71,9 @@ class IdentityReport:
     converged: bool
     passed: bool
 
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(_Report):
     lhs: float
     w_term: float
     ratio: float
@@ -88,7 +90,7 @@ class InequalityReport:
 
 
 @dataclass(frozen=True)
-class RemainderPge2Report:
+class RemainderPge2Report(_Report):
     p: float
     cp_term: float
     eta_term: float
@@ -106,7 +108,7 @@ class RemainderPge2Report:
 
 
 @dataclass(frozen=True)
-class RemainderPlt2Report:
+class RemainderPlt2Report(_Report):
     p: float
     cp_term: float
     mixed_term: float
@@ -121,21 +123,15 @@ class RemainderPlt2Report:
     converged: bool
     passed: bool
 
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
-class SharpnessReport:
+class SharpnessReport(_Report):
     levels: List[Dict[str, float]]
     sharp_constant: float
     final_gap: float
     quadrature_error: float
     converged: bool
     passed: bool
-
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -170,7 +166,7 @@ class CknParams:
 
 
 @dataclass(frozen=True)
-class CknReport:
+class CknReport(_Report):
     params: CknParams
     lhs: float
     cp_term: float
@@ -185,12 +181,9 @@ class CknReport:
     consistent: bool
     passed: bool
 
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
-class HpwReport:
+class HpwReport(_Report):
     case: str
     p: float
     grad_term: float
@@ -205,9 +198,6 @@ class HpwReport:
     garofalo: Optional[Dict[str, float]] = None
     classical: Optional[Dict[str, float]] = None
 
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
 
 def _check_support(pair: WeightPair, field: TestField) -> None:
     if pair.space != field.space:
@@ -216,9 +206,7 @@ def _check_support(pair: WeightPair, field: TestField) -> None:
     if radius is not None and not field.spec.outer_rho <= 0.9 * radius:
         raise ValueError("field must keep outer_rho <= 0.9 R on a ball domain")
     if pair.x_singular and not field.spec.x_floor > 0.0:
-        raise ValueError(
-            "pair is singular on {x=0}; use a field with x_floor > 0"
-        )
+        raise ValueError("pair is singular on {x=0}; use a field with x_floor > 0")
 
 
 def _field_region(field: TestField) -> Region:
@@ -230,34 +218,126 @@ def _field_region(field: TestField) -> Region:
     return Region(box=box)
 
 
-def _support_split(field: TestField, pts: np.ndarray):
-    vals, grads = field.eval_batch(pts)
-    df = radial_derivative_batch(field.space, pts, grads)
-    idx = (vals != 0) | (df != 0)
-    return vals, grads, df, idx
+class _Batch:
+    """What every field integrand needs on one cubature batch, computed once.
+
+    Each field's f, Df and support are evaluated on the whole batch. The
+    union of the supports is gathered once by integer index, and (|x|, rho),
+    the pair weights, their p-th roots and the powers |f|^q, |Df|^q are
+    computed on that gather on first use and reused, so C cases over F
+    fields and P pairs cost F field and P weight evaluations, not C of each.
+    Arrays are indexed like the gather (entry j is point idx[j]), except the
+    full-batch gradients in grads.
+    """
+
+    def __init__(self, space: SpaceParams, pts: np.ndarray, fields: Sequence[TestField]):
+        evals = [f.eval_batch(pts) for f in fields]
+        dfs = [radial_derivative_batch(space, pts, grads) for _, grads in evals]
+        supports = [(vals != 0) | (df != 0) for (vals, _), df in zip(evals, dfs)]
+        self.idx = np.flatnonzero(np.logical_or.reduce(supports))
+        self.sub = pts[self.idx]
+        self.coords = radial_coords(space, self.sub[:, : space.m], self.sub[:, space.m :])
+        self.vals = [vals[self.idx] for vals, _ in evals]
+        self.df = [df[self.idx] for df in dfs]
+        self.grads = [grads for _, grads in evals]
+        # per field, the gathered points outside its own support
+        self.outside = [self.idx[~s[self.idx]] for s in supports]
+        self._memo: Dict[tuple, np.ndarray] = {}
+
+    def _cached(self, key: tuple, make) -> np.ndarray:
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def weight(self, pair: WeightPair, name: str) -> np.ndarray:
+        """The pair's v, w or phi."""
+        return self._cached(
+            (id(pair), name),
+            lambda: getattr(pair, f"{name}_batch")(self.sub, coords=self.coords),
+        )
+
+    def root(self, pair: WeightPair, name: str) -> np.ndarray:
+        return self._cached(
+            (id(pair), name, "root"), lambda: self.weight(pair, name) ** (1.0 / pair.p)
+        )
+
+    def power(self, kind: str, f: int, q: float) -> np.ndarray:
+        """|f|^q (kind "vals") or |Df|^q (kind "df") of field slot f."""
+        return self._cached((kind, f, q), lambda: np.abs(getattr(self, kind)[f]) ** q)
+
+    def xi_eta(self, pair: WeightPair, f: int):
+        """xi = v^(1/p) Df, w^(1/p) f and eta = xi + w^(1/p) f of one case."""
+        xi = self.root(pair, "v") * self.df[f]
+        wf = self.root(pair, "w") * self.vals[f]
+        return xi, wf, xi + wf
+
+    def forget(self, pair: Optional[WeightPair]) -> None:
+        """Drop the pair's arrays, which keeps one pair's in memory at a time."""
+        self._memo = {k: a for k, a in self._memo.items() if k[0] != id(pair)}
 
 
-def _xi_eta(pair: WeightPair, pts: np.ndarray, vals: np.ndarray, df: np.ndarray):
-    invp = 1.0 / pair.p
-    v = pair.v_batch(pts)
-    w = pair.w_batch(pts)
-    xi = v**invp * df
-    wf = w**invp * vals
-    return v, w, xi, wf, xi + wf
+def _integrate_cases(
+    cases: Sequence[Tuple[Optional[WeightPair], TestField]],
+    n_terms: int,
+    terms,
+    settings: Optional[IntegrationSettings],
+) -> List[List]:
+    """Integrate n_terms integrands per (pair, field) case on one shared mesh.
+
+    terms(batch, pair, f) gives a case's rows on the batch's gather (f is the
+    field's slot); points outside the case's own field support get 0. Cases
+    share one space and one support region; returns each case's results.
+    """
+    if len(cases) == 0:
+        raise ValueError("the integration needs at least one case")
+    for pair, field in cases:
+        if pair is not None:
+            _check_support(pair, field)
+    space = cases[0][1].space
+    if any(field.space != space for _, field in cases):
+        raise ValueError("sweep cases must share one space")
+
+    fields = list({id(field): field for _, field in cases}.values())
+    slots = [next(i for i, f in enumerate(fields) if f is field) for _, field in cases]
+    by_pair: Dict[int, List[int]] = {}  # case indices; a pair's cases run together
+    for ci, (pair, _) in enumerate(cases):
+        by_pair.setdefault(id(pair), []).append(ci)
+
+    region = _field_region(fields[0])
+    if any(_field_region(f) != region for f in fields[1:]):
+        raise ValueError("sweep fields must share one support region")
+
+    n_comp = n_terms * len(cases)
+
+    def integrand(pts: np.ndarray) -> np.ndarray:
+        out = np.zeros((n_comp, pts.shape[0]))
+        batch = _Batch(space, pts, fields)
+        if batch.idx.size == 0:
+            return out
+        for group in by_pair.values():
+            pair = cases[group[0]][0]
+            for ci in group:
+                rows = out[n_terms * ci : n_terms * (ci + 1)]
+                for row, values in zip(rows, terms(batch, pair, slots[ci])):
+                    row[batch.idx] = values
+                rows[:, batch.outside[slots[ci]]] = 0.0
+            batch.forget(pair)
+        return out
+
+    res = integrate_vector(integrand, n_comp, region, settings)
+    return [res[n_terms * ci : n_terms * (ci + 1)] for ci in range(len(cases))]
 
 
-def _identity_components(pair: WeightPair, sub: np.ndarray, vals, df) -> np.ndarray:
+def _identity_terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
     p = pair.p
-    v, w, xi, _, eta = _xi_eta(pair, sub, vals, df)
-    fp = np.abs(vals) ** p
-    return np.stack(
-        [
-            v * np.abs(df) ** p,
-            w * fp,
-            cp_value_batch(xi, eta, p),
-            pair.phi_batch(sub) * fp,
-        ]
-    )
+    xi, _, eta = b.xi_eta(pair, f)
+    fp = b.power("vals", f, p)
+    return [
+        b.weight(pair, "v") * b.power("df", f, p),
+        b.weight(pair, "w") * fp,
+        cp_value_batch(xi, eta, p),
+        b.weight(pair, "phi") * fp,
+    ]
 
 
 def _identity_report(res, rel_tol_check: float) -> IdentityReport:
@@ -288,18 +368,7 @@ def verify_identity(
     rel_tol_check: float = 1e-6,
 ) -> IdentityReport:
     """Check lhs = w_term + cp_term + phi_term on one field."""
-    _check_support(pair, field)
-
-    def bundle(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros((4, pts.shape[0]))
-        vals, _, df, idx = _support_split(field, pts)
-        if not np.any(idx):
-            return out
-        out[:, idx] = _identity_components(pair, pts[idx], vals[idx], df[idx])
-        return out
-
-    res = integrate_vector(bundle, 4, _field_region(field), settings)
-    return _identity_report(res, rel_tol_check)
+    return verify_identity_sweep([(pair, field)], settings, rel_tol_check)[0]
 
 
 def verify_identity_sweep(
@@ -311,55 +380,12 @@ def verify_identity_sweep(
 
     Every case is integrated with the same adaptive refinement, so the mesh
     cost is paid once instead of once per case.  Each report is built from
-    its own four components exactly as in verify_identity; in particular the
-    quadrature error still cancels inside each residual because all four
-    terms of a case are sampled at identical points.
-
-    All cases must live on one space and the fields must share one support
-    region, otherwise a single mesh cannot serve them.
+    its own four components, sampled at identical points, so the quadrature
+    error still cancels inside each residual.  All cases must live on one
+    space and the fields must share one support region.
     """
-    if len(cases) == 0:
-        raise ValueError("verify_identity_sweep needs at least one case")
-    for pair, field in cases:
-        _check_support(pair, field)
-    space = cases[0][0].space
-    if any(pair.space != space for pair, _ in cases):
-        raise ValueError("sweep cases must share one space")
-
-    fields: List[TestField] = []
-    slot = []
-    for _, field in cases:
-        for i, known in enumerate(fields):
-            if known is field:
-                slot.append(i)
-                break
-        else:
-            slot.append(len(fields))
-            fields.append(field)
-
-    region = _field_region(fields[0])
-    if any(_field_region(f) != region for f in fields[1:]):
-        raise ValueError("sweep fields must share one support region")
-
-    n_comp = 4 * len(cases)
-
-    def bundle(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros((n_comp, pts.shape[0]))
-        splits = [_support_split(f, pts) for f in fields]
-        for ci, (pair, _) in enumerate(cases):
-            vals, _, df, idx = splits[slot[ci]]
-            if not np.any(idx):
-                continue
-            out[4 * ci : 4 * ci + 4, idx] = _identity_components(
-                pair, pts[idx], vals[idx], df[idx]
-            )
-        return out
-
-    res = integrate_vector(bundle, n_comp, region, settings)
-    return [
-        _identity_report(res[4 * ci : 4 * ci + 4], rel_tol_check)
-        for ci in range(len(cases))
-    ]
+    res = _integrate_cases(cases, 4, _identity_terms, settings)
+    return [_identity_report(r, rel_tol_check) for r in res]
 
 
 def verify_inequality(
@@ -368,20 +394,15 @@ def verify_inequality(
     settings: Optional[IntegrationSettings] = None,
 ) -> InequalityReport:
     """Check lhs >= w_term up to quadrature slack."""
-    _check_support(pair, field)
     p = pair.p
 
-    def bundle(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros((2, pts.shape[0]))
-        vals, _, df, idx = _support_split(field, pts)
-        if not np.any(idx):
-            return out
-        sub = pts[idx]
-        out[0, idx] = pair.v_batch(sub) * np.abs(df[idx]) ** p
-        out[1, idx] = pair.w_batch(sub) * np.abs(vals[idx]) ** p
-        return out
+    def terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
+        return [
+            b.weight(pair, "v") * b.power("df", f, p),
+            b.weight(pair, "w") * b.power("vals", f, p),
+        ]
 
-    res = integrate_vector(bundle, 2, _field_region(field), settings)
+    (res,) = _integrate_cases([(pair, field)], 2, terms, settings)
     lhs, w_term = float(res[0].value), float(res[1].value)
     qerr = float(res[0].error_estimate + res[1].error_estimate)
     converged = res[0].converged and res[1].converged
@@ -414,22 +435,15 @@ def verify_remainder_p_ge2(
     _require_zero_phi(pair)
     if pair.p < 2.0:
         raise ValueError("verify_remainder_p_ge2 needs p >= 2")
-    _check_support(pair, field)
     p = pair.p
     if constant is None:
         constant = find_constant(CpObjectiveKind(kind="cp_pge2", p=p))
 
-    def bundle(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros((2, pts.shape[0]))
-        vals, _, df, idx = _support_split(field, pts)
-        if not np.any(idx):
-            return out
-        _, _, xi, _, eta = _xi_eta(pair, pts[idx], vals[idx], df[idx])
-        out[0, idx] = cp_value_batch(xi, eta, p)
-        out[1, idx] = np.abs(eta) ** p
-        return out
+    def terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
+        xi, _, eta = b.xi_eta(pair, f)
+        return [cp_value_batch(xi, eta, p), np.abs(eta) ** p]
 
-    res = integrate_vector(bundle, 2, _field_region(field), settings)
+    (res,) = _integrate_cases([(pair, field)], 2, terms, settings)
     cp_term, eta_term = float(res[0].value), float(res[1].value)
     qerr = float(res[0].error_estimate + res[1].error_estimate)
     converged = res[0].converged and res[1].converged
@@ -460,7 +474,6 @@ def verify_remainder_p_lt2(
     _require_zero_phi(pair)
     if not 1.0 < pair.p < 2.0:
         raise ValueError("verify_remainder_p_lt2 needs 1 < p < 2")
-    _check_support(pair, field)
     p = pair.p
     if constants is None:
         constants = {
@@ -468,30 +481,20 @@ def verify_remainder_p_lt2(
             for kind in ("c1_inf", "c2_sup", "c3_min")
         }
 
-    def bundle(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros((3, pts.shape[0]))
-        vals, _, df, idx = _support_split(field, pts)
-        if not np.any(idx):
-            return out
-        _, _, xi, wf, eta = _xi_eta(pair, pts[idx], vals[idx], df[idx])
+    def terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
+        xi, wf, eta = b.xi_eta(pair, f)
         eta2 = np.abs(eta) ** 2
         eta_p = np.abs(eta) ** p
         t = np.abs(wf)
         s = np.abs(xi) + t
-        out[0, idx] = cp_value_batch(xi, eta, p)
-        # (|xi| + |xi-eta|)^(p-2) |eta|^2 <= (|xi| + |xi-eta|)^p -> 0 with s
-        mixed = np.zeros_like(s)
-        pos = s > 0
-        mixed[pos] = s[pos] ** (p - 2.0) * eta2[pos]
-        out[1, idx] = mixed
-        # the min form: t -> 0 makes t^(p-2) |eta|^2 -> inf, so |eta|^p wins
-        minform = eta_p.copy()
-        tpos = t > 0
-        minform[tpos] = np.minimum(eta_p[tpos], t[tpos] ** (p - 2.0) * eta2[tpos])
-        out[2, idx] = minform
-        return out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # (|xi| + |xi-eta|)^(p-2) |eta|^2 <= (|xi| + |xi-eta|)^p -> 0 with s
+            mixed = np.where(s > 0, s ** (p - 2.0) * eta2, 0.0)
+            # the min form: t -> 0 makes t^(p-2) |eta|^2 -> inf, so |eta|^p wins
+            minform = np.where(t > 0, np.minimum(eta_p, t ** (p - 2.0) * eta2), eta_p)
+        return [cp_value_batch(xi, eta, p), mixed, minform]
 
-    res = integrate_vector(bundle, 3, _field_region(field), settings)
+    (res,) = _integrate_cases([(pair, field)], 3, terms, settings)
     cp_term, mixed_term, min_term = (float(r.value) for r in res)
     qerr = float(sum(r.error_estimate for r in res))
     converged = all(r.converged for r in res)
@@ -603,28 +606,18 @@ def verify_ckn(
     bracket_mismatch); the inequality is
     B^(delta/p) * (int w^(b q) |f|^q)^((1-delta)/q) >= (int w^(c r) |f|^r)^(1/r).
     """
-    _check_support(pair, field)
     if abs(ckn.p - pair.p) > 1e-12:
         raise ValueError("CknParams p must match the pair's p")
     p = pair.p
 
-    def bundle(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros((6, pts.shape[0]))
-        vals, _, df, idx = _support_split(field, pts)
-        if not np.any(idx):
-            return out
-        sub = pts[idx]
-        v, w, xi, _, eta = _xi_eta(pair, sub, vals[idx], df[idx])
-        fa = np.abs(vals[idx])
-        out[0, idx] = v * np.abs(df[idx]) ** p
-        out[1, idx] = w * fa**p
-        out[2, idx] = cp_value_batch(xi, eta, p)
-        out[3, idx] = pair.phi_batch(sub) * fa**p
-        out[4, idx] = w ** (ckn.b * ckn.q) * fa**ckn.q
-        out[5, idx] = w ** (ckn.c * ckn.r) * fa**ckn.r
-        return out
+    def terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
+        w = b.weight(pair, "w")
+        return _identity_terms(b, pair, f) + [
+            w ** (ckn.b * ckn.q) * b.power("vals", f, ckn.q),
+            w ** (ckn.c * ckn.r) * b.power("vals", f, ckn.r),
+        ]
 
-    res = integrate_vector(bundle, 6, _field_region(field), settings)
+    (res,) = _integrate_cases([(pair, field)], 6, terms, settings)
     lhs, w_term, cp_term, phi_term, int_q, int_r = (float(r.value) for r in res)
     qerr = float(sum(r.error_estimate for r in res))
     converged = all(r.converged for r in res)
@@ -691,34 +684,27 @@ def verify_hpw(
     track_grad = case == "whole_dambrosio" and p == 2.0 and gamma == 0.0
     ncomp = 4 if track_grad else 3
 
-    def bundle(pts: np.ndarray) -> np.ndarray:
-        out = np.zeros((ncomp, pts.shape[0]))
-        vals, grads, df, idx = _support_split(field, pts)
-        if not np.any(idx):
-            return out
-        sub = pts[idx]
-        r, rho = radial_coords(space, sub[:, : space.m], sub[:, space.m :])
-        fa = np.abs(vals[idx])
-        df_p = np.abs(df[idx]) ** p
+    def terms(b: _Batch, _pair: None, f: int) -> List[np.ndarray]:
+        r, rho = b.coords
+        fa_pp = b.power("vals", f, pp)
+        df_p = b.power("df", f, p)
         ratio_pow = (rho / r) ** (gamma * p * pp / 2.0) if gamma > 0 else 1.0
         if case == "ball_nch":
-            out[0, idx] = df_p
-            out[1, idx] = (radius - rho) ** (p * pp / 2.0) * ratio_pow * fa**pp
+            rows = [df_p, (radius - rho) ** (p * pp / 2.0) * ratio_pow * fa_pp]
         elif case == "whole_dambrosio":
-            out[0, idx] = df_p
-            out[1, idx] = rho ** (p * pp / 2.0) * ratio_pow * fa**pp
+            rows = [df_p, rho ** (p * pp / 2.0) * ratio_pow * fa_pp]
         else:
             log_dist = np.log(radius / rho)
-            out[0, idx] = log_dist ** (2.0 * p) * df_p
-            out[1, idx] = (
-                rho ** (p * pp / 2.0) * ratio_pow * log_dist ** (-p * pp / 2.0) * fa**pp
-            )
-        out[2, idx] = fa**2
+            rows = [
+                log_dist ** (2.0 * p) * df_p,
+                rho ** (p * pp / 2.0) * ratio_pow * log_dist ** (-p * pp / 2.0) * fa_pp,
+            ]
+        rows.append(np.abs(b.vals[f]) ** 2)
         if track_grad:
-            out[3, idx] = (np.abs(grads[idx]) ** 2).sum(axis=1)
-        return out
+            rows.append((np.abs(b.grads[f][b.idx]) ** 2).sum(axis=1))
+        return rows
 
-    res = integrate_vector(bundle, ncomp, _field_region(field), settings)
+    (res,) = _integrate_cases([(None, field)], ncomp, terms, settings)
     grad_term, weight_term, mass_term = (float(r.value) for r in res[:3])
     qerr = float(sum(r.error_estimate for r in res))
     converged = all(r.converged for r in res)

@@ -37,6 +37,8 @@ __all__ = [
     "condition_report",
 ]
 
+Coords = Tuple[np.ndarray, np.ndarray]  # (|x|, rho), as radial_coords returns
+
 PAIR_IDS = ("nch_ball", "dambrosio_power", "darca_power", "log_ball")
 
 _REQUIRED_PARAMS = {
@@ -52,6 +54,8 @@ class WeightPair:
     """One catalog entry with evaluators; immutable, evaluation is pure.
 
     params keys match the CLI config schema verbatim: R, alpha, beta, theta.
+    The batch evaluators take the points' precomputed (|x|, rho) as coords
+    when the caller already has them; pts is then not read.
     """
 
     id: str
@@ -72,7 +76,9 @@ class WeightPair:
     def x_singular(self) -> bool:
         return "{x=0}" in self.singular_set
 
-    def _prepare(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _prepare(self, pts: np.ndarray, coords: Optional[Coords]) -> Coords:
+        if coords is not None:
+            return coords
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.space.n:
             raise ValueError(f"points must have shape (N, {self.space.n})")
@@ -83,9 +89,9 @@ class WeightPair:
         R = self.params["R"]
         return np.log1p((R - rho) / rho)
 
-    def v_batch(self, pts: np.ndarray) -> np.ndarray:
+    def v_batch(self, pts: np.ndarray, coords: Optional[Coords] = None) -> np.ndarray:
         """v on an (N, m+k) batch; singular or out-of-domain points give inf/nan."""
-        r, rho = self._prepare(pts)
+        r, rho = self._prepare(pts, coords)
         g, p = self.space.gamma, self.p
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.id == "nch_ball":
@@ -99,9 +105,9 @@ class WeightPair:
             a = self.params["alpha"]
             return self._log_dist(rho) ** (a + p)
 
-    def w_batch(self, pts: np.ndarray) -> np.ndarray:
+    def w_batch(self, pts: np.ndarray, coords: Optional[Coords] = None) -> np.ndarray:
         """w (including the sharp constant) on an (N, m+k) batch."""
-        r, rho = self._prepare(pts)
+        r, rho = self._prepare(pts, coords)
         g, p, C = self.space.gamma, self.p, self.sharp_constant
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.id == "nch_ball":
@@ -116,9 +122,9 @@ class WeightPair:
             a = self.params["alpha"]
             return C * self._log_dist(rho) ** a * (r / rho) ** (g * p) * rho ** (-p)
 
-    def phi_batch(self, pts: np.ndarray) -> np.ndarray:
+    def phi_batch(self, pts: np.ndarray, coords: Optional[Coords] = None) -> np.ndarray:
         """Analytic defect phi on an (N, m+k) batch."""
-        r, rho = self._prepare(pts)
+        r, rho = self._prepare(pts, coords)
         g, p, Q = self.space.gamma, self.p, self.space.Q
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.id == "nch_ball":
@@ -179,8 +185,8 @@ def make_pair(
     """Validated catalog entry; error messages name the violated constraint."""
     if pair_id not in PAIR_IDS:
         raise ValueError(f"unknown pair id {pair_id!r}; expected one of {PAIR_IDS}")
-    if p <= 1:
-        raise ValueError("requires p > 1")
+    if not 1 < p < np.inf:
+        raise ValueError("requires p > 1 and finite")
     required = _REQUIRED_PARAMS[pair_id]
     missing = [k for k in required if k not in params]
     extra = [k for k in params if k not in required]
@@ -189,6 +195,8 @@ def make_pair(
             f"{pair_id} takes parameters {required}; missing {missing}, unexpected {extra}"
         )
     params = {k: float(params[k]) for k in required}
+    if not np.all(np.isfinite(list(params.values()))):
+        raise ValueError(f"{pair_id} parameters must be finite")
     Q = space.Q
 
     if pair_id == "nch_ball":

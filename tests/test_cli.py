@@ -1,10 +1,14 @@
 """CLI: config parsing, check execution, report schema, exports, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from grushin_hardy import cli
 
@@ -119,6 +123,101 @@ def test_verify_non_numeric_config_value(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--config", path)
     assert code == 2
     assert "pair.alpha must be a number" in err
+
+
+# -- malformed configs ------------------------------------------------------------
+
+# valid as it stands, with no checks, so that any run that is not refused
+# returns 0 at once
+MALFORMED_BASE = {
+    "space": {"m": 1, "k": 1, "gamma": 1.0},
+    "pair": {"id": "dambrosio_power", "alpha": 0.0, "beta": 0.0},
+    "p": 2.0,
+    "field": {"inner_rho": 0.5, "outer_rho": 2.0, "truncation_level": 0},
+    "quadrature": {"rel_tol": 1e-8, "abs_tol": 1e-12, "max_evals": 1000},
+    "checks": [],
+    "seed": 7,
+}
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=4)
+)
+_NOT_OBJECTS = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3))
+_NOT_NAME_LISTS = st.one_of(
+    _JSON_SCALARS,
+    st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=2),
+    st.lists(st.one_of(st.none(), st.integers(), st.lists(st.text())), min_size=1, max_size=3),
+)
+_NUMERIC_SLOTS = (
+    ("p",),
+    ("seed",),
+    ("space", "m"),
+    ("space", "gamma"),
+    ("pair", "alpha"),
+    ("field", "inner_rho"),
+    ("field", "outer_rho"),
+    ("field", "truncation_level"),
+    ("quadrature", "rel_tol"),
+    ("quadrature", "abs_tol"),
+    ("quadrature", "max_evals"),
+)
+_INTEGER_SLOTS = (
+    ("seed",),
+    ("space", "m"),
+    ("space", "k"),
+    ("field", "truncation_level"),
+    ("quadrature", "max_evals"),
+)
+
+
+def _with(path, value):
+    data = json.loads(json.dumps(MALFORMED_BASE))
+    owner = data
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    return data
+
+
+# one kind of damage per example, each kind drawn equally often
+_MALFORMED = st.sampled_from(
+    [
+        _NOT_OBJECTS,  # the whole config
+        st.tuples(st.sampled_from(("space", "pair", "field", "quadrature")), _NOT_OBJECTS).map(
+            lambda kv: _with(kv[:1], kv[1])
+        ),
+        _NOT_OBJECTS.filter(lambda v: v is not None).map(lambda v: _with(("ckn",), v)),
+        _NOT_NAME_LISTS.map(lambda v: _with(("checks",), v)),
+        st.tuples(
+            st.sampled_from(_NUMERIC_SLOTS),
+            st.sampled_from((float("nan"), float("inf"), -float("inf"), 10**400)),
+        ).map(lambda kv: _with(*kv)),
+        st.tuples(
+            st.sampled_from(_INTEGER_SLOTS),
+            st.floats(min_value=0.01, max_value=99.0).filter(lambda x: not x.is_integer()),
+        ).map(lambda kv: _with(*kv)),
+    ]
+).flatmap(lambda kind: kind)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=_MALFORMED)
+def test_verify_malformed_config_exits_2(tmp_path, data):
+    path = write_config(tmp_path, data)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--config", path])
+    assert code == 2, data
+    assert err.getvalue().startswith("error: ")
+
+
+def test_verify_malformed_base_is_valid(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "verify", "--config", write_config(tmp_path, MALFORMED_BASE))
+    assert code == 0
 
 
 def test_verify_precondition_blocks_whole_run(tmp_path, capsys):

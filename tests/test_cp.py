@@ -177,6 +177,26 @@ def test_pointwise_lemma_bounds():
         assert np.all(vals >= c3 * min_form - tol)
 
 
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0, 4.5])
+def test_cp_value_batch_scalar_kernel_matches_vector_path(p):
+    rng = np.random.default_rng(107)
+    n = 600
+    xi, eta = (z[:, 0] for z in random_pairs(rng, n, 1))
+    # exact ties xi == eta take the continuous extension; the next block
+    # approaches it along random directions down to |xi - eta| = 1e-14
+    eta[:50] = xi[:50]
+    step = 10.0 ** -rng.uniform(4.0, 14.0, 100) * np.exp(2j * np.pi * rng.random(100))
+    eta[50:150] = xi[50:150] - step
+    for a, b in ((xi, eta), (xi.real, eta.real)):
+        got = cp_value_batch(a, b, p)
+        want = cp_value_batch(a[:, None], b[:, None], p)
+        assert got.shape == (n,) and got.dtype == np.float64
+        scale = (np.abs(a) + np.abs(b)) ** p
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    assert np.array_equal(cp_value_batch(xi[:50], xi[:50], p), np.abs(xi[:50]) ** p)
+    assert np.array_equal(cp_value_batch(xi.real[:50], xi.real[:50], p), np.abs(xi.real[:50]) ** p)
+
+
 def test_c3_seam_value():
     # both branches meet at r = 1; the axis point (1, 0) evaluates to
     # 4^(3/4) - 1 - 3/2 = 2 sqrt(2) - 5/2 for p = 1.5

@@ -107,6 +107,11 @@ def test_settings_and_region_validation():
         Region(box=((0.0, 1.0),), exclusion_dims=2)
     with pytest.raises(ValueError, match="tolerances"):
         IntegrationSettings(rel_tol=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tolerances"):
+            IntegrationSettings(rel_tol=bad)
+        with pytest.raises(ValueError, match="tolerances"):
+            IntegrationSettings(abs_tol=bad)
     with pytest.raises(ValueError, match="max_evals"):
         IntegrationSettings(max_evals=0)
     with pytest.raises(ValueError, match="unknown rule"):

@@ -48,6 +48,8 @@ def test_space_params_validation():
         SpaceParams(1, 0, 1.0)
     with pytest.raises(ValueError):
         SpaceParams(1, 1, -0.1)
+    with pytest.raises(ValueError, match="finite"):
+        SpaceParams(1, 1, float("nan"))
 
 
 def test_rho_values():

@@ -158,6 +158,34 @@ def test_sweep_phase_twist_changes_lhs():
     assert reps[1].lhs > reps[0].lhs * 1.01
 
 
+def test_sweep_over_different_supports_matches_single_cases():
+    # one region, three supports: a point of the gathered union may lie
+    # outside a case's own field support and must add nothing to that case
+    settings = IntegrationSettings(rel_tol=1e-6)
+
+    def field(family, inner, **kwargs):
+        spec = TestFieldSpec(family=family, inner_rho=inner, outer_rho=2.0, x_floor=0.125, **kwargs)
+        return build_test_field(SP, spec)
+
+    narrow = field("bump_radial_x_cutoff", 0.8)
+    wide = field("bump_radial_x_cutoff", 0.5)
+    twisted = field("phase_twisted", 0.65, phase_kappa=1.0)
+    pairs = [
+        make_pair("dambrosio_power", SP, 1.5, {"alpha": 0.0, "beta": 0.0}),
+        make_pair("nch_ball", SP, 3.0, {"R": 4.0}),
+    ]
+    cases = [(pair, f) for pair in pairs for f in (narrow, wide, twisted)]
+    swept = verify_identity_sweep(cases, settings)
+    for (pair, f), rep in zip(cases, swept):
+        single = verify_identity(pair, f, settings)
+        assert rep.passed and single.passed
+        allow = 10.0 * (rep.quadrature_error + single.quadrature_error)
+        for key in ("lhs", "w_term", "cp_term", "phi_term"):
+            assert abs(getattr(rep, key) - getattr(single, key)) <= allow, key
+    # the supports differ, so the cases of one pair differ too
+    assert swept[0].w_term < swept[1].w_term
+
+
 def test_sweep_validation():
     field = annulus_field(SP)
     pair = make_pair("dambrosio_power", SP, 2.0, {"alpha": 0.0, "beta": 0.0})

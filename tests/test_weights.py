@@ -31,6 +31,11 @@ def test_validation_messages():
         make_pair("mystery", SP, 2.0, {})
     with pytest.raises(ValueError, match="requires p > 1"):
         make_pair("nch_ball", SP, 1.0, {"R": 4.0})
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="requires p > 1 and finite"):
+            make_pair("nch_ball", SP, bad, {"R": 4.0})
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            make_pair("nch_ball", SP, 2.0, {"R": bad})
     with pytest.raises(ValueError, match="requires Q > alpha - beta"):
         make_pair("dambrosio_power", SP, 2.0, {"alpha": 4.0, "beta": 0.0})
     with pytest.raises(ValueError, match=r"requires Q > p\*theta"):
