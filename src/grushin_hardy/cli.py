@@ -37,7 +37,7 @@ from .geometry import (
     rho,
 )
 from .verifier import (
-    _ZERO_PHI_PAIRS,
+    PRECONDITIONS,
     CknParams,
     sharpness_probe,
     verify_ckn,
@@ -47,7 +47,7 @@ from .verifier import (
     verify_remainder_p_ge2,
     verify_remainder_p_lt2,
 )
-from .weights import condition_report, make_pair
+from .weights import PAIRS, WeightPair, condition_report, make_pair
 
 __all__ = ["RunConfig", "run", "report_export", "main"]
 
@@ -68,19 +68,6 @@ CONSTANT_KINDS = {
     "c1": "c1_inf",
     "c2": "c2_sup",
     "c3": "c3_min",
-}
-
-HPW_CASE_FOR_PAIR = {
-    "nch_ball": "ball_nch",
-    "dambrosio_power": "whole_dambrosio",
-    "log_ball": "log_ball",
-}
-
-DEFAULT_PAIR_PARAMS = {
-    "dambrosio_power": {"alpha": 0.0, "beta": 0.0},
-    "nch_ball": {"R": 4.0},
-    "darca_power": {"theta": 0.5, "alpha": 1.0, "R": 1e30},
-    "log_ball": {"alpha": -3.0, "R": 4.0},
 }
 
 DIVERGENCE_COMBOS = ((0.0, 0.0), (1.0, -1.0), (-1.0, 1.0))
@@ -301,26 +288,23 @@ def _build_objects(config: RunConfig):
     return pair, field, field_cfg
 
 
-def _validate_checks(config: RunConfig, pair, field) -> None:
-    """Every referenced check's preconditions, before any integration."""
-    for name in config.checks:
-        if name.startswith("remainder") and pair.id not in _ZERO_PHI_PAIRS:
-            raise ValueError("remainder bounds need a pair with phi identically 0")
-        if name == "remainder_pge2" and config.p < 2.0:
-            raise ValueError("remainder_pge2 needs p >= 2")
-        if name == "remainder_plt2" and not 1.0 < config.p < 2.0:
-            raise ValueError("remainder_plt2 needs 1 < p < 2")
-        if name == "ckn":
-            if config.ckn is None:
-                raise ValueError("ckn check requires a ckn section in the config")
-            if abs(config.ckn.p - config.p) > 1e-12:
-                raise ValueError("CknParams p must match the pair's p")
-        elif name == "hpw":
-            case = HPW_CASE_FOR_PAIR.get(pair.id)
-            if case is None:
-                raise ValueError(f"no hpw case corresponds to pair {pair.id!r}")
-            if case in ("ball_nch", "log_ball") and not np.isfinite(field.spec.R):
-                raise ValueError(f"{case} needs a field built with finite R")
+def _check_args(name: str, config: RunConfig, pair: WeightPair, field) -> tuple:
+    """Arguments of the function behind check name, before settings."""
+    if name not in CHECK_NAMES:
+        raise ValueError(f"unknown check {name!r}")
+    if name == "ckn":
+        if config.ckn is None:
+            raise ValueError("ckn check requires a ckn section in the config")
+        return (pair, field, config.ckn)
+    if name == "hpw":
+        if pair.spec.hpw is None:
+            raise ValueError(f"no hpw case corresponds to pair {pair.id!r}")
+        return (pair.spec.hpw.case, config.p, field)
+    if name in ("sharpness", "condition"):
+        return (pair,)
+    if name == "divergence":
+        return (config.space,)
+    return (pair, field)
 
 
 def _divergence_samples(space: SpaceParams, samples: int, seed: int) -> List[Point]:
@@ -376,42 +360,28 @@ def condition_check(pair, samples: int, seed: int) -> Dict[str, object]:
     return out
 
 
-def _run_check(name: str, config: RunConfig, pair, field) -> Dict[str, object]:
-    settings = config.quadrature
-    if name == "identity":
-        rep = verify_identity(pair, field, settings)
-        return _record(name, rep.passed, rep.to_dict(), rep.residual, rep.quadrature_error)
-    if name == "inequality":
-        rep = verify_inequality(pair, field, settings)
-        return _record(name, rep.passed, rep.to_dict(), rep.margin, rep.quadrature_error)
-    if name == "remainder_pge2":
-        rep = verify_remainder_p_ge2(pair, field, settings)
-        return _record(name, rep.passed, rep.to_dict(), rep.margin, rep.quadrature_error)
-    if name == "remainder_plt2":
-        rep = verify_remainder_p_lt2(pair, field, settings)
-        residual = min(rep.lower_margin, rep.upper_margin, rep.min_margin)
-        return _record(name, rep.passed, rep.to_dict(), residual, rep.quadrature_error)
-    if name == "sharpness":
-        rep = sharpness_probe(pair, settings=settings)
-        return _record(name, rep.passed, rep.to_dict(), rep.final_gap, rep.quadrature_error)
-    if name == "ckn":
-        rep = verify_ckn(pair, field, config.ckn, settings)
-        return _record(
-            name, rep.passed, rep.to_dict(), rep.left - rep.right, rep.quadrature_error
-        )
-    if name == "hpw":
-        case = HPW_CASE_FOR_PAIR[pair.id]
-        rep = verify_hpw(case, config.p, field, settings)
-        return _record(
-            name, rep.passed, rep.to_dict(), rep.left - rep.right, rep.quadrature_error
-        )
+def _run_check(name: str, config: RunConfig, args: tuple) -> Dict[str, object]:
     if name == "divergence":
-        rec = divergence_check(config.space, 100, config.seed)
+        rec = divergence_check(*args, 100, config.seed)
         return _record(name, rec.pop("passed"), rec, rec["max_rel_err"], 0.0)
     if name == "condition":
-        rec = condition_check(pair, 200, config.seed)
+        rec = condition_check(*args, 200, config.seed)
         return _record(name, rec.pop("passed"), rec, rec["max_abs_mismatch"], 0.0)
-    raise ValueError(f"unknown check {name!r}")
+    # built per call, so that the module's current bindings of these names run
+    check, residual = {
+        "identity": (verify_identity, lambda rep: rep.residual),
+        "inequality": (verify_inequality, lambda rep: rep.margin),
+        "remainder_pge2": (verify_remainder_p_ge2, lambda rep: rep.margin),
+        "remainder_plt2": (
+            verify_remainder_p_lt2,
+            lambda rep: min(rep.lower_margin, rep.upper_margin, rep.min_margin),
+        ),
+        "sharpness": (sharpness_probe, lambda rep: rep.final_gap),
+        "ckn": (verify_ckn, lambda rep: rep.left - rep.right),
+        "hpw": (verify_hpw, lambda rep: rep.left - rep.right),
+    }[name]
+    rep = check(*args, settings=config.quadrature)
+    return _record(name, rep.passed, rep.to_dict(), residual(rep), rep.quadrature_error)
 
 
 def _record(name: str, passed: bool, terms: Dict, residual: float, qerr: float) -> Dict:
@@ -437,8 +407,13 @@ def run(config: RunConfig) -> Dict:
     """Execute the configured checks in declared order and build the report."""
     t0 = time.time()
     pair, field, field_echo = _build_objects(config)
-    _validate_checks(config, pair, field)
-    checks = [_run_check(name, config, pair, field) for name in config.checks]
+    calls = []
+    for name in config.checks:
+        args = _check_args(name, config, pair, field)
+        if name in PRECONDITIONS:
+            PRECONDITIONS[name](*args)
+        calls.append((name, args))
+    checks = [_run_check(name, config, args) for name, args in calls]
     n_pass = sum(1 for c in checks if c["passed"])
     echo = config_to_dict(config)
     echo["field"] = field_echo
@@ -588,12 +563,23 @@ def _parse_space_flag(text: str) -> Dict[str, float]:
     return {"m": int(parts[0]), "k": int(parts[1]), "gamma": float(parts[2])}
 
 
+def _pair_defaults(pair_id: str) -> Dict[str, float]:
+    spec = PAIRS.get(pair_id)
+    return dict(spec.defaults) if spec is not None else {}
+
+
+def _flag_pair(args) -> WeightPair:
+    """The pair that --pair, --space and --p name, with its default parameters."""
+    space = SpaceParams(**_parse_space_flag(args.space))
+    return make_pair(args.pair, space, args.p, _pair_defaults(args.pair))
+
+
 def _apply_overrides(data: Dict, args) -> Dict:
     data = dict(data)
     if args.space is not None:
         data["space"] = _parse_space_flag(args.space)
     if args.pair is not None:
-        data["pair"] = {"id": args.pair, **DEFAULT_PAIR_PARAMS.get(args.pair, {})}
+        data["pair"] = {"id": args.pair, **_pair_defaults(args.pair)}
     if args.p is not None:
         data["p"] = args.p
     if args.seed is not None:
@@ -651,13 +637,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_sharpness(args) -> int:
-    space_dict = _parse_space_flag(args.space)
-    space = SpaceParams(space_dict["m"], space_dict["k"], space_dict["gamma"])
-    params = DEFAULT_PAIR_PARAMS.get(args.pair)
-    if params is None:
-        raise ValueError(f"unknown pair id {args.pair!r}")
-    pair = make_pair(args.pair, space, args.p, dict(params))
-    rep = sharpness_probe(pair, levels=args.levels)
+    rep = sharpness_probe(_flag_pair(args), levels=args.levels)
     out = {"pair": args.pair, "p": args.p}
     out.update(rep.to_dict())
     print(_dump(out))
@@ -665,21 +645,14 @@ def cmd_sharpness(args) -> int:
 
 
 def cmd_check_divergence(args) -> int:
-    space_dict = _parse_space_flag(args.space)
-    space = SpaceParams(space_dict["m"], space_dict["k"], space_dict["gamma"])
+    space = SpaceParams(**_parse_space_flag(args.space))
     rec = divergence_check(space, args.samples, args.seed)
     print(_dump(rec))
     return 0 if rec["passed"] else 1
 
 
 def cmd_condition(args) -> int:
-    space_dict = _parse_space_flag(args.space)
-    space = SpaceParams(space_dict["m"], space_dict["k"], space_dict["gamma"])
-    params = DEFAULT_PAIR_PARAMS.get(args.pair)
-    if params is None:
-        raise ValueError(f"unknown pair id {args.pair!r}")
-    pair = make_pair(args.pair, space, args.p, dict(params))
-    rec = condition_check(pair, args.samples, args.seed)
+    rec = condition_check(_flag_pair(args), args.samples, args.seed)
     print(_dump(rec))
     return 0 if rec["passed"] else 1
 

@@ -50,7 +50,6 @@ __all__ = [
     "objective",
     "stated_range",
     "find_constant",
-    "sandwich_check",
 ]
 
 KINDS = ("cp_pge2", "c1_inf", "c2_sup", "c3_min")
@@ -372,10 +371,3 @@ def find_constant(kind: CpObjectiveKind, settings: Optional[SearchSettings] = No
         refined=refined,
         bracket=bracket,
     )
-
-
-def sandwich_check(p: float, c1: float, c2: float) -> bool:
-    """c1 <= c2 with both inside their stated_range enclosures."""
-    lo1, hi1 = stated_range(CpObjectiveKind("c1_inf", p))
-    lo2, hi2 = stated_range(CpObjectiveKind("c2_sup", p))
-    return bool(c1 <= c2 and lo1 < c1 <= hi1 and lo2 <= c2 < hi2)

@@ -17,7 +17,7 @@ without evaluation.
 import heapq
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "IntegrationSettings",
     "IntegralResult",
     "integrate",
-    "integrate_many",
     "integrate_vector",
 ]
 
@@ -393,18 +392,3 @@ def integrate(
         return np.asarray(integrand(pts))[None, :]
 
     return integrate_vector(wrapped, 1, region, settings)[0]
-
-
-def integrate_many(
-    integrands: Sequence[Callable[[np.ndarray], np.ndarray]],
-    region: Region,
-    settings: Optional[IntegrationSettings] = None,
-) -> List[IntegralResult]:
-    """Integrate several integrands on one shared adaptive mesh."""
-    if len(integrands) == 0:
-        return []
-
-    def stacked(pts: np.ndarray) -> np.ndarray:
-        return np.stack([np.asarray(f(pts)) for f in integrands])
-
-    return integrate_vector(stacked, len(integrands), region, settings)

@@ -14,7 +14,7 @@ verifier.sharpness_probe) and plateau widening is plain interval growth.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from grushin_hardy.geometry import (
     radial_coords,
     unit_grad_gamma_rho,
 )
-from grushin_hardy.weights import make_pair
+from grushin_hardy.weights import Coords, WeightPair, make_pair
 
 __all__ = [
     "FAMILIES",
@@ -38,7 +38,6 @@ __all__ = [
     "build_test_field",
     "build_extremal_field",
     "grad_gamma",
-    "grad_gamma_batch",
     "radial_derivative",
     "radial_derivative_batch",
 ]
@@ -139,14 +138,19 @@ class TestField:
         half = np.concatenate([np.full(self.space.m, x_half), np.full(self.space.k, y_half)])
         return -half, half
 
-    def eval_batch(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Values (N,) and Euclidean gradients (N, m+k), both complex."""
+    def eval_batch(
+        self, pts: np.ndarray, coords: Optional[Coords] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Values (N,) and Euclidean gradients (N, m+k), both complex.
+
+        coords are the points' precomputed (|x|, rho), if the caller has them.
+        """
         space, spec = self.space, self.spec
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != space.n:
             raise ValueError(f"points must have shape (N, {space.n})")
         x, y = pts[:, : space.m], pts[:, space.m :]
-        r, rho = radial_coords(space, x, y)
+        r, rho = radial_coords(space, x, y) if coords is None else coords
 
         vals = np.zeros(pts.shape[0], dtype=complex)
         grads = np.zeros_like(pts, dtype=complex)
@@ -197,53 +201,37 @@ class ExtremalField(TestField):
     kappa_eff is the decay rate of the profile in tau; the default
     orientation decays toward the pair's singular boundary (the one that
     concentrates the Rayleigh quotient), ascending=True flips the exponent
-    to the sign printed in the corollary statements.
+    to the sign printed in the corollary statements. The coordinate tau and
+    the profile come from the pair's entry in weights.PAIRS.
     """
 
     def __init__(
         self,
         space: SpaceParams,
         spec: TestFieldSpec,
-        pair_id: str,
-        p: float,
-        params: Dict[str, float],
-        kappa_eff: float,
+        pair: WeightPair,
         level: int,
         band: float,
         plateau: float,
         ascending: bool,
     ):
         super().__init__(space, spec)
-        self.pair_id = pair_id
-        self.p = p
-        self.params = params
-        self.kappa_eff = kappa_eff
+        self.pair = pair
+        self.kappa_eff = pair.kappa
         self.level = level
         self.band = band
         self.plateau = plateau
         self.tau_hi = plateau + 2.0 * band
         self.ascending = ascending
-        # tau anchors: rho = 0.5 for power pairs, R - rho = 0.6 R for the
-        # boundary pair; the log pair anchors at log(R/rho) = 1
-        self._anchor = 0.6 * params["R"] if pair_id == "nch_ball" else 0.5
+        self._k = pair.scalars
 
     def tau_of_rho(self, rho: np.ndarray) -> np.ndarray:
         rho = np.asarray(rho, dtype=float)
         with np.errstate(divide="ignore"):
-            if self.pair_id in ("dambrosio_power", "darca_power"):
-                return np.log(rho / self._anchor)
-            if self.pair_id == "nch_ball":
-                return np.log(self._anchor / (self.params["R"] - rho))
-            L = np.log1p((self.params["R"] - rho) / rho)
-            return -np.log(L)
+            return self.pair.spec.tau_of_rho(rho, self._k)
 
     def rho_of_tau(self, tau: np.ndarray) -> np.ndarray:
-        tau = np.asarray(tau, dtype=float)
-        if self.pair_id in ("dambrosio_power", "darca_power"):
-            return self._anchor * np.exp(tau)
-        if self.pair_id == "nch_ball":
-            return self.params["R"] - self._anchor * np.exp(-tau)
-        return self.params["R"] * np.exp(-np.exp(-tau))
+        return self.pair.spec.rho_of_tau(np.asarray(tau, dtype=float), self._k)
 
     def window(self, tau: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Plateau window S(tau) and S'(tau)."""
@@ -254,32 +242,12 @@ class ExtremalField(TestField):
 
         Constant factors are dropped; they cancel in the quotient.
         """
-        tau = np.asarray(tau, dtype=float)
-        if self.pair_id in ("dambrosio_power", "darca_power"):
-            return np.ones_like(tau)
-        if self.pair_id == "nch_ball":
-            R = self.params["R"]
-            return (R - self._anchor * np.exp(-tau)) ** (self.space.Q - 1.0)
-        return np.exp(-(self.space.Q - self.p) * np.exp(-tau))
+        return self.pair.spec.probe_weight(np.asarray(tau, dtype=float), self._k)
 
     def _amplitude(self, rho: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        kap = self.spec.extremal_exponent
         tau = self.tau_of_rho(rho)
         S, dS = self.window(tau)
-        if self.pair_id in ("dambrosio_power", "darca_power"):
-            prof = rho**kap
-            d_prof = kap * rho ** (kap - 1.0)
-            d_tau = 1.0 / rho
-        elif self.pair_id == "nch_ball":
-            u = self.params["R"] - rho
-            prof = u**kap
-            d_prof = -kap * u ** (kap - 1.0)
-            d_tau = 1.0 / u
-        else:
-            L = np.log1p((self.params["R"] - rho) / rho)
-            prof = L**kap
-            d_prof = -kap * L ** (kap - 1.0) / rho
-            d_tau = 1.0 / (L * rho)
+        prof, d_prof, d_tau = self.pair.spec.profile(rho, self.spec.extremal_exponent, self._k)
         return prof * S, d_prof * S + prof * dS * d_tau
 
 
@@ -310,14 +278,7 @@ def build_extremal_field(
         raise ValueError("params must include p")
     p = float(params.pop("p"))
     pair = make_pair(pair_id, space, p, params, allow_negative_phi=True)
-
-    Q = space.Q
-    kappa = {
-        "nch_ball": (p - 1.0) / p,
-        "dambrosio_power": (Q + params.get("beta", 0.0) - params.get("alpha", 0.0)) / p,
-        "darca_power": (Q - p * params.get("theta", 0.0)) / p,
-        "log_ball": abs(params.get("alpha", 0.0) + 1.0) / p,
-    }[pair_id]
+    kappa = pair.kappa
 
     band = min(max(2.5 / max(kappa, 0.4), 1.5), 6.0)
     lam2 = max(2.0 * _J1 / (band * 0.03 * kappa**2) - 2.0 * _J0 * band, 8.0)
@@ -325,42 +286,26 @@ def build_extremal_field(
     tau_hi = plateau + 2.0 * band
 
     sign = 1.0 if ascending else -1.0
-    exponent = {
-        "nch_ball": -sign * kappa,
-        "dambrosio_power": sign * kappa,
-        "darca_power": sign * kappa,
-        "log_ball": -sign * kappa,
-    }[pair_id]
+    spec, k = pair.spec, pair.scalars
+    R = pair.params.get("R", float("inf"))
+    outer = float(spec.rho_of_tau(tau_hi, k))
+    if R != float("inf"):
+        outer = min(outer, np.nextafter(R, 0.0))
 
-    R = params.get("R", float("inf"))
-    if pair_id in ("dambrosio_power", "darca_power"):
-        inner, outer = 0.5, 0.5 * float(np.exp(tau_hi))
-        if R != float("inf"):
-            outer = min(outer, np.nextafter(R, 0.0))
-    elif pair_id == "nch_ball":
-        inner = 0.4 * R
-        outer = min(R - 0.6 * R * float(np.exp(-tau_hi)), np.nextafter(R, 0.0))
-    else:
-        inner = R * float(np.exp(-1.0))
-        outer = min(R * float(np.exp(-np.exp(-tau_hi))), np.nextafter(R, 0.0))
-
-    spec = TestFieldSpec(
+    field_spec = TestFieldSpec(
         family="extremal_truncated",
-        inner_rho=inner,
+        inner_rho=spec.inner(k),
         outer_rho=outer,
         x_floor=0.0,
         smoothness_margin=band / tau_hi,
         phase_kappa=0.0,
-        extremal_exponent=exponent,
+        extremal_exponent=spec.tau_sign * sign * kappa,
         R=R,
     )
     return ExtremalField(
         space=space,
-        spec=spec,
-        pair_id=pair_id,
-        p=p,
-        params=pair.params,
-        kappa_eff=kappa,
+        spec=field_spec,
+        pair=pair,
         level=int(truncation_level),
         band=band,
         plateau=plateau,
@@ -378,15 +323,6 @@ def grad_gamma(space: SpaceParams, fv: FieldValue, z: Point) -> GVector:
     return out
 
 
-def grad_gamma_batch(space: SpaceParams, pts: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """Batch version of grad_gamma for (N, m+k) points and gradients."""
-    pts = np.asarray(pts, dtype=float)
-    r = np.linalg.norm(pts[:, : space.m], axis=1)
-    out = np.array(grads, dtype=complex, copy=True)
-    out[:, space.m :] *= (r**space.gamma)[:, None]
-    return out
-
-
 def radial_derivative(space: SpaceParams, f: TestField, z: Point) -> complex:
     """Projected derivative D f = (grad_gamma rho . grad_gamma f)/|grad_gamma rho|.
 
@@ -398,16 +334,19 @@ def radial_derivative(space: SpaceParams, f: TestField, z: Point) -> complex:
     return complex(np.dot(unit, gg))
 
 
-def radial_derivative_batch(space: SpaceParams, pts: np.ndarray, grads: np.ndarray) -> np.ndarray:
+def radial_derivative_batch(
+    space: SpaceParams, pts: np.ndarray, grads: np.ndarray, coords: Optional[Coords] = None
+) -> np.ndarray:
     """Batch D f via the cancellation-free form (r/rho)^g (x.df_x + (1+g) y.df_y)/rho.
 
     This is the continuous extension of the projected derivative: it returns
     0 on {x=0} for gamma > 0 and at points where the gradient vanishes,
     rather than raising, because integrands extend by continuity there.
+    coords are the points' precomputed (|x|, rho), if the caller has them.
     """
     pts = np.asarray(pts, dtype=float)
     x, y = pts[:, : space.m], pts[:, space.m :]
-    r, rho = radial_coords(space, x, y)
+    r, rho = radial_coords(space, x, y) if coords is None else coords
     dot = np.einsum("ni,ni->n", x, grads[:, : space.m]) + (1.0 + space.gamma) * np.einsum(
         "ni,ni->n", y, grads[:, space.m :]
     )

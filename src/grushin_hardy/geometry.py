@@ -25,11 +25,8 @@ __all__ = [
     "Point",
     "GVector",
     "SingularPointError",
-    "homogeneous_dimension",
     "radial_coords",
     "rho",
-    "rho_batch",
-    "rho_eps",
     "grad_gamma_rho",
     "norm_grad_gamma_rho",
     "unit_grad_gamma_rho",
@@ -90,11 +87,6 @@ def _check_point(space: SpaceParams, z: Point) -> None:
         )
 
 
-def homogeneous_dimension(space: SpaceParams) -> float:
-    """Q = m + (1+gamma) k."""
-    return space.Q
-
-
 def radial_coords(space: SpaceParams, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Batch (|x|, rho) for coordinate arrays x of shape (..., m), y of shape (..., k)."""
     x = np.asarray(x, dtype=float)
@@ -111,25 +103,6 @@ def rho(space: SpaceParams, z: Point) -> float:
     _check_point(space, z)
     a = 1.0 + space.gamma
     r2 = float(z.x @ z.x)
-    y2 = float(z.y @ z.y)
-    return float((r2**a + a * a * y2) ** (1.0 / (2.0 * a)))
-
-
-def rho_batch(space: SpaceParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """rho evaluated on batches; see radial_coords for shapes."""
-    return radial_coords(space, x, y)[1]
-
-
-def rho_eps(space: SpaceParams, z: Point, eps: float) -> float:
-    """Regularized distance: |x| replaced by sqrt(eps^2 + |x|^2).
-
-    Nonincreasing as eps decreases to 0, with limit rho(z); always >= rho(z).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    _check_point(space, z)
-    a = 1.0 + space.gamma
-    r2 = eps * eps + float(z.x @ z.x)
     y2 = float(z.y @ z.y)
     return float((r2**a + a * a * y2) ** (1.0 / (2.0 * a)))
 

@@ -19,7 +19,8 @@ integral never passes.
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .cp import ConstantEstimate, CpObjectiveKind, cp_value_batch, find_constant
 from .cubature import IntegrationSettings, Region, integrate_vector
 from .fields import ExtremalField, TestField, build_extremal_field, radial_derivative_batch
 from .geometry import SpaceParams, radial_coords
-from .weights import WeightPair
+from .weights import HPW_PAIRS, WeightPair
 
 __all__ = [
     "IdentityReport",
@@ -47,11 +48,10 @@ __all__ = [
     "verify_ckn",
     "verify_hpw",
     "HPW_CASES",
+    "PRECONDITIONS",
 ]
 
-HPW_CASES = ("ball_nch", "whole_dambrosio", "log_ball")
-
-_ZERO_PHI_PAIRS = ("dambrosio_power", "darca_power")
+HPW_CASES = tuple(HPW_PAIRS)
 
 
 class _Report:
@@ -199,6 +199,10 @@ class HpwReport(_Report):
     classical: Optional[Dict[str, float]] = None
 
 
+# -- preconditions: one per check, taking its verify_* function's arguments
+# before settings; the verify_* functions and cli.run call them before any work
+
+
 def _check_support(pair: WeightPair, field: TestField) -> None:
     if pair.space != field.space:
         raise ValueError("pair and field use different spaces")
@@ -207,6 +211,50 @@ def _check_support(pair: WeightPair, field: TestField) -> None:
         raise ValueError("field must keep outer_rho <= 0.9 R on a ball domain")
     if pair.x_singular and not field.spec.x_floor > 0.0:
         raise ValueError("pair is singular on {x=0}; use a field with x_floor > 0")
+
+
+def _check_remainder(pair: WeightPair, field: TestField, p_ok: bool, p_rule: str) -> None:
+    if pair.spec.phi is not None:
+        raise ValueError("remainder bounds need a pair with phi identically 0")
+    if not p_ok:
+        raise ValueError(p_rule)
+    _check_support(pair, field)
+
+
+def _check_remainder_pge2(pair: WeightPair, field: TestField) -> None:
+    _check_remainder(pair, field, pair.p >= 2.0, "verify_remainder_p_ge2 needs p >= 2")
+
+
+def _check_remainder_plt2(pair: WeightPair, field: TestField) -> None:
+    _check_remainder(pair, field, 1.0 < pair.p < 2.0, "verify_remainder_p_lt2 needs 1 < p < 2")
+
+
+def _check_ckn(pair: WeightPair, field: TestField, ckn: CknParams) -> None:
+    if abs(ckn.p - pair.p) > 1e-12:
+        raise ValueError("CknParams p must match the pair's p")
+    _check_support(pair, field)
+
+
+def _check_hpw(case: str, p: float, field: TestField) -> None:
+    spec = HPW_PAIRS.get(case)
+    if spec is None:
+        raise ValueError(f"case must be one of {HPW_CASES}")
+    if p <= 1.0:
+        raise ValueError("p must be > 1")
+    if "R" in spec.params and not math.isfinite(field.spec.R):
+        raise ValueError(f"{case} needs a field built with finite R")
+    if field.space.gamma > 0.0 and not field.spec.x_floor > 0.0:
+        raise ValueError("gamma > 0 weights are singular on {x=0}; use x_floor > 0")
+
+
+PRECONDITIONS: Dict[str, Callable[..., None]] = {
+    "identity": _check_support,
+    "inequality": _check_support,
+    "remainder_pge2": _check_remainder_pge2,
+    "remainder_plt2": _check_remainder_plt2,
+    "ckn": _check_ckn,
+    "hpw": _check_hpw,
+}
 
 
 def _field_region(field: TestField) -> Region:
@@ -221,22 +269,24 @@ def _field_region(field: TestField) -> Region:
 class _Batch:
     """What every field integrand needs on one cubature batch, computed once.
 
-    Each field's f, Df and support are evaluated on the whole batch. The
-    union of the supports is gathered once by integer index, and (|x|, rho),
-    the pair weights, their p-th roots and the powers |f|^q, |Df|^q are
-    computed on that gather on first use and reused, so C cases over F
-    fields and P pairs cost F field and P weight evaluations, not C of each.
+    (|x|, rho) is computed once on the whole batch, and each field's f, Df
+    and support are evaluated from it. The union of the supports is gathered
+    once by integer index; (|x|, rho) is taken on that gather, and the pair
+    weights, their p-th roots and the powers |f|^q, |Df|^q are computed on
+    it on first use and reused, so C cases over F fields and P pairs cost F
+    field and P weight evaluations, not C of each.
     Arrays are indexed like the gather (entry j is point idx[j]), except the
     full-batch gradients in grads.
     """
 
     def __init__(self, space: SpaceParams, pts: np.ndarray, fields: Sequence[TestField]):
-        evals = [f.eval_batch(pts) for f in fields]
-        dfs = [radial_derivative_batch(space, pts, grads) for _, grads in evals]
+        coords = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
+        evals = [f.eval_batch(pts, coords=coords) for f in fields]
+        dfs = [radial_derivative_batch(space, pts, grads, coords=coords) for _, grads in evals]
         supports = [(vals != 0) | (df != 0) for (vals, _), df in zip(evals, dfs)]
         self.idx = np.flatnonzero(np.logical_or.reduce(supports))
         self.sub = pts[self.idx]
-        self.coords = radial_coords(space, self.sub[:, : space.m], self.sub[:, space.m :])
+        self.coords = (coords[0][self.idx], coords[1][self.idx])
         self.vals = [vals[self.idx] for vals, _ in evals]
         self.df = [df[self.idx] for df in dfs]
         self.grads = [grads for _, grads in evals]
@@ -290,9 +340,6 @@ def _integrate_cases(
     """
     if len(cases) == 0:
         raise ValueError("the integration needs at least one case")
-    for pair, field in cases:
-        if pair is not None:
-            _check_support(pair, field)
     space = cases[0][1].space
     if any(field.space != space for _, field in cases):
         raise ValueError("sweep cases must share one space")
@@ -384,6 +431,8 @@ def verify_identity_sweep(
     error still cancels inside each residual.  All cases must live on one
     space and the fields must share one support region.
     """
+    for pair, field in cases:
+        _check_support(pair, field)
     res = _integrate_cases(cases, 4, _identity_terms, settings)
     return [_identity_report(r, rel_tol_check) for r in res]
 
@@ -394,6 +443,7 @@ def verify_inequality(
     settings: Optional[IntegrationSettings] = None,
 ) -> InequalityReport:
     """Check lhs >= w_term up to quadrature slack."""
+    _check_support(pair, field)
     p = pair.p
 
     def terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
@@ -420,11 +470,6 @@ def verify_inequality(
     )
 
 
-def _require_zero_phi(pair: WeightPair) -> None:
-    if pair.id not in _ZERO_PHI_PAIRS:
-        raise ValueError("remainder bounds need a pair with phi identically 0")
-
-
 def verify_remainder_p_ge2(
     pair: WeightPair,
     field: TestField,
@@ -432,9 +477,7 @@ def verify_remainder_p_ge2(
     constant: Optional[ConstantEstimate] = None,
 ) -> RemainderPge2Report:
     """Check cp_term >= c_p * eta_term for p >= 2 on a phi = 0 pair."""
-    _require_zero_phi(pair)
-    if pair.p < 2.0:
-        raise ValueError("verify_remainder_p_ge2 needs p >= 2")
+    _check_remainder_pge2(pair, field)
     p = pair.p
     if constant is None:
         constant = find_constant(CpObjectiveKind(kind="cp_pge2", p=p))
@@ -471,9 +514,7 @@ def verify_remainder_p_lt2(
     constants: Optional[Dict[str, ConstantEstimate]] = None,
 ) -> RemainderPlt2Report:
     """Check the two-sided and min-form remainder bounds for 1 < p < 2."""
-    _require_zero_phi(pair)
-    if not 1.0 < pair.p < 2.0:
-        raise ValueError("verify_remainder_p_lt2 needs 1 < p < 2")
+    _check_remainder_plt2(pair, field)
     p = pair.p
     if constants is None:
         constants = {
@@ -606,8 +647,7 @@ def verify_ckn(
     bracket_mismatch); the inequality is
     B^(delta/p) * (int w^(b q) |f|^q)^((1-delta)/q) >= (int w^(c r) |f|^r)^(1/r).
     """
-    if abs(ckn.p - pair.p) > 1e-12:
-        raise ValueError("CknParams p must match the pair's p")
+    _check_ckn(pair, field, ckn)
     p = pair.p
 
     def terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
@@ -668,20 +708,14 @@ def verify_hpw(
     whole_dambrosio at p = 2 the squared (Garofalo-type) product is checked
     too, and at gamma = 0 also the classical gradient form it dominates.
     """
-    if case not in HPW_CASES:
-        raise ValueError(f"case must be one of {HPW_CASES}")
-    if p <= 1.0:
-        raise ValueError("p must be > 1")
+    _check_hpw(case, p, field)
+    hpw = HPW_PAIRS[case].hpw
     space = field.space
     gamma = space.gamma
-    q_hom = space.Q
     pp = p / (p - 1.0)
-    radius = field.spec.R
-    if case in ("ball_nch", "log_ball") and not math.isfinite(radius):
-        raise ValueError(f"{case} needs a field built with finite R")
-    if gamma > 0.0 and not field.spec.x_floor > 0.0:
-        raise ValueError("gamma > 0 weights are singular on {x=0}; use x_floor > 0")
-    track_grad = case == "whole_dambrosio" and p == 2.0 and gamma == 0.0
+    k = SimpleNamespace(p=p, pp=pp, R=field.spec.R)
+    garofalo_p2 = hpw.garofalo and p == 2.0
+    track_grad = garofalo_p2 and gamma == 0.0
     ncomp = 4 if track_grad else 3
 
     def terms(b: _Batch, _pair: None, f: int) -> List[np.ndarray]:
@@ -689,16 +723,7 @@ def verify_hpw(
         fa_pp = b.power("vals", f, pp)
         df_p = b.power("df", f, p)
         ratio_pow = (rho / r) ** (gamma * p * pp / 2.0) if gamma > 0 else 1.0
-        if case == "ball_nch":
-            rows = [df_p, (radius - rho) ** (p * pp / 2.0) * ratio_pow * fa_pp]
-        elif case == "whole_dambrosio":
-            rows = [df_p, rho ** (p * pp / 2.0) * ratio_pow * fa_pp]
-        else:
-            log_dist = np.log(radius / rho)
-            rows = [
-                log_dist ** (2.0 * p) * df_p,
-                rho ** (p * pp / 2.0) * ratio_pow * log_dist ** (-p * pp / 2.0) * fa_pp,
-            ]
+        rows = hpw.rows(rho, ratio_pow, df_p, fa_pp, k)
         rows.append(np.abs(b.vals[f]) ** 2)
         if track_grad:
             rows.append((np.abs(b.grads[f][b.idx]) ** 2).sum(axis=1))
@@ -708,11 +733,7 @@ def verify_hpw(
     grad_term, weight_term, mass_term = (float(r.value) for r in res[:3])
     qerr = float(sum(r.error_estimate for r in res))
     converged = all(r.converged for r in res)
-    constant = {
-        "ball_nch": (p - 1.0) / p,
-        "whole_dambrosio": (q_hom - p) / p,
-        "log_ball": (p + 1.0) / p,
-    }[case]
+    constant = hpw.constant(p, space.Q)
     left = grad_term ** (1.0 / p) * weight_term ** (1.0 / pp)
     right = constant * mass_term
     tiny = 1e-300
@@ -728,9 +749,9 @@ def verify_hpw(
 
     garofalo = None
     classical = None
-    if case == "whole_dambrosio" and p == 2.0:
+    if garofalo_p2:
         g_left = grad_term * weight_term
-        g_right = ((q_hom - 2.0) / 2.0) ** 2 * mass_term**2
+        g_right = ((space.Q - 2.0) / 2.0) ** 2 * mass_term**2
         garofalo = {"left": g_left, "right": g_right, "passed": bool(converged and g_left >= g_right - 10.0 * qerr * (1.0 + g_left + g_right))}
         passed = passed and garofalo["passed"]
         if track_grad:

@@ -12,10 +12,16 @@ v, w and the analytic defect
 
 which the corollary proofs give explicitly for every pair, together with a
 finite-difference cross-check of that divergence condition.
+
+Everything known about a pair is its entry in PAIRS: parameters, validity
+rules, kappa (the sharp constant is kappa^p), the formulas, the extremal
+profile that fields.ExtremalField uses, and the uncertainty display that
+verifier.verify_hpw checks, if the pair has one.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.stats import qmc
@@ -30,7 +36,11 @@ from grushin_hardy.geometry import (
 )
 
 __all__ = [
+    "PAIRS",
     "PAIR_IDS",
+    "HPW_PAIRS",
+    "PairSpec",
+    "HpwSpec",
     "WeightPair",
     "make_pair",
     "phi_numeric",
@@ -38,15 +48,176 @@ __all__ = [
 ]
 
 Coords = Tuple[np.ndarray, np.ndarray]  # (|x|, rho), as radial_coords returns
+# f(|x|, rho, k) or f(tau, k): k holds the pair's parameters with g = gamma,
+# p, Q and, in a built pair, C = kappa^p (see WeightPair.scalars)
+Formula = Callable[..., np.ndarray]
 
-PAIR_IDS = ("nch_ball", "dambrosio_power", "darca_power", "log_ball")
 
-_REQUIRED_PARAMS = {
-    "nch_ball": ("R",),
-    "dambrosio_power": ("alpha", "beta"),
-    "darca_power": ("alpha", "theta", "R"),
-    "log_ball": ("alpha", "R"),
+@dataclass(frozen=True)
+class HpwSpec:
+    """An uncertainty-product display, checked by verifier.verify_hpw.
+
+    rows(rho, ratio_pow, |Df|^p, |f|^p', k) gives its gradient and weight
+    integrands, with ratio_pow = (rho/|x|)^(gamma p p'/2) and k holding p,
+    pp = p' and the field's R; constant(p, Q) is the printed constant.
+    """
+
+    case: str
+    constant: Callable[[float, float], float]
+    rows: Callable[..., List[np.ndarray]]
+    garofalo: bool = False  # at p = 2 also the squared (Garofalo-type) product
+
+
+@dataclass(frozen=True)
+class PairSpec:
+    """Everything known about one catalog pair; see PAIRS."""
+
+    params: Tuple[str, ...]  # required parameters
+    defaults: Dict[str, float]  # the CLI's parameters
+    rules: Tuple[Tuple[Callable, str], ...]  # (holds(k), message), checked in order
+    kappa: Callable[[SimpleNamespace], float]
+    v: Formula
+    w: Formula
+    phi: Optional[Formula]  # None when phi is identically 0
+    x_exponents: Callable  # |x| exponents of the weights; a negative one is singular on {x=0}
+    # extremal profile b(rho)^kap in the coordinate tau = tau_sign log b + const
+    tau_of_rho: Formula
+    rho_of_tau: Formula
+    probe_weight: Formula  # mass density of the 1-d Rayleigh reduction in tau
+    profile: Callable  # (rho, kap, k) -> b^kap, its rho-derivative, dtau/drho
+    inner: Callable[[SimpleNamespace], float]  # rho at tau = 0
+    tau_sign: float
+    hpw: Optional[HpwSpec] = None
+
+
+def _log_dist(R, rho: np.ndarray) -> np.ndarray:
+    # log(R/rho) via log1p keeps precision near the boundary rho ~ R
+    return np.log1p((R - rho) / rho)
+
+
+def _nch_profile(rho, kap, k):
+    u = k.R - rho
+    return u**kap, -kap * u ** (kap - 1.0), 1.0 / u
+
+
+def _log_profile(rho, kap, k):
+    L = _log_dist(k.R, rho)
+    return L**kap, -kap * L ** (kap - 1.0) / rho, 1.0 / (L * rho)
+
+
+def _log_hpw_rows(rho, ratio_pow, df_p, f_pp, k):
+    log_dist = np.log(k.R / rho)
+    return [
+        log_dist ** (2.0 * k.p) * df_p,
+        rho ** (k.p * k.pp / 2.0) * ratio_pow * log_dist ** (-k.p * k.pp / 2.0) * f_pp,
+    ]
+
+
+_R_POSITIVE = (lambda k: k.R > 0, "requires R > 0")
+
+# the power pairs' profile is rho^kap, with tau = log(rho/0.5)
+_POWER_PROFILE = dict(
+    tau_of_rho=lambda rho, k: np.log(rho / 0.5),
+    rho_of_tau=lambda tau, k: 0.5 * np.exp(tau),
+    probe_weight=lambda tau, k: np.ones_like(tau),
+    profile=lambda rho, kap, k: (rho**kap, kap * rho ** (kap - 1.0), 1.0 / rho),
+    inner=lambda k: 0.5,
+    tau_sign=1.0,
+)
+
+PAIRS: Dict[str, PairSpec] = {
+    "nch_ball": PairSpec(
+        params=("R",),
+        defaults={"R": 4.0},
+        rules=(_R_POSITIVE,),
+        kappa=lambda k: (k.p - 1.0) / k.p,
+        v=lambda r, rho, k: np.ones_like(rho),
+        w=lambda r, rho, k: k.C * (r / rho) ** (k.g * k.p) / (k.R - rho) ** k.p,
+        phi=lambda r, rho, k: ((k.p - 1.0) / k.p) ** (k.p - 1.0) * (k.Q - 1.0)
+        * (r / rho) ** (k.g * k.p) / ((k.R - rho) ** (k.p - 1.0) * rho),
+        x_exponents=lambda k: (k.g * k.p,),
+        # profile (R - rho)^kap, tau anchored at R - rho = 0.6 R
+        tau_of_rho=lambda rho, k: np.log(0.6 * k.R / (k.R - rho)),
+        rho_of_tau=lambda tau, k: k.R - 0.6 * k.R * np.exp(-tau),
+        probe_weight=lambda tau, k: (k.R - 0.6 * k.R * np.exp(-tau)) ** (k.Q - 1.0),
+        profile=_nch_profile,
+        inner=lambda k: 0.4 * k.R,
+        tau_sign=-1.0,
+        hpw=HpwSpec(
+            "ball_nch",
+            lambda p, Q: (p - 1.0) / p,
+            lambda rho, ratio_pow, df_p, f_pp, k: [
+                df_p,
+                (k.R - rho) ** (k.p * k.pp / 2.0) * ratio_pow * f_pp,
+            ],
+        ),
+    ),
+    "dambrosio_power": PairSpec(
+        params=("alpha", "beta"),
+        defaults={"alpha": 0.0, "beta": 0.0},
+        rules=((lambda k: k.Q > k.alpha - k.beta, "requires Q > alpha - beta"),),
+        kappa=lambda k: (k.Q + k.beta - k.alpha) / k.p,
+        v=lambda r, rho, k: r ** (k.beta - k.g * k.p) * rho ** (k.p * (1.0 + k.g) - k.alpha),
+        w=lambda r, rho, k: k.C * r**k.beta * rho ** (-k.alpha),
+        phi=None,
+        x_exponents=lambda k: (k.beta - k.g * k.p, k.beta),
+        **_POWER_PROFILE,
+        hpw=HpwSpec(
+            "whole_dambrosio",
+            lambda p, Q: (Q - p) / p,
+            lambda rho, ratio_pow, df_p, f_pp, k: [
+                df_p,
+                rho ** (k.p * k.pp / 2.0) * ratio_pow * f_pp,
+            ],
+            garofalo=True,
+        ),
+    ),
+    "darca_power": PairSpec(
+        params=("alpha", "theta", "R"),
+        defaults={"theta": 0.5, "alpha": 1.0, "R": 1e30},
+        rules=(_R_POSITIVE, (lambda k: k.Q > k.p * k.theta, "requires Q > p*theta")),
+        kappa=lambda k: (k.Q - k.p * k.theta) / k.p,
+        v=lambda r, rho, k: (r / rho) ** (k.g * k.alpha) * rho ** (k.p * (1.0 - k.theta)),
+        w=lambda r, rho, k: k.C * (r / rho) ** (k.g * (k.alpha + k.p)) * rho ** (-k.p * k.theta),
+        phi=None,
+        x_exponents=lambda k: (k.g * k.alpha, k.g * (k.alpha + k.p)),
+        **_POWER_PROFILE,
+    ),
+    "log_ball": PairSpec(
+        params=("alpha", "R"),
+        defaults={"alpha": -3.0, "R": 4.0},
+        rules=(
+            _R_POSITIVE,
+            (lambda k: k.alpha + 1 < 0, "requires alpha + 1 < 0"),
+            # phi carries the factor (Q - p); Q < p flips its sign, so the pair
+            # is only an identity then, not an inequality
+            (
+                lambda k: k.Q >= k.p or k.allow_negative_phi,
+                "requires Q >= p (pass allow_negative_phi to keep the identity only)",
+            ),
+        ),
+        kappa=lambda k: abs(k.alpha + 1.0) / k.p,
+        v=lambda r, rho, k: _log_dist(k.R, rho) ** (k.alpha + k.p),
+        w=lambda r, rho, k: k.C * _log_dist(k.R, rho) ** k.alpha * (r / rho) ** (k.g * k.p)
+        * rho ** (-k.p),
+        phi=lambda r, rho, k: (abs(k.alpha + 1.0) / k.p) ** (k.p - 1.0) * (k.Q - k.p)
+        * _log_dist(k.R, rho) ** (k.alpha + 1.0) * (r / rho) ** (k.g * k.p) * rho ** (-k.p),
+        x_exponents=lambda k: (k.g * k.p,),
+        # profile log(R/rho)^kap, tau = -log log(R/rho)
+        tau_of_rho=lambda rho, k: -np.log(_log_dist(k.R, rho)),
+        rho_of_tau=lambda tau, k: k.R * np.exp(-np.exp(-tau)),
+        probe_weight=lambda tau, k: np.exp(-(k.Q - k.p) * np.exp(-tau)),
+        profile=_log_profile,
+        inner=lambda k: k.R * float(np.exp(-1.0)),
+        tau_sign=-1.0,
+        hpw=HpwSpec("log_ball", lambda p, Q: (p + 1.0) / p, _log_hpw_rows),
+    ),
 }
+
+PAIR_IDS = tuple(PAIRS)
+
+# uncertainty display -> the pair whose corollary it is
+HPW_PAIRS: Dict[str, PairSpec] = {s.hpw.case: s for s in PAIRS.values() if s.hpw is not None}
 
 
 @dataclass(frozen=True)
@@ -62,10 +233,17 @@ class WeightPair:
     space: SpaceParams
     p: float
     params: Dict[str, float]
-    sharp_constant: float
-    domain: str
-    singular_set: str
-    allow_negative_phi: bool = field(default=False)
+    kappa: float
+    x_singular: bool  # the weights are singular on {x=0}
+    allow_negative_phi: bool = False
+
+    @property
+    def spec(self) -> PairSpec:
+        return PAIRS[self.id]
+
+    @property
+    def sharp_constant(self) -> float:
+        return self.kappa**self.p
 
     @property
     def radius(self) -> Optional[float]:
@@ -73,8 +251,12 @@ class WeightPair:
         return self.params.get("R")
 
     @property
-    def x_singular(self) -> bool:
-        return "{x=0}" in self.singular_set
+    def scalars(self) -> SimpleNamespace:
+        """The k of the spec formulas."""
+        space = self.space
+        return SimpleNamespace(
+            g=space.gamma, p=self.p, Q=space.Q, C=self.sharp_constant, **self.params
+        )
 
     def _prepare(self, pts: np.ndarray, coords: Optional[Coords]) -> Coords:
         if coords is not None:
@@ -84,59 +266,26 @@ class WeightPair:
             raise ValueError(f"points must have shape (N, {self.space.n})")
         return radial_coords(self.space, pts[:, : self.space.m], pts[:, self.space.m :])
 
-    def _log_dist(self, rho: np.ndarray) -> np.ndarray:
-        # log(R/rho) via log1p keeps precision near the boundary rho ~ R
-        R = self.params["R"]
-        return np.log1p((R - rho) / rho)
+    def _formula(
+        self, formula: Optional[Formula], pts: np.ndarray, coords: Optional[Coords]
+    ) -> np.ndarray:
+        r, rho = self._prepare(pts, coords)
+        if formula is None:
+            return np.zeros_like(rho)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return formula(r, rho, self.scalars)
 
     def v_batch(self, pts: np.ndarray, coords: Optional[Coords] = None) -> np.ndarray:
         """v on an (N, m+k) batch; singular or out-of-domain points give inf/nan."""
-        r, rho = self._prepare(pts, coords)
-        g, p = self.space.gamma, self.p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.id == "nch_ball":
-                return np.ones_like(rho)
-            if self.id == "dambrosio_power":
-                a, b = self.params["alpha"], self.params["beta"]
-                return r ** (b - g * p) * rho ** (p * (1.0 + g) - a)
-            if self.id == "darca_power":
-                a, th = self.params["alpha"], self.params["theta"]
-                return (r / rho) ** (g * a) * rho ** (p * (1.0 - th))
-            a = self.params["alpha"]
-            return self._log_dist(rho) ** (a + p)
+        return self._formula(self.spec.v, pts, coords)
 
     def w_batch(self, pts: np.ndarray, coords: Optional[Coords] = None) -> np.ndarray:
         """w (including the sharp constant) on an (N, m+k) batch."""
-        r, rho = self._prepare(pts, coords)
-        g, p, C = self.space.gamma, self.p, self.sharp_constant
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.id == "nch_ball":
-                R = self.params["R"]
-                return C * (r / rho) ** (g * p) / (R - rho) ** p
-            if self.id == "dambrosio_power":
-                a, b = self.params["alpha"], self.params["beta"]
-                return C * r**b * rho ** (-a)
-            if self.id == "darca_power":
-                a, th = self.params["alpha"], self.params["theta"]
-                return C * (r / rho) ** (g * (a + p)) * rho ** (-p * th)
-            a = self.params["alpha"]
-            return C * self._log_dist(rho) ** a * (r / rho) ** (g * p) * rho ** (-p)
+        return self._formula(self.spec.w, pts, coords)
 
     def phi_batch(self, pts: np.ndarray, coords: Optional[Coords] = None) -> np.ndarray:
         """Analytic defect phi on an (N, m+k) batch."""
-        r, rho = self._prepare(pts, coords)
-        g, p, Q = self.space.gamma, self.p, self.space.Q
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.id == "nch_ball":
-                R = self.params["R"]
-                lead = ((p - 1.0) / p) ** (p - 1.0) * (Q - 1.0)
-                return lead * (r / rho) ** (g * p) / ((R - rho) ** (p - 1.0) * rho)
-            if self.id == "log_ball":
-                a = self.params["alpha"]
-                lead = (abs(a + 1.0) / p) ** (p - 1.0) * (Q - p)
-                L = self._log_dist(rho)
-                return lead * L ** (a + 1.0) * (r / rho) ** (g * p) * rho ** (-p)
-            return np.zeros_like(rho)
+        return self._formula(self.spec.phi, pts, coords)
 
     def _point_checked(self, z: Point) -> np.ndarray:
         r, rho = radial_coords(self.space, z.x, z.y)
@@ -159,22 +308,6 @@ class WeightPair:
         return float(self.phi_batch(self._point_checked(z))[0])
 
 
-def _singular_set(pair_id: str, space: SpaceParams, p: float, params: Dict[str, float]) -> str:
-    x_exponents = {
-        "nch_ball": (space.gamma * p,),
-        "dambrosio_power": (params.get("beta", 0.0) - space.gamma * p, params.get("beta", 0.0)),
-        "darca_power": (space.gamma * params.get("alpha", 0.0), space.gamma * (params.get("alpha", 0.0) + p)),
-        "log_ball": (space.gamma * p,),
-    }[pair_id]
-    parts = []
-    if space.gamma > 0 or any(e < 0 for e in x_exponents):
-        parts.append("{x=0}")
-    parts.append("{origin}")
-    if pair_id in ("nch_ball", "log_ball"):
-        parts.append("{rho=R}")
-    return " u ".join(parts)
-
-
 def make_pair(
     pair_id: str,
     space: SpaceParams,
@@ -183,11 +316,12 @@ def make_pair(
     allow_negative_phi: bool = False,
 ) -> WeightPair:
     """Validated catalog entry; error messages name the violated constraint."""
-    if pair_id not in PAIR_IDS:
+    spec = PAIRS.get(pair_id)
+    if spec is None:
         raise ValueError(f"unknown pair id {pair_id!r}; expected one of {PAIR_IDS}")
     if not 1 < p < np.inf:
         raise ValueError("requires p > 1 and finite")
-    required = _REQUIRED_PARAMS[pair_id]
+    required = spec.params
     missing = [k for k in required if k not in params]
     extra = [k for k in params if k not in required]
     if missing or extra:
@@ -197,45 +331,19 @@ def make_pair(
     params = {k: float(params[k]) for k in required}
     if not np.all(np.isfinite(list(params.values()))):
         raise ValueError(f"{pair_id} parameters must be finite")
-    Q = space.Q
-
-    if pair_id == "nch_ball":
-        if params["R"] <= 0:
-            raise ValueError("requires R > 0")
-        C = ((p - 1.0) / p) ** p
-        domain = "rho_ball"
-    elif pair_id == "dambrosio_power":
-        if not Q > params["alpha"] - params["beta"]:
-            raise ValueError("requires Q > alpha - beta")
-        C = ((Q + params["beta"] - params["alpha"]) / p) ** p
-        domain = "whole_space"
-    elif pair_id == "darca_power":
-        if params["R"] <= 0:
-            raise ValueError("requires R > 0")
-        if not Q > p * params["theta"]:
-            raise ValueError("requires Q > p*theta")
-        C = ((Q - p * params["theta"]) / p) ** p
-        domain = "rho_ball"
-    else:
-        if params["R"] <= 0:
-            raise ValueError("requires R > 0")
-        if not params["alpha"] + 1 < 0:
-            raise ValueError("requires alpha + 1 < 0")
-        # phi carries the factor (Q - p); Q < p flips its sign, so the pair is
-        # only an identity then, not an inequality
-        if Q < p and not allow_negative_phi:
-            raise ValueError("requires Q >= p (pass allow_negative_phi to keep the identity only)")
-        C = (abs(params["alpha"] + 1.0) / p) ** p
-        domain = "rho_ball"
-
+    k = SimpleNamespace(
+        g=space.gamma, p=p, Q=space.Q, allow_negative_phi=allow_negative_phi, **params
+    )
+    for holds, message in spec.rules:
+        if not holds(k):
+            raise ValueError(message)
     return WeightPair(
         id=pair_id,
         space=space,
         p=p,
         params=params,
-        sharp_constant=C,
-        domain=domain,
-        singular_set=_singular_set(pair_id, space, p, params),
+        kappa=spec.kappa(k),
+        x_singular=space.gamma > 0 or any(e < 0 for e in spec.x_exponents(k)),
         allow_negative_phi=allow_negative_phi,
     )
 

@@ -230,6 +230,25 @@ def test_verify_precondition_blocks_whole_run(tmp_path, capsys):
     assert out == ""
 
 
+def test_verify_preconditions_run_before_any_check(tmp_path, capsys, monkeypatch):
+    # identity's field check fails (outer_rho 2.0 > 0.9 R); the checks listed
+    # before it must not run either
+    ran = []
+    monkeypatch.setattr(cli, "divergence_check", lambda *a: ran.append("divergence"))
+    monkeypatch.setattr(cli, "condition_check", lambda *a: ran.append("condition"))
+    cfg = dict(
+        BASE_CONFIG,
+        pair={"id": "nch_ball", "R": 2.1},
+        field={"outer_rho": 2.0},
+        checks=["divergence", "condition", "identity"],
+    )
+    code, out, err = run_cli(capsys, "verify", "--config", write_config(tmp_path, cfg))
+    assert code == 2
+    assert "outer_rho <= 0.9 R" in err
+    assert out == ""
+    assert ran == []
+
+
 def test_verify_hpw_needs_matching_pair(tmp_path, capsys):
     cfg = dict(
         BASE_CONFIG,

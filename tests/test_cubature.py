@@ -9,7 +9,6 @@ from grushin_hardy.cubature import (
     IntegrationSettings,
     Region,
     integrate,
-    integrate_many,
     integrate_vector,
 )
 from grushin_hardy.fields import TestFieldSpec, build_test_field
@@ -36,22 +35,6 @@ def test_gauss7_exact_degree_13():
     # embedded error vanishes for degree <= 13, so one cell suffices
     assert res.evals == 15
     assert abs(res.value - 1.0 / 14.0) <= 1e-15
-
-
-def test_integrate_many_shares_one_mesh():
-    region = Region(box=((0.0, 1.0),))
-    out = integrate_many(
-        [lambda p: np.ones(len(p)), lambda p: p[:, 0], lambda p: p[:, 0] ** 2],
-        region,
-    )
-    values = [r.value for r in out]
-    assert np.allclose(values, [1.0, 0.5, 1.0 / 3.0], rtol=0, atol=1e-14)
-    assert all(r.converged for r in out)
-    assert len({r.evals for r in out}) == 1
-
-
-def test_integrate_many_empty_list():
-    assert integrate_many([], Region(box=((0.0, 1.0),))) == []
 
 
 def test_oscillatory_1d():
@@ -241,14 +224,17 @@ def test_integrate_vector_bundle():
         )
 
     out = integrate_vector(bundle, 3, region)
-    singles = integrate_many(
-        [
+    # the components share one mesh; each alone gets its own
+    assert len({r.evals for r in out}) == 1
+    assert all(r.converged for r in out)
+    singles = [
+        integrate(f, region)
+        for f in (
             lambda p: np.ones(len(p)),
             lambda p: p[:, 0] ** 2,
             lambda p: np.exp(-(p**2).sum(axis=1)),
-        ],
-        region,
-    )
+        )
+    ]
     for a, b in zip(out, singles):
         assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate + 1e-13
 

@@ -11,12 +11,9 @@ from grushin_hardy.geometry import (
     div_weighted_rho_closed_form,
     fd_divergence,
     grad_gamma_rho,
-    homogeneous_dimension,
     norm_grad_gamma_rho,
     radial_coords,
     rho,
-    rho_batch,
-    rho_eps,
     unit_grad_gamma_rho,
 )
 
@@ -35,9 +32,9 @@ def sample_points(space, rng, count, rho_lo=0.5, rho_hi=2.0, x_min=0.25):
 
 
 def test_homogeneous_dimension_values():
-    assert homogeneous_dimension(SpaceParams(1, 1, 1.0)) == 3.0
-    assert homogeneous_dimension(SpaceParams(2, 1, 0.0)) == 3.0
-    assert homogeneous_dimension(SpaceParams(2, 3, 2.0)) == 11.0
+    assert SpaceParams(1, 1, 1.0).Q == 3.0
+    assert SpaceParams(2, 1, 0.0).Q == 3.0
+    assert SpaceParams(2, 3, 2.0).Q == 11.0
     assert SpaceParams(1, 2, 0.5).n == 3
 
 
@@ -66,38 +63,10 @@ def test_rho_batch_matches_pointwise():
     for space in SPACES:
         x = rng.normal(size=(40, space.m))
         y = rng.normal(size=(40, space.k))
-        vals = rho_batch(space, x, y)
+        r, vals = radial_coords(space, x, y)
         for i in range(40):
             assert vals[i] == pytest.approx(rho(space, Point(x[i], y[i])), rel=1e-14)
-        r, rv = radial_coords(space, x, y)
         assert np.allclose(r, np.linalg.norm(x, axis=1))
-        assert np.allclose(rv, vals)
-
-
-def test_rho_eps_validation_and_values():
-    s0 = SpaceParams(1, 1, 0.0)
-    with pytest.raises(ValueError):
-        rho_eps(s0, Point([1.0], [0.0]), 0.0)
-    with pytest.raises(ValueError):
-        rho_eps(s0, Point([1.0], [0.0]), -1.0)
-    assert rho_eps(s0, Point([0.0], [0.0]), 1.0) == pytest.approx(1.0, rel=1e-15)
-    # (1 + 1e-12)^(1/4) <= 1 + 2.5e-13, so the value is bracketed by (1, 1 + 1e-5)
-    v = rho_eps(SpaceParams(1, 1, 1.0), Point([0.0], [0.5]), 1e-3)
-    assert 1.0 < v < 1.0 + 1e-5
-
-
-def test_rho_eps_monotone_in_eps():
-    rng = np.random.default_rng(12)
-    for space in SPACES:
-        for z in sample_points(space, rng, 10, x_min=0.0):
-            base = rho(space, z)
-            prev = np.inf
-            for eps in [1.0, 0.1, 0.01, 1e-4, 1e-8]:
-                v = rho_eps(space, z, eps)
-                assert v >= base - 1e-15
-                assert v <= prev + 1e-15
-                prev = v
-            assert prev == pytest.approx(base, rel=1e-9)
 
 
 def test_grad_gamma_rho_values():

@@ -21,6 +21,7 @@ from grushin_hardy.verifier import (
     verify_remainder_p_ge2,
     verify_remainder_p_lt2,
 )
+from grushin_hardy import verifier
 from grushin_hardy.weights import make_pair
 
 SP = SpaceParams(1, 1, 1.0)
@@ -35,7 +36,7 @@ def annulus_field(space, **kwargs):
 
 
 class _ZeroField(TestField):
-    def eval_batch(self, pts):
+    def eval_batch(self, pts, coords=None):
         vals = np.zeros(pts.shape[0], dtype=complex)
         grads = np.zeros((pts.shape[0], self.space.n), dtype=complex)
         return vals, grads
@@ -49,8 +50,8 @@ class _RotatedField(TestField):
         self._base = base
         self._phase = phase
 
-    def eval_batch(self, pts):
-        vals, grads = self._base.eval_batch(pts)
+    def eval_batch(self, pts, coords=None):
+        vals, grads = self._base.eval_batch(pts, coords=coords)
         return vals * self._phase, grads * self._phase
 
 
@@ -292,6 +293,15 @@ def test_remainder_validation():
     high = make_pair("dambrosio_power", SP, 3.0, {"alpha": 0.0, "beta": 0.0})
     with pytest.raises(ValueError, match="needs 1 < p < 2"):
         verify_remainder_p_lt2(high, annulus_field(SP))
+
+
+def test_remainder_refuses_field_before_constant_search(monkeypatch):
+    searches = []
+    monkeypatch.setattr(verifier, "find_constant", lambda kind: searches.append(kind))
+    pair = make_pair("dambrosio_power", SP, 3.0, {"alpha": 0.0, "beta": 0.0})
+    with pytest.raises(ValueError, match="x_floor > 0"):
+        verify_remainder_p_ge2(pair, annulus_field(SP, x_floor=0.0))
+    assert searches == []
 
 
 # -- sharpness --------------------------------------------------------------

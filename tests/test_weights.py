@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from grushin_hardy.geometry import Point, SingularPointError, SpaceParams, radial_coords
-from grushin_hardy.weights import condition_report, make_pair, phi_numeric
+from grushin_hardy.fields import build_extremal_field
+from grushin_hardy.weights import PAIR_IDS, PAIRS, condition_report, make_pair, phi_numeric
 
 SP = SpaceParams(1, 1, 1.0)
 
@@ -24,6 +25,20 @@ def test_sharp_constants():
     assert make_pair("nch_ball", SP, 2.0, {"R": 4.0}).sharp_constant == 0.25
     assert make_pair("darca_power", SP, 2.0, {"alpha": 1.0, "theta": 0.5, "R": 8.0}).sharp_constant == 1.0
     assert make_pair("log_ball", SP, 2.0, {"alpha": -3.0, "R": 4.0}).sharp_constant == 1.0
+
+
+@pytest.mark.parametrize("pair_id", PAIR_IDS)
+def test_pair_spec_is_complete(pair_id):
+    spec = PAIRS[pair_id]
+    assert sorted(spec.defaults) == sorted(spec.params)
+    pair = make_pair(pair_id, SP, 2.0, dict(spec.defaults))
+    assert pair.sharp_constant == spec.kappa(pair.scalars) ** pair.p
+    phi = pair.phi_batch(sample_points(SP, np.random.default_rng(3), 50))
+    assert np.all(phi == 0.0) if spec.phi is None else np.all(phi != 0.0)
+    ext = build_extremal_field(SP, pair_id, dict(spec.defaults, p=2.0), truncation_level=1)
+    tau = np.linspace(0.05, min(ext.tau_hi - 0.05, 12.0), 40)
+    assert np.allclose(ext.tau_of_rho(ext.rho_of_tau(tau)), tau, rtol=0, atol=1e-9)
+    assert np.all(ext.probe_weight(tau) > 0)
 
 
 def test_validation_messages():
@@ -148,16 +163,16 @@ def test_condition_reports():
 
 
 def test_singular_set_descriptors():
-    assert make_pair("dambrosio_power", SP, 2.0, {"alpha": 0.0, "beta": 0.0}).singular_set == "{x=0} u {origin}"
+    damb = make_pair("dambrosio_power", SP, 2.0, {"alpha": 0.0, "beta": 0.0})
+    assert damb.x_singular and damb.radius is None
     flat = SpaceParams(1, 1, 0.0)
-    assert make_pair("dambrosio_power", flat, 2.0, {"alpha": 0.0, "beta": 0.0}).singular_set == "{origin}"
-    assert (
-        make_pair("dambrosio_power", flat, 2.0, {"alpha": 0.0, "beta": -1.0}).singular_set
-        == "{x=0} u {origin}"
-    )
-    assert make_pair("nch_ball", flat, 2.0, {"R": 4.0}).singular_set == "{origin} u {rho=R}"
-    assert make_pair("nch_ball", SP, 2.0, {"R": 4.0}).singular_set == "{x=0} u {origin} u {rho=R}"
-    assert make_pair("nch_ball", SP, 2.0, {"R": 4.0}).x_singular
+    assert not make_pair("dambrosio_power", flat, 2.0, {"alpha": 0.0, "beta": 0.0}).x_singular
+    # beta < 0 puts a negative |x| power into w even at gamma = 0
+    assert make_pair("dambrosio_power", flat, 2.0, {"alpha": 0.0, "beta": -1.0}).x_singular
+    nch_flat = make_pair("nch_ball", flat, 2.0, {"R": 4.0})
+    assert not nch_flat.x_singular and nch_flat.radius == 4.0
+    nch = make_pair("nch_ball", SP, 2.0, {"R": 4.0})
+    assert nch.x_singular and nch.radius == 4.0
 
 
 def test_pointwise_evaluator_guards():
