@@ -5,7 +5,6 @@ Baouendi-Grushin operator."""
 from grushin_hardy.cp import (
     ConstantEstimate,
     CpObjectiveKind,
-    SearchSettings,
     cp_value,
     cp_value_batch,
     find_constant,
@@ -46,7 +45,6 @@ __all__ = [
     "rho",
     "ConstantEstimate",
     "CpObjectiveKind",
-    "SearchSettings",
     "cp_value",
     "cp_value_batch",
     "find_constant",

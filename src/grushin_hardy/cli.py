@@ -17,8 +17,8 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy
@@ -26,7 +26,7 @@ import scipy
 from . import __version__
 from .cp import CpObjectiveKind, find_constant
 from .cubature import IntegrationSettings
-from .fields import TestFieldSpec, build_extremal_field, build_test_field
+from .fields import TestField, TestFieldSpec, build_extremal_field, build_test_field
 from .geometry import (
     Point,
     SpaceParams,
@@ -36,6 +36,7 @@ from .geometry import (
     radial_coords,
     rho,
 )
+# the check functions are called through _CHECKS by their names in this module
 from .verifier import (
     PRECONDITIONS,
     CknParams,
@@ -51,18 +52,6 @@ from .weights import PAIRS, WeightPair, condition_report, make_pair
 
 __all__ = ["RunConfig", "run", "report_export", "main"]
 
-CHECK_NAMES = (
-    "identity",
-    "inequality",
-    "remainder_pge2",
-    "remainder_plt2",
-    "sharpness",
-    "ckn",
-    "hpw",
-    "divergence",
-    "condition",
-)
-
 CONSTANT_KINDS = {
     "cp": "cp_pge2",
     "c1": "c1_inf",
@@ -71,6 +60,9 @@ CONSTANT_KINDS = {
 }
 
 DIVERGENCE_COMBOS = ((0.0, 0.0), (1.0, -1.0), (-1.0, 1.0))
+
+# the field config's numbers; their defaults are TestFieldSpec's
+_FIELD_NUMBERS = ("inner_rho", "outer_rho", "smoothness_margin", "phase_kappa")
 
 
 @dataclass(frozen=True)
@@ -86,6 +78,11 @@ class RunConfig:
     checks: Tuple[str, ...]
     ckn: Optional[CknParams]
     seed: int
+
+    def __post_init__(self) -> None:
+        for name in self.checks:
+            if name not in CHECK_NAMES:
+                raise ValueError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
 
 
 def _section(value: object, label: str) -> Dict:
@@ -144,29 +141,19 @@ def config_from_dict(data: Dict) -> RunConfig:
 
     p = _num(data.get("p", 2.0), "p")
 
-    defaults = {
-        "family": None,
-        "inner_rho": 0.5,
-        "outer_rho": 2.0,
-        "x_floor": None,
-        "smoothness_margin": 0.25,
-        "phase_kappa": 0.0,
-        "truncation_level": 0,
-    }
+    # family and x_floor left open are resolved against the pair in _build_objects
+    defaults = {f.name: f.default for f in fields(TestFieldSpec) if f.name in _FIELD_NUMBERS}
+    defaults.update(family=None, x_floor=None, truncation_level=0)
     field_cfg = _take(data.get("field", {}), defaults, "field")
     if field_cfg["family"] is not None and not isinstance(field_cfg["family"], str):
         raise ValueError("field.family must be a string")
-    for key in ("inner_rho", "outer_rho", "smoothness_margin", "phase_kappa"):
+    for key in _FIELD_NUMBERS:
         field_cfg[key] = _num(field_cfg[key], f"field.{key}")
     if field_cfg["x_floor"] is not None:
         field_cfg["x_floor"] = _num(field_cfg["x_floor"], "field.x_floor")
     field_cfg["truncation_level"] = _int(field_cfg["truncation_level"], "field.truncation_level")
 
-    quad = _take(
-        data.get("quadrature", {}),
-        {"rel_tol": 1e-8, "abs_tol": 1e-12, "max_evals": 50_000_000, "rule": None},
-        "quadrature",
-    )
+    quad = _take(data.get("quadrature", {}), asdict(IntegrationSettings()), "quadrature")
     if quad["rule"] is not None and not isinstance(quad["rule"], str):
         raise ValueError("quadrature.rule must be a string")
     settings = IntegrationSettings(
@@ -180,9 +167,6 @@ def config_from_dict(data: Dict) -> RunConfig:
     if not isinstance(raw_checks, (list, tuple)) or not all(isinstance(c, str) for c in raw_checks):
         raise ValueError("checks must be a list of check names")
     checks = tuple(raw_checks)
-    for name in checks:
-        if name not in CHECK_NAMES:
-            raise ValueError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
 
     ckn = None
     if data.get("ckn") is not None:
@@ -191,14 +175,7 @@ def config_from_dict(data: Dict) -> RunConfig:
             {"p": p, "q": 2.0, "r": 2.0, "delta": 0.5, "b": -0.5, "c": 0.0},
             "ckn",
         )
-        ckn = CknParams(
-            p=_num(ck["p"], "ckn.p"),
-            q=_num(ck["q"], "ckn.q"),
-            r=_num(ck["r"], "ckn.r"),
-            delta=_num(ck["delta"], "ckn.delta"),
-            b=_num(ck["b"], "ckn.b"),
-            c=_num(ck["c"], "ckn.c"),
-        )
+        ckn = CknParams(**{key: _num(value, f"ckn.{key}") for key, value in ck.items()})
 
     seed = _int(data.get("seed", 0), "seed")
     return RunConfig(
@@ -215,33 +192,9 @@ def config_from_dict(data: Dict) -> RunConfig:
 
 
 def config_to_dict(config: RunConfig) -> Dict:
-    pair = {"id": config.pair_id}
-    pair.update(config.pair_params)
-    field = dict(config.field)
-    return {
-        "space": {"m": config.space.m, "k": config.space.k, "gamma": config.space.gamma},
-        "pair": pair,
-        "p": config.p,
-        "field": field,
-        "quadrature": {
-            "rel_tol": config.quadrature.rel_tol,
-            "abs_tol": config.quadrature.abs_tol,
-            "max_evals": config.quadrature.max_evals,
-            "rule": config.quadrature.rule,
-        },
-        "checks": list(config.checks),
-        "ckn": None
-        if config.ckn is None
-        else {
-            "p": config.ckn.p,
-            "q": config.ckn.q,
-            "r": config.ckn.r,
-            "delta": config.ckn.delta,
-            "b": config.ckn.b,
-            "c": config.ckn.c,
-        },
-        "seed": config.seed,
-    }
+    echo = asdict(config)
+    echo["pair"] = {"id": echo.pop("pair_id"), **echo.pop("pair_params")}
+    return echo
 
 
 def _build_objects(config: RunConfig):
@@ -251,12 +204,7 @@ def _build_objects(config: RunConfig):
     pair (a pair singular on {x=0} gets the quarter-inner-radius tube), so
     they are resolved here and returned for the report echo.
     """
-    pair = make_pair(
-        config.pair_id,
-        config.space,
-        config.p,
-        config.pair_params,
-    )
+    pair = make_pair(config.pair_id, config.space, config.p, config.pair_params)
     field_cfg = dict(config.field)
     family = field_cfg["family"]
     x_floor = field_cfg["x_floor"]
@@ -267,44 +215,17 @@ def _build_objects(config: RunConfig):
     field_cfg["family"] = family
     field_cfg["x_floor"] = x_floor
 
-    level = int(field_cfg["truncation_level"])
     if family == "extremal_truncated":
-        params = dict(config.pair_params)
-        params["p"] = config.p
-        field = build_extremal_field(
-            config.space, config.pair_id, params, truncation_level=level
-        )
+        field = build_extremal_field(pair, truncation_level=field_cfg["truncation_level"])
     else:
         spec = TestFieldSpec(
             family=family,
-            inner_rho=float(field_cfg["inner_rho"]),
-            outer_rho=float(field_cfg["outer_rho"]),
-            x_floor=float(x_floor),
-            smoothness_margin=float(field_cfg["smoothness_margin"]),
-            phase_kappa=float(field_cfg["phase_kappa"]),
+            x_floor=x_floor,
             R=pair.radius if pair.radius is not None else float("inf"),
+            **{key: field_cfg[key] for key in _FIELD_NUMBERS},
         )
         field = build_test_field(config.space, spec)
     return pair, field, field_cfg
-
-
-def _check_args(name: str, config: RunConfig, pair: WeightPair, field) -> tuple:
-    """Arguments of the function behind check name, before settings."""
-    if name not in CHECK_NAMES:
-        raise ValueError(f"unknown check {name!r}")
-    if name == "ckn":
-        if config.ckn is None:
-            raise ValueError("ckn check requires a ckn section in the config")
-        return (pair, field, config.ckn)
-    if name == "hpw":
-        if pair.spec.hpw is None:
-            raise ValueError(f"no hpw case corresponds to pair {pair.id!r}")
-        return (pair.spec.hpw.case, config.p, field)
-    if name in ("sharpness", "condition"):
-        return (pair,)
-    if name == "divergence":
-        return (config.space,)
-    return (pair, field)
 
 
 def _divergence_samples(space: SpaceParams, samples: int, seed: int) -> List[Point]:
@@ -332,6 +253,8 @@ def _weighted_rho_field(space: SpaceParams, c: float, s: float):
 
 def divergence_check(space: SpaceParams, samples: int, seed: int) -> Dict[str, object]:
     """Closed-form vs finite-difference divergence on random sample points."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     worst = 0.0
     for z in _divergence_samples(space, samples, seed):
         r = float(np.linalg.norm(z.x))
@@ -360,36 +283,85 @@ def condition_check(pair, samples: int, seed: int) -> Dict[str, object]:
     return out
 
 
+def _ckn_args(config: RunConfig, pair: WeightPair, field: TestField) -> tuple:
+    if config.ckn is None:
+        raise ValueError("ckn check requires a ckn section in the config")
+    return (pair, field, config.ckn)
+
+
+def _hpw_args(config: RunConfig, pair: WeightPair, field: TestField) -> tuple:
+    if pair.spec.hpw is None:
+        raise ValueError(f"no hpw case corresponds to pair {pair.id!r}")
+    return (pair.spec.hpw.case, config.p, field)
+
+
+def _pair_field(config: RunConfig, pair: WeightPair, field: TestField) -> tuple:
+    return (pair, field)
+
+
+def _pair(config: RunConfig, pair: WeightPair, field: TestField) -> tuple:
+    return (pair,)
+
+
+def _quadrature(config: RunConfig) -> Dict:
+    return {"settings": config.quadrature}
+
+
+class _Check(NamedTuple):
+    """One check name: the arguments its function and precondition take,
+    from (config, pair, field); the name of that function in this module;
+    the residual of its result; and the keyword options the config adds."""
+
+    args: Callable[[RunConfig, WeightPair, TestField], tuple]
+    function: str
+    residual: Callable[[object], float]
+    options: Callable[[RunConfig], Dict] = _quadrature
+
+
+_CHECKS: Dict[str, _Check] = {
+    "identity": _Check(_pair_field, "verify_identity", lambda rep: rep.residual),
+    "inequality": _Check(_pair_field, "verify_inequality", lambda rep: rep.margin),
+    "remainder_pge2": _Check(_pair_field, "verify_remainder_p_ge2", lambda rep: rep.margin),
+    "remainder_plt2": _Check(
+        _pair_field,
+        "verify_remainder_p_lt2",
+        lambda rep: min(rep.lower_margin, rep.upper_margin, rep.min_margin),
+    ),
+    "sharpness": _Check(_pair, "sharpness_probe", lambda rep: rep.final_gap),
+    "ckn": _Check(_ckn_args, "verify_ckn", lambda rep: rep.left - rep.right),
+    "hpw": _Check(_hpw_args, "verify_hpw", lambda rep: rep.left - rep.right),
+    "divergence": _Check(
+        lambda config, pair, field: (config.space,),
+        "divergence_check",
+        lambda rec: rec["max_rel_err"],
+        lambda config: {"samples": 100, "seed": config.seed},
+    ),
+    "condition": _Check(
+        _pair,
+        "condition_check",
+        lambda rec: rec["max_abs_mismatch"],
+        lambda config: {"samples": 200, "seed": config.seed},
+    ),
+}
+
+CHECK_NAMES = tuple(_CHECKS)
+
+
 def _run_check(name: str, config: RunConfig, args: tuple) -> Dict[str, object]:
-    if name == "divergence":
-        rec = divergence_check(*args, 100, config.seed)
-        return _record(name, rec.pop("passed"), rec, rec["max_rel_err"], 0.0)
-    if name == "condition":
-        rec = condition_check(*args, 200, config.seed)
-        return _record(name, rec.pop("passed"), rec, rec["max_abs_mismatch"], 0.0)
-    # built per call, so that the module's current bindings of these names run
-    check, residual = {
-        "identity": (verify_identity, lambda rep: rep.residual),
-        "inequality": (verify_inequality, lambda rep: rep.margin),
-        "remainder_pge2": (verify_remainder_p_ge2, lambda rep: rep.margin),
-        "remainder_plt2": (
-            verify_remainder_p_lt2,
-            lambda rep: min(rep.lower_margin, rep.upper_margin, rep.min_margin),
-        ),
-        "sharpness": (sharpness_probe, lambda rep: rep.final_gap),
-        "ckn": (verify_ckn, lambda rep: rep.left - rep.right),
-        "hpw": (verify_hpw, lambda rep: rep.left - rep.right),
-    }[name]
-    rep = check(*args, settings=config.quadrature)
-    return _record(name, rep.passed, rep.to_dict(), residual(rep), rep.quadrature_error)
-
-
-def _record(name: str, passed: bool, terms: Dict, residual: float, qerr: float) -> Dict:
+    """One check's record; its function is looked up by name here, when the
+    check runs, so whatever this module binds to that name now is called."""
+    check = _CHECKS[name]
+    out = globals()[check.function](*args, **check.options(config))
+    if isinstance(out, dict):  # a sampled check: no quadrature, and its verdict is no term
+        terms = dict(out)
+        passed, qerr = terms.pop("passed"), 0.0
+    else:
+        terms, passed, qerr = out.to_dict(), out.passed, out.quadrature_error
     return {
         "name": name,
         "passed": bool(passed),
         "terms": terms,
-        "residual": float(residual),
+        "residual": float(check.residual(out)),
         "quadrature_error": float(qerr),
     }
 
@@ -409,14 +381,18 @@ def run(config: RunConfig) -> Dict:
     pair, field, field_echo = _build_objects(config)
     calls = []
     for name in config.checks:
-        args = _check_args(name, config, pair, field)
+        args = _CHECKS[name].args(config, pair, field)
         if name in PRECONDITIONS:
             PRECONDITIONS[name](*args)
         calls.append((name, args))
     checks = [_run_check(name, config, args) for name, args in calls]
-    n_pass = sum(1 for c in checks if c["passed"])
     echo = config_to_dict(config)
     echo["field"] = field_echo
+    return _report(echo, checks, t0)
+
+
+def _report(echo: Dict, checks: List[Dict], t0: float) -> Dict:
+    n_pass = sum(1 for c in checks if c["passed"])
     return {
         "config": echo,
         "checks": checks,
@@ -516,7 +492,7 @@ ALL_SUITE: Tuple[Dict, ...] = (
 )
 
 
-def _execute_suite(entries: List[Dict], out: Optional[str]) -> int:
+def _execute_suite(entries: List[Dict]) -> Dict:
     t0 = time.time()
     configs = [config_from_dict(e) for e in entries]
     checks: List[Dict] = []
@@ -535,16 +511,7 @@ def _execute_suite(entries: List[Dict], out: Optional[str]) -> int:
         for check in rep["checks"]:
             check["name"] = f"{check['name']}[{tag}]"
             checks.append(check)
-    n_pass = sum(1 for c in checks if c["passed"])
-    report = {
-        "config": {"suite": "all", "entries": echoes},
-        "checks": checks,
-        "summary": {"passed": n_pass, "failed": len(checks) - n_pass},
-        "versions": _versions(),
-        "wall_clock_seconds": time.time() - t0,
-    }
-    _emit(report, out)
-    return 0 if n_pass == len(checks) else 1
+    return _report({"suite": "all", "entries": echoes}, checks, t0)
 
 
 def _emit(report: Dict, out: Optional[str]) -> None:
@@ -598,17 +565,13 @@ def _apply_overrides(data: Dict, args) -> Dict:
 
 def cmd_verify(args) -> int:
     if args.all:
-        entries = []
-        for entry in ALL_SUITE:
-            patched = _apply_overrides(dict(entry), args)
-            entries.append(patched)
-        return _execute_suite(entries, args.out)
-    if args.config is None:
+        report = _execute_suite([_apply_overrides(entry, args) for entry in ALL_SUITE])
+    elif args.config is None:
         raise ValueError("verify needs --config FILE or --all")
-    with open(args.config) as fh:
-        data = _section(json.load(fh), "config")
-    data = _apply_overrides(data, args)
-    report = run(config_from_dict(data))
+    else:
+        with open(args.config) as fh:
+            data = _section(json.load(fh), "config")
+        report = run(config_from_dict(_apply_overrides(data, args)))
     _emit(report, args.out)
     return 0 if report["summary"]["failed"] == 0 else 1
 
@@ -617,6 +580,8 @@ def cmd_constants(args) -> int:
     mapped = CONSTANT_KINDS.get(args.kind)
     if mapped is None:
         raise ValueError(f"unknown kind {args.kind!r}; expected one of {sorted(CONSTANT_KINDS)}")
+    if args.tol is not None and not 0.0 <= args.tol < float("inf"):
+        raise ValueError("--tol must be finite and >= 0")
     est = find_constant(CpObjectiveKind(kind=mapped, p=args.p))
     width = est.bracket[1] - est.bracket[0]
     out = {

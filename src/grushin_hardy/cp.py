@@ -44,7 +44,6 @@ __all__ = [
     "KINDS",
     "CpObjectiveKind",
     "ConstantEstimate",
-    "SearchSettings",
     "cp_value",
     "cp_value_batch",
     "objective",
@@ -53,6 +52,14 @@ __all__ = [
 ]
 
 KINDS = ("cp_pge2", "c1_inf", "c2_sup", "c3_min")
+
+# the search grid: angles, radius decades on each side of r = 1 and radii
+# per decade; then Nelder-Mead iterations from the best grid cells
+_THETA_SAMPLES = 720
+_RADIUS_DECADES = 6
+_RADIUS_PER_DECADE = 40
+_REFINE_ITERS = 200
+_RESTARTS = 5
 
 
 @dataclass(frozen=True)
@@ -66,8 +73,8 @@ class CpObjectiveKind:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.kind == "cp_pge2":
-            if self.p < 2.0:
-                raise ValueError("cp_pge2 requires p >= 2")
+            if not 2.0 <= self.p < np.inf:
+                raise ValueError("cp_pge2 requires p >= 2 and finite")
         elif not 1.0 < self.p < 2.0:
             raise ValueError(f"{self.kind} requires 1 < p < 2")
 
@@ -83,21 +90,6 @@ class ConstantEstimate:
     grid_resolution: int
     refined: bool
     bracket: Tuple[float, float]
-
-
-@dataclass(frozen=True)
-class SearchSettings:
-    theta_samples: int = 720
-    radius_decades: int = 6
-    radius_per_decade: int = 40
-    refine_iters: int = 200
-    restarts: int = 5
-
-    def __post_init__(self) -> None:
-        if self.theta_samples < 8 or self.radius_decades < 1 or self.radius_per_decade < 2:
-            raise ValueError("search grid settings out of range")
-        if self.refine_iters < 0 or self.restarts < 0:
-            raise ValueError("refinement settings out of range")
 
 
 def cp_value_batch(xi: np.ndarray, eta: np.ndarray, p: float) -> np.ndarray:
@@ -217,22 +209,14 @@ def _limit_candidates(kind: CpObjectiveKind) -> List[float]:
     the c1/c2 quotient tends to (p/2^(p-1)) (1 + (p-2) cos^2 theta), whose
     theta-extrema are the stated_range endpoints; the c3_min inner branch
     tends to (p/2) (1 + (p-2) cos^2 theta) with theta-minimum p(p-1)/2.
+    Each r -> 0 candidate is thus the stated_range endpoint on the side of
+    the extremum: the upper one for infima, the lower one for c2_sup.
     """
-    p = kind.p
-    limits = [1.0]
-    if kind.kind == "cp_pge2":
-        if p == 2.0:
-            limits.append(1.0)
-    elif kind.kind == "c1_inf":
-        limits.append(p * (p - 1.0) / 2 ** (p - 1.0))
-    elif kind.kind == "c2_sup":
-        limits.append(p / 2 ** (p - 1.0))
-    else:
-        limits.append(p * (p - 1.0) / 2.0)
-    return limits
+    lo, hi = stated_range(kind)
+    return [1.0, lo if kind.kind == "c2_sup" else hi]
 
 
-def _refine_point(kind: CpObjectiveKind, sign: float, s0: float, t0: float, iters: int) -> Tuple[float, float, float]:
+def _refine_point(kind: CpObjectiveKind, sign: float, s0: float, t0: float) -> Tuple[float, float, float]:
     def score(st: np.ndarray) -> float:
         if st[0] == 0.0 and st[1] == 0.0:
             return np.inf
@@ -245,12 +229,17 @@ def _refine_point(kind: CpObjectiveKind, sign: float, s0: float, t0: float, iter
         score,
         np.asarray([s0, t0], dtype=float),
         method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": iters, "maxfev": 4 * iters},
+        options={
+            "xatol": 1e-12,
+            "fatol": 1e-15,
+            "maxiter": _REFINE_ITERS,
+            "maxfev": 4 * _REFINE_ITERS,
+        },
     )
     return float(res.fun), float(res.x[0]), float(res.x[1])
 
 
-def find_constant(kind: CpObjectiveKind, settings: Optional[SearchSettings] = None) -> ConstantEstimate:
+def find_constant(kind: CpObjectiveKind) -> ConstantEstimate:
     """Global polar-grid search plus simplex refinement for one constant.
 
     The returned bracket is [value - slack, grid_best + span] for infima
@@ -260,14 +249,12 @@ def find_constant(kind: CpObjectiveKind, settings: Optional[SearchSettings] = No
     independent sampling at this resolution or finer, no matter how the other
     grid happens to align with the true extremum.
     """
-    if settings is None:
-        settings = SearchSettings()
     sign = -1.0 if kind.kind == "c2_sup" else 1.0
 
-    theta = np.linspace(0.0, 2.0 * np.pi, settings.theta_samples, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * np.pi, _THETA_SAMPLES, endpoint=False)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    d = settings.radius_decades
-    n_r = 2 * d * settings.radius_per_decade + 1
+    d = _RADIUS_DECADES
+    n_r = 2 * d * _RADIUS_PER_DECADE + 1
     radii = np.geomspace(10.0 ** (-d), 10.0**d, n_r)
     # exact ring at r = 1 so the c3_min branch seam is always sampled
     radii = np.append(radii, 1.0)
@@ -288,7 +275,7 @@ def find_constant(kind: CpObjectiveKind, settings: Optional[SearchSettings] = No
         best_r = np.sqrt(s_grid.ravel()[flat] ** 2 + t_grid.ravel()[flat] ** 2)
         if best_r < r_hi / 10.0:
             break
-        new_radii = np.geomspace(r_hi, r_hi * 100.0, 2 * settings.radius_per_decade + 1)[1:]
+        new_radii = np.geomspace(r_hi, r_hi * 100.0, 2 * _RADIUS_PER_DECADE + 1)[1:]
         s_n, t_n, sc_n = scan(new_radii)
         s_grid = np.vstack([s_grid, s_n])
         t_grid = np.vstack([t_grid, t_n])
@@ -299,7 +286,7 @@ def find_constant(kind: CpObjectiveKind, settings: Optional[SearchSettings] = No
     flat_scores = score_grid.ravel()
     order = np.argsort(flat_scores)
     grid_best_score = float(flat_scores[order[0]])
-    starts = [int(i) for i in order[: max(settings.restarts, 1)]]
+    starts = [int(i) for i in order[:_RESTARTS]]
     if kind.kind == "c3_min":
         # make sure both branch regions and the seam contribute a start
         r_flat = np.sqrt(s_grid.ravel() ** 2 + t_grid.ravel() ** 2)
@@ -311,26 +298,22 @@ def find_constant(kind: CpObjectiveKind, settings: Optional[SearchSettings] = No
     best_score = grid_best_score
     best_s = float(s_grid.ravel()[order[0]])
     best_t = float(t_grid.ravel()[order[0]])
-    refined = False
-    if settings.refine_iters > 0:
-        for i in dict.fromkeys(starts):
-            f, s_r, t_r = _refine_point(
-                kind, sign, float(s_grid.ravel()[i]), float(t_grid.ravel()[i]), settings.refine_iters
-            )
-            if f < best_score:
-                best_score, best_s, best_t = f, s_r, t_r
-        refined = True
-        if kind.kind == "c3_min":
-            # 1-d refinement along the unit circle, where the two branches meet
-            circle = minimize_scalar(
-                lambda th: float(_quotient(kind, np.asarray([np.cos(th)]), np.asarray([np.sin(th)]))[0]),
-                bounds=(0.0, 2.0 * np.pi),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            if float(circle.fun) < best_score:
-                best_score = float(circle.fun)
-                best_s, best_t = float(np.cos(circle.x)), float(np.sin(circle.x))
+    for i in dict.fromkeys(starts):
+        f, s_r, t_r = _refine_point(kind, sign, float(s_grid.ravel()[i]), float(t_grid.ravel()[i]))
+        if f < best_score:
+            best_score, best_s, best_t = f, s_r, t_r
+    refined = True
+    if kind.kind == "c3_min":
+        # 1-d refinement along the unit circle, where the two branches meet
+        circle = minimize_scalar(
+            lambda th: float(_quotient(kind, np.asarray([np.cos(th)]), np.asarray([np.sin(th)]))[0]),
+            bounds=(0.0, 2.0 * np.pi),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        if float(circle.fun) < best_score:
+            best_score = float(circle.fun)
+            best_s, best_t = float(np.cos(circle.x)), float(np.sin(circle.x))
 
     for lim in _limit_candidates(kind):
         if sign * lim < best_score:
@@ -343,8 +326,8 @@ def find_constant(kind: CpObjectiveKind, settings: Optional[SearchSettings] = No
     r_arg = float(np.hypot(best_s, best_t))
     if r_arg > 0.0 and np.isfinite(best_score):
         th_arg = float(np.arctan2(best_t, best_s))
-        h_log = np.log(10.0) / (2.0 * settings.radius_per_decade)
-        h_th = np.pi / settings.theta_samples
+        h_log = np.log(10.0) / (2.0 * _RADIUS_PER_DECADE)
+        h_th = np.pi / _THETA_SAMPLES
         for dr in (-h_log, 0.0, h_log):
             for dth in (-h_th, 0.0, h_th):
                 if dr == 0.0 and dth == 0.0:
@@ -367,7 +350,7 @@ def find_constant(kind: CpObjectiveKind, settings: Optional[SearchSettings] = No
         value=value,
         argmin_s=best_s,
         argmin_t=best_t,
-        grid_resolution=settings.theta_samples,
+        grid_resolution=_THETA_SAMPLES,
         refined=refined,
         bracket=bracket,
     )

@@ -14,7 +14,7 @@ verifier.sharpness_probe) and plateau widening is plain interval growth.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from grushin_hardy.geometry import (
     radial_coords,
     unit_grad_gamma_rho,
 )
-from grushin_hardy.weights import Coords, WeightPair, make_pair
+from grushin_hardy.weights import Coords, WeightPair
 
 __all__ = [
     "FAMILIES",
@@ -259,13 +259,9 @@ def build_test_field(space: SpaceParams, spec: TestFieldSpec) -> TestField:
 
 
 def build_extremal_field(
-    space: SpaceParams,
-    pair_id: str,
-    params: Dict[str, float],
-    truncation_level: int = 0,
-    ascending: bool = False,
+    pair: WeightPair, truncation_level: int = 0, ascending: bool = False
 ) -> ExtremalField:
-    """Truncated extremal for a weight pair; params holds p and the pair's parameters.
+    """Truncated extremal for a weight pair.
 
     The truncation schedule keeps the transition band width fixed in tau and
     doubles the plateau per level; the level-2 width is solved from the p=2
@@ -273,11 +269,6 @@ def build_extremal_field(
     """
     if truncation_level < 0 or int(truncation_level) != truncation_level:
         raise ValueError("truncation_level must be a nonnegative integer")
-    params = dict(params)
-    if "p" not in params:
-        raise ValueError("params must include p")
-    p = float(params.pop("p"))
-    pair = make_pair(pair_id, space, p, params, allow_negative_phi=True)
     kappa = pair.kappa
 
     band = min(max(2.5 / max(kappa, 0.4), 1.5), 6.0)
@@ -303,7 +294,7 @@ def build_extremal_field(
         R=R,
     )
     return ExtremalField(
-        space=space,
+        space=pair.space,
         spec=field_spec,
         pair=pair,
         level=int(truncation_level),

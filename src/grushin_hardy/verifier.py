@@ -53,6 +53,11 @@ __all__ = [
 
 HPW_CASES = tuple(HPW_PAIRS)
 
+# the identity passes when |residual| <= max(10 quadrature errors, this * lhs)
+_IDENTITY_REL_TOL = 1e-6
+# the sharpness probe passes when the last level's relative gap is at most this
+_SHARPNESS_GAP = 0.05
+
 
 class _Report:
     def to_dict(self) -> Dict[str, object]:
@@ -100,11 +105,6 @@ class RemainderPge2Report(_Report):
     quadrature_error: float
     converged: bool
     passed: bool
-
-    def to_dict(self) -> Dict[str, object]:
-        d = asdict(self)
-        d["constant_bracket"] = list(self.constant_bracket)
-        return d
 
 
 @dataclass(frozen=True)
@@ -375,6 +375,13 @@ def _integrate_cases(
     return [res[n_terms * ci : n_terms * (ci + 1)] for ci in range(len(cases))]
 
 
+def _summary(res) -> Tuple[List[float], float, bool]:
+    """A case's integral values, their summed error estimate, and whether
+    every one converged."""
+    values = [float(r.value) for r in res]
+    return values, float(sum(r.error_estimate for r in res)), all(r.converged for r in res)
+
+
 def _identity_terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
     p = pair.p
     xi, _, eta = b.xi_eta(pair, f)
@@ -387,14 +394,12 @@ def _identity_terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
     ]
 
 
-def _identity_report(res, rel_tol_check: float) -> IdentityReport:
-    lhs, w_term, cp_term, phi_term = (float(r.value) for r in res)
-    qerr = float(sum(r.error_estimate for r in res))
-    converged = all(r.converged for r in res)
+def _identity_report(res) -> IdentityReport:
+    (lhs, w_term, cp_term, phi_term), qerr, converged = _summary(res)
     residual = lhs - w_term - cp_term - phi_term
     denom = max(lhs, w_term)
     rel_residual = residual / denom if denom > 0 else 0.0
-    passed = converged and abs(residual) <= max(10.0 * qerr, rel_tol_check * lhs)
+    passed = converged and abs(residual) <= max(10.0 * qerr, _IDENTITY_REL_TOL * lhs)
     return IdentityReport(
         lhs=lhs,
         w_term=w_term,
@@ -412,16 +417,14 @@ def verify_identity(
     pair: WeightPair,
     field: TestField,
     settings: Optional[IntegrationSettings] = None,
-    rel_tol_check: float = 1e-6,
 ) -> IdentityReport:
     """Check lhs = w_term + cp_term + phi_term on one field."""
-    return verify_identity_sweep([(pair, field)], settings, rel_tol_check)[0]
+    return verify_identity_sweep([(pair, field)], settings)[0]
 
 
 def verify_identity_sweep(
     cases: Sequence[Tuple[WeightPair, TestField]],
     settings: Optional[IntegrationSettings] = None,
-    rel_tol_check: float = 1e-6,
 ) -> List[IdentityReport]:
     """Check the identity for many (pair, field) cases on one shared mesh.
 
@@ -434,7 +437,7 @@ def verify_identity_sweep(
     for pair, field in cases:
         _check_support(pair, field)
     res = _integrate_cases(cases, 4, _identity_terms, settings)
-    return [_identity_report(r, rel_tol_check) for r in res]
+    return [_identity_report(r) for r in res]
 
 
 def verify_inequality(
@@ -453,9 +456,7 @@ def verify_inequality(
         ]
 
     (res,) = _integrate_cases([(pair, field)], 2, terms, settings)
-    lhs, w_term = float(res[0].value), float(res[1].value)
-    qerr = float(res[0].error_estimate + res[1].error_estimate)
-    converged = res[0].converged and res[1].converged
+    (lhs, w_term), qerr, converged = _summary(res)
     ratio = lhs / w_term if w_term > 0 else float("nan")
     margin = lhs - w_term
     passed = converged and margin >= -10.0 * qerr
@@ -487,9 +488,7 @@ def verify_remainder_p_ge2(
         return [cp_value_batch(xi, eta, p), np.abs(eta) ** p]
 
     (res,) = _integrate_cases([(pair, field)], 2, terms, settings)
-    cp_term, eta_term = float(res[0].value), float(res[1].value)
-    qerr = float(res[0].error_estimate + res[1].error_estimate)
-    converged = res[0].converged and res[1].converged
+    (cp_term, eta_term), qerr, converged = _summary(res)
     width = constant.bracket[1] - constant.bracket[0]
     margin = cp_term - constant.value * eta_term
     tol = 10.0 * qerr + width * eta_term
@@ -536,9 +535,7 @@ def verify_remainder_p_lt2(
         return [cp_value_batch(xi, eta, p), mixed, minform]
 
     (res,) = _integrate_cases([(pair, field)], 3, terms, settings)
-    cp_term, mixed_term, min_term = (float(r.value) for r in res)
-    qerr = float(sum(r.error_estimate for r in res))
-    converged = all(r.converged for r in res)
+    (cp_term, mixed_term, min_term), qerr, converged = _summary(res)
     c1, c2, c3 = (constants[k] for k in ("c1_inf", "c2_sup", "c3_min"))
     w1 = c1.bracket[1] - c1.bracket[0]
     w2 = c2.bracket[1] - c2.bracket[0]
@@ -572,7 +569,6 @@ def sharpness_probe(
     pair: WeightPair,
     levels: int = 3,
     settings: Optional[IntegrationSettings] = None,
-    gap_threshold: float = 0.05,
 ) -> SharpnessReport:
     """Rayleigh ratios of truncated extremal fields, one per level.
 
@@ -591,11 +587,7 @@ def sharpness_probe(
     total_err = 0.0
     converged = True
     for level in range(levels):
-        params = dict(pair.params)
-        params["p"] = pair.p
-        ext = build_extremal_field(
-            pair.space, pair.id, params, truncation_level=level
-        )
+        ext = build_extremal_field(pair, truncation_level=level)
         kappa = ext.kappa_eff
 
         def bundle(ts: np.ndarray, ext: ExtremalField = ext, kappa: float = kappa) -> np.ndarray:
@@ -624,7 +616,7 @@ def sharpness_probe(
         ratios[i + 1] <= ratios[i] + 10.0 * (errors[i] + errors[i + 1])
         for i in range(levels - 1)
     )
-    passed = converged and above and monotone and final_gap <= gap_threshold
+    passed = converged and above and monotone and final_gap <= _SHARPNESS_GAP
     return SharpnessReport(
         levels=entries,
         sharp_constant=sharp,
@@ -658,9 +650,7 @@ def verify_ckn(
         ]
 
     (res,) = _integrate_cases([(pair, field)], 6, terms, settings)
-    lhs, w_term, cp_term, phi_term, int_q, int_r = (float(r.value) for r in res)
-    qerr = float(sum(r.error_estimate for r in res))
-    converged = all(r.converged for r in res)
+    (lhs, w_term, cp_term, phi_term, int_q, int_r), qerr, converged = _summary(res)
     bracket = lhs - cp_term
     mismatch = abs(bracket - (w_term + phi_term))
     consistent = mismatch <= 10.0 * qerr
@@ -730,9 +720,8 @@ def verify_hpw(
         return rows
 
     (res,) = _integrate_cases([(None, field)], ncomp, terms, settings)
-    grad_term, weight_term, mass_term = (float(r.value) for r in res[:3])
-    qerr = float(sum(r.error_estimate for r in res))
-    converged = all(r.converged for r in res)
+    values, qerr, converged = _summary(res)
+    grad_term, weight_term, mass_term = values[:3]
     constant = hpw.constant(p, space.Q)
     left = grad_term ** (1.0 / p) * weight_term ** (1.0 / pp)
     right = constant * mass_term
@@ -755,7 +744,7 @@ def verify_hpw(
         garofalo = {"left": g_left, "right": g_right, "passed": bool(converged and g_left >= g_right - 10.0 * qerr * (1.0 + g_left + g_right))}
         passed = passed and garofalo["passed"]
         if track_grad:
-            full_grad = float(res[3].value)
+            full_grad = values[3]
             n_dim = space.n
             c_left = full_grad * weight_term
             c_right = (n_dim - 2.0) ** 2 / 4.0 * mass_term**2

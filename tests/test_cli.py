@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from grushin_hardy import cli
+from grushin_hardy import cli, verifier
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "constants.json").read_text())
 
@@ -74,6 +74,17 @@ def test_constants_tol_gate(capsys):
     code, _, err = run_cli(capsys, "constants", "--kind", "cp", "--p", "2", "--tol", "1e-30")
     assert code == 1
     assert "exceeds" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--p", "nan"), ("--p", "inf"), ("--p", "2", "--tol", "nan"), ("--p", "2", "--tol", "-1")],
+)
+def test_constants_rejects_non_finite_input(capsys, argv):
+    code, out, err = run_cli(capsys, "constants", "--kind", "cp", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 # -- verify -------------------------------------------------------------------
@@ -292,6 +303,22 @@ def test_verify_determinism(tmp_path, capsys):
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
 
 
+@pytest.mark.parametrize("name", cli.CHECK_NAMES)
+def test_verify_runs_every_check(tmp_path, capsys, name):
+    cfg = dict(BASE_CONFIG, checks=[name], quadrature={"rel_tol": 1e-3})
+    if name == "remainder_plt2":
+        cfg["p"] = 1.5
+    else:
+        cfg["ckn"] = {"q": 2.0, "r": 2.0, "delta": 0.5, "b": -0.5, "c": 0.0}
+    code, out, _ = run_cli(capsys, "verify", "--config", write_config(tmp_path, cfg))
+    assert code == 0
+    (record,) = json.loads(out)["checks"]
+    assert record["name"] == name
+    assert record["passed"] is True
+    assert {"residual", "quadrature_error"} <= set(record)
+    assert set(verifier.PRECONDITIONS) <= set(cli.CHECK_NAMES)
+
+
 def test_verify_all_suite(tmp_path, capsys):
     out_path = tmp_path / "all.json"
     code, _, _ = run_cli(capsys, "verify", "--all", "--out", str(out_path))
@@ -372,6 +399,14 @@ def test_check_divergence_command(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["max_rel_err"] <= 1e-6
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_check_divergence_needs_samples(capsys, samples):
+    code, out, err = run_cli(capsys, "check-divergence", "--space", "1,1,1.0", "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert "samples must be >= 1" in err
 
 
 def test_condition_command(capsys):

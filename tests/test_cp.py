@@ -9,7 +9,6 @@ import pytest
 from grushin_hardy.cp import (
     ConstantEstimate,
     CpObjectiveKind,
-    SearchSettings,
     cp_value,
     cp_value_batch,
     find_constant,
@@ -111,8 +110,9 @@ def test_kind_validation():
         CpObjectiveKind("c1_inf", 2.5)
     with pytest.raises(ValueError):
         CpObjectiveKind("nope", 1.5)
-    with pytest.raises(ValueError):
-        SearchSettings(theta_samples=2)
+    for p in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            CpObjectiveKind("cp_pge2", p)
 
 
 def test_find_constant_p2_is_one():

@@ -22,14 +22,15 @@ from grushin_hardy.fields import (
     smoothstep5,
     smoothstep5_prime,
 )
+from grushin_hardy.weights import make_pair
 
 SP = SpaceParams(1, 1, 1.0)
 
 PAIR_CASES = [
-    ("dambrosio_power", {"p": 2.0, "alpha": 0.0, "beta": 0.0}),
-    ("darca_power", {"p": 2.0, "alpha": 1.0, "theta": 0.5, "R": 1e30}),
-    ("nch_ball", {"p": 2.0, "R": 1.0}),
-    ("log_ball", {"p": 2.0, "alpha": -3.0, "R": 4.0}),
+    ("dambrosio_power", {"alpha": 0.0, "beta": 0.0}),
+    ("darca_power", {"alpha": 1.0, "theta": 0.5, "R": 1e30}),
+    ("nch_ball", {"R": 1.0}),
+    ("log_ball", {"alpha": -3.0, "R": 4.0}),
 ]
 
 
@@ -125,21 +126,21 @@ FD_FIELDS = [
     ),
     (
         "extremal_power",
-        lambda: build_extremal_field(SP, "dambrosio_power", {"p": 2.0, "alpha": 0.0, "beta": 0.0}),
+        lambda: build_extremal_field(make_pair("dambrosio_power", SP, 2.0, {"alpha": 0.0, "beta": 0.0})),
         0.6,
         2.5,
         0.0,
     ),
     (
         "extremal_nch",
-        lambda: build_extremal_field(SP, "nch_ball", {"p": 2.0, "R": 1.0}),
+        lambda: build_extremal_field(make_pair("nch_ball", SP, 2.0, {"R": 1.0})),
         0.45,
         0.9,
         0.0,
     ),
     (
         "extremal_log",
-        lambda: build_extremal_field(SP, "log_ball", {"p": 2.0, "alpha": -3.0, "R": 4.0}),
+        lambda: build_extremal_field(make_pair("log_ball", SP, 2.0, {"alpha": -3.0, "R": 4.0})),
         1.6,
         3.5,
         0.0,
@@ -176,7 +177,7 @@ def test_grad_gamma_examples():
 
 
 def test_radial_derivative_on_extremal_plateau():
-    h = build_extremal_field(SP, "dambrosio_power", {"p": 2.0, "alpha": 0.0, "beta": 0.0})
+    h = build_extremal_field(make_pair("dambrosio_power", SP, 2.0, {"alpha": 0.0, "beta": 0.0}))
     kap = h.spec.extremal_exponent
     rng = np.random.default_rng(31)
     rho_lo = float(h.rho_of_tau(h.band * 1.05))
@@ -241,11 +242,9 @@ def test_dilation_covariance():
 @pytest.mark.parametrize("pair_id,params", PAIR_CASES, ids=[c[0] for c in PAIR_CASES])
 @pytest.mark.parametrize("ascending", [False, True])
 def test_extremal_plateau_holder_equality(pair_id, params, ascending):
-    from grushin_hardy.weights import make_pair
-
-    p = params["p"]
-    h = build_extremal_field(SP, pair_id, params, truncation_level=0, ascending=ascending)
-    pair = make_pair(pair_id, SP, p, {k: v for k, v in params.items() if k != "p"})
+    p = 2.0
+    pair = make_pair(pair_id, SP, p, params)
+    h = build_extremal_field(pair, truncation_level=0, ascending=ascending)
     rng = np.random.default_rng(43)
     rho_lo = float(h.rho_of_tau(h.band * 1.1))
     rho_hi = float(h.rho_of_tau(h.tau_hi - h.band * 1.1))
@@ -260,22 +259,22 @@ def test_extremal_plateau_holder_equality(pair_id, params, ascending):
 
 
 def test_extremal_ascending_profile_matches_corollary_power():
-    params = {"p": 2.0, "alpha": 0.5, "beta": 0.25}
-    h = build_extremal_field(SP, "dambrosio_power", params, ascending=True)
-    expo = (SP.Q + params["beta"] - params["alpha"]) / params["p"]
+    pair = make_pair("dambrosio_power", SP, 2.0, {"alpha": 0.5, "beta": 0.25})
+    h = build_extremal_field(pair, ascending=True)
+    expo = (SP.Q + 0.25 - 0.5) / 2.0
     assert h.spec.extremal_exponent == pytest.approx(expo, rel=1e-15)
     rho_mid = float(h.rho_of_tau(0.5 * h.tau_hi))
     z = np.array([[rho_mid, 0.0]])
     vals, _ = h.eval_batch(z)
     assert vals[0].real == pytest.approx(rho_mid**expo, rel=1e-12)
 
-    down = build_extremal_field(SP, "dambrosio_power", params, ascending=False)
+    down = build_extremal_field(pair, ascending=False)
     assert down.spec.extremal_exponent == pytest.approx(-expo, rel=1e-15)
 
 
 def test_extremal_truncation_schedule():
-    params = {"p": 2.0, "alpha": 0.0, "beta": 0.0}
-    fields = [build_extremal_field(SP, "dambrosio_power", params, truncation_level=l) for l in (0, 1, 2)]
+    pair = make_pair("dambrosio_power", SP, 2.0, {"alpha": 0.0, "beta": 0.0})
+    fields = [build_extremal_field(pair, truncation_level=l) for l in (0, 1, 2)]
     bands = [h.band for h in fields]
     plateaus = [h.plateau for h in fields]
     assert bands[0] == bands[1] == bands[2]
@@ -284,16 +283,12 @@ def test_extremal_truncation_schedule():
     margins = [h.spec.smoothness_margin for h in fields]
     assert margins[0] > margins[1] > margins[2]
     with pytest.raises(ValueError, match="truncation_level"):
-        build_extremal_field(SP, "dambrosio_power", params, truncation_level=-1)
-    with pytest.raises(ValueError, match="must include p"):
-        build_extremal_field(SP, "dambrosio_power", {"alpha": 0.0, "beta": 0.0})
-    with pytest.raises(ValueError, match="requires Q > alpha - beta"):
-        build_extremal_field(SP, "dambrosio_power", {"p": 2.0, "alpha": 9.0, "beta": 0.0})
+        build_extremal_field(pair, truncation_level=-1)
 
 
 @pytest.mark.parametrize("pair_id,params", PAIR_CASES, ids=[c[0] for c in PAIR_CASES])
 def test_extremal_tau_roundtrip_and_weight(pair_id, params):
-    h = build_extremal_field(SP, pair_id, params, truncation_level=1)
+    h = build_extremal_field(make_pair(pair_id, SP, 2.0, params), truncation_level=1)
     # beyond tau ~ 15 the ball pairs push rho within one ulp of R, which is
     # exactly why the sharpness probe works in tau; test the representable range
     tau = np.linspace(0.05, min(h.tau_hi - 0.05, 12.0), 40)

@@ -35,7 +35,7 @@ def test_pair_spec_is_complete(pair_id):
     assert pair.sharp_constant == spec.kappa(pair.scalars) ** pair.p
     phi = pair.phi_batch(sample_points(SP, np.random.default_rng(3), 50))
     assert np.all(phi == 0.0) if spec.phi is None else np.all(phi != 0.0)
-    ext = build_extremal_field(SP, pair_id, dict(spec.defaults, p=2.0), truncation_level=1)
+    ext = build_extremal_field(pair, truncation_level=1)
     tau = np.linspace(0.05, min(ext.tau_hi - 0.05, 12.0), 40)
     assert np.allclose(ext.tau_of_rho(ext.rho_of_tau(tau)), tau, rtol=0, atol=1e-9)
     assert np.all(ext.probe_weight(tau) > 0)
