@@ -19,8 +19,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from grushin_hardy.geometry import (
-    GVector,
     Point,
+    SingularPointError,
     SpaceParams,
     radial_coords,
     unit_grad_gamma_rho,
@@ -304,7 +304,7 @@ def build_extremal_field(
     )
 
 
-def grad_gamma(space: SpaceParams, fv: FieldValue, z: Point) -> GVector:
+def grad_gamma(space: SpaceParams, fv: FieldValue, z: Point) -> np.ndarray:
     """Sub-elliptic gradient (d_x f, |x|^gamma d_y f) from Euclidean partials."""
     if fv.euclid_grad.shape != (space.n,):
         raise ValueError(f"euclid_grad must have length {space.n}")
@@ -320,7 +320,10 @@ def radial_derivative(space: SpaceParams, f: TestField, z: Point) -> complex:
     Raises SingularPointError where the direction is undefined ({x=0} for
     gamma > 0, and the origin).
     """
-    unit = unit_grad_gamma_rho(space, z)
+    r, rho_z = radial_coords(space, z.x, z.y)
+    if rho_z == 0.0 or (space.gamma > 0 and r == 0.0):
+        raise SingularPointError("D f is undefined at the origin and, for gamma > 0, on {x=0}")
+    unit = unit_grad_gamma_rho(space, np.concatenate([z.x, z.y])[None, :])[0]
     gg = grad_gamma(space, f.eval(z), z)
     return complex(np.dot(unit, gg))
 

@@ -10,7 +10,9 @@ dimension Q = m + (1+gamma) k, and the weighted divergence formula
         = (Q + c + s - 1) |x|^(2 gamma + s) / rho^(2 gamma + 1 - c),
 
 together with a finite-difference divergence that serves as an independent
-cross-check of that closed form.
+cross-check of that closed form. The gradients, the divergence formula and
+the finite-difference divergence act on (N, m+k) point batches; rho and
+dilate keep a point-wise form for the tests' oracles.
 """
 
 from __future__ import annotations
@@ -23,24 +25,18 @@ import numpy as np
 __all__ = [
     "SpaceParams",
     "Point",
-    "GVector",
     "SingularPointError",
     "radial_coords",
     "rho",
     "grad_gamma_rho",
-    "norm_grad_gamma_rho",
     "unit_grad_gamma_rho",
     "dilate",
     "div_weighted_rho_closed_form",
     "fd_divergence",
 ]
 
-# A value of the sub-elliptic gradient: ndarray of length m + k.
-GVector = np.ndarray
-
-
 class SingularPointError(ValueError):
-    """Evaluation of a closed form on its singular set."""
+    """Evaluation of a point-wise oracle where it is undefined."""
 
 
 @dataclass(frozen=True)
@@ -107,52 +103,46 @@ def rho(space: SpaceParams, z: Point) -> float:
     return float((r2**a + a * a * y2) ** (1.0 / (2.0 * a)))
 
 
-def grad_gamma_rho(space: SpaceParams, z: Point) -> GVector:
-    """Sub-elliptic gradient of rho:
+def _split(space: SpaceParams, pts: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """x, y, |x| and rho of an (N, m+k) batch."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != space.n:
+        raise ValueError(f"points must have shape (N, {space.n})")
+    x, y = pts[:, : space.m], pts[:, space.m :]
+    return (x, y) + radial_coords(space, x, y)
+
+
+def grad_gamma_rho(space: SpaceParams, pts: np.ndarray) -> np.ndarray:
+    """Sub-elliptic gradient of rho on an (N, m+k) batch:
 
         (|x|^(2 gamma) x, (1+gamma) |x|^gamma y) / rho^(2 gamma + 1).
 
     For gamma > 0 every component carries a positive power of |x|, so the
-    value on {x = 0} minus the origin is the zero vector.
+    value on {x = 0} minus the origin is the zero vector; rows at the origin
+    are nan.
     """
-    _check_point(space, z)
-    rho_z = rho(space, z)
-    if rho_z == 0.0:
-        raise SingularPointError("grad_gamma_rho is undefined at the origin")
+    x, y, r, rho_z = _split(space, pts)
     g = space.gamma
-    r = float(np.linalg.norm(z.x))
-    scale = rho_z ** (2.0 * g + 1.0)
-    gx = (r ** (2.0 * g)) * z.x / scale
-    gy = (1.0 + g) * (r**g) * z.y / scale
-    return np.concatenate([gx, gy])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = (rho_z ** (2.0 * g + 1.0))[:, None]
+        gx = r[:, None] ** (2.0 * g) * x / scale
+        gy = (1.0 + g) * r[:, None] ** g * y / scale
+    return np.hstack([gx, gy])
 
 
-def norm_grad_gamma_rho(space: SpaceParams, z: Point) -> float:
-    """|grad_gamma rho| = (|x|/rho)^gamma; lies in [0, 1] since |x| <= rho."""
-    _check_point(space, z)
-    rho_z = rho(space, z)
-    if rho_z == 0.0:
-        raise SingularPointError("norm_grad_gamma_rho is undefined at the origin")
-    r = float(np.linalg.norm(z.x))
-    return float((r / rho_z) ** space.gamma)
+def unit_grad_gamma_rho(space: SpaceParams, pts: np.ndarray) -> np.ndarray:
+    """grad_gamma rho / |grad_gamma rho| = (|x|^gamma x, (1+gamma) y) / rho^(gamma+1)
+    on an (N, m+k) batch.
 
-
-def unit_grad_gamma_rho(space: SpaceParams, z: Point) -> GVector:
-    """grad_gamma rho / |grad_gamma rho| = (|x|^gamma x, (1+gamma) y) / rho^(gamma+1).
-
-    Undefined on {x = 0} when gamma > 0: the norm in the denominator
-    vanishes there, so callers must stay off that set.
+    On {x = 0} minus the origin, where |grad_gamma rho| vanishes for
+    gamma > 0, this is the continuous extension (0, y/|y|); rows at the
+    origin are nan.
     """
-    _check_point(space, z)
-    rho_z = rho(space, z)
-    if rho_z == 0.0:
-        raise SingularPointError("unit_grad_gamma_rho is undefined at the origin")
+    x, y, r, rho_z = _split(space, pts)
     g = space.gamma
-    r = float(np.linalg.norm(z.x))
-    if g > 0 and r == 0.0:
-        raise SingularPointError("unit_grad_gamma_rho is undefined on {x = 0} for gamma > 0")
-    scale = rho_z ** (g + 1.0)
-    return np.concatenate([(r**g) * z.x, (1.0 + g) * z.y]) / scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = (rho_z ** (g + 1.0))[:, None]
+        return np.hstack([r[:, None] ** g * x, (1.0 + g) * y]) / scale
 
 
 def dilate(space: SpaceParams, z: Point, lam: float) -> Point:
@@ -163,64 +153,58 @@ def dilate(space: SpaceParams, z: Point, lam: float) -> Point:
     return Point(lam * z.x, lam ** (1.0 + space.gamma) * z.y)
 
 
-def div_weighted_rho_closed_form(space: SpaceParams, z: Point, c: float, s: float) -> float:
-    """Closed-form divergence of the field rho^c |x|^s grad_gamma rho:
+def div_weighted_rho_closed_form(
+    space: SpaceParams, pts: np.ndarray, c: float, s: float
+) -> np.ndarray:
+    """Closed-form divergence of the field rho^c |x|^s grad_gamma rho on an
+    (N, m+k) batch:
 
         (Q + c + s - 1) |x|^(2 gamma + s) / rho^(2 gamma + 1 - c).
+
+    Where the formula is singular (the origin, or {x = 0} when
+    s < -2 gamma) the value is inf or nan.
     """
-    _check_point(space, z)
+    x, y, r, rho_z = _split(space, pts)
     g = space.gamma
-    rho_z = rho(space, z)
-    r = float(np.linalg.norm(z.x))
-    e_r = 2.0 * g + s
-    e_rho = 2.0 * g + 1.0 - c
-    if rho_z == 0.0:
-        raise SingularPointError("divergence formula is undefined at the origin")
-    if r == 0.0 and e_r < 0.0:
-        raise SingularPointError("divergence formula is singular on {x = 0} when s < -2 gamma")
-    return float((space.Q + c + s - 1.0) * r**e_r / rho_z**e_rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (space.Q + c + s - 1.0) * r ** (2.0 * g + s) / rho_z ** (2.0 * g + 1.0 - c)
 
 
 def fd_divergence(
     space: SpaceParams,
-    field: Callable[[Point], GVector],
-    z: Point,
-    step: float,
-) -> float:
-    """Finite-difference weighted divergence
+    field: Callable[[np.ndarray], np.ndarray],
+    pts: np.ndarray,
+    step: np.ndarray,
+) -> np.ndarray:
+    """Finite-difference weighted divergence on an (N, m+k) batch
 
         div_gamma F = sum_i dF_i/dx_i + |x|^gamma sum_j dF_(m+j)/dy_j
 
-    via central differences, Richardson-extrapolated from step and step/2.
-    The step must stay below half the distance to the singular set
-    ({x = 0} for gamma > 0, otherwise the origin).
+    via central differences, Richardson-extrapolated from step and step/2,
+    with one step per point. field maps an (M, m+k) batch to its (M, m+k)
+    values; it is called once per step size, on every stencil point at once.
+    Each step must stay below half the distance of its point to the singular
+    set ({x = 0} for gamma > 0, otherwise the origin).
     """
-    _check_point(space, z)
-    if step <= 0:
+    pts = np.asarray(pts, dtype=float)
+    x, y, r, rho_z = _split(space, pts)
+    step = np.broadcast_to(np.asarray(step, dtype=float), (pts.shape[0],))
+    if not np.all(step > 0):
         raise ValueError("step must be > 0")
-    r = float(np.linalg.norm(z.x))
-    dist = r if space.gamma > 0 else rho(space, z)
-    if step > 0.5 * dist:
+    dist = r if space.gamma > 0 else rho_z
+    if np.any(step > 0.5 * dist):
         raise ValueError("step exceeds half the distance to the singular set")
-    m, k = space.m, space.k
-    ry = r**space.gamma
+    n = space.n
+    axes = np.arange(n)
+    # the y partials carry the factor |x|^gamma of Y_j
+    weight = np.ones((n, pts.shape[0]))
+    weight[space.m :] = r**space.gamma
 
-    def estimate(h: float) -> float:
-        acc = 0.0
-        for i in range(m):
-            e = np.zeros(m)
-            e[i] = h
-            fp = field(Point(z.x + e, z.y))[i]
-            fm = field(Point(z.x - e, z.y))[i]
-            acc += (fp - fm) / (2.0 * h)
-        for j in range(k):
-            e = np.zeros(k)
-            e[j] = h
-            fp = field(Point(z.x, z.y + e))[m + j]
-            fm = field(Point(z.x, z.y - e))[m + j]
-            acc += ry * (fp - fm) / (2.0 * h)
-        return float(acc)
+    def estimate(h: np.ndarray) -> np.ndarray:
+        shift = np.eye(n)[:, None, :] * h[None, :, None]  # (axis, point, coordinate)
+        stencil = np.concatenate([pts + shift, pts - shift]).reshape(-1, n)
+        values = field(stencil).reshape(2, n, -1, n)
+        diff = values[0, axes, :, axes] - values[1, axes, :, axes]  # (axis, point)
+        return np.sum(weight * diff / (2.0 * h), axis=0)
 
-    d1 = estimate(step)
-    d2 = estimate(0.5 * step)
-    return (4.0 * d2 - d1) / 3.0
+    return (4.0 * estimate(0.5 * step) - estimate(step)) / 3.0

@@ -697,6 +697,11 @@ def verify_hpw(
     exactly when p = 2, the case exercised by the acceptance suite. For
     whole_dambrosio at p = 2 the squared (Garofalo-type) product is checked
     too, and at gamma = 0 also the classical gradient form it dominates.
+
+    The display reads only p, p' = p/(p-1), Q and the field's R (the case's
+    HpwSpec.rows and constant). The parameters of the pair it belongs to,
+    dambrosio_power's alpha and beta or log_ball's alpha, do not enter it,
+    although the CLI's report echoes them with the run's pair.
     """
     _check_hpw(case, p, field)
     hpw = HPW_PAIRS[case].hpw

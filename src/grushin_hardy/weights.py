@@ -27,8 +27,6 @@ import numpy as np
 from scipy.stats import qmc
 
 from grushin_hardy.geometry import (
-    Point,
-    SingularPointError,
     SpaceParams,
     fd_divergence,
     radial_coords,
@@ -44,8 +42,12 @@ __all__ = [
     "WeightPair",
     "make_pair",
     "phi_numeric",
+    "rejection_sample",
     "condition_report",
 ]
+
+# draws a rejection sampler makes before it gives up
+SAMPLER_ROUNDS = 64
 
 Coords = Tuple[np.ndarray, np.ndarray]  # (|x|, rho), as radial_coords returns
 # f(|x|, rho, k) or f(tau, k): k holds the pair's parameters with g = gamma,
@@ -287,26 +289,6 @@ class WeightPair:
         """Analytic defect phi on an (N, m+k) batch."""
         return self._formula(self.spec.phi, pts, coords)
 
-    def _point_checked(self, z: Point) -> np.ndarray:
-        r, rho = radial_coords(self.space, z.x, z.y)
-        if rho == 0.0:
-            raise SingularPointError("evaluation at the origin")
-        if self.x_singular and r == 0.0:
-            raise SingularPointError("evaluation on {x=0}")
-        R = self.radius
-        if R is not None and rho >= R:
-            raise ValueError(f"point has rho = {rho}, outside the ball of radius {R}")
-        return np.concatenate([z.x, z.y])[None, :]
-
-    def v_eval(self, z: Point) -> float:
-        return float(self.v_batch(self._point_checked(z))[0])
-
-    def w_eval(self, z: Point) -> float:
-        return float(self.w_batch(self._point_checked(z))[0])
-
-    def phi_eval(self, z: Point) -> float:
-        return float(self.phi_batch(self._point_checked(z))[0])
-
 
 def make_pair(
     pair_id: str,
@@ -348,26 +330,49 @@ def make_pair(
     )
 
 
-def phi_numeric(pair: WeightPair, z: Point, step: float) -> float:
-    """Finite-difference value of div_gamma(w^((p-1)/p) v^(1/p) unit) - p w.
+def phi_numeric(pair: WeightPair, pts: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Finite-difference value of div_gamma(w^((p-1)/p) v^(1/p) unit) - p w on
+    an (N, m+k) batch, with one step per point.
 
     Rejects steps larger than half the distance to the singular set or the
     ball boundary; inside that margin the Richardson-extrapolated divergence
     from geometry.fd_divergence is accurate to roughly step^2.
     """
     space, p = pair.space, pair.p
-    r, rho = radial_coords(space, z.x, z.y)
+    pts = np.asarray(pts, dtype=float)
     R = pair.radius
-    if R is not None and step > 0.5 * (R - rho):
-        raise ValueError("step exceeds half the distance to the ball boundary")
+    if R is not None:
+        _, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
+        if np.any(step > 0.5 * (R - rho)):
+            raise ValueError("step exceeds half the distance to the ball boundary")
 
-    def displayed(pt: Point) -> np.ndarray:
-        batch = np.concatenate([pt.x, pt.y])[None, :]
-        w = float(pair.w_batch(batch)[0])
-        v = float(pair.v_batch(batch)[0])
-        return w ** ((p - 1.0) / p) * v ** (1.0 / p) * unit_grad_gamma_rho(space, pt)
+    def displayed(stencil: np.ndarray) -> np.ndarray:
+        scale = pair.w_batch(stencil) ** ((p - 1.0) / p) * pair.v_batch(stencil) ** (1.0 / p)
+        return scale[:, None] * unit_grad_gamma_rho(space, stencil)
 
-    return fd_divergence(space, displayed, z, step) - p * pair.w_eval(z)
+    return fd_divergence(space, displayed, pts, step) - p * pair.w_batch(pts)
+
+
+def rejection_sample(
+    space: SpaceParams, draw: Callable[[], np.ndarray], keep: Callable, samples: int
+) -> np.ndarray:
+    """The first samples points of the (N, m+k) batches draw() returns whose
+    keep(|x|, rho) holds, from at most SAMPLER_ROUNDS batches; raises
+    ValueError when those rounds keep fewer."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    kept: List[np.ndarray] = []
+    count = 0
+    for _ in range(SAMPLER_ROUNDS):
+        pts = draw()
+        kept.append(pts[keep(*radial_coords(space, pts[:, : space.m], pts[:, space.m :]))])
+        count += len(kept[-1])
+        if count >= samples:
+            return np.concatenate(kept)[:samples]
+    raise ValueError(
+        f"sampler kept {count} of {samples} points in {SAMPLER_ROUNDS} rounds; "
+        "the accepted region fills too little of the sampling box"
+    )
 
 
 def condition_report(pair: WeightPair, samples: int, seed: int = 0) -> Dict[str, float]:
@@ -375,44 +380,26 @@ def condition_report(pair: WeightPair, samples: int, seed: int = 0) -> Dict[str,
 
     Draws Sobol points with rho in [0.3, 0.9] * (R or 2) and |x| >= 0.1 rho,
     and reports min_phi = min of the closed-form defect and max_abs_mismatch =
-    max of |phi_eval - phi_numeric| / (1 + p w).
+    max of |phi - phi_numeric| / (1 + p w). Raises ValueError when
+    SAMPLER_ROUNDS rounds of draws keep fewer than samples points.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     space = pair.space
     scale = pair.radius if pair.radius is not None else 2.0
     a = 1.0 + space.gamma
-    x_half = 0.9 * scale
-    y_half = (0.9 * scale) ** a / a
+    half = np.repeat([0.9 * scale, (0.9 * scale) ** a / a], [space.m, space.k])
     sob = qmc.Sobol(d=space.n, scramble=True, seed=seed)
-
-    kept: List[np.ndarray] = []
-    draw = 1 << max(int(np.ceil(np.log2(2 * samples))), 6)
-    for _ in range(64):
-        raw = sob.random(draw)
-        pts = (2.0 * raw - 1.0) * np.concatenate([np.full(space.m, x_half), np.full(space.k, y_half)])
-        r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
-        good = (rho >= 0.3 * scale) & (rho <= 0.9 * scale) & (r >= 0.1 * rho)
-        kept.extend(pts[good])
-        if len(kept) >= samples:
-            break
-    if len(kept) < samples:
-        raise RuntimeError("sampler failed to reach the requested count")
-
-    min_phi = np.inf
-    max_mismatch = 0.0
-    for row in kept[:samples]:
-        z = Point(row[: space.m], row[space.m :])
-        r, rho = radial_coords(space, z.x, z.y)
-        margins = [float(rho)]
-        if space.gamma > 0:
-            margins.append(float(r))
-        if pair.radius is not None:
-            margins.append(float(pair.radius - rho))
-        step = 1e-4 * min(margins)
-        phi = pair.phi_eval(z)
-        w = pair.w_eval(z)
-        mismatch = abs(phi - phi_numeric(pair, z, step)) / (1.0 + pair.p * w)
-        min_phi = min(min_phi, phi)
-        max_mismatch = max(max_mismatch, mismatch)
-    return {"min_phi": float(min_phi), "max_abs_mismatch": float(max_mismatch)}
+    draw = max(1 << int(2 * samples - 1).bit_length(), 64)  # a power of two >= 2 samples
+    pts = rejection_sample(
+        space,
+        lambda: (2.0 * sob.random(draw) - 1.0) * half,
+        lambda r, rho: (rho >= 0.3 * scale) & (rho <= 0.9 * scale) & (r >= 0.1 * rho),
+        samples,
+    )
+    r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
+    margin = np.minimum(rho, r) if space.gamma > 0 else rho
+    if pair.radius is not None:
+        margin = np.minimum(margin, pair.radius - rho)
+    phi = pair.phi_batch(pts)
+    w = pair.w_batch(pts)
+    mismatch = np.abs(phi - phi_numeric(pair, pts, 1e-4 * margin)) / (1.0 + pair.p * w)
+    return {"min_phi": float(np.min(phi)), "max_abs_mismatch": float(np.max(mismatch))}

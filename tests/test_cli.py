@@ -279,6 +279,19 @@ def test_verify_ckn_requires_section(tmp_path, capsys):
     assert "ckn section" in err
 
 
+def test_verify_ckn_section_built_only_for_ckn_check(tmp_path, capsys):
+    # the section's defaults meet the balance condition only at p = 2
+    cfg = dict(BASE_CONFIG, p=3.0, ckn={}, checks=["identity"])
+    code, out, _ = run_cli(capsys, "verify", "--config", write_config(tmp_path, cfg))
+    assert code == 0
+    assert json.loads(out)["config"]["ckn"]["p"] == 3.0
+    cfg["checks"] = ["ckn"]
+    code, out, err = run_cli(capsys, "verify", "--config", write_config(tmp_path, cfg))
+    assert code == 2
+    assert out == ""
+    assert "requires delta*r/p + (1-delta)*r/q = 1" in err
+
+
 def test_verify_flag_overrides(tmp_path, capsys):
     path = write_config(tmp_path, dict(BASE_CONFIG, checks=["divergence"]))
     code, out, _ = run_cli(
@@ -407,6 +420,22 @@ def test_check_divergence_needs_samples(capsys, samples):
     assert code == 2
     assert out == ""
     assert "samples must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-divergence", "--space", "10,10,0.0", "--samples", "5"),
+        ("condition", "--pair", "dambrosio_power", "--space", "6,6,0.0", "--samples", "10"),
+    ],
+    ids=["check-divergence", "condition"],
+)
+def test_sampler_that_cannot_fill_exits_2(capsys, argv):
+    # the sampled shell fills too little of the box in these spaces
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: sampler kept")
 
 
 def test_condition_command(capsys):

@@ -5,13 +5,11 @@ import pytest
 
 from grushin_hardy.geometry import (
     Point,
-    SingularPointError,
     SpaceParams,
     dilate,
     div_weighted_rho_closed_form,
     fd_divergence,
     grad_gamma_rho,
-    norm_grad_gamma_rho,
     radial_coords,
     rho,
     unit_grad_gamma_rho,
@@ -69,40 +67,59 @@ def test_rho_batch_matches_pointwise():
         assert np.allclose(r, np.linalg.norm(x, axis=1))
 
 
+def rows(*points):
+    """(N, m+k) batch from (x, y) pairs."""
+    return np.array([np.concatenate([x, y]) for x, y in points], dtype=float)
+
+
+def as_batch(points):
+    return rows(*((z.x, z.y) for z in points))
+
+
 def test_grad_gamma_rho_values():
     s1 = SpaceParams(1, 1, 1.0)
-    np.testing.assert_allclose(grad_gamma_rho(s1, Point([1.0], [0.0])), [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(grad_gamma_rho(s1, rows(([1.0], [0.0]))), [[1.0, 0.0]], atol=1e-15)
     np.testing.assert_allclose(
-        grad_gamma_rho(SpaceParams(1, 1, 0.0), Point([3.0], [4.0])), [0.6, 0.8], rtol=1e-15
+        grad_gamma_rho(SpaceParams(1, 1, 0.0), rows(([3.0], [4.0]))), [[0.6, 0.8]], rtol=1e-15
     )
-    np.testing.assert_allclose(grad_gamma_rho(s1, Point([0.0], [0.5])), [0.0, 0.0], atol=0)
-    with pytest.raises(SingularPointError):
-        grad_gamma_rho(s1, Point([0.0], [0.0]))
+    np.testing.assert_allclose(grad_gamma_rho(s1, rows(([0.0], [0.5]))), [[0.0, 0.0]], atol=0)
+    # the origin is singular: its row is nan, the other rows are unaffected
+    g = grad_gamma_rho(s1, rows(([0.0], [0.0]), ([1.0], [0.0])))
+    assert np.all(np.isnan(g[0]))
+    np.testing.assert_allclose(g[1], [1.0, 0.0], atol=1e-15)
+    with pytest.raises(ValueError, match="shape"):
+        grad_gamma_rho(s1, np.zeros((2, 3)))
 
 
 def test_norm_grad_gamma_rho_values_and_bound():
-    assert norm_grad_gamma_rho(SpaceParams(1, 1, 1.0), Point([1.0], [0.0])) == 1.0
-    assert norm_grad_gamma_rho(SpaceParams(1, 1, 0.0), Point([-0.3], [2.0])) == 1.0
-    assert norm_grad_gamma_rho(SpaceParams(1, 1, 2.0), Point([0.5], [0.0])) == pytest.approx(1.0, rel=1e-15)
+    # |grad_gamma rho| = (|x|/rho)^gamma, which lies in [0, 1] since |x| <= rho
+    def norm(space, batch):
+        return np.linalg.norm(grad_gamma_rho(space, batch), axis=1)
+
+    assert norm(SpaceParams(1, 1, 1.0), rows(([1.0], [0.0])))[0] == 1.0
+    assert norm(SpaceParams(1, 1, 0.0), rows(([-0.3], [2.0])))[0] == pytest.approx(1.0, rel=1e-15)
+    assert norm(SpaceParams(1, 1, 2.0), rows(([0.5], [0.0])))[0] == pytest.approx(1.0, rel=1e-15)
     rng = np.random.default_rng(13)
     for space in SPACES:
-        for z in sample_points(space, rng, 30, x_min=0.0):
-            nv = norm_grad_gamma_rho(space, z)
-            assert 0.0 <= nv <= 1.0 + 1e-15
-            # consistency with the vector closed form
-            assert nv == pytest.approx(np.linalg.norm(grad_gamma_rho(space, z)), abs=1e-14)
+        batch = as_batch(sample_points(space, rng, 30, x_min=0.0))
+        r, rho_v = radial_coords(space, batch[:, : space.m], batch[:, space.m :])
+        nv = norm(space, batch)
+        assert np.all((0.0 <= nv) & (nv <= 1.0 + 1e-15))
+        np.testing.assert_allclose(nv, (r / rho_v) ** space.gamma, rtol=0, atol=1e-14)
 
 
 def test_unit_grad_gamma_rho_is_unit():
     rng = np.random.default_rng(14)
     for space in SPACES:
-        for z in sample_points(space, rng, 20):
-            u = unit_grad_gamma_rho(space, z)
-            assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(SingularPointError):
-        unit_grad_gamma_rho(SpaceParams(1, 1, 1.0), Point([0.0], [0.5]))
-    with pytest.raises(SingularPointError):
-        unit_grad_gamma_rho(SpaceParams(1, 1, 0.0), Point([0.0], [0.0]))
+        batch = as_batch(sample_points(space, rng, 20))
+        u = unit_grad_gamma_rho(space, batch)
+        g = grad_gamma_rho(space, batch)
+        np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(u * np.linalg.norm(g, axis=1)[:, None], g, rtol=1e-12, atol=1e-15)
+    # on {x = 0} for gamma > 0 the continuous extension (0, y/|y|)
+    s1 = SpaceParams(1, 1, 1.0)
+    np.testing.assert_allclose(unit_grad_gamma_rho(s1, rows(([0.0], [0.5]))), [[0.0, 1.0]], rtol=1e-15)
+    assert np.all(np.isnan(unit_grad_gamma_rho(SpaceParams(1, 1, 0.0), rows(([0.0], [0.0])))))
 
 
 def test_dilate_values_and_homogeneity():
@@ -126,44 +143,57 @@ def test_dilate_values_and_homogeneity():
 
 def test_div_closed_form_values():
     s1 = SpaceParams(1, 1, 1.0)
-    assert div_weighted_rho_closed_form(s1, Point([1.0], [0.0]), 1.0, -1.0) == pytest.approx(2.0, rel=1e-14)
+    assert div_weighted_rho_closed_form(s1, rows(([1.0], [0.0])), 1.0, -1.0)[0] == pytest.approx(
+        2.0, rel=1e-14
+    )
     # Euclidean div(z/|z|) = (n-1)/|z|
     s0 = SpaceParams(1, 1, 0.0)
-    assert div_weighted_rho_closed_form(s0, Point([3.0], [4.0]), 0.0, 0.0) == pytest.approx(0.2, rel=1e-14)
-    with pytest.raises(SingularPointError):
-        div_weighted_rho_closed_form(s1, Point([0.0], [0.0]), 0.0, 0.0)
-    with pytest.raises(SingularPointError):
-        div_weighted_rho_closed_form(s1, Point([0.0], [0.5]), 0.0, -3.0)
+    assert div_weighted_rho_closed_form(s0, rows(([3.0], [4.0])), 0.0, 0.0)[0] == pytest.approx(
+        0.2, rel=1e-14
+    )
+    # singular at the origin, and on {x = 0} when s < -2 gamma
+    assert np.isnan(div_weighted_rho_closed_form(s1, rows(([0.0], [0.0])), 0.0, 0.0)[0])
+    assert np.isinf(div_weighted_rho_closed_form(s1, rows(([0.0], [0.5])), 0.0, -3.0)[0])
 
 
 def weighted_rho_field(space, c, s):
-    def field(z):
-        return rho(space, z) ** c * float(np.linalg.norm(z.x)) ** s * grad_gamma_rho(space, z)
+    """Point-wise rho^c |x|^s grad_gamma rho, evaluated row by row as an oracle."""
+
+    def field(batch):
+        out = []
+        for row in batch:
+            z = Point(row[: space.m], row[space.m :])
+            r = float(np.linalg.norm(z.x))
+            out.append(rho(space, z) ** c * r**s * grad_gamma_rho(space, row[None, :])[0])
+        return np.array(out)
 
     return field
 
 
 def test_fd_divergence_simple_fields():
     s1 = SpaceParams(1, 1, 1.0)
-    z = Point([1.0], [0.0])
-    approx = fd_divergence(s1, weighted_rho_field(s1, 1.0, -1.0), z, 1e-4)
-    assert approx == pytest.approx(2.0, rel=1e-6)
+    approx = fd_divergence(s1, weighted_rho_field(s1, 1.0, -1.0), rows(([1.0], [0.0])), 1e-4)
+    assert approx[0] == pytest.approx(2.0, rel=1e-6)
 
     s0 = SpaceParams(2, 1, 0.0)
-    const = lambda z: np.array([0.3, -1.2, 0.7])
-    assert fd_divergence(s0, const, Point([1.0, 0.5], [0.25]), 1e-4) == pytest.approx(0.0, abs=1e-10)
+    batch = rows(([1.0, 0.5], [0.25]), ([-0.4, 1.1], [0.9]))
+    const = lambda pts: np.tile([0.3, -1.2, 0.7], (len(pts), 1))
+    np.testing.assert_allclose(fd_divergence(s0, const, batch, 1e-4), 0.0, atol=1e-10)
 
-    linear = lambda z: np.array([z.x[0], z.x[1], 0.0])
-    assert fd_divergence(s0, linear, Point([1.0, 0.5], [0.25]), 1e-4) == pytest.approx(2.0, abs=1e-8)
+    linear = lambda pts: np.column_stack([pts[:, 0], pts[:, 1], np.zeros(len(pts))])
+    np.testing.assert_allclose(fd_divergence(s0, linear, batch, [1e-4, 2e-4]), 2.0, atol=1e-8)
 
 
 def test_fd_divergence_step_rejection():
     s1 = SpaceParams(1, 1, 1.0)
     field = weighted_rho_field(s1, 1.0, -1.0)
-    with pytest.raises(ValueError):
-        fd_divergence(s1, field, Point([0.1], [1.0]), 0.06)
-    with pytest.raises(ValueError):
-        fd_divergence(s1, field, Point([1.0], [0.0]), 0.0)
+    # one row too close to {x = 0} rejects the whole batch
+    with pytest.raises(ValueError, match="singular set"):
+        fd_divergence(s1, field, rows(([1.0], [0.0]), ([0.1], [1.0])), [1e-4, 0.06])
+    with pytest.raises(ValueError, match="step must be > 0"):
+        fd_divergence(s1, field, rows(([1.0], [0.0]), ([2.0], [0.0])), [1e-4, 0.0])
+    with pytest.raises(ValueError, match="step must be > 0"):
+        fd_divergence(s1, field, rows(([1.0], [0.0])), np.nan)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"m{s.m}k{s.k}g{s.gamma}")
@@ -171,9 +201,8 @@ def test_fd_divergence_step_rejection():
 def test_divergence_closed_form_matches_fd(space, cs):
     c, s = cs
     rng = np.random.default_rng(20240)
-    field = weighted_rho_field(space, c, s)
-    for z in sample_points(space, rng, 100):
-        closed = div_weighted_rho_closed_form(space, z, c, s)
-        zabs = float(np.sqrt(z.x @ z.x + z.y @ z.y))
-        approx = fd_divergence(space, field, z, 1e-4 * max(1.0, zabs))
-        assert approx == pytest.approx(closed, rel=1e-6)
+    batch = as_batch(sample_points(space, rng, 100))
+    closed = div_weighted_rho_closed_form(space, batch, c, s)
+    step = 1e-4 * np.maximum(1.0, np.linalg.norm(batch, axis=1))
+    approx = fd_divergence(space, weighted_rho_field(space, c, s), batch, step)
+    np.testing.assert_allclose(approx, closed, rtol=1e-6)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from grushin_hardy.geometry import Point, SingularPointError, SpaceParams, radial_coords
+from grushin_hardy.geometry import SpaceParams, radial_coords
 from grushin_hardy.fields import build_extremal_field
 from grushin_hardy.weights import PAIR_IDS, PAIRS, condition_report, make_pair, phi_numeric
 
@@ -72,14 +72,14 @@ def test_log_ball_subcritical_flag():
         make_pair("log_ball", flat, 3.0, {"alpha": -3.0, "R": 4.0})
     pair = make_pair("log_ball", flat, 3.0, {"alpha": -3.0, "R": 4.0}, allow_negative_phi=True)
     assert pair.allow_negative_phi
-    assert pair.phi_eval(Point(np.array([1.0]), np.array([0.5]))) < 0
+    assert pair.phi_batch(np.array([[1.0, 0.5]]))[0] < 0
 
 
 def test_nch_phi_value():
     pair = make_pair("nch_ball", SP, 2.0, {"R": 4.0})
-    z = Point(np.array([1.0]), np.array([0.0]))
-    assert pair.phi_eval(z) == pytest.approx(1.0 / 3.0, rel=1e-14)
-    assert phi_numeric(pair, z, 1e-4) == pytest.approx(1.0 / 3.0, abs=1e-6)
+    z = np.array([[1.0, 0.0]])
+    assert pair.phi_batch(z)[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert phi_numeric(pair, z, 1e-4)[0] == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
 def test_dambrosio_garofalo_substitution():
@@ -125,25 +125,23 @@ def test_phi_matches_finite_differences(pair_id, space, p, params):
     rng = np.random.default_rng(13)
     scale = pair.radius if pair.radius is not None else 2.0
     pts = sample_points(space, rng, 8, lo=0.3 * scale, hi=0.7 * scale, x_min=0.1 * scale)
-    for row in pts:
-        z = Point(row[: space.m], row[space.m :])
-        r, rho = radial_coords(space, z.x, z.y)
-        margins = [float(rho), float(r)] if space.gamma > 0 else [float(rho)]
-        if pair.radius is not None:
-            margins.append(float(pair.radius - rho))
-        step = 1e-4 * min(margins)
-        w = pair.w_eval(z)
-        assert abs(pair.phi_eval(z) - phi_numeric(pair, z, step)) <= 1e-6 * (1.0 + p * w)
-        assert pair.phi_eval(z) >= 0.0
+    r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
+    margin = np.minimum(rho, r) if space.gamma > 0 else rho
+    if pair.radius is not None:
+        margin = np.minimum(margin, pair.radius - rho)
+    phi = pair.phi_batch(pts)
+    w = pair.w_batch(pts)
+    assert np.all(np.abs(phi - phi_numeric(pair, pts, 1e-4 * margin)) <= 1e-6 * (1.0 + p * w))
+    assert np.all(phi >= 0.0)
 
 
 def test_log_ball_critical_q_gives_zero_phi():
     # Q = p makes the (Q - p) factor vanish
     flat = SpaceParams(1, 1, 0.0)
     pair = make_pair("log_ball", flat, 2.0, {"alpha": -3.0, "R": 4.0})
-    z = Point(np.array([0.7]), np.array([0.4]))
-    assert pair.phi_eval(z) == 0.0
-    assert phi_numeric(pair, z, 1e-4) == pytest.approx(0.0, abs=1e-6)
+    z = np.array([[0.7, 0.4]])
+    assert pair.phi_batch(z)[0] == 0.0
+    assert phi_numeric(pair, z, 1e-4)[0] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_condition_reports():
@@ -175,15 +173,18 @@ def test_singular_set_descriptors():
     assert nch.x_singular and nch.radius == 4.0
 
 
-def test_pointwise_evaluator_guards():
+def test_batch_evaluator_guards():
     pair = make_pair("nch_ball", SP, 2.0, {"R": 4.0})
-    with pytest.raises(SingularPointError):
-        pair.v_eval(Point(np.zeros(1), np.zeros(1)))
-    with pytest.raises(SingularPointError):
-        pair.w_eval(Point(np.zeros(1), np.array([1.0])))
-    with pytest.raises(ValueError, match="outside the ball"):
-        pair.phi_eval(Point(np.array([5.0]), np.zeros(1)))
-    with pytest.raises(ValueError, match="ball boundary"):
-        phi_numeric(pair, Point(np.array([3.999]), np.zeros(1)), 0.01)
     with pytest.raises(ValueError, match="shape"):
         pair.v_batch(np.zeros((3, 5)))
+    # singular points give non-finite values: w at the ball boundary, and
+    # v of the power pair on {x = 0}
+    assert np.isinf(pair.w_batch(np.array([[4.0, 0.0]]))[0])
+    damb = make_pair("dambrosio_power", SP, 2.0, {"alpha": 0.0, "beta": 0.0})
+    assert np.isinf(damb.v_batch(np.array([[0.0, 1.0]]))[0])
+    # a single row too close to the ball boundary or to {x = 0} rejects the batch
+    with pytest.raises(ValueError, match="ball boundary"):
+        phi_numeric(pair, np.array([[1.0, 0.0], [3.999, 0.0]]), 0.01)
+    with pytest.raises(ValueError, match="singular set"):
+        phi_numeric(pair, np.array([[1.0, 0.0], [0.01, 0.5]]), 0.01)
+
