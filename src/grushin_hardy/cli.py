@@ -152,13 +152,10 @@ def config_from_dict(data: Dict) -> RunConfig:
     field_cfg["truncation_level"] = _int(field_cfg["truncation_level"], "field.truncation_level")
 
     quad = _take(data.get("quadrature", {}), asdict(IntegrationSettings()), "quadrature")
-    if quad["rule"] is not None and not isinstance(quad["rule"], str):
-        raise ValueError("quadrature.rule must be a string")
     settings = IntegrationSettings(
         rel_tol=_num(quad["rel_tol"], "quadrature.rel_tol"),
         abs_tol=_num(quad["abs_tol"], "quadrature.abs_tol"),
         max_evals=_int(quad["max_evals"], "quadrature.max_evals"),
-        rule=quad["rule"],
     )
 
     raw_checks = data.get("checks", [])

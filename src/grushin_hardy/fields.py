@@ -94,8 +94,8 @@ class TestFieldSpec:
             raise ValueError("requires outer_rho < R on a ball domain")
         if not 0.0 < self.smoothness_margin < 0.5:
             raise ValueError("requires smoothness_margin in (0, 0.5)")
-        if self.x_floor < 0.0:
-            raise ValueError("requires x_floor >= 0")
+        if not 0.0 <= self.x_floor < self.outer_rho:
+            raise ValueError("requires 0 <= x_floor < outer_rho")
         if self.family == "bump_radial" and self.x_floor != 0.0:
             raise ValueError("bump_radial has no |x| cutoff; use bump_radial_x_cutoff")
         if self.family == "bump_radial_x_cutoff" and self.x_floor <= 0.0:
@@ -130,13 +130,11 @@ class TestField:
         band = spec.smoothness_margin * (spec.outer_rho - spec.inner_rho)
         return _window(rho, spec.inner_rho, spec.outer_rho, band)
 
-    def support_box(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Bounding box of the support: |x_i| <= outer, |y_j| <= outer^(1+g)/(1+g)."""
-        a = 1.0 + self.space.gamma
-        x_half = self.spec.outer_rho
-        y_half = self.spec.outer_rho**a / a
-        half = np.concatenate([np.full(self.space.m, x_half), np.full(self.space.k, y_half)])
-        return -half, half
+    def rho_breaks(self) -> Tuple[float, ...]:
+        """The rho values where the radial window kinks: its ends and band edges."""
+        spec = self.spec
+        band = spec.smoothness_margin * (spec.outer_rho - spec.inner_rho)
+        return (spec.inner_rho, spec.inner_rho + band, spec.outer_rho - band, spec.outer_rho)
 
     def eval_batch(
         self, pts: np.ndarray, coords: Optional[Coords] = None
@@ -232,6 +230,12 @@ class ExtremalField(TestField):
 
     def rho_of_tau(self, tau: np.ndarray) -> np.ndarray:
         return self.pair.spec.rho_of_tau(np.asarray(tau, dtype=float), self._k)
+
+    def rho_breaks(self) -> Tuple[float, ...]:
+        """The rho values of the tau window's ends and band edges."""
+        taus = np.array([0.0, self.band, self.tau_hi - self.band, self.tau_hi])
+        rhos = np.clip(self.rho_of_tau(taus), self.spec.inner_rho, self.spec.outer_rho)
+        return tuple(rhos.tolist())
 
     def window(self, tau: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Plateau window S(tau) and S'(tau)."""

@@ -6,6 +6,10 @@ reports quantitative residuals: the four-term identity, the p >= 2 and
 sharpness probes on truncated extremal fields, CKN-type interpolation
 inequalities, and HPW-type uncertainty products.
 
+Every field integral is 2-D, whatever m + k is: it runs on Grushin-polar
+pieces whose edges follow the fields' kinks (see _polar_pieces), and each
+node is lifted to a point of R^m x R^k, where fields and weights evaluate.
+
 Conventions: Df is the radial derivative, xi = v^(1/p) Df and
 eta = xi + w^(1/p) f, so xi - eta = -w^(1/p) f and every integrand is
 assembled pointwise from (f, Df, v, w, phi). Points outside the field
@@ -257,13 +261,65 @@ PRECONDITIONS: Dict[str, Callable[..., None]] = {
 }
 
 
-def _field_region(field: TestField) -> Region:
-    lows, highs = field.support_box()
-    box = tuple(zip(lows, highs))
-    x_floor = field.spec.x_floor
-    if x_floor > 0.0:
-        return Region(box=box, exclusion_radius=x_floor, exclusion_dims=field.space.m)
-    return Region(box=box)
+def _polar_pieces(fields: Sequence[TestField]):
+    """The fields' support as Grushin-polar pieces, and the lift of nodes.
+
+    Fields, weights, Df and |grad f|^2 depend on (|x|, rho) only, so every
+    integral is 2-D in r = rho cos(psi)^(1/a), s = rho^a sin(psi)/a, where
+    a = 1+gamma and dz = |S^(m-1)||S^(k-1)| r^(m-1) s^(k-1) (rho^a/a)
+    cos(psi)^(1/a-1) drho dpsi. Piece i is the unit cell [i, i+1] x [0, 1]
+    of the nodes (i + tau, t). rho runs between two cuts (the fields' window
+    breakpoints, x_floor and 2 x_floor), geometric in tau, and psi between
+    the curves |x| = r_out and |x| = r_in, psi = arccos((r0/rho)^a), linear
+    in t; so every kink lies on a cell edge and |x| < x_floor is never
+    sampled. Two square-root edges are graded away: from the apex of a kink
+    curve rho takes tau^2 for tau, and with x_floor = 0 psi runs up to pi/2
+    as (pi/2)(1 - (1-t)^a). lift gives the points (r e_1, s e_(m+1)) and
+    their Jacobians.
+    """
+    space = fields[0].space
+    m, a = space.m, 1.0 + space.gamma
+    x_floor, outer = fields[0].spec.x_floor, fields[0].spec.outer_rho
+    if any((f.spec.x_floor, f.spec.outer_rho) != (x_floor, outer) for f in fields[1:]):
+        raise ValueError("sweep fields must share one support region")
+    lo = max(min(f.spec.inner_rho for f in fields), x_floor)
+    breaks = {lo, x_floor, 2.0 * x_floor}.union(*(f.rho_breaks() for f in fields))
+    edges = sorted(b for b in breaks if lo <= b <= outer)
+    pieces = []  # (rho0, rho1, rho grading, r_out, r_in, psi grading)
+    for rho0, rho1 in zip(edges, edges[1:]):
+        if x_floor == 0.0:
+            pieces.append((rho0, rho1, 1.0, math.inf, 0.0, a))
+            continue
+        # from the apex of a kink curve psi's range grows like sqrt(rho - rho0)
+        rho_grade = 2.0 if rho0 in (x_floor, 2.0 * x_floor) else 1.0
+        if rho0 >= 2.0 * x_floor:
+            pieces.append((rho0, rho1, rho_grade, math.inf, 2.0 * x_floor, 1.0))
+        pieces.append((rho0, rho1, rho_grade, 2.0 * x_floor, x_floor, 1.0))
+    rho0, rho1, rho_grade, r_out, r_in, grade = (np.array(col) for col in zip(*pieces))
+    spheres = math.prod(2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0) for d in (m, space.k))
+
+    def lift(nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        i = np.clip(np.floor(nodes[:, 0]).astype(int), 0, len(pieces) - 1)
+        tau, t = nodes[:, 0] - i, nodes[:, 1]
+        log_ratio = np.log(rho1[i] / rho0[i])
+        rho = rho0[i] * np.exp(log_ratio * tau ** rho_grade[i])
+        d_rho = rho * log_ratio * rho_grade[i] * tau ** (rho_grade[i] - 1.0)
+        cos_hi = np.minimum(1.0, (r_in[i] / rho) ** a)
+        sin_hi = np.sqrt(1.0 - cos_hi**2)
+        width = np.arccos(cos_hi) - np.arccos(np.minimum(1.0, (r_out[i] / rho) ** a))
+        # psi = psi_hi - delta, expanded so that cos(psi) keeps its relative
+        # precision where it vanishes on the y axis
+        delta = width * (1.0 - t) ** grade[i]
+        d_psi = width * grade[i] * (1.0 - t) ** (grade[i] - 1.0)
+        cos = cos_hi * np.cos(delta) + sin_hi * np.sin(delta)
+        sin = sin_hi * np.cos(delta) - cos_hi * np.sin(delta)
+        r, s = rho * cos ** (1.0 / a), rho**a * sin / a
+        pts = np.zeros((nodes.shape[0], space.n))
+        pts[:, 0], pts[:, m] = r, s
+        jac = r ** (m - 1) * s ** (space.k - 1) * (rho**a / a) * cos ** (1.0 / a - 1.0)
+        return pts, spheres * jac * d_rho * d_psi
+
+    return Region(box=((0.0, len(pieces)), (0.0, 1.0)), cuts=tuple(range(1, len(pieces)))), lift
 
 
 class _Batch:
@@ -350,13 +406,11 @@ def _integrate_cases(
     for ci, (pair, _) in enumerate(cases):
         by_pair.setdefault(id(pair), []).append(ci)
 
-    region = _field_region(fields[0])
-    if any(_field_region(f) != region for f in fields[1:]):
-        raise ValueError("sweep fields must share one support region")
-
+    region, lift = _polar_pieces(fields)
     n_comp = n_terms * len(cases)
 
-    def integrand(pts: np.ndarray) -> np.ndarray:
+    def integrand(nodes: np.ndarray) -> np.ndarray:
+        pts, jac = lift(nodes)
         out = np.zeros((n_comp, pts.shape[0]))
         batch = _Batch(space, pts, fields)
         if batch.idx.size == 0:
@@ -369,7 +423,7 @@ def _integrate_cases(
                     row[batch.idx] = values
                 rows[:, batch.outside[slots[ci]]] = 0.0
             batch.forget(pair)
-        return out
+        return out * jac
 
     res = integrate_vector(integrand, n_comp, region, settings)
     return [res[n_terms * ci : n_terms * (ci + 1)] for ci in range(len(cases))]
@@ -432,7 +486,7 @@ def verify_identity_sweep(
     cost is paid once instead of once per case.  Each report is built from
     its own four components, sampled at identical points, so the quadrature
     error still cancels inside each residual.  All cases must live on one
-    space and the fields must share one support region.
+    space and the fields must share one outer_rho and one x_floor.
     """
     for pair, field in cases:
         _check_support(pair, field)

@@ -272,10 +272,10 @@ class WeightPair:
         self, formula: Optional[Formula], pts: np.ndarray, coords: Optional[Coords]
     ) -> np.ndarray:
         r, rho = self._prepare(pts, coords)
-        if formula is None:
-            return np.zeros_like(rho)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return formula(r, rho, self.scalars)
+            out = np.zeros_like(rho) if formula is None else formula(r, rho, self.scalars)
+        # points beyond a ball domain (rho > R) lie outside it: nan
+        return out if self.radius is None else np.where(rho > self.radius, np.nan, out)
 
     def v_batch(self, pts: np.ndarray, coords: Optional[Coords] = None) -> np.ndarray:
         """v on an (N, m+k) batch; singular or out-of-domain points give inf/nan."""

@@ -17,7 +17,6 @@ import numpy as np
 
 from grushin_hardy.cli import condition_check, divergence_check
 from grushin_hardy.cp import ConstantEstimate, CpObjectiveKind, cp_value_batch, find_constant
-from grushin_hardy.cubature import IntegrationSettings
 from grushin_hardy.fields import TestFieldSpec, build_test_field
 from grushin_hardy.geometry import SpaceParams
 from grushin_hardy.verifier import (
@@ -218,20 +217,18 @@ def test_gate_4_identity_sweep(capsys):
             worst = max(worst, abs(rep.residual) / tol)
             if abs(rep.residual) > tol:
                 failures.append(f"{label}: |residual| {abs(rep.residual):.2e} > {tol:.2e}")
-        # the window kinks keep the n = 3 error estimate above the request,
-        # so full convergence is asserted only where the mesh can deliver it
-        if space.gamma > 0 and not all(r.converged for r in reports):
+        if not all(r.converged for r in reports):
             failures.append(f"({space.m},{space.k},{space.gamma:g}): not converged")
     elapsed = time.monotonic() - t0
-    ok = not failures and elapsed < 600.0
+    ok = not failures and elapsed < 15.0
     announce(
         capsys,
         f"[gate 4/8] weighted identity sweep: {verdict(ok)}  "
         f"72 cases (4 pairs x 3 exponents x real/twisted x 3 spaces), "
-        f"worst |residual|/tol {worst:.1e}  ({elapsed:.0f}s / 600s)",
+        f"worst |residual|/tol {worst:.1e}  ({elapsed:.0f}s / 15s)",
     )
     assert not failures, failures
-    assert elapsed < 600.0
+    assert elapsed < 15.0
 
 
 def test_gate_5_weight_conditions(capsys):
@@ -366,14 +363,12 @@ def test_gate_8_interpolation_and_uncertainty(capsys):
     if not hpw.passed or hpw.constant != 1.5:
         failures.append(f"hpw log ball: left {hpw.left:.6e} right {hpw.right:.6e}")
 
-    # gamma = 0 comparison against the classical gradient form; the n = 3
-    # estimate never converges to the request on this window, so assert the
-    # inequalities from the report rather than rep.passed
+    # gamma = 0 comparison against the classical gradient form
     flat = SpaceParams(2, 1, 0.0)
     flat_field = build_test_field(flat, TestFieldSpec(family="bump_radial"))
-    hpw = verify_hpw(
-        "whole_dambrosio", 2.0, flat_field, settings=IntegrationSettings(max_evals=2_000_000)
-    )
+    hpw = verify_hpw("whole_dambrosio", 2.0, flat_field)
+    if not hpw.passed:
+        failures.append(f"hpw gamma=0: left {hpw.left:.6e} right {hpw.right:.6e}")
     cl = hpw.classical
     if cl is None or not cl["dominates"] or not cl["left"] > cl["right"]:
         failures.append("hpw gamma=0: classical comparison failed")

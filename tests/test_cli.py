@@ -206,6 +206,10 @@ _MALFORMED = st.sampled_from(
             st.sampled_from(_INTEGER_SLOTS),
             st.floats(min_value=0.01, max_value=99.0).filter(lambda x: not x.is_integer()),
         ).map(lambda kv: _with(*kv)),
+        # the cubature rule is fixed, so naming one is an unknown key
+        st.sampled_from(("gauss_kronrod_tensor", "genz_malik", None)).map(
+            lambda v: _with(("quadrature", "rule"), v)
+        ),
     ]
 ).flatmap(lambda kind: kind)
 

@@ -5,18 +5,18 @@ from math import erf
 import numpy as np
 import pytest
 
-from grushin_hardy.cubature import (
-    IntegrationSettings,
-    Region,
-    integrate,
-    integrate_vector,
-)
+from grushin_hardy.cubature import IntegrationSettings, Region, integrate_vector
 from grushin_hardy.fields import TestFieldSpec, build_test_field
 from grushin_hardy.geometry import SpaceParams
 
 from oracles import simpson_grid_integral
 
 UNIT_SQUARE = Region(box=((0.0, 1.0), (0.0, 1.0)))
+
+
+def integrate(integrand, region, settings=None):
+    """Adaptive integral of one batch integrand (pts (N,n) -> (N,))."""
+    return integrate_vector(lambda pts: integrand(pts)[None, :], 1, region, settings)[0]
 
 
 def test_constant_over_unit_square():
@@ -50,44 +50,17 @@ def test_gaussian_3d_against_error_function():
     assert abs(res.value / exact - 1.0) <= 1e-8
 
 
-def test_genz_malik_degree_7_exact():
-    region = Region(box=((0.0, 1.0),) * 4)
-    res = integrate(lambda p: p[:, 0] ** 7, region)
-    assert abs(res.value - 0.125) <= 1e-14
-    res = integrate(lambda p: (p**2).sum(axis=1), region)
-    assert abs(res.value - 4.0 / 3.0) <= 1e-14
-
-
-def test_genz_malik_gaussian_4d():
-    region = Region(box=((0.0, 1.0),) * 4)
-    res = integrate(lambda p: np.exp(-(p**2).sum(axis=1)), region)
-    exact = (np.sqrt(np.pi) / 2.0 * erf(1.0)) ** 4
-    assert res.converged
-    assert abs(res.value / exact - 1.0) <= 1e-8
-
-
-def test_rule_override_matches_default():
-    region = Region(box=((0.0, 1.0), (0.0, 2.0)))
-
-    def f(p):
-        return np.exp(-p[:, 0]) * np.cos(p[:, 1])
-
-    gk = integrate(f, region)
-    gm = integrate(f, region, IntegrationSettings(rule="genz_malik"))
-    assert abs(gk.value - gm.value) <= gk.error_estimate + gm.error_estimate + 1e-13
-
-
 def test_settings_and_region_validation():
     with pytest.raises(ValueError, match="lo < hi"):
         Region(box=((1.0, 0.0),))
-    with pytest.raises(ValueError, match="between 1 and 4"):
+    with pytest.raises(ValueError, match="between 1 and 3"):
         Region(box=())
-    with pytest.raises(ValueError, match="between 1 and 4"):
-        Region(box=((0.0, 1.0),) * 5)
-    with pytest.raises(ValueError, match="exclusion_radius"):
-        Region(box=((0.0, 1.0),), exclusion_radius=-1.0)
-    with pytest.raises(ValueError, match="exclusion_dims"):
-        Region(box=((0.0, 1.0),), exclusion_dims=2)
+    with pytest.raises(ValueError, match="between 1 and 3"):
+        Region(box=((0.0, 1.0),) * 4)
+    for bad in ((0.0,), (1.0,), (0.5, 2.0)):
+        with pytest.raises(ValueError, match="cuts"):
+            Region(box=((0.0, 1.0),), cuts=bad)
+    assert Region(box=((0.0, 1.0),), cuts=(0.5, 0.25, 0.5)).cuts == (0.25, 0.5)
     with pytest.raises(ValueError, match="tolerances"):
         IntegrationSettings(rel_tol=0.0)
     for bad in (float("nan"), float("inf")):
@@ -97,25 +70,53 @@ def test_settings_and_region_validation():
             IntegrationSettings(abs_tol=bad)
     with pytest.raises(ValueError, match="max_evals"):
         IntegrationSettings(max_evals=0)
-    with pytest.raises(ValueError, match="unknown rule"):
-        IntegrationSettings(rule="monte_carlo")
-    with pytest.raises(ValueError, match="dimension >= 2"):
-        integrate(
-            lambda p: np.ones(len(p)),
-            Region(box=((0.0, 1.0),)),
-            IntegrationSettings(rule="genz_malik"),
-        )
+    # the tensor rule is the only one: not an option, still readable
+    with pytest.raises(TypeError):
+        IntegrationSettings(rule="genz_malik")
+    assert IntegrationSettings().rule == "gauss_kronrod_tensor"
+
+
+def test_cut_on_a_kink_costs_one_cell_per_piece():
+    def kink(p):
+        return np.abs(p[:, 0] - 0.3) * (1.0 + p[:, 1])
+
+    box = ((0.0, 1.0), (0.0, 1.0))
+    exact = (0.3**2 + 0.7**2) / 2.0 * 1.5
+    cut = integrate(kink, Region(box=box, cuts=(0.3,)))
+    plain = integrate(kink, Region(box=box))
+    assert cut.converged and cut.evals == 2 * 225
+    assert abs(cut.value - exact) <= 1e-14
+    assert plain.evals > 10 * cut.evals
+    assert abs(plain.value - exact) <= plain.error_estimate + 1e-14
+
+
+def test_pieces_refine_against_one_global_tolerance():
+    # a piece whose share of the total is far below rel_tol of the total
+    # needs no refinement of its own
+    def f(p):
+        u = p[:, 0]
+        return np.where(u < 1.0, 1e-9 * np.abs(u - 0.3) ** 0.5, np.exp(u))
+
+    settings = IntegrationSettings(rel_tol=1e-6, abs_tol=1e-300)
+    res = integrate(f, Region(box=((0.0, 2.0),), cuts=(1.0,)), settings)
+    exact = 1e-9 * (2.0 / 3.0) * (0.3**1.5 + 0.7**1.5) + np.exp(2.0) - np.e
+    assert res.converged
+    assert res.evals == 2 * 15
+    assert abs(res.value - exact) <= 1e-6 * exact
 
 
 def _bump_mass_integrand(space, spec):
+    """|f|^2 of a bump field and the box |x_i| <= outer, |y_j| <= outer^a/a
+    around its support."""
     field = build_test_field(space, spec)
 
     def f(pts):
         vals, _ = field.eval_batch(pts)
         return np.abs(vals) ** 2
 
-    lows, highs = field.support_box()
-    return f, lows, highs
+    a = 1.0 + space.gamma
+    half = np.repeat([spec.outer_rho, spec.outer_rho**a / a], [space.m, space.k])
+    return f, -half, half
 
 
 def test_bump_mass_matches_fixed_grid_oracle():
@@ -176,19 +177,6 @@ def test_dilation_change_of_variables():
     res = integrate(dilated, Region(box=box))
     expected = base.value * lam**-space.Q
     assert abs(res.value / expected - 1.0) <= 1e-8
-
-
-def test_exclusion_tube_drops_interior_cells():
-    space = SpaceParams(m=1, k=1, gamma=1.0)
-    spec = TestFieldSpec(
-        family="bump_radial_x_cutoff", inner_rho=0.5, outer_rho=2.0, x_floor=0.3
-    )
-    f, lows, highs = _bump_mass_integrand(space, spec)
-    box = tuple(zip(lows, highs))
-    plain = integrate(f, Region(box=box))
-    tube = integrate(f, Region(box=box, exclusion_radius=0.3, exclusion_dims=space.m))
-    assert tube.evals <= plain.evals
-    assert abs(tube.value - plain.value) <= plain.error_estimate + tube.error_estimate
 
 
 def test_max_evals_exhaustion_reports_not_converged():

@@ -78,6 +78,9 @@ def test_spec_validation():
         TestFieldSpec(family="bump_radial", smoothness_margin=0.5)
     with pytest.raises(ValueError, match="x_floor"):
         TestFieldSpec(family="phase_twisted", x_floor=-1.0)
+    # |x| <= rho, so a floor at or beyond outer_rho leaves an empty support
+    with pytest.raises(ValueError, match="x_floor < outer_rho"):
+        TestFieldSpec(family="bump_radial_x_cutoff", x_floor=2.0)
     with pytest.raises(ValueError, match="bump_radial_x_cutoff"):
         TestFieldSpec(family="bump_radial", x_floor=0.5)
     with pytest.raises(ValueError, match="requires x_floor > 0"):

@@ -1,15 +1,18 @@
 """Verifier operations: identity, remainders, sharpness, CKN, HPW."""
 
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import beta as beta_fn
 
 from grushin_hardy.cp import ConstantEstimate
-from grushin_hardy.cubature import IntegrationSettings
+from grushin_hardy.cubature import IntegrationSettings, Region, integrate_vector
 from grushin_hardy.fields import TestField, TestFieldSpec, build_test_field
-from grushin_hardy.geometry import SpaceParams
+from grushin_hardy.geometry import SpaceParams, radial_coords
 from grushin_hardy.verifier import (
     CknParams,
     sharpness_probe,
@@ -234,6 +237,120 @@ def test_support_validation():
         verify_identity(pair, no_floor)
 
 
+# -- Grushin-polar pieces ---------------------------------------------------
+
+
+def _sphere_area(d):
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+
+
+def _radial_oracle(space, profile, lo, hi, beta, points=()):
+    """Exact integral of V(rho) (|x|/rho)^beta over R^m x R^k as a 1-D integral:
+    |S^(m-1)||S^(k-1)| a^(-k) B((m+beta)/(2a), k/2)/2 * int V rho^(Q-1) drho."""
+    a = 1.0 + space.gamma
+    angular = beta_fn((space.m + beta) / (2.0 * a), space.k / 2.0) / 2.0
+    radial, _ = quad(
+        lambda rho: profile(rho) * rho ** (space.Q - 1.0),
+        lo,
+        hi,
+        points=points,
+        epsabs=0.0,
+        epsrel=1e-13,
+        limit=500,
+    )
+    return _sphere_area(space.m) * _sphere_area(space.k) * a**-space.k * angular * radial
+
+
+ORACLE_SPACES = (SpaceParams(2, 1, 0.0), SpaceParams(1, 2, 1.5), SpaceParams(1, 1, 3.0))
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=str)
+def test_polar_terms_match_beta_function_oracle(space):
+    # x_floor = 0: psi runs up to the y axis, where the graded map keeps the
+    # Jacobian bounded; integer beta keeps (|x|/rho)^beta smooth there
+    field = build_test_field(
+        space, TestFieldSpec(family="bump_radial", inner_rho=0.5, outer_rho=2.0)
+    )
+    betas = (0.0, 1.0, 2.0)
+
+    def terms(b, _pair, f):
+        r, rho = b.coords
+        mass = b.power("vals", f, 2.0)
+        return [mass * (r / rho) ** beta for beta in betas]
+
+    settings = IntegrationSettings(rel_tol=1e-12, abs_tol=1e-300)
+    (res,) = verifier._integrate_cases([(None, field)], len(betas), terms, settings)
+
+    def amplitude_sq(rho):
+        pt = np.zeros((1, space.n))
+        pt[0, 0] = rho
+        return abs(field.eval_batch(pt)[0][0]) ** 2
+
+    for beta, r in zip(betas, res):
+        exact = _radial_oracle(space, amplitude_sq, 0.5, 2.0, beta, field.rho_breaks()[1:3])
+        assert r.converged
+        assert abs(r.value - exact) <= 1e-11 * exact, (beta, r.value, exact)
+
+
+@pytest.mark.parametrize("x_floor", (0.0, 0.125, 0.3))
+def test_polar_pieces_put_cutoff_kinks_on_edges(x_floor):
+    space = SpaceParams(2, 1, 1.0)
+    family = "bump_radial_x_cutoff" if x_floor else "bump_radial"
+    field = build_test_field(space, TestFieldSpec(family=family, inner_rho=0.5, x_floor=x_floor))
+    region, lift = verifier._polar_pieces([field])
+    n_pieces = int(region.box[0][1])
+    rng = np.random.default_rng(3)
+    for i in range(n_pieces):
+        nodes = np.column_stack([i + rng.uniform(0.0, 1.0, 400), rng.uniform(0.0, 1.0, 400)])
+        pts, jac = lift(nodes)
+        r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
+        assert np.all(jac > 0.0)
+        assert np.all((rho >= 0.5 - 1e-12) & (rho <= 2.0 + 1e-12))
+        # |x| < x_floor is never sampled, and no piece straddles |x| = 2 x_floor
+        assert np.all(r >= x_floor * (1.0 - 1e-12))
+        if x_floor:
+            assert np.all(r >= 2.0 * x_floor * (1 - 1e-12)) or np.all(
+                r <= 2.0 * x_floor * (1 + 1e-12)
+            )
+    if x_floor == 0.0:
+        # the Jacobian alone integrates to the volume of the shell
+        (vol,) = integrate_vector(
+            lambda n: lift(n)[1][None, :], 1, region, IntegrationSettings(rel_tol=1e-12)
+        )
+        exact = _radial_oracle(space, lambda rho: 1.0, 0.5, 2.0, 0.0)
+        assert abs(vol.value - exact) <= 1e-11 * exact
+
+
+@pytest.mark.parametrize("space", (SpaceParams(1, 1, 1.0), SpaceParams(1, 1, 2.0)), ids=str)
+def test_polar_identity_terms_match_cartesian_cubature(space):
+    pair = make_pair("nch_ball", space, 3.0, {"R": 4.0})
+    field = annulus_field(space)
+    settings = IntegrationSettings(rel_tol=1e-8)
+    (polar,) = verifier._integrate_cases([(pair, field)], 4, verifier._identity_terms, settings)
+
+    def cartesian(pts):
+        out = np.zeros((4, pts.shape[0]))
+        b = verifier._Batch(space, pts, [field])
+        if b.idx.size:
+            out[:, b.idx] = verifier._identity_terms(b, pair, 0)
+        return out
+
+    a = 1.0 + space.gamma
+    box = ((-2.0, 2.0), (-(2.0**a) / a, 2.0**a / a))  # around the support rho <= 2
+    cart = integrate_vector(cartesian, 4, Region(box=box), settings)
+    for p_res, c_res in zip(polar, cart):
+        assert p_res.converged and c_res.converged
+        assert abs(p_res.value - c_res.value) <= p_res.error_estimate + c_res.error_estimate
+
+
+@pytest.mark.parametrize("space", (SpaceParams(2, 2, 1.0), SpaceParams(3, 2, 1.0)), ids=str)
+def test_identity_in_four_and_five_dimensions(space):
+    # every term is 2-D in (rho, psi), whatever m + k is
+    pair = make_pair("dambrosio_power", space, 2.0, {"alpha": 0.0, "beta": 0.0})
+    rep = verify_identity(pair, annulus_field(space), IntegrationSettings(max_evals=3_000_000))
+    assert rep.converged and rep.passed
+
+
 # -- inequality -------------------------------------------------------------
 
 
@@ -412,9 +529,8 @@ def test_hpw_classical_gamma_zero():
     field = build_test_field(
         space, TestFieldSpec(family="bump_radial", inner_rho=0.5, outer_rho=2.0)
     )
-    # the bump's window kinks keep the n=3 error estimate above rel 1e-8 at
-    # any affordable budget; assert the inequalities, not convergence
-    rep = verify_hpw("whole_dambrosio", 2.0, field, settings=IntegrationSettings(max_evals=2_000_000))
+    rep = verify_hpw("whole_dambrosio", 2.0, field)
+    assert rep.converged and rep.passed
     assert rep.classical is not None
     assert rep.classical["dominates"]
     assert rep.classical["grad_full"] == pytest.approx(rep.grad_term, rel=1e-6)

@@ -180,6 +180,14 @@ def test_batch_evaluator_guards():
     # singular points give non-finite values: w at the ball boundary, and
     # v of the power pair on {x = 0}
     assert np.isinf(pair.w_batch(np.array([[4.0, 0.0]]))[0])
+    # beyond the ball (rho > R) v, w and phi are nan, also where phi is identically 0
+    outside = np.array([[5.0, 0.0], [1.0, 0.0]])
+    log_pair = make_pair("log_ball", SP, 2.0, {"alpha": -3.0, "R": 4.0})
+    for evaluate in (pair.v_batch, pair.w_batch, pair.phi_batch, log_pair.v_batch):
+        values = evaluate(outside)
+        assert np.isnan(values[0]) and np.isfinite(values[1])
+    darca = make_pair("darca_power", SP, 2.0, {"theta": 0.5, "alpha": 1.0, "R": 4.0})
+    assert np.isnan(darca.phi_batch(outside)[0]) and darca.phi_batch(outside)[1] == 0.0
     damb = make_pair("dambrosio_power", SP, 2.0, {"alpha": 0.0, "beta": 0.0})
     assert np.isinf(damb.v_batch(np.array([[0.0, 1.0]]))[0])
     # a single row too close to the ball boundary or to {x = 0} rejects the batch
