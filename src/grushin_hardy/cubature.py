@@ -1,20 +1,25 @@
 """Deterministic adaptive cubature over boxes in up to three dimensions.
 
 Cells are refined largest-error-first with the embedded error estimate of
-a tensor Gauss-Kronrod 7/15 rule. A region may cut its box on axis 0 into
-pieces; every piece starts as one cell, and all cells are refined from one
-heap against one global tolerance, so a kink on a cut needs no refinement.
+a tensor Gauss-Kronrod 7/15 rule. A cell is halved on the axis whose own
+Kronrod-minus-Gauss difference is largest (the same nodes, so the choice
+costs no evaluation): a kink or edge singularity along one axis is refined
+only across it. A region may cut its box on axis 0 into pieces; every
+piece starts as one cell, and all cells are refined from one heap against
+one global tolerance, so a kink on a cut needs no refinement.
 The refinement order is fixed by (error, cell id) and the final reduction
 is a pairwise sum over cells in id order, so results are bit-identical
 across runs; cell evaluations are batched, and nothing in the reduction
 depends on evaluation order.
 
 Integrands are batch callables mapping an (N, n) coordinate array to (N,)
-real or complex values.
+real or complex values. A non-finite value stops the integration with a
+ValueError that names the component and the node.
 """
 
 import heapq
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from typing import Callable, ClassVar, List, Optional, Tuple
 
@@ -63,8 +68,9 @@ _WG = np.array(
 
 _NODES_1D = np.concatenate([-_XGK[:7], [0.0], _XGK[6::-1]])
 _W15_1D = np.concatenate([_WGK[:7], [_WGK[7]], _WGK[6::-1]])
-_W7_1D = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
-_GAUSS_IDX_1D = np.arange(1, 15, 2)
+# the Gauss nodes are the odd-numbered Kronrod nodes; zero at the others
+_W7_1D = np.zeros(15)
+_W7_1D[1::2] = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
 
 
 @dataclass(frozen=True)
@@ -115,35 +121,31 @@ class IntegralResult:
 
 
 class _TensorGaussKronrod:
+    """Tensor Kronrod-15 rule with its embedded Gauss-7 rule and one
+    per-axis error row.
+
+    The rows of ``weights`` are the tensor Kronrod weights, the tensor Gauss
+    weights (zero at the Kronrod-only nodes), and for each axis j the tensor
+    with the Kronrod-minus-Gauss difference on axis j and Kronrod weights on
+    the others. Row 2+j estimates the error that axis j carries, so a cell
+    is split on the axis with the largest one.
+    """
+
     def __init__(self, dim: int):
         self.points = np.array(list(product(_NODES_1D, repeat=dim)))
-        w15 = np.ones(1)
-        w7 = np.ones(1)
-        for _ in range(dim):
-            w15 = np.outer(w15, _W15_1D).ravel()
-        self.w15 = w15
-        base = len(_NODES_1D)
-        gauss_flat = []
-        for idx in product(_GAUSS_IDX_1D, repeat=dim):
-            flat = 0
-            for i in idx:
-                flat = flat * base + i
-            gauss_flat.append(flat)
-        self.gauss_flat = np.array(gauss_flat)
-        for _ in range(dim):
-            w7 = np.outer(w7, _W7_1D).ravel()
-        self.w7 = w7
         self.points_per_cell = self.points.shape[0]
+        rows = [[_W15_1D] * dim, [_W7_1D] * dim]
+        rows += [[_W15_1D - _W7_1D if i == j else _W15_1D for i in range(dim)] for j in range(dim)]
+        self.weights = np.array([reduce(np.multiply.outer, factors).ravel() for factors in rows])
 
     def apply(
         self, values: np.ndarray, halves: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """values: (B, P, C) on the tensor grid; returns (vals, errs, split_axis)."""
-        vol = np.prod(halves, axis=1)
-        i15 = np.einsum("bpc,p->bc", values, self.w15) * vol[:, None]
-        i7 = np.einsum("bpc,p->bc", values[:, self.gauss_flat, :], self.w7) * vol[:, None]
-        errs = np.abs(i15 - i7)
-        split = np.argmax(halves, axis=1)
+        sums = np.matmul(self.weights, values) * np.prod(halves, axis=1)[:, None, None]
+        i15 = sums[:, 0]
+        errs = np.abs(i15 - sums[:, 1])
+        split = np.argmax(np.abs(sums[:, 2:]).max(axis=2), axis=1)
         return i15, errs, split
 
 
@@ -184,6 +186,12 @@ def integrate_vector(
         if out.shape != (n_components, flat.shape[0]):
             raise ValueError(
                 f"integrand returned shape {out.shape}, expected {(n_components, flat.shape[0])}"
+            )
+        bad = ~np.isfinite(out)
+        if bad.any():
+            comp, node = np.argwhere(bad)[0]
+            raise ValueError(
+                f"integrand component {comp} is {out[comp, node]} at node {tuple(flat[node].tolist())}"
             )
         values = np.moveaxis(out.reshape(n_components, cs.shape[0], -1), 0, 2)
         return rule.apply(values, hs)

@@ -179,6 +179,39 @@ def test_dilation_change_of_variables():
     assert abs(res.value / expected - 1.0) <= 1e-8
 
 
+@pytest.mark.parametrize("axis", (0, 1))
+def test_split_follows_the_axis_with_the_error(axis):
+    # a kink along one axis of the square costs the 1-D mesh times the 15
+    # nodes of the smooth axis: no cell is ever split along the kink
+    settings = IntegrationSettings(rel_tol=1e-10, max_evals=1_000_000)
+
+    def g(u):
+        return np.sqrt(np.abs(u - 1.0 / 3.0))
+
+    line = integrate(lambda p: g(p[:, 0]), Region(box=((0.0, 1.0),)), settings)
+    square = integrate(lambda p: g(p[:, axis]), UNIT_SQUARE, settings)
+    assert line.converged and square.converged
+    assert square.evals == 15 * line.evals
+    assert abs(square.value - line.value) <= square.error_estimate + line.error_estimate
+
+
+def test_non_finite_integrand_stops_at_the_first_batch():
+    calls = []
+
+    def f(p):
+        calls.append(len(p))
+        out = np.stack([np.ones(len(p)), p[:, 0] * p[:, 1]])
+        out[1, 7] = np.nan
+        return out
+
+    with pytest.raises(ValueError, match=r"component 1 is nan at node \(") as info:
+        integrate_vector(f, 2, UNIT_SQUARE)
+    assert len(calls) == 1
+    # the node is named in region coordinates: the eighth node of the one cell
+    node = 0.5 + 0.5 * np.array([-0.991455371120813, 0.0])
+    assert str(tuple(node.tolist())) in str(info.value)
+
+
 def test_max_evals_exhaustion_reports_not_converged():
     # a budget of ~20 cells cannot localize the kink tightly enough for
     # rel 1e-14, so the run must stop on evals and say so

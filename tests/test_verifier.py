@@ -85,6 +85,15 @@ def test_identity_dambrosio_p2():
     assert rep.lhs == pytest.approx(rep.w_term + rep.cp_term, rel=1e-6)
 
 
+def test_identity_with_edge_singular_weight_converges():
+    # w ~ (|x|/rho)^0.5 is singular along the whole psi = pi/2 edge; cells
+    # split across that edge only, so the default budget suffices
+    space = SpaceParams(1, 1, 0.0)
+    pair = make_pair("dambrosio_power", space, 2.0, {"alpha": 0.0, "beta": 0.5})
+    rep = verify_identity(pair, annulus_field(space, x_floor=0.0))
+    assert rep.converged and rep.passed
+
+
 def test_identity_nch_p3_has_positive_phi():
     pair = make_pair("nch_ball", SP, 3.0, {"R": 4.0})
     rep = verify_identity(pair, annulus_field(SP))
@@ -267,11 +276,12 @@ ORACLE_SPACES = (SpaceParams(2, 1, 0.0), SpaceParams(1, 2, 1.5), SpaceParams(1, 
 @pytest.mark.parametrize("space", ORACLE_SPACES, ids=str)
 def test_polar_terms_match_beta_function_oracle(space):
     # x_floor = 0: psi runs up to the y axis, where the graded map keeps the
-    # Jacobian bounded; integer beta keeps (|x|/rho)^beta smooth there
+    # Jacobian bounded; beta = 0.5 leaves (|x|/rho)^beta singular along that
+    # whole edge, so the cells must split across it only
     field = build_test_field(
         space, TestFieldSpec(family="bump_radial", inner_rho=0.5, outer_rho=2.0)
     )
-    betas = (0.0, 1.0, 2.0)
+    betas = (0.0, 0.5, 1.0, 2.0)
 
     def terms(b, _pair, f):
         r, rho = b.coords
