@@ -29,11 +29,17 @@ miss a value approached only at the ends of the radius range.
 
 The search itself is a dense polar grid (with an exact r = 1 ring for the
 c3_min branch seam) followed by Nelder-Mead refinement restarted from the
-best grid cells.
+best grid cells.  N and every denominator depend on t only through t^2, so
+each quotient is even in t and the grid covers only the upper half circle
+theta in [0, pi], both ends included: the lower half repeats its values.
+The grid is scored by the array evaluator `_quotient`; every single-point
+evaluation (the refinement, the half-cell probes, the c3_min circle search)
+goes through `objective`, the same arithmetic on Python floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -163,6 +169,7 @@ def _numerator(p: float, s: np.ndarray, r2: np.ndarray) -> np.ndarray:
 
 
 def _quotient(kind: CpObjectiveKind, s: np.ndarray, t: np.ndarray, r2: Optional[np.ndarray] = None) -> np.ndarray:
+    """The remainder quotient on arrays: the grid scan's evaluator."""
     if r2 is None:
         r2 = s * s + t * t
     p = kind.p
@@ -178,10 +185,46 @@ def _quotient(kind: CpObjectiveKind, s: np.ndarray, t: np.ndarray, r2: Optional[
 
 
 def objective(kind: CpObjectiveKind, s: float, t: float) -> float:
-    """The remainder quotient at a single point (s, t) != (0, 0)."""
+    """The remainder quotient at a single point (s, t) != (0, 0).
+
+    The same arithmetic as the grid's array evaluator `_quotient`, on Python
+    floats: a single point costs no array set-up, which is what the simplex
+    refinement, the half-cell probes and the c3_min circle search call.
+    Returns nan where the float arithmetic overflows or underflows to 0/0.
+    """
     if s == 0.0 and t == 0.0:
         raise ValueError("(s, t) = (0, 0) is excluded from the quotient domain")
-    return float(_quotient(kind, np.asarray([s], dtype=float), np.asarray([t], dtype=float))[0])
+    p = kind.p
+    a = 0.5 * p
+    r2 = s * s + t * t
+    g = 2.0 * s + r2
+    try:
+        if abs(g) <= 0.1:
+            # the binomial series of _numerator, stopped by the same test
+            coef = a * (a - 1.0) / 2.0
+            power = g * g
+            total = coef * power
+            c = coef
+            for j in range(2, 40):
+                c = c * (a - j) / (j + 1.0)
+                power = power * g
+                term = c * power
+                total = total + term
+                if not abs(term) > 1e-17 * (abs(total) + 1e-300):
+                    break
+            num = a * r2 + total
+        else:
+            num = math.pow(max(1.0 + g, 0.0), a) - 1.0 - p * s
+        if kind.kind == "cp_pge2":
+            den = math.pow(r2, a)
+        elif kind.kind in ("c1_inf", "c2_sup"):
+            mod_u = math.sqrt(max(1.0 + 2.0 * s + r2, 0.0))
+            den = math.pow(mod_u + 1.0, p - 2.0) * r2
+        else:
+            den = math.pow(r2, a) if r2 >= 1.0 else r2
+        return num / den
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
 
 
 def stated_range(kind: CpObjectiveKind) -> Tuple[float, float]:
@@ -218,12 +261,13 @@ def _limit_candidates(kind: CpObjectiveKind) -> List[float]:
 
 def _refine_point(kind: CpObjectiveKind, sign: float, s0: float, t0: float) -> Tuple[float, float, float]:
     def score(st: np.ndarray) -> float:
-        if st[0] == 0.0 and st[1] == 0.0:
-            return np.inf
-        q = _quotient(kind, np.asarray([st[0]]), np.asarray([st[1]]))[0]
-        if not np.isfinite(q):
-            return np.inf
-        return sign * float(q)
+        s, t = st.tolist()
+        if s == 0.0 and t == 0.0:
+            return math.inf
+        q = objective(kind, s, t)
+        if not math.isfinite(q):
+            return math.inf
+        return sign * q
 
     res = minimize(
         score,
@@ -242,6 +286,10 @@ def _refine_point(kind: CpObjectiveKind, sign: float, s0: float, t0: float) -> T
 def find_constant(kind: CpObjectiveKind) -> ConstantEstimate:
     """Global polar-grid search plus simplex refinement for one constant.
 
+    The grid spans the upper half circle only, as the quotient is even in t;
+    it is scored on arrays by `_quotient`, and the refinement and the probes
+    evaluate single points with `objective`.
+
     The returned bracket is [value - slack, grid_best + span] for infima
     (mirrored for c2_sup). Any sampled quotient value bounds an infimum from
     above, so the grid end is rigorous up to `span`: the quotient probed one
@@ -251,7 +299,8 @@ def find_constant(kind: CpObjectiveKind) -> ConstantEstimate:
     """
     sign = -1.0 if kind.kind == "c2_sup" else 1.0
 
-    theta = np.linspace(0.0, 2.0 * np.pi, _THETA_SAMPLES, endpoint=False)
+    # theta in [0, pi], both ends included: the quotient is even in t
+    theta = np.linspace(0.0, 2.0 * np.pi, _THETA_SAMPLES, endpoint=False)[: _THETA_SAMPLES // 2 + 1]
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     d = _RADIUS_DECADES
     n_r = 2 * d * _RADIUS_PER_DECADE + 1
@@ -284,9 +333,10 @@ def find_constant(kind: CpObjectiveKind) -> ConstantEstimate:
         extensions += 1
 
     flat_scores = score_grid.ravel()
-    order = np.argsort(flat_scores)
+    best = np.argpartition(flat_scores, _RESTARTS - 1)[:_RESTARTS]
+    order = best[np.argsort(flat_scores[best])]
     grid_best_score = float(flat_scores[order[0]])
-    starts = [int(i) for i in order[:_RESTARTS]]
+    starts = [int(i) for i in order]
     if kind.kind == "c3_min":
         # make sure both branch regions and the seam contribute a start
         r_flat = np.sqrt(s_grid.ravel() ** 2 + t_grid.ravel() ** 2)
@@ -306,14 +356,14 @@ def find_constant(kind: CpObjectiveKind) -> ConstantEstimate:
     if kind.kind == "c3_min":
         # 1-d refinement along the unit circle, where the two branches meet
         circle = minimize_scalar(
-            lambda th: float(_quotient(kind, np.asarray([np.cos(th)]), np.asarray([np.sin(th)]))[0]),
+            lambda th: objective(kind, math.cos(th), math.sin(th)),
             bounds=(0.0, 2.0 * np.pi),
             method="bounded",
             options={"xatol": 1e-12},
         )
         if float(circle.fun) < best_score:
             best_score = float(circle.fun)
-            best_s, best_t = float(np.cos(circle.x)), float(np.sin(circle.x))
+            best_s, best_t = math.cos(circle.x), math.sin(circle.x)
 
     for lim in _limit_candidates(kind):
         if sign * lim < best_score:
@@ -323,19 +373,19 @@ def find_constant(kind: CpObjectiveKind) -> ConstantEstimate:
     # probe one half grid cell around the reported argument; the worst of the
     # probes bounds how far any equally fine sampling can sit from the extremum
     span = 0.0
-    r_arg = float(np.hypot(best_s, best_t))
-    if r_arg > 0.0 and np.isfinite(best_score):
-        th_arg = float(np.arctan2(best_t, best_s))
-        h_log = np.log(10.0) / (2.0 * _RADIUS_PER_DECADE)
-        h_th = np.pi / _THETA_SAMPLES
+    r_arg = math.hypot(best_s, best_t)
+    if r_arg > 0.0 and math.isfinite(best_score):
+        th_arg = math.atan2(best_t, best_s)
+        h_log = math.log(10.0) / (2.0 * _RADIUS_PER_DECADE)
+        h_th = math.pi / _THETA_SAMPLES
         for dr in (-h_log, 0.0, h_log):
             for dth in (-h_th, 0.0, h_th):
                 if dr == 0.0 and dth == 0.0:
                     continue
-                rr = r_arg * np.exp(dr)
+                rr = r_arg * math.exp(dr)
                 tt = th_arg + dth
-                q = sign * float(_quotient(kind, np.asarray([rr * np.cos(tt)]), np.asarray([rr * np.sin(tt)]))[0])
-                if np.isfinite(q):
+                q = sign * objective(kind, rr * math.cos(tt), rr * math.sin(tt))
+                if math.isfinite(q):
                     span = max(span, q - best_score)
 
     value = sign * best_score

@@ -19,7 +19,7 @@ ValueError that names the component and the node.
 
 import heapq
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from typing import Callable, ClassVar, List, Optional, Tuple
 
@@ -137,6 +137,9 @@ class _TensorGaussKronrod:
         rows = [[_W15_1D] * dim, [_W7_1D] * dim]
         rows += [[_W15_1D - _W7_1D if i == j else _W15_1D for i in range(dim)] for j in range(dim)]
         self.weights = np.array([reduce(np.multiply.outer, factors).ravel() for factors in rows])
+        # one instance serves every integration of its dimension (_rule)
+        self.points.flags.writeable = False
+        self.weights.flags.writeable = False
 
     def apply(
         self, values: np.ndarray, halves: np.ndarray
@@ -147,6 +150,12 @@ class _TensorGaussKronrod:
         errs = np.abs(i15 - sums[:, 1])
         split = np.argmax(np.abs(sums[:, 2:]).max(axis=2), axis=1)
         return i15, errs, split
+
+
+@lru_cache(maxsize=None)
+def _rule(dim: int) -> _TensorGaussKronrod:
+    """The shared rule for one dimension; Region bounds dim to 1..3."""
+    return _TensorGaussKronrod(dim)
 
 
 def _initial_cells(region: Region) -> Tuple[np.ndarray, np.ndarray]:
@@ -177,7 +186,7 @@ def integrate_vector(
         settings = IntegrationSettings()
     if n_components < 1:
         raise ValueError("n_components must be >= 1")
-    rule = _TensorGaussKronrod(region.dim)
+    rule = _rule(region.dim)
 
     def evaluate(cs: np.ndarray, hs: np.ndarray):
         pts = cs[:, None, :] + hs[:, None, :] * rule.points[None, :, :]

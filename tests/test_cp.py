@@ -9,6 +9,7 @@ import pytest
 from grushin_hardy.cp import (
     ConstantEstimate,
     CpObjectiveKind,
+    _quotient,
     cp_value,
     cp_value_batch,
     find_constant,
@@ -101,6 +102,51 @@ def test_objective_examples():
     assert objective(k1, 0.0, 1e-4) == pytest.approx(1.5 / 2**0.5, rel=1e-3)
     with pytest.raises(ValueError):
         objective(kind2, 0.0, 0.0)
+    # float overflow (r^2 = 1e300) and underflow (r^2 = 0) give nan, as the
+    # array evaluator does, instead of raising
+    k3 = CpObjectiveKind("cp_pge2", 3.0)
+    for s in (1e150, 1e-170):
+        assert np.isnan(objective(k3, s, 0.0))
+        with np.errstate(all="ignore"):
+            assert np.isnan(_quotient(k3, np.array([s]), np.array([0.0]))[0])
+
+
+SAMPLE_KINDS = [
+    CpObjectiveKind("cp_pge2", 3.0),
+    CpObjectiveKind("c1_inf", 1.5),
+    CpObjectiveKind("c2_sup", 1.25),
+    CpObjectiveKind("c3_min", 1.75),
+]
+
+
+@pytest.mark.parametrize("kind", SAMPLE_KINDS, ids=lambda k: k.kind)
+def test_objective_matches_array_evaluator(kind):
+    # the single-point evaluator serves the refinement, the grid's array
+    # evaluator serves the scan; both must give one quotient
+    rng = np.random.default_rng(108)
+    n = 20000
+    r = np.concatenate([10.0 ** rng.uniform(-6.0, 6.0, n), rng.uniform(1e-3, 0.04, n)])
+    theta = rng.uniform(-np.pi, np.pi, 2 * n)
+    s, t = r * np.cos(theta), r * np.sin(theta)
+    g = 2.0 * s + r * r
+    # both numerator branches and both c3_min branches are sampled
+    assert (np.abs(g) <= 0.1).sum() > n // 2 and (np.abs(g) > 0.1).sum() > n // 2
+    assert (r < 1.0).sum() > n and (r >= 1.0).sum() > n // 4
+    want = _quotient(kind, s, t)
+    got = np.array([objective(kind, a, b) for a, b in zip(s.tolist(), t.tolist())])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    # the half-circle scan relies on the exact symmetry in t
+    mirrored = np.array([objective(kind, a, -b) for a, b in zip(s.tolist(), t.tolist())])
+    assert np.array_equal(mirrored, got)
+
+
+@pytest.mark.parametrize("kind", SAMPLE_KINDS, ids=lambda k: k.kind)
+def test_find_constant_returns_builtin_types(kind):
+    # report fields built from these go straight into json.dumps
+    est = find_constant(kind)
+    for x in (est.value, est.argmin_s, est.argmin_t, *est.bracket):
+        assert type(x) is float
+    assert type(est.refined) is bool
 
 
 def test_kind_validation():

@@ -5,6 +5,7 @@ from math import erf
 import numpy as np
 import pytest
 
+from grushin_hardy import cubature
 from grushin_hardy.cubature import IntegrationSettings, Region, integrate_vector
 from grushin_hardy.fields import TestFieldSpec, build_test_field
 from grushin_hardy.geometry import SpaceParams
@@ -210,6 +211,23 @@ def test_non_finite_integrand_stops_at_the_first_batch():
     # the node is named in region coordinates: the eighth node of the one cell
     node = 0.5 + 0.5 * np.array([-0.991455371120813, 0.0])
     assert str(tuple(node.tolist())) in str(info.value)
+
+
+def test_rule_is_shared_per_dimension_and_read_only(monkeypatch):
+    rules = []
+    apply = cubature._TensorGaussKronrod.apply
+
+    def spy(self, values, halves):
+        rules.append(self)
+        return apply(self, values, halves)
+
+    monkeypatch.setattr(cubature._TensorGaussKronrod, "apply", spy)
+    for box in (((0.0, 1.0), (0.0, 1.0)), ((-1.0, 2.0), (0.0, 3.0))):
+        integrate(lambda p: np.ones(p.shape[0]), Region(box=box))
+    assert len(rules) == 2 and rules[0] is rules[1]
+    for arr in (rules[0].points, rules[0].weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
 
 
 def test_max_evals_exhaustion_reports_not_converged():
