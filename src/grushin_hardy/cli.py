@@ -410,22 +410,27 @@ def _flatten_terms(terms: Dict) -> Dict[str, object]:
 
 
 def report_export(report: Dict, fmt: str, path: str) -> None:
-    """Write a report as canonical json or as a per-check csv table."""
+    """Write a report as canonical json or as a per-check csv table; raise
+    ValueError unless its checks are a list of objects with the four keys."""
+    keys = ("name", "passed", "residual", "quadrature_error")
+    checks = _section(report, "report").get("checks", [])
+    if not isinstance(checks, list):
+        raise ValueError("report checks must be a list")
+    for i, check in enumerate(checks):
+        missing = [key for key in keys if key not in _section(check, f"checks[{i}]")]
+        if missing:
+            raise ValueError(f"checks[{i}] lacks {missing}")
+        _section(check.get("terms", {}), f"checks[{i}].terms")
     if fmt == "json":
         with open(path, "w") as fh:
             fh.write(_dump(report) + "\n")
         return
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}; expected json or csv")
+    columns = list(keys)
     rows = []
-    columns = ["name", "passed", "residual", "quadrature_error"]
-    for check in report.get("checks", []):
-        row = {
-            "name": check["name"],
-            "passed": check["passed"],
-            "residual": check["residual"],
-            "quadrature_error": check["quadrature_error"],
-        }
+    for check in checks:
+        row = {key: check[key] for key in keys}
         for key, value in _flatten_terms(check.get("terms", {})).items():
             col = f"terms.{key}"
             if col not in columns:
@@ -574,7 +579,7 @@ def cmd_constants(args) -> int:
     if args.tol is not None and not 0.0 <= args.tol < float("inf"):
         raise ValueError("--tol must be finite and >= 0")
     est = find_constant(CpObjectiveKind(kind=mapped, p=args.p))
-    width = est.bracket[1] - est.bracket[0]
+    width = est.width
     out = {
         "kind": args.kind,
         "p": args.p,

@@ -93,9 +93,12 @@ class ConstantEstimate:
     value: float
     argmin_s: float
     argmin_t: float
-    grid_resolution: int
     refined: bool
     bracket: Tuple[float, float]
+
+    @property
+    def width(self) -> float:
+        return self.bracket[1] - self.bracket[0]
 
 
 def cp_value_batch(xi: np.ndarray, eta: np.ndarray, p: float) -> np.ndarray:
@@ -400,7 +403,6 @@ def find_constant(kind: CpObjectiveKind) -> ConstantEstimate:
         value=value,
         argmin_s=best_s,
         argmin_t=best_t,
-        grid_resolution=_THETA_SAMPLES,
         refined=refined,
         bracket=bracket,
     )

@@ -7,10 +7,10 @@ costs no evaluation): a kink or edge singularity along one axis is refined
 only across it. A region may cut its box on axis 0 into pieces; every
 piece starts as one cell, and all cells are refined from one heap against
 one global tolerance, so a kink on a cut needs no refinement.
-The refinement order is fixed by (error, cell id) and the final reduction
-is a pairwise sum over cells in id order, so results are bit-identical
-across runs; cell evaluations are batched, and nothing in the reduction
-depends on evaluation order.
+Cell i is row i of one set of numpy arrays that double when full; a heap
+of (-max error, cell id) fixes the refinement order, each popped batch is
+split by array indexing and evaluated in one call, and the final reduction
+sums the live rows in id order, so results are bit-identical across runs.
 
 Integrands are batch callables mapping an (N, n) coordinate array to (N,)
 real or complex values. A non-finite value stops the integration with a
@@ -169,6 +169,19 @@ def _initial_cells(region: Region) -> Tuple[np.ndarray, np.ndarray]:
     return centers, halves
 
 
+def _put(store: np.ndarray, rows: np.ndarray, start: int) -> np.ndarray:
+    """Write rows into store from row start, doubling it when full; the dtype
+    widens to the rows', so a real store stays real until a complex batch."""
+    end = start + len(rows)
+    dtype = np.result_type(store, rows)
+    if end > len(store) or dtype != store.dtype:
+        grown = np.empty((max(end, 2 * len(store)),) + store.shape[1:], dtype=dtype)
+        grown[:start] = store[:start]
+        store = grown
+    store[start:end] = rows
+    return store
+
+
 def integrate_vector(
     integrand: Callable[[np.ndarray], np.ndarray],
     n_components: int,
@@ -188,7 +201,19 @@ def integrate_vector(
         raise ValueError("n_components must be >= 1")
     rule = _rule(region.dim)
 
-    def evaluate(cs: np.ndarray, hs: np.ndarray):
+    evals = 0
+    n_cells = 0
+    # row i of each array is cell i, in id order: center, half-widths,
+    # value, error, split axis and whether it is still part of the mesh
+    cells: List[np.ndarray] = []
+    heap: List[Tuple[float, int]] = []
+    # running totals steer refinement; the reported value is re-summed over
+    # the live cells at the end
+    tot_vals = np.zeros(n_components, dtype=complex)
+    tot_errs = np.zeros(n_components)
+
+    def push(cs: np.ndarray, hs: np.ndarray) -> None:
+        nonlocal evals, n_cells, tot_vals, tot_errs, cells
         pts = cs[:, None, :] + hs[:, None, :] * rule.points[None, :, :]
         flat = pts.reshape(-1, region.dim)
         out = np.asarray(integrand(flat))
@@ -203,36 +228,15 @@ def integrate_vector(
                 f"integrand component {comp} is {out[comp, node]} at node {tuple(flat[node].tolist())}"
             )
         values = np.moveaxis(out.reshape(n_components, cs.shape[0], -1), 0, 2)
-        return rule.apply(values, hs)
-
-    evals = 0
-    store_centers: List[np.ndarray] = []
-    store_halves: List[np.ndarray] = []
-    store_vals: List[np.ndarray] = []
-    store_errs: List[np.ndarray] = []
-    store_split: List[int] = []
-    alive: List[bool] = []
-    heap: List[Tuple[float, int]] = []
-    # running totals steer refinement; the reported value is re-summed
-    # pairwise at the end
-    tot_vals = np.zeros(n_components, dtype=complex)
-    tot_errs = np.zeros(n_components)
-
-    def push(cs: np.ndarray, hs: np.ndarray) -> None:
-        nonlocal evals, tot_vals, tot_errs
-        vals, errs, split = evaluate(cs, hs)
+        vals, errs, split = rule.apply(values, hs)
         evals += cs.shape[0] * rule.points_per_cell
         tot_vals = tot_vals + vals.sum(axis=0)
         tot_errs = tot_errs + errs.sum(axis=0)
-        for i in range(cs.shape[0]):
-            cid = len(store_centers)
-            store_centers.append(cs[i])
-            store_halves.append(hs[i])
-            store_vals.append(vals[i])
-            store_errs.append(errs[i])
-            store_split.append(int(split[i]))
-            alive.append(True)
-            heapq.heappush(heap, (-float(errs[i].max()), cid))
+        start, n_cells = n_cells, n_cells + cs.shape[0]
+        rows = (cs, hs, vals, errs, split, np.ones(cs.shape[0], dtype=bool))
+        cells = [_put(store, new, start) for store, new in zip(cells or [r[:0] for r in rows], rows)]
+        for cid, score in enumerate(errs.max(axis=1).tolist(), start):
+            heapq.heappush(heap, (-score, cid))
 
     push(*_initial_cells(region))
 
@@ -240,7 +244,6 @@ def integrate_vector(
         tol = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(tot_vals))
         if np.all(tot_errs <= tol):
             break
-        batch = []
         top_score = -heap[0][0]
         # cap the batch so one evaluation stays within ~3M value slots even
         # for wide bundles; a fixed 64-cell cap would allocate hundreds of MB
@@ -249,47 +252,35 @@ def integrate_vector(
         # split together only cells within 4x of the worst error; splitting
         # negligible cells alongside one hot cell would waste most of the
         # evaluation budget
-        while heap and len(batch) < batch_cap:
-            neg_score, cid = heap[0]
-            if batch and -neg_score < 0.25 * top_score:
-                break
-            heapq.heappop(heap)
-            batch.append(cid)
-        cost = 2 * len(batch) * rule.points_per_cell
-        if evals + cost > settings.max_evals:
+        batch = [heapq.heappop(heap)[1]]
+        while heap and len(batch) < batch_cap and -heap[0][0] >= 0.25 * top_score:
+            batch.append(heapq.heappop(heap)[1])
+        # a refused batch stays alive: its cells are still part of the mesh
+        if evals + 2 * len(batch) * rule.points_per_cell > settings.max_evals:
             break
-        child_centers = []
-        child_halves = []
+        centers, halves, vals, errs, axes, alive = cells
         for cid in batch:
-            alive[cid] = False
-            tot_vals = tot_vals - store_vals[cid]
-            tot_errs = tot_errs - store_errs[cid]
-            c, h, ax = store_centers[cid], store_halves[cid], store_split[cid]
-            for side in (-0.5, 0.5):
-                cc = c.copy()
-                cc[ax] += side * h[ax]
-                hh = h.copy()
-                hh[ax] *= 0.5
-                child_centers.append(cc)
-                child_halves.append(hh)
-        push(np.array(child_centers), np.array(child_halves))
+            tot_vals = tot_vals - vals[cid]
+            tot_errs = tot_errs - errs[cid]
+        alive[batch] = False
+        # each cell becomes its two halves on its split axis, in batch order
+        cs = np.repeat(centers[batch], 2, axis=0)
+        hs = np.repeat(halves[batch], 2, axis=0)
+        idx, ax = np.arange(cs.shape[0]), np.repeat(axes[batch], 2)
+        hs[idx, ax] *= 0.5
+        cs[idx, ax] += np.tile([-1.0, 1.0], len(batch)) * hs[idx, ax]
+        push(cs, hs)
 
-    ids = [i for i in range(len(store_vals)) if alive[i]]
-    if ids:
-        # pairwise sums in id order make the reduction independent of the
-        # refinement history
-        final_vals = np.sum(np.array([store_vals[i] for i in ids]), axis=0)
-        final_errs = np.sum(np.array([store_errs[i] for i in ids]), axis=0)
-    else:
-        final_vals = np.zeros(n_components, dtype=complex)
-        final_errs = np.zeros(n_components)
-
-    results = []
-    for c in range(n_components):
-        val = final_vals[c]
-        err = float(final_errs[c])
-        ok = err <= max(settings.abs_tol, settings.rel_tol * abs(val))
-        if abs(val.imag) == 0.0:
-            val = val.real
-        results.append(IntegralResult(value=val, error_estimate=err, evals=evals, converged=bool(ok)))
-    return results
+    # summed in id order, so the result does not depend on the refinement
+    # history
+    _, _, vals, errs, _, alive = cells
+    live = np.flatnonzero(alive[:n_cells])
+    return [
+        IntegralResult(
+            value=val.real if val.imag == 0.0 else val,
+            error_estimate=float(err),
+            evals=evals,
+            converged=bool(err <= max(settings.abs_tol, settings.rel_tol * abs(val))),
+        )
+        for val, err in zip(vals[live].sum(axis=0), errs[live].sum(axis=0))
+    ]

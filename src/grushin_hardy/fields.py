@@ -196,11 +196,12 @@ class TestField:
 class ExtremalField(TestField):
     """Corollary extremal profile times a plateau window in tau.
 
-    kappa_eff is the decay rate of the profile in tau; the default
-    orientation decays toward the pair's singular boundary (the one that
-    concentrates the Rayleigh quotient), ascending=True flips the exponent
-    to the sign printed in the corollary statements. The coordinate tau and
-    the profile come from the pair's entry in weights.PAIRS.
+    kappa_eff is the decay rate of the profile in tau; by default the
+    profile decays toward the pair's singular boundary (the one that
+    concentrates the Rayleigh quotient), and build_extremal_field's
+    ascending=True flips the exponent to the sign printed in the corollary
+    statements. The coordinate tau and the profile come from the pair's
+    entry in weights.PAIRS.
     """
 
     def __init__(
@@ -208,19 +209,15 @@ class ExtremalField(TestField):
         space: SpaceParams,
         spec: TestFieldSpec,
         pair: WeightPair,
-        level: int,
         band: float,
         plateau: float,
-        ascending: bool,
     ):
         super().__init__(space, spec)
         self.pair = pair
         self.kappa_eff = pair.kappa
-        self.level = level
         self.band = band
         self.plateau = plateau
         self.tau_hi = plateau + 2.0 * band
-        self.ascending = ascending
         self._k = pair.scalars
 
     def tau_of_rho(self, rho: np.ndarray) -> np.ndarray:
@@ -301,10 +298,8 @@ def build_extremal_field(
         space=pair.space,
         spec=field_spec,
         pair=pair,
-        level=int(truncation_level),
         band=band,
         plateau=plateau,
-        ascending=ascending,
     )
 
 

@@ -436,6 +436,13 @@ def _summary(res) -> Tuple[List[float], float, bool]:
     return values, float(sum(r.error_estimate for r in res)), all(r.converged for r in res)
 
 
+def _power_error(value: float, factors: Sequence[Tuple[float, float, float]]) -> float:
+    """Propagated error of value = prod(base ** exponent): value times the sum
+    of exponent * error / base over the (exponent, base, error) factors, each
+    base floored at 1e-300."""
+    return value * sum(exponent * error / max(base, 1e-300) for exponent, base, error in factors)
+
+
 def _identity_terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
     p = pair.p
     xi, _, eta = b.xi_eta(pair, f)
@@ -543,9 +550,8 @@ def verify_remainder_p_ge2(
 
     (res,) = _integrate_cases([(pair, field)], 2, terms, settings)
     (cp_term, eta_term), qerr, converged = _summary(res)
-    width = constant.bracket[1] - constant.bracket[0]
     margin = cp_term - constant.value * eta_term
-    tol = 10.0 * qerr + width * eta_term
+    tol = 10.0 * qerr + constant.width * eta_term
     passed = converged and margin >= -tol
     return RemainderPge2Report(
         p=p,
@@ -591,16 +597,13 @@ def verify_remainder_p_lt2(
     (res,) = _integrate_cases([(pair, field)], 3, terms, settings)
     (cp_term, mixed_term, min_term), qerr, converged = _summary(res)
     c1, c2, c3 = (constants[k] for k in ("c1_inf", "c2_sup", "c3_min"))
-    w1 = c1.bracket[1] - c1.bracket[0]
-    w2 = c2.bracket[1] - c2.bracket[0]
-    w3 = c3.bracket[1] - c3.bracket[0]
     lower_margin = cp_term - c1.value * mixed_term
     upper_margin = c2.value * mixed_term - cp_term
     min_margin = cp_term - c3.value * min_term
     ok = (
-        lower_margin >= -(10.0 * qerr + w1 * mixed_term)
-        and upper_margin >= -(10.0 * qerr + w2 * mixed_term)
-        and min_margin >= -(10.0 * qerr + w3 * min_term)
+        lower_margin >= -(10.0 * qerr + c1.width * mixed_term)
+        and upper_margin >= -(10.0 * qerr + c2.width * mixed_term)
+        and min_margin >= -(10.0 * qerr + c3.width * min_term)
     )
     return RemainderPlt2Report(
         p=p,
@@ -712,14 +715,14 @@ def verify_ckn(
     base = max(bracket, 0.0)
     left = base ** (ckn.delta / p) * max(int_q, 0.0) ** ((1.0 - ckn.delta) / ckn.q)
     right = max(int_r, 0.0) ** (1.0 / ckn.r)
-    tiny = 1e-300
-    tol_left = left * (
-        (ckn.delta / p) * (res[0].error_estimate + res[2].error_estimate) / max(base, tiny)
-        + ((1.0 - ckn.delta) / ckn.q) * res[4].error_estimate / max(int_q, tiny)
+    tol_left = _power_error(
+        left,
+        [
+            (ckn.delta / p, base, res[0].error_estimate + res[2].error_estimate),
+            ((1.0 - ckn.delta) / ckn.q, int_q, res[4].error_estimate),
+        ],
     )
-    tol_right = (
-        right * (1.0 / ckn.r) * res[5].error_estimate / max(int_r, tiny)
-    )
+    tol_right = _power_error(right, [(1.0 / ckn.r, int_r, res[5].error_estimate)])
     passed = converged and consistent and left >= right - 10.0 * (tol_left + tol_right)
     return CknReport(
         params=ckn,
@@ -784,15 +787,11 @@ def verify_hpw(
     constant = hpw.constant(p, space.Q)
     left = grad_term ** (1.0 / p) * weight_term ** (1.0 / pp)
     right = constant * mass_term
-    tiny = 1e-300
-    tol = 10.0 * (
-        left
-        * (
-            res[0].error_estimate / max(grad_term, tiny) / p
-            + res[1].error_estimate / max(weight_term, tiny) / pp
-        )
-        + constant * res[2].error_estimate
-    )
+    factors = [
+        (1.0 / p, grad_term, res[0].error_estimate),
+        (1.0 / pp, weight_term, res[1].error_estimate),
+    ]
+    tol = 10.0 * (_power_error(left, factors) + constant * res[2].error_estimate)
     passed = converged and left >= right - tol
 
     garofalo = None

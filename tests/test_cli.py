@@ -399,6 +399,30 @@ def test_export_missing_report(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "report, fmt",
+    [
+        ([], "csv"),
+        ([], "json"),
+        ({"checks": 5}, "csv"),
+        ({"checks": [{"passed": True, "residual": 0.0, "quadrature_error": 0.0}]}, "csv"),
+        ({"checks": ["identity"]}, "csv"),
+        ({"checks": [{"name": "a", "passed": True, "residual": 0.0, "quadrature_error": 0.0,
+                      "terms": 5}]}, "csv"),
+    ],
+)
+def test_export_malformed_report(tmp_path, capsys, report, fmt):
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    out_path = tmp_path / "out"
+    code, _, err = run_cli(
+        capsys, "export", "--report", str(report_path), "--format", fmt, "--out", str(out_path)
+    )
+    assert code == 2
+    assert "error:" in err
+    assert not out_path.exists()
+
+
 # -- standalone subcommands -----------------------------------------------------
 
 

@@ -241,7 +241,9 @@ def test_max_evals_exhaustion_reports_not_converged():
     )
     assert not res.converged
     assert res.evals <= 300
-    assert np.isfinite(res.value)
+    # the cells popped for the refused last batch are still part of the mesh
+    exact = ((2.0 / 3.0) ** 1.2 + (1.0 / 3.0) ** 1.2) / 1.2
+    assert abs(res.value - exact) <= 10 * res.error_estimate
 
 
 def test_complex_integrand():

@@ -66,7 +66,6 @@ def golden_estimate(kind, p, half_width=2e-3):
                 value=v,
                 argmin_s=e["arg_s"],
                 argmin_t=e["arg_t"],
-                grid_resolution=0,
                 refined=False,
                 bracket=(v - half_width, v + half_width),
             )
