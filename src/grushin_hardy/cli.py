@@ -397,15 +397,15 @@ def _dump(report: Dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True)
 
 
-def _flatten_terms(terms: Dict) -> Dict[str, object]:
+def _flatten_terms(terms: Dict | List, prefix: str = "") -> Dict[str, object]:
+    """Every scalar leaf of nested dicts and lists, keyed by its dotted path;
+    list items are keyed by their index (levels.1.rayleigh_ratio)."""
     flat: Dict[str, object] = {}
-    for key, value in terms.items():
-        if isinstance(value, (str, int, float, bool)) or value is None:
-            flat[key] = value
-        elif isinstance(value, dict):
-            for sub, sval in value.items():
-                if isinstance(sval, (str, int, float, bool)) or sval is None:
-                    flat[f"{key}.{sub}"] = sval
+    for key, value in terms.items() if isinstance(terms, dict) else enumerate(terms):
+        if isinstance(value, (dict, list)):
+            flat.update(_flatten_terms(value, f"{prefix}{key}."))
+        else:
+            flat[f"{prefix}{key}"] = value
     return flat
 
 

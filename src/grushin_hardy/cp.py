@@ -41,10 +41,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 __all__ = [
     "KINDS",
@@ -262,28 +261,124 @@ def _limit_candidates(kind: CpObjectiveKind) -> List[float]:
     return [1.0, lo if kind.kind == "c2_sup" else hi]
 
 
-def _refine_point(kind: CpObjectiveKind, sign: float, s0: float, t0: float) -> Tuple[float, float, float]:
-    def score(st: np.ndarray) -> float:
-        s, t = st.tolist()
-        if s == 0.0 and t == 0.0:
-            return math.inf
-        q = objective(kind, s, t)
-        if not math.isfinite(q):
-            return math.inf
-        return sign * q
+def _nelder_mead(f: Callable[[float, float], float], s0: float, t0: float) -> Tuple[float, float, float, int]:
+    """Minimize f(s, t) from (s0, t0); returns (fun, s, t, evaluations).
 
-    res = minimize(
-        score,
-        np.asarray([s0, t0], dtype=float),
-        method="Nelder-Mead",
-        options={
-            "xatol": 1e-12,
-            "fatol": 1e-15,
-            "maxiter": _REFINE_ITERS,
-            "maxfev": 4 * _REFINE_ITERS,
-        },
-    )
-    return float(res.fun), float(res.x[0]), float(res.x[1])
+    scipy's non-adaptive Nelder-Mead with xatol 1e-12, fatol 1e-15 and
+    _REFINE_ITERS iterations, step for step on Python floats: the same start
+    simplex, coefficients, stable vertex sort and stop test, so it gives the
+    same iterates (tests check this against scipy).  The cap of
+    4 * _REFINE_ITERS evaluations that scipy is also given never binds: an
+    iteration makes at most 4 calls, so 3 + 4 * (_REFINE_ITERS - 1) is the most.
+    """
+    xatol, fatol = 1e-12, 1e-15
+    sim = [(s0, t0), (1.05 * s0 if s0 != 0.0 else 0.00025, t0), (s0, 1.05 * t0 if t0 != 0.0 else 0.00025)]
+    fsim = [f(*v) for v in sim]
+    calls = 3
+    order = sorted(range(3), key=fsim.__getitem__)
+    sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+    iterations = 1
+    while iterations < _REFINE_ITERS:
+        (s_0, t_0), (s_1, t_1), (s_2, t_2) = sim
+        f_0, f_1, f_2 = fsim
+        x_close = abs(s_1 - s_0) <= xatol and abs(t_1 - t_0) <= xatol
+        x_close = x_close and abs(s_2 - s_0) <= xatol and abs(t_2 - t_0) <= xatol
+        if x_close and abs(f_0 - f_1) <= fatol and abs(f_0 - f_2) <= fatol:
+            break
+        sb, tb = (s_0 + s_1) / 2, (t_0 + t_1) / 2
+        xr = (2 * sb - s_2, 2 * tb - t_2)  # reflection
+        fxr = f(*xr)
+        calls += 1
+        if fxr < f_0:
+            xe = (3 * sb - 2 * s_2, 3 * tb - 2 * t_2)  # expansion
+            fxe = f(*xe)
+            calls += 1
+            sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < f_1:
+            sim[2], fsim[2] = xr, fxr
+        else:
+            if fxr < f_2:
+                xc = (1.5 * sb - 0.5 * s_2, 1.5 * tb - 0.5 * t_2)  # contraction
+                accept = (fxc := f(*xc)) <= fxr
+            else:
+                xc = (0.5 * sb + 0.5 * s_2, 0.5 * tb + 0.5 * t_2)  # inside contraction
+                accept = (fxc := f(*xc)) < f_2
+            calls += 1
+            if accept:
+                sim[2], fsim[2] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in (1, 2):
+                    sim[j] = (s_0 + 0.5 * (sim[j][0] - s_0), t_0 + 0.5 * (sim[j][1] - t_0))
+                    fsim[j] = f(*sim[j])
+                calls += 2
+        iterations += 1
+        order = sorted(range(3), key=fsim.__getitem__)
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+    return fsim[0], sim[0][0], sim[0][1], calls
+
+
+def _bounded_brent(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float, int]:
+    """Minimize f on [a, b]; returns (x, fun, evaluations).
+
+    scipy's bounded Brent (`minimize_scalar(method="bounded")`) step for step
+    on Python floats, with xatol 1e-12 and its 500-call cap: golden-section
+    steps, parabolic steps where the parabola is acceptable.
+    """
+    xatol = 1e-12
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = nfc = xf = a + golden_mean * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = f(xf)
+    calls = 1
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = -tol1 if xm - xf < 0.0 else tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0.0 else xf + step
+        fu = f(x)
+        calls += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if calls >= 500:
+            break
+    return xf, fx, calls
 
 
 def find_constant(kind: CpObjectiveKind) -> ConstantEstimate:
@@ -348,25 +443,25 @@ def find_constant(kind: CpObjectiveKind) -> ConstantEstimate:
             if idx.size:
                 starts.append(int(idx[np.argmin(flat_scores[idx])]))
 
+    def score(s: float, t: float) -> float:
+        if s == 0.0 and t == 0.0:
+            return math.inf
+        q = objective(kind, s, t)
+        return sign * q if math.isfinite(q) else math.inf
+
     best_score = grid_best_score
     best_s = float(s_grid.ravel()[order[0]])
     best_t = float(t_grid.ravel()[order[0]])
     for i in dict.fromkeys(starts):
-        f, s_r, t_r = _refine_point(kind, sign, float(s_grid.ravel()[i]), float(t_grid.ravel()[i]))
+        f, s_r, t_r, _ = _nelder_mead(score, float(s_grid.ravel()[i]), float(t_grid.ravel()[i]))
         if f < best_score:
             best_score, best_s, best_t = f, s_r, t_r
     refined = True
     if kind.kind == "c3_min":
         # 1-d refinement along the unit circle, where the two branches meet
-        circle = minimize_scalar(
-            lambda th: objective(kind, math.cos(th), math.sin(th)),
-            bounds=(0.0, 2.0 * np.pi),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        if float(circle.fun) < best_score:
-            best_score = float(circle.fun)
-            best_s, best_t = math.cos(circle.x), math.sin(circle.x)
+        th, f, _ = _bounded_brent(lambda th: objective(kind, math.cos(th), math.sin(th)), 0.0, 2.0 * np.pi)
+        if f < best_score:
+            best_score, best_s, best_t = f, math.cos(th), math.sin(th)
 
     for lim in _limit_candidates(kind):
         if sign * lim < best_score:

@@ -423,7 +423,8 @@ def _integrate_cases(
                     row[batch.idx] = values
                 rows[:, batch.outside[slots[ci]]] = 0.0
             batch.forget(pair)
-        return out * jac
+        out *= jac
+        return out
 
     res = integrate_vector(integrand, n_comp, region, settings)
     return [res[n_terms * ci : n_terms * (ci + 1)] for ci in range(len(cases))]
@@ -441,6 +442,12 @@ def _power_error(value: float, factors: Sequence[Tuple[float, float, float]]) ->
     of exponent * error / base over the (exponent, base, error) factors, each
     base floored at 1e-300."""
     return value * sum(exponent * error / max(base, 1e-300) for exponent, base, error in factors)
+
+
+def _slack(qerr: float, width: float = 0.0, term: float = 0.0) -> float:
+    """How far a margin may fall below 0: 10 times the propagated quadrature
+    error, plus a constant's bracket width times the term it multiplies."""
+    return 10.0 * qerr + width * term
 
 
 def _identity_terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
@@ -520,7 +527,7 @@ def verify_inequality(
     (lhs, w_term), qerr, converged = _summary(res)
     ratio = lhs / w_term if w_term > 0 else float("nan")
     margin = lhs - w_term
-    passed = converged and margin >= -10.0 * qerr
+    passed = converged and margin >= -_slack(qerr)
     return InequalityReport(
         lhs=lhs,
         w_term=w_term,
@@ -551,8 +558,7 @@ def verify_remainder_p_ge2(
     (res,) = _integrate_cases([(pair, field)], 2, terms, settings)
     (cp_term, eta_term), qerr, converged = _summary(res)
     margin = cp_term - constant.value * eta_term
-    tol = 10.0 * qerr + constant.width * eta_term
-    passed = converged and margin >= -tol
+    passed = converged and margin >= -_slack(qerr, constant.width, eta_term)
     return RemainderPge2Report(
         p=p,
         cp_term=cp_term,
@@ -601,9 +607,9 @@ def verify_remainder_p_lt2(
     upper_margin = c2.value * mixed_term - cp_term
     min_margin = cp_term - c3.value * min_term
     ok = (
-        lower_margin >= -(10.0 * qerr + c1.width * mixed_term)
-        and upper_margin >= -(10.0 * qerr + c2.width * mixed_term)
-        and min_margin >= -(10.0 * qerr + c3.width * min_term)
+        lower_margin >= -_slack(qerr, c1.width, mixed_term)
+        and upper_margin >= -_slack(qerr, c2.width, mixed_term)
+        and min_margin >= -_slack(qerr, c3.width, min_term)
     )
     return RemainderPlt2Report(
         p=p,

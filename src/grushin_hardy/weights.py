@@ -24,7 +24,6 @@ from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.stats import qmc
 
 from grushin_hardy.geometry import (
     SpaceParams,
@@ -387,6 +386,9 @@ def condition_report(pair: WeightPair, samples: int, seed: int = 0) -> Dict[str,
     scale = pair.radius if pair.radius is not None else 2.0
     a = 1.0 + space.gamma
     half = np.repeat([0.9 * scale, (0.9 * scale) ** a / a], [space.m, space.k])
+    # imported here: scipy.stats costs about 0.3 s and 60 MB, and only this check uses it
+    from scipy.stats import qmc
+
     sob = qmc.Sobol(d=space.n, scramble=True, seed=seed)
     draw = max(1 << int(2 * samples - 1).bit_length(), 64)  # a power of two >= 2 samples
     pts = rejection_sample(

@@ -4,7 +4,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -348,6 +351,25 @@ def test_verify_all_suite(tmp_path, capsys):
     assert any("phase_twisted" in n for n in names)
 
 
+def test_cli_import_leaves_scipy_optimize_and_stats_unloaded():
+    # the CLI needs only scipy's version; scipy.stats is imported inside
+    # weights.condition_report, and nothing imports scipy.optimize
+    code = (
+        "import sys, grushin_hardy.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 def test_verify_needs_config_or_all(capsys):
     code, _, err = run_cli(capsys, "verify")
     assert code == 2
@@ -381,6 +403,38 @@ def test_export_roundtrip_and_csv(tmp_path, capsys):
     assert len(rows) == 2
     assert rows[0]["name"] == "identity"
     assert rows[0]["passed"] == "True"
+
+
+def term_leaves(value, path):
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield from term_leaves(sub, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, sub in enumerate(value):
+            yield from term_leaves(sub, f"{path}.{i}")
+    else:
+        yield path, value
+
+
+def test_export_csv_keeps_every_term_leaf(tmp_path, capsys):
+    report_path = tmp_path / "all.json"
+    csv_path = tmp_path / "all.csv"
+    assert run_cli(capsys, "verify", "--all", "--out", str(report_path))[0] == 0
+    code, _, _ = run_cli(
+        capsys, "export", "--report", str(report_path), "--format", "csv", "--out", str(csv_path)
+    )
+    assert code == 0
+    checks = json.loads(report_path.read_text())["checks"]
+    with open(csv_path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert len(rows) == len(checks)
+    # the list-valued terms of remainder_pge2, sharpness and divergence
+    for col in ("terms.constant_bracket.0", "terms.levels.1.rayleigh_ratio", "terms.combos.2.1"):
+        assert col in reader.fieldnames
+    for row, check in zip(rows, checks):
+        for col, value in term_leaves(check["terms"], "terms"):
+            assert row[col] == ("" if value is None else str(value)), (check["name"], col)
 
 
 def test_export_unknown_format_is_usage_error(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """C_p algebra, remainder-constant objectives, and the global constant search."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize, minimize_scalar
 
+from grushin_hardy import cp
 from grushin_hardy.cp import (
     ConstantEstimate,
     CpObjectiveKind,
@@ -249,3 +252,59 @@ def test_c3_seam_value():
     # 4^(3/4) - 1 - 3/2 = 2 sqrt(2) - 5/2 for p = 1.5
     k = CpObjectiveKind("c3_min", 1.5)
     assert objective(k, 1.0, 0.0) == pytest.approx(2.0 * np.sqrt(2.0) - 2.5, rel=1e-14)
+
+
+# -- the float ports of scipy's minimizers, with scipy as the oracle ----------
+
+
+def scipy_nelder_mead(f, s0, t0):
+    res = minimize(
+        lambda st: f(*st.tolist()),
+        np.asarray([s0, t0]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 200, "maxfev": 800},
+    )
+    return (float(res.fun), float(res.x[0]), float(res.x[1]), res.nfev), res.nit
+
+
+def test_nelder_mead_port_matches_scipy_on_gate3_starts(monkeypatch):
+    # every restart of one gate-3 search per kind, replayed through scipy
+    starts = []
+    port = cp._nelder_mead
+
+    def spy(f, s0, t0):
+        starts.append((f, s0, t0))
+        return port(f, s0, t0)
+
+    monkeypatch.setattr(cp, "_nelder_mead", spy)
+    for kind, p in (("cp_pge2", 3.0), ("c1_inf", 1.5), ("c2_sup", 1.5), ("c3_min", 1.5)):
+        find_constant(CpObjectiveKind(kind, p))
+    # starts on the theta = 0 row take the simplex's 0.00025 step in t
+    assert any(t0 == 0.0 for _, _, t0 in starts) and any(t0 != 0.0 for _, _, t0 in starts)
+    for f, s0, t0 in starts:
+        want, _ = scipy_nelder_mead(f, s0, t0)
+        assert repr(port(f, s0, t0)) == repr(want)
+
+
+def test_nelder_mead_port_matches_scipy_at_the_iteration_cap():
+    # a badly scaled Rosenbrock valley runs into the 200-iteration cap; the
+    # start (0, 0) takes the 0.00025 step on both axes
+    def rosenbrock(s, t):
+        return 1e4 * (t - s * s) ** 2 + (1.0 - s) ** 2
+
+    for s0, t0 in ((-1.2, 1.0), (0.0, 0.0)):
+        want, nit = scipy_nelder_mead(rosenbrock, s0, t0)
+        assert nit == 200
+        assert repr(cp._nelder_mead(rosenbrock, s0, t0)) == repr(want)
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5, 1.75])
+def test_bounded_brent_port_matches_scipy_on_the_c3_circle(p):
+    kind = CpObjectiveKind("c3_min", p)
+
+    def f(th):
+        return objective(kind, math.cos(th), math.sin(th))
+
+    ref = minimize_scalar(f, bounds=(0.0, 2.0 * np.pi), method="bounded", options={"xatol": 1e-12})
+    assert ref.nfev < 500
+    assert repr(cp._bounded_brent(f, 0.0, 2.0 * np.pi)) == repr((float(ref.x), float(ref.fun), ref.nfev))
