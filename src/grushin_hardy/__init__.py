@@ -17,7 +17,7 @@ from grushin_hardy.fields import (
     build_extremal_field,
     build_test_field,
 )
-from grushin_hardy.geometry import Point, SingularPointError, SpaceParams, rho
+from grushin_hardy.geometry import SpaceParams
 from grushin_hardy.verifier import (
     CknParams,
     CknReport,
@@ -40,9 +40,6 @@ from grushin_hardy.weights import PAIR_IDS, WeightPair, condition_report, make_p
 
 __all__ = [
     "SpaceParams",
-    "Point",
-    "SingularPointError",
-    "rho",
     "ConstantEstimate",
     "CpObjectiveKind",
     "cp_value",

@@ -119,11 +119,11 @@ def cp_value_batch(xi: np.ndarray, eta: np.ndarray, p: float) -> np.ndarray:
         t, a = np.linalg.norm(diff, axis=1), np.linalg.norm(xi, axis=1)
         re = np.real(np.einsum("ij,ij->i", diff, np.conj(eta)))
     ap = a**p
-    # p t^(p-2) Re(...) is written p t^(p-1) (Re(...)/t): |Re(...)/t| <= |eta|,
-    # so the factor stays finite for every p > 1 as t -> 0, and t = 0 takes
-    # the continuous extension |xi|^p
+    # t^p + p t^(p-2) Re(...) is written t^(p-1) (t + p Re(...)/t), one power
+    # in all: |Re(...)/t| <= |eta|, so the factor stays finite for every p > 1
+    # as t -> 0, and t = 0 takes the continuous extension |xi|^p
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(t > 0.0, ap - t**p - p * t ** (p - 1.0) * (re / t), ap)
+        return np.where(t > 0.0, ap - t ** (p - 1.0) * (t + p * (re / t)), ap)
 
 
 def cp_value(xi, eta, p: float) -> float:

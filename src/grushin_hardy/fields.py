@@ -1,8 +1,10 @@
 """Compactly supported smooth complex test fields with exact first derivatives.
 
 Every field is radial in rho up to an |x| cutoff and an optional complex
-phase exp(i kappa rho). Values and Euclidean partials come from the chain
-rule on rho and |x|, with C^2 quintic smoothstep transitions; only first
+phase exp(i kappa rho), so it is a function of (|x|, rho): eval_radial gives
+f and its partials in |x| and rho, from which the integrands build Df and
+|grad f|, and eval_batch lifts them to Euclidean gradients on (N, m+k)
+batches. The transitions are C^2 quintic smoothsteps; only first
 derivatives enter any identity, so C^2 regularity is enough.
 
 Extremal fields multiply the corollary power profiles by a plateau window
@@ -18,27 +20,18 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from grushin_hardy.geometry import (
-    Point,
-    SingularPointError,
-    SpaceParams,
-    radial_coords,
-    unit_grad_gamma_rho,
-)
+from grushin_hardy.geometry import SpaceParams, radial_coords
 from grushin_hardy.weights import Coords, WeightPair
 
 __all__ = [
     "FAMILIES",
     "TestFieldSpec",
-    "FieldValue",
     "TestField",
     "ExtremalField",
     "smoothstep5",
     "smoothstep5_prime",
     "build_test_field",
     "build_extremal_field",
-    "grad_gamma",
-    "radial_derivative",
     "radial_derivative_batch",
 ]
 
@@ -104,17 +97,6 @@ class TestFieldSpec:
             raise ValueError("phase_kappa only applies to the phase_twisted family")
 
 
-@dataclass(frozen=True)
-class FieldValue:
-    value: complex
-    euclid_grad: np.ndarray
-
-    def __post_init__(self) -> None:
-        grad = np.atleast_1d(np.asarray(self.euclid_grad, dtype=complex))
-        object.__setattr__(self, "euclid_grad", grad)
-        object.__setattr__(self, "value", complex(self.value))
-
-
 class TestField:
     """Evaluable field; immutable after construction, evaluation is pure."""
 
@@ -136,61 +118,54 @@ class TestField:
         band = spec.smoothness_margin * (spec.outer_rho - spec.inner_rho)
         return (spec.inner_rho, spec.inner_rho + band, spec.outer_rho - band, spec.outer_rho)
 
+    def eval_radial(
+        self, r: np.ndarray, rho: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """f and its partials f_r = df/d|x| and f_rho = df/drho on arrays of
+        |x| and rho; real for a field without a phase, complex with one, and
+        exact zeros outside the support."""
+        spec = self.spec
+        inside = (rho >= spec.inner_rho) & (rho <= spec.outer_rho)
+        if not inside.all():
+            parts = self.eval_radial(r[inside], rho[inside])
+            out = tuple(np.zeros(rho.shape, dtype=part.dtype) for part in parts)
+            for full, part in zip(out, parts):
+                full[inside] = part
+            return out
+        amp, d_amp = self._amplitude(rho)
+        if spec.x_floor > 0.0:
+            u = r / spec.x_floor - 1.0
+            cut = smoothstep5(u)
+            f, f_r, f_rho = amp * cut, amp * smoothstep5_prime(u) / spec.x_floor, d_amp * cut
+        else:
+            f, f_r, f_rho = amp, np.zeros_like(amp), d_amp
+        if spec.phase_kappa != 0.0:
+            phase = np.exp(1j * spec.phase_kappa * rho)
+            f_rho = (f_rho + 1j * spec.phase_kappa * f) * phase
+            f, f_r = f * phase, f_r * phase
+        return f, f_r, f_rho
+
     def eval_batch(
         self, pts: np.ndarray, coords: Optional[Coords] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Values (N,) and Euclidean gradients (N, m+k), both complex.
+        """Values (N,) and Euclidean gradients (N, m+k), both complex, of an
+        (N, m+k) batch: eval_radial with grad f = f_r x/|x| + f_rho grad rho.
 
         coords are the points' precomputed (|x|, rho), if the caller has them.
         """
-        space, spec = self.space, self.spec
+        space = self.space
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != space.n:
             raise ValueError(f"points must have shape (N, {space.n})")
         x, y = pts[:, : space.m], pts[:, space.m :]
         r, rho = radial_coords(space, x, y) if coords is None else coords
-
-        vals = np.zeros(pts.shape[0], dtype=complex)
-        grads = np.zeros_like(pts, dtype=complex)
-        mask = (rho >= spec.inner_rho) & (rho <= spec.outer_rho)
-        if spec.x_floor > 0.0:
-            mask &= r > spec.x_floor
-        if not np.any(mask):
-            return vals, grads
-
-        xs, ys, rs, rhos = x[mask], y[mask], r[mask], rho[mask]
-        amp, d_amp = self._amplitude(rhos)
-
-        if spec.x_floor > 0.0:
-            cut = smoothstep5(rs / spec.x_floor - 1.0)
-            d_cut = smoothstep5_prime(rs / spec.x_floor - 1.0) / spec.x_floor
-        else:
-            cut = np.ones_like(rs)
-            d_cut = None
-
-        kappa = spec.phase_kappa if spec.family == "phase_twisted" else 0.0
-        phase = np.exp(1j * kappa * rhos) if kappa != 0.0 else np.ones_like(rhos, dtype=complex)
-
-        value = amp * cut * phase
-        coef_rho = (d_amp + 1j * kappa * amp) * cut * phase
-
+        f, f_r, f_rho = self.eval_radial(r, rho)
         g = space.gamma
-        scale = rs ** (2.0 * g) / rhos ** (2.0 * g + 1.0)
-        grad = np.empty((xs.shape[0], space.n), dtype=complex)
-        grad[:, : space.m] = (coef_rho * scale)[:, None] * xs
-        grad[:, space.m :] = (coef_rho * (1.0 + g) / rhos ** (2.0 * g + 1.0))[:, None] * ys
-        if d_cut is not None:
-            grad[:, : space.m] += ((amp * d_cut * phase) / rs)[:, None] * xs
-
-        vals[mask] = value
-        grads[mask] = grad
-        return vals, grads
-
-    def eval(self, z: Point) -> FieldValue:
-        if z.x.shape != (self.space.m,) or z.y.shape != (self.space.k,):
-            raise ValueError("point does not match the field's space")
-        vals, grads = self.eval_batch(np.concatenate([z.x, z.y])[None, :])
-        return FieldValue(value=vals[0], euclid_grad=grads[0])
+        # f_r vanishes at |x| = 0 and f_rho at rho = 0, so 1 stands in there
+        d_rho = f_rho / np.where(rho > 0.0, rho, 1.0) ** (2.0 * g + 1.0)
+        grad_x = (f_r / np.where(r > 0.0, r, 1.0) + d_rho * r ** (2.0 * g))[:, None] * x
+        grad_y = ((1.0 + g) * d_rho)[:, None] * y
+        return f.astype(complex), np.hstack([grad_x, grad_y]).astype(complex)
 
 
 class ExtremalField(TestField):
@@ -303,34 +278,11 @@ def build_extremal_field(
     )
 
 
-def grad_gamma(space: SpaceParams, fv: FieldValue, z: Point) -> np.ndarray:
-    """Sub-elliptic gradient (d_x f, |x|^gamma d_y f) from Euclidean partials."""
-    if fv.euclid_grad.shape != (space.n,):
-        raise ValueError(f"euclid_grad must have length {space.n}")
-    out = fv.euclid_grad.copy()
-    r = float(np.linalg.norm(z.x))
-    out[space.m :] *= r**space.gamma
-    return out
-
-
-def radial_derivative(space: SpaceParams, f: TestField, z: Point) -> complex:
-    """Projected derivative D f = (grad_gamma rho . grad_gamma f)/|grad_gamma rho|.
-
-    Raises SingularPointError where the direction is undefined ({x=0} for
-    gamma > 0, and the origin).
-    """
-    r, rho_z = radial_coords(space, z.x, z.y)
-    if rho_z == 0.0 or (space.gamma > 0 and r == 0.0):
-        raise SingularPointError("D f is undefined at the origin and, for gamma > 0, on {x=0}")
-    unit = unit_grad_gamma_rho(space, np.concatenate([z.x, z.y])[None, :])[0]
-    gg = grad_gamma(space, f.eval(z), z)
-    return complex(np.dot(unit, gg))
-
-
 def radial_derivative_batch(
     space: SpaceParams, pts: np.ndarray, grads: np.ndarray, coords: Optional[Coords] = None
 ) -> np.ndarray:
-    """Batch D f via the cancellation-free form (r/rho)^g (x.df_x + (1+g) y.df_y)/rho.
+    """Batch D f of Euclidean gradients on an (N, m+k) batch, via the
+    cancellation-free form (r/rho)^g (x.df_x + (1+g) y.df_y)/rho.
 
     This is the continuous extension of the projected derivative: it returns
     0 on {x=0} for gamma > 0 and at points where the gradient vanishes,

@@ -3,16 +3,15 @@
 The underlying space is R^m x R^k with coordinates z = (x, y) and vector
 fields X_i = d/dx_i, Y_j = |x|^gamma d/dy_j, where gamma >= 0 is the
 Grushin exponent.  This module evaluates the anisotropic distance rho from
-the origin, its sub-elliptic gradient, the dilation group, the homogeneous
-dimension Q = m + (1+gamma) k, and the weighted divergence formula
+the origin, its sub-elliptic gradient, the homogeneous dimension
+Q = m + (1+gamma) k, and the weighted divergence formula
 
     div_gamma(rho^c |x|^s grad_gamma rho)
         = (Q + c + s - 1) |x|^(2 gamma + s) / rho^(2 gamma + 1 - c),
 
 together with a finite-difference divergence that serves as an independent
 cross-check of that closed form. The gradients, the divergence formula and
-the finite-difference divergence act on (N, m+k) point batches; rho and
-dilate keep a point-wise form for the tests' oracles.
+the finite-difference divergence act on (N, m+k) point batches.
 """
 
 from __future__ import annotations
@@ -24,19 +23,12 @@ import numpy as np
 
 __all__ = [
     "SpaceParams",
-    "Point",
-    "SingularPointError",
     "radial_coords",
-    "rho",
     "grad_gamma_rho",
     "unit_grad_gamma_rho",
-    "dilate",
     "div_weighted_rho_closed_form",
     "fd_divergence",
 ]
-
-class SingularPointError(ValueError):
-    """Evaluation of a point-wise oracle where it is undefined."""
 
 
 @dataclass(frozen=True)
@@ -63,26 +55,6 @@ class SpaceParams:
         return self.m + (1.0 + self.gamma) * self.k
 
 
-@dataclass(frozen=True, eq=False)
-class Point:
-    """A point z = (x, y) with x in R^m, y in R^k."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-        object.__setattr__(self, "y", np.atleast_1d(np.asarray(self.y, dtype=float)))
-
-
-def _check_point(space: SpaceParams, z: Point) -> None:
-    if z.x.shape != (space.m,) or z.y.shape != (space.k,):
-        raise ValueError(
-            f"point blocks have lengths ({z.x.shape[0]}, {z.y.shape[0]}); "
-            f"space expects ({space.m}, {space.k})"
-        )
-
-
 def radial_coords(space: SpaceParams, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Batch (|x|, rho) for coordinate arrays x of shape (..., m), y of shape (..., k)."""
     x = np.asarray(x, dtype=float)
@@ -92,15 +64,6 @@ def radial_coords(space: SpaceParams, x: np.ndarray, y: np.ndarray) -> Tuple[np.
     a = 1.0 + space.gamma
     rho_vals = (r2**a + a * a * y2) ** (1.0 / (2.0 * a))
     return np.sqrt(r2), rho_vals
-
-
-def rho(space: SpaceParams, z: Point) -> float:
-    """Anisotropic distance (|x|^(2(1+gamma)) + (1+gamma)^2 |y|^2)^(1/(2(1+gamma)))."""
-    _check_point(space, z)
-    a = 1.0 + space.gamma
-    r2 = float(z.x @ z.x)
-    y2 = float(z.y @ z.y)
-    return float((r2**a + a * a * y2) ** (1.0 / (2.0 * a)))
 
 
 def _split(space: SpaceParams, pts: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -143,14 +106,6 @@ def unit_grad_gamma_rho(space: SpaceParams, pts: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = (rho_z ** (g + 1.0))[:, None]
         return np.hstack([r[:, None] ** g * x, (1.0 + g) * y]) / scale
-
-
-def dilate(space: SpaceParams, z: Point, lam: float) -> Point:
-    """Anisotropic dilation (x, y) -> (lam x, lam^(1+gamma) y)."""
-    if lam <= 0:
-        raise ValueError("lambda must be > 0")
-    _check_point(space, z)
-    return Point(lam * z.x, lam ** (1.0 + space.gamma) * z.y)
 
 
 def div_weighted_rho_closed_form(

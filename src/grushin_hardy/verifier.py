@@ -8,13 +8,15 @@ inequalities, and HPW-type uncertainty products.
 
 Every field integral is 2-D, whatever m + k is: it runs on Grushin-polar
 pieces whose edges follow the fields' kinks (see _polar_pieces), and each
-node is lifted to a point of R^m x R^k, where fields and weights evaluate.
+node is mapped to its (|x|, |y|, rho), on which fields and weights evaluate
+in closed form.
 
 Conventions: Df is the radial derivative, xi = v^(1/p) Df and
 eta = xi + w^(1/p) f, so xi - eta = -w^(1/p) f and every integrand is
-assembled pointwise from (f, Df, v, w, phi). Points outside the field
-support contribute zero without touching the weights, which keeps weight
-singularities on {x=0} and at the origin out of the quadrature.
+assembled pointwise from (f, Df, v, w, phi). The pieces cover only the
+fields' support, away from {x=0} wherever a weight is singular there, so
+every weight is finite at every node, and a term is an exact 0 wherever its
+field vanishes.
 
 A report's `passed` is the stated tolerance check and additionally
 requires the underlying quadrature to have converged; a non-converged
@@ -30,8 +32,10 @@ import numpy as np
 
 from .cp import ConstantEstimate, CpObjectiveKind, cp_value_batch, find_constant
 from .cubature import IntegrationSettings, Region, integrate_vector
-from .fields import ExtremalField, TestField, build_extremal_field, radial_derivative_batch
-from .geometry import SpaceParams, radial_coords
+from .fields import ExtremalField, TestField, build_extremal_field
+from .fields import radial_derivative_batch  # unused here; perfbench/tracer.py rebinds it
+from .geometry import SpaceParams
+from .geometry import radial_coords  # unused here; perfbench/tracer.py rebinds it
 from .weights import HPW_PAIRS, WeightPair
 
 __all__ = [
@@ -274,8 +278,8 @@ def _polar_pieces(fields: Sequence[TestField]):
     in t; so every kink lies on a cell edge and |x| < x_floor is never
     sampled. Two square-root edges are graded away: from the apex of a kink
     curve rho takes tau^2 for tau, and with x_floor = 0 psi runs up to pi/2
-    as (pi/2)(1 - (1-t)^a). lift gives the points (r e_1, s e_(m+1)) and
-    their Jacobians.
+    as (pi/2)(1 - (1-t)^a). lift gives the nodes' (r, s, rho), where
+    r = |x| and s = |y|, and their Jacobians.
     """
     space = fields[0].space
     m, a = space.m, 1.0 + space.gamma
@@ -298,7 +302,7 @@ def _polar_pieces(fields: Sequence[TestField]):
     rho0, rho1, rho_grade, r_out, r_in, grade = (np.array(col) for col in zip(*pieces))
     spheres = math.prod(2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0) for d in (m, space.k))
 
-    def lift(nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def lift(nodes: np.ndarray) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
         i = np.clip(np.floor(nodes[:, 0]).astype(int), 0, len(pieces) - 1)
         tau, t = nodes[:, 0] - i, nodes[:, 1]
         log_ratio = np.log(rho1[i] / rho0[i])
@@ -314,10 +318,8 @@ def _polar_pieces(fields: Sequence[TestField]):
         cos = cos_hi * np.cos(delta) + sin_hi * np.sin(delta)
         sin = sin_hi * np.cos(delta) - cos_hi * np.sin(delta)
         r, s = rho * cos ** (1.0 / a), rho**a * sin / a
-        pts = np.zeros((nodes.shape[0], space.n))
-        pts[:, 0], pts[:, m] = r, s
         jac = r ** (m - 1) * s ** (space.k - 1) * (rho**a / a) * cos ** (1.0 / a - 1.0)
-        return pts, spheres * jac * d_rho * d_psi
+        return (r, s, rho), spheres * jac * d_rho * d_psi
 
     return Region(box=((0.0, len(pieces)), (0.0, 1.0)), cuts=tuple(range(1, len(pieces)))), lift
 
@@ -325,29 +327,26 @@ def _polar_pieces(fields: Sequence[TestField]):
 class _Batch:
     """What every field integrand needs on one cubature batch, computed once.
 
-    (|x|, rho) is computed once on the whole batch, and each field's f, Df
-    and support are evaluated from it. The union of the supports is gathered
-    once by integer index; (|x|, rho) is taken on that gather, and the pair
-    weights, their p-th roots and the powers |f|^q, |Df|^q are computed on
-    it on first use and reused, so C cases over F fields and P pairs cost F
-    field and P weight evaluations, not C of each.
-    Arrays are indexed like the gather (entry j is point idx[j]), except the
-    full-batch gradients in grads.
+    Each field gives f, f_r and f_rho on the nodes' (r, s, rho) (see
+    TestField.eval_radial), and Df follows in closed form: r and rho are both
+    of degree 1 under the dilations, so Df = (r/rho)^gamma (r f_r + rho f_rho)/rho.
+    The pair weights, their p-th roots and the powers |f|^q, |Df|^q are
+    computed on first use and reused, so C cases over F fields and P pairs
+    cost F field and P weight evaluations, not C of each. The weights are
+    given the (N, 2) nodes, one row per node, with coords = (r, rho).
     """
 
-    def __init__(self, space: SpaceParams, pts: np.ndarray, fields: Sequence[TestField]):
-        coords = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
-        evals = [f.eval_batch(pts, coords=coords) for f in fields]
-        dfs = [radial_derivative_batch(space, pts, grads, coords=coords) for _, grads in evals]
-        supports = [(vals != 0) | (df != 0) for (vals, _), df in zip(evals, dfs)]
-        self.idx = np.flatnonzero(np.logical_or.reduce(supports))
-        self.sub = pts[self.idx]
-        self.coords = (coords[0][self.idx], coords[1][self.idx])
-        self.vals = [vals[self.idx] for vals, _ in evals]
-        self.df = [df[self.idx] for df in dfs]
-        self.grads = [grads for _, grads in evals]
-        # per field, the gathered points outside its own support
-        self.outside = [self.idx[~s[self.idx]] for s in supports]
+    def __init__(self, space: SpaceParams, nodes: np.ndarray, coords, fields: Sequence[TestField]):
+        self.space, self.nodes = space, nodes
+        r, self.s, rho = coords
+        self.coords = (r, rho)
+        scale = (r / rho) ** space.gamma / rho
+        self.vals, self.partials, self.df = [], [], []
+        for field in fields:
+            f, f_r, f_rho = field.eval_radial(r, rho)
+            self.vals.append(f)
+            self.partials.append((f_r, f_rho))
+            self.df.append(scale * (r * f_r + rho * f_rho))
         self._memo: Dict[tuple, np.ndarray] = {}
 
     def _cached(self, key: tuple, make) -> np.ndarray:
@@ -359,7 +358,7 @@ class _Batch:
         """The pair's v, w or phi."""
         return self._cached(
             (id(pair), name),
-            lambda: getattr(pair, f"{name}_batch")(self.sub, coords=self.coords),
+            lambda: getattr(pair, f"{name}_batch")(self.nodes, coords=self.coords),
         )
 
     def root(self, pair: WeightPair, name: str) -> np.ndarray:
@@ -370,6 +369,16 @@ class _Batch:
     def power(self, kind: str, f: int, q: float) -> np.ndarray:
         """|f|^q (kind "vals") or |Df|^q (kind "df") of field slot f."""
         return self._cached((kind, f, q), lambda: np.abs(getattr(self, kind)[f]) ** q)
+
+    def grad_sq(self, f: int) -> np.ndarray:
+        """Euclidean |grad f|^2 of field slot f, from grad r . grad rho =
+        (r/rho)^(2g+1) and |grad rho|^2 = (r^(4g+2) + (1+g)^2 s^2)/rho^(4g+2)."""
+        f_r, f_rho = self.partials[f]
+        r, rho = self.coords
+        g = self.space.gamma
+        cross = (f_r * np.conj(f_rho)).real * (r / rho) ** (2.0 * g + 1.0)
+        grad_rho_sq = (r ** (4.0 * g + 2.0) + (1.0 + g) ** 2 * self.s**2) / rho ** (4.0 * g + 2.0)
+        return np.abs(f_r) ** 2 + 2.0 * cross + np.abs(f_rho) ** 2 * grad_rho_sq
 
     def xi_eta(self, pair: WeightPair, f: int):
         """xi = v^(1/p) Df, w^(1/p) f and eta = xi + w^(1/p) f of one case."""
@@ -390,9 +399,9 @@ def _integrate_cases(
 ) -> List[List]:
     """Integrate n_terms integrands per (pair, field) case on one shared mesh.
 
-    terms(batch, pair, f) gives a case's rows on the batch's gather (f is the
-    field's slot); points outside the case's own field support get 0. Cases
-    share one space and one support region; returns each case's results.
+    terms(batch, pair, f) gives a case's rows on the batch (f is the field's
+    slot). Cases share one space and one support region; returns each case's
+    results.
     """
     if len(cases) == 0:
         raise ValueError("the integration needs at least one case")
@@ -410,18 +419,15 @@ def _integrate_cases(
     n_comp = n_terms * len(cases)
 
     def integrand(nodes: np.ndarray) -> np.ndarray:
-        pts, jac = lift(nodes)
-        out = np.zeros((n_comp, pts.shape[0]))
-        batch = _Batch(space, pts, fields)
-        if batch.idx.size == 0:
-            return out
+        coords, jac = lift(nodes)
+        out = np.empty((n_comp, nodes.shape[0]))
+        batch = _Batch(space, nodes, coords, fields)
         for group in by_pair.values():
             pair = cases[group[0]][0]
             for ci in group:
                 rows = out[n_terms * ci : n_terms * (ci + 1)]
                 for row, values in zip(rows, terms(batch, pair, slots[ci])):
-                    row[batch.idx] = values
-                rows[:, batch.outside[slots[ci]]] = 0.0
+                    row[:] = values
             batch.forget(pair)
         out *= jac
         return out
@@ -784,7 +790,7 @@ def verify_hpw(
         rows = hpw.rows(rho, ratio_pow, df_p, fa_pp, k)
         rows.append(np.abs(b.vals[f]) ** 2)
         if track_grad:
-            rows.append((np.abs(b.grads[f][b.idx]) ** 2).sum(axis=1))
+            rows.append(b.grad_sq(f))
         return rows
 
     (res,) = _integrate_cases([(None, field)], ncomp, terms, settings)

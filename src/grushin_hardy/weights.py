@@ -318,12 +318,16 @@ def make_pair(
     for holds, message in spec.rules:
         if not holds(k):
             raise ValueError(message)
+    kappa = spec.kappa(k)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.float64(kappa) ** p):
+            raise ValueError(f"{pair_id}: the sharp constant kappa^p = {kappa:g}^{p:g} overflows")
     return WeightPair(
         id=pair_id,
         space=space,
         p=p,
         params=params,
-        kappa=spec.kappa(k),
+        kappa=kappa,
         x_singular=space.gamma > 0 or any(e < 0 for e in spec.x_exponents(k)),
         allow_negative_phi=allow_negative_phi,
     )

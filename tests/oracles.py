@@ -2,15 +2,21 @@
 
 Everything here deliberately re-derives its quantity along a different code
 path from the package: dense fixed grids instead of adaptive search, plain
-complex-modulus arithmetic instead of the packaged objective assembly, and
-composite Simpson sums instead of adaptive cubature.  Running this file as a
-script regenerates tests/golden/constants.json.
+complex-modulus arithmetic instead of the packaged objective assembly,
+composite Simpson sums instead of adaptive cubature, and point-wise
+geometry and field derivatives (a Point, rho, the dilations, the
+sub-elliptic gradient and the projected derivative D f) instead of the
+package's (|x|, rho) batch kernels.  Running this file as a script
+regenerates tests/golden/constants.json.
 """
 
 import json
 import os
+from dataclasses import dataclass
 
 import numpy as np
+
+from grushin_hardy.geometry import SpaceParams, radial_coords, unit_grad_gamma_rho
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -119,6 +125,93 @@ def simpson_grid_integral(f, lo, hi, n_per_axis):
         wmesh = np.multiply.outer(wmesh, weights[a])
     vals = f(pts)
     return float(np.sum(wmesh.ravel() * np.asarray(vals)))
+
+
+# -- point-wise geometry and field derivatives ----------------------------------
+
+
+class SingularPointError(ValueError):
+    """Evaluation of a point-wise oracle where it is undefined."""
+
+
+@dataclass(frozen=True, eq=False)
+class Point:
+    """A point z = (x, y) with x in R^m, y in R^k."""
+
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
+        object.__setattr__(self, "y", np.atleast_1d(np.asarray(self.y, dtype=float)))
+
+
+def _check_point(space: SpaceParams, z: Point) -> None:
+    if z.x.shape != (space.m,) or z.y.shape != (space.k,):
+        raise ValueError(
+            f"point blocks have lengths ({z.x.shape[0]}, {z.y.shape[0]}); "
+            f"space expects ({space.m}, {space.k})"
+        )
+
+
+def rho(space: SpaceParams, z: Point) -> float:
+    """Anisotropic distance (|x|^(2(1+gamma)) + (1+gamma)^2 |y|^2)^(1/(2(1+gamma)))."""
+    _check_point(space, z)
+    a = 1.0 + space.gamma
+    r2 = float(z.x @ z.x)
+    y2 = float(z.y @ z.y)
+    return float((r2**a + a * a * y2) ** (1.0 / (2.0 * a)))
+
+
+def dilate(space: SpaceParams, z: Point, lam: float) -> Point:
+    """Anisotropic dilation (x, y) -> (lam x, lam^(1+gamma) y)."""
+    if lam <= 0:
+        raise ValueError("lambda must be > 0")
+    _check_point(space, z)
+    return Point(lam * z.x, lam ** (1.0 + space.gamma) * z.y)
+
+
+@dataclass(frozen=True)
+class FieldValue:
+    value: complex
+    euclid_grad: np.ndarray
+
+    def __post_init__(self) -> None:
+        grad = np.atleast_1d(np.asarray(self.euclid_grad, dtype=complex))
+        object.__setattr__(self, "euclid_grad", grad)
+        object.__setattr__(self, "value", complex(self.value))
+
+
+def field_eval(field, z: Point) -> FieldValue:
+    """A field's value and Euclidean gradient at one point."""
+    if z.x.shape != (field.space.m,) or z.y.shape != (field.space.k,):
+        raise ValueError("point does not match the field's space")
+    vals, grads = field.eval_batch(np.concatenate([z.x, z.y])[None, :])
+    return FieldValue(value=vals[0], euclid_grad=grads[0])
+
+
+def grad_gamma(space: SpaceParams, fv: FieldValue, z: Point) -> np.ndarray:
+    """Sub-elliptic gradient (d_x f, |x|^gamma d_y f) from Euclidean partials."""
+    if fv.euclid_grad.shape != (space.n,):
+        raise ValueError(f"euclid_grad must have length {space.n}")
+    out = fv.euclid_grad.copy()
+    r = float(np.linalg.norm(z.x))
+    out[space.m :] *= r**space.gamma
+    return out
+
+
+def radial_derivative(space: SpaceParams, field, z: Point) -> complex:
+    """Projected derivative D f = (grad_gamma rho . grad_gamma f)/|grad_gamma rho|.
+
+    Raises SingularPointError where the direction is undefined ({x=0} for
+    gamma > 0, and the origin).
+    """
+    r, rho_z = radial_coords(space, z.x, z.y)
+    if rho_z == 0.0 or (space.gamma > 0 and r == 0.0):
+        raise SingularPointError("D f is undefined at the origin and, for gamma > 0, on {x=0}")
+    unit = unit_grad_gamma_rho(space, np.concatenate([z.x, z.y])[None, :])[0]
+    gg = grad_gamma(space, field_eval(field, z), z)
+    return complex(np.dot(unit, gg))
 
 
 def main():

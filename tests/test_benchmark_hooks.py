@@ -3,13 +3,16 @@ by rebinding its public names, such as ``radial_coords`` in fields, weights,
 verifier and cli, and ``find_constant`` in cp, verifier and cli (the source of
 the per-kind ``cp.find_constant.*_s`` metrics). A change that drops or renames
 one of them fails here. Its traced ``integrate_vector`` reads
-``IntegrationSettings.rule`` from an explicit settings object."""
+``IntegrationSettings.rule`` from an explicit settings object, and its
+per-point metrics count the rows of the first argument of each traced call."""
 
 import importlib.util
 import pathlib
 
 from grushin_hardy import cli, cp, fields, verifier, weights
 from grushin_hardy.cubature import IntegrationSettings, Region
+from grushin_hardy.fields import TestFieldSpec, build_test_field
+from grushin_hardy.geometry import SpaceParams
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -49,3 +52,35 @@ def test_traced_integration_with_explicit_settings():
         tracer.uninstall()
     assert res.converged
     assert abs(res.value - 1.0 / 3.0) <= 1e-12
+
+
+def test_traced_sweep_counts_one_point_per_node():
+    # the weights.vwphi and cp.cp_value_batch spans of a cubature batch must
+    # count the batch's nodes, or their ns-per-point metrics read 0
+    module = load_tracer_module()
+    space = SpaceParams(1, 1, 1.0)
+    field = build_test_field(
+        space, TestFieldSpec(family="bump_radial_x_cutoff", inner_rho=0.5, x_floor=0.125)
+    )
+    cases = [
+        (weights.make_pair("dambrosio_power", space, p, {"alpha": 0.0, "beta": 0.0}), field)
+        for p in (2.0, 3.0)
+    ]
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        reports = verifier.verify_identity_sweep(cases, IntegrationSettings(rel_tol=1e-3))
+    finally:
+        tracer.uninstall()
+    assert all(rep.passed for rep in reports)
+    batches = [i for i, name in enumerate(tracer.names) if name == module.INTEGRAND]
+    assert batches
+    for layer in (module.VWPHI, module.CPV):
+        spans = [i for i, name in enumerate(tracer.names) if name == layer]
+        assert spans
+        for i in spans:
+            assert tracer.parent[i] in batches, layer
+            assert tracer.points[i] == tracer.points[tracer.parent[i]] > 0, layer
+    metrics = tracer.layer_metrics(0)
+    assert metrics["weights.vwphi.ns_per_pt"] > 0.0
+    assert metrics["cp.cp_value_batch.ns_per_pt"] > 0.0

@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from grushin_hardy import cli, verifier
@@ -224,6 +224,8 @@ _MALFORMED = st.sampled_from(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(data=_MALFORMED)
+# finite, but the pair's sharp constant kappa^p = (Q/2)^2 overflows
+@example(data=_with(("space", "gamma"), 1e308))
 def test_verify_malformed_config_exits_2(tmp_path, data):
     path = write_config(tmp_path, data)
     err = io.StringIO()

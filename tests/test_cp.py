@@ -247,6 +247,32 @@ def test_cp_value_batch_scalar_kernel_matches_vector_path(p):
     assert np.array_equal(cp_value_batch(xi.real[:50], xi.real[:50], p), np.abs(xi.real[:50]) ** p)
 
 
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0, 4.0])
+def test_cp_value_batch_matches_the_literal_formula(p):
+    # |xi|^p - |xi-eta|^p - p |xi-eta|^(p-2) Re((xi-eta) conj(eta)) in 40
+    # digits; the batch form takes t^p as t t^(p-1), so each of its powers
+    # carries about p ulp, and 4p ulp of the larger power bounds the error
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    rng = np.random.default_rng(109)
+    n = 400
+
+    def moduli_and_phases():
+        return 10.0 ** rng.uniform(-3.0, 3.0, n) * np.exp(2j * np.pi * rng.random(n))
+
+    xi, eta = moduli_and_phases(), moduli_and_phases()
+    # a quarter with eta close to xi, down to |xi - eta| = 1e-12 |xi|
+    step = 10.0 ** -rng.uniform(1.0, 12.0, 100) * np.exp(2j * np.pi * rng.random(100))
+    eta[:100] = xi[:100] * (1.0 + step)
+    got = cp_value_batch(xi, eta, p)
+    for g, x, e in zip(got, xi, eta):
+        xm, em = mpmath.mpc(x), mpmath.mpc(e)
+        t = abs(xm - em)
+        literal = abs(xm) ** p - t**p - p * t ** (p - 2) * mpmath.re((xm - em) * mpmath.conj(em))
+        scale = max(abs(x) ** p, abs(x - e) ** p)
+        assert abs(g - float(literal)) <= 4.0 * p * np.finfo(float).eps * scale, (x, e)
+
+
 def test_c3_seam_value():
     # both branches meet at r = 1; the axis point (1, 0) evaluates to
     # 4^(3/4) - 1 - 3/2 = 2 sqrt(2) - 5/2 for p = 1.5

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from grushin_hardy.geometry import (
-    Point,
     SpaceParams,
-    dilate,
     div_weighted_rho_closed_form,
     fd_divergence,
     grad_gamma_rho,
     radial_coords,
-    rho,
     unit_grad_gamma_rho,
 )
+
+from oracles import Point, dilate, rho
 
 SPACES = [SpaceParams(1, 1, 1.0), SpaceParams(2, 1, 2.0), SpaceParams(1, 2, 0.5)]
 CS_PAIRS = [(1.0, -1.0), (0.0, 0.0), (3.0, 1.0)]

@@ -11,7 +11,13 @@ from scipy.special import beta as beta_fn
 
 from grushin_hardy.cp import ConstantEstimate
 from grushin_hardy.cubature import IntegrationSettings, Region, integrate_vector
-from grushin_hardy.fields import TestField, TestFieldSpec, build_test_field
+from grushin_hardy.fields import (
+    TestField,
+    TestFieldSpec,
+    build_extremal_field,
+    build_test_field,
+    radial_derivative_batch,
+)
 from grushin_hardy.geometry import SpaceParams, radial_coords
 from grushin_hardy.verifier import (
     CknParams,
@@ -39,10 +45,9 @@ def annulus_field(space, **kwargs):
 
 
 class _ZeroField(TestField):
-    def eval_batch(self, pts, coords=None):
-        vals = np.zeros(pts.shape[0], dtype=complex)
-        grads = np.zeros((pts.shape[0], self.space.n), dtype=complex)
-        return vals, grads
+    def eval_radial(self, r, rho):
+        zero = np.zeros_like(rho)
+        return zero, zero, zero
 
 
 class _RotatedField(TestField):
@@ -53,9 +58,8 @@ class _RotatedField(TestField):
         self._base = base
         self._phase = phase
 
-    def eval_batch(self, pts, coords=None):
-        vals, grads = self._base.eval_batch(pts, coords=coords)
-        return vals * self._phase, grads * self._phase
+    def eval_radial(self, r, rho):
+        return tuple(part * self._phase for part in self._base.eval_radial(r, rho))
 
 
 def golden_estimate(kind, p, half_width=2e-3):
@@ -171,7 +175,7 @@ def test_sweep_phase_twist_changes_lhs():
 
 
 def test_sweep_over_different_supports_matches_single_cases():
-    # one region, three supports: a point of the gathered union may lie
+    # one region, three supports: a node of the shared pieces may lie
     # outside a case's own field support and must add nothing to that case
     settings = IntegrationSettings(rel_tol=1e-6)
 
@@ -311,8 +315,13 @@ def test_polar_pieces_put_cutoff_kinks_on_edges(x_floor):
     rng = np.random.default_rng(3)
     for i in range(n_pieces):
         nodes = np.column_stack([i + rng.uniform(0.0, 1.0, 400), rng.uniform(0.0, 1.0, 400)])
-        pts, jac = lift(nodes)
-        r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
+        (r, s, rho), jac = lift(nodes)
+        # (r, s, rho) are the |x|, |y| and rho of the point (r e_1, s e_(m+1))
+        pts = np.zeros((nodes.shape[0], space.n))
+        pts[:, 0], pts[:, space.m] = r, s
+        np.testing.assert_allclose(
+            radial_coords(space, pts[:, : space.m], pts[:, space.m :]), (r, rho), rtol=1e-14
+        )
         assert np.all(jac > 0.0)
         assert np.all((rho >= 0.5 - 1e-12) & (rho <= 2.0 + 1e-12))
         # |x| < x_floor is never sampled, and no piece straddles |x| = 2 x_floor
@@ -330,6 +339,97 @@ def test_polar_pieces_put_cutoff_kinks_on_edges(x_floor):
         assert abs(vol.value - exact) <= 1e-11 * exact
 
 
+def _kernel_fields(space):
+    """One field of every family: a radial bump, an x-cutoff bump, a
+    phase-twisted x-cutoff field and an extremal field."""
+
+    def bump(family, **kwargs):
+        return build_test_field(space, TestFieldSpec(family=family, inner_rho=0.5, **kwargs))
+
+    return [
+        bump("bump_radial"),
+        bump("bump_radial_x_cutoff", x_floor=0.3),
+        bump("phase_twisted", x_floor=0.3, phase_kappa=1.3),
+        build_extremal_field(make_pair("nch_ball", space, 2.0, {"R": 4.0}), truncation_level=1),
+    ]
+
+
+@pytest.mark.parametrize(
+    "space", (SpaceParams(1, 1, 1.0), SpaceParams(2, 1, 0.0), SpaceParams(2, 2, 1.0)), ids=str
+)
+def test_radial_kernel_matches_the_nd_path(space):
+    # random points of R^m x R^k, some outside each support, against
+    # eval_batch's Euclidean gradients: D f from radial_derivative_batch and
+    # |grad f|^2 as the squared norm
+    rng = np.random.default_rng(113)
+    n, a = 2000, 1.0 + space.gamma
+    rho = rng.uniform(0.2, 4.2, n)
+    psi = rng.uniform(0.0, np.pi / 2.0, n)
+    r, s = rho * np.cos(psi) ** (1.0 / a), rho**a * np.sin(psi) / a
+
+    def directions(d):
+        u = rng.normal(size=(n, d))
+        return u / np.linalg.norm(u, axis=1)[:, None]
+
+    pts = np.hstack([r[:, None] * directions(space.m), s[:, None] * directions(space.k)])
+    r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
+    fields = _kernel_fields(space)
+    b = verifier._Batch(space, pts, (r, s, rho), fields)
+    for slot, field in enumerate(fields):
+        vals, grads = field.eval_batch(pts)
+        want = (
+            vals,
+            radial_derivative_batch(space, pts, grads),
+            (np.abs(grads) ** 2).sum(axis=1),
+        )
+        got = (b.vals[slot], b.df[slot], b.grad_sq(slot))
+        for g, w in zip(got, want):
+            assert np.any(w != 0.0) and np.any(w == 0.0)
+            np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13 * np.abs(w).max())
+
+
+def test_sweep_terms_vanish_exactly_outside_a_fields_support(monkeypatch):
+    # the pieces cover the union of the supports; at a node below a field's
+    # inner_rho its case's terms are exact zeros, and every weight is finite
+    def field(family, inner, **kwargs):
+        spec = TestFieldSpec(family=family, inner_rho=inner, outer_rho=2.0, x_floor=0.125, **kwargs)
+        return build_test_field(SP, spec)
+
+    fields = [
+        field("bump_radial_x_cutoff", 0.8),
+        field("bump_radial_x_cutoff", 0.5),
+        field("phase_twisted", 0.65, phase_kappa=1.0),
+    ]
+    pairs = [
+        make_pair("dambrosio_power", SP, 1.5, {"alpha": 0.0, "beta": 0.0}),
+        make_pair("nch_ball", SP, 3.0, {"R": 4.0}),
+    ]
+    cases = [(pair, f) for pair in pairs for f in fields]
+    region, lift = verifier._polar_pieces(fields)
+    rng = np.random.default_rng(127)
+    nodes = np.column_stack(
+        [rng.uniform(0.0, region.box[0][1], 5000), rng.uniform(0.0, 1.0, 5000)]
+    )
+    (_, _, rho), _ = lift(nodes)
+    seen = {}
+
+    def capture(integrand, n_comp, region, settings):
+        seen["out"] = integrand(nodes)
+        return [None] * n_comp
+
+    monkeypatch.setattr(verifier, "integrate_vector", capture)
+    verifier._integrate_cases(cases, 4, verifier._identity_terms, None)
+    out = seen["out"]
+    assert np.all(np.isfinite(out))
+    for ci, (_, f) in enumerate(cases):
+        rows = out[4 * ci : 4 * (ci + 1)]
+        outside = rho < f.spec.inner_rho
+        assert np.any(outside) == (f.spec.inner_rho > 0.5)
+        assert np.all(rows[:, outside] == 0.0)
+        # and the w term is nonzero wherever f is, strictly inside the window
+        assert np.all(rows[1, (rho > f.spec.inner_rho) & (rho < 2.0)] != 0.0)
+
+
 @pytest.mark.parametrize("space", (SpaceParams(1, 1, 1.0), SpaceParams(1, 1, 2.0)), ids=str)
 def test_polar_identity_terms_match_cartesian_cubature(space):
     pair = make_pair("nch_ball", space, 3.0, {"R": 4.0})
@@ -338,10 +438,13 @@ def test_polar_identity_terms_match_cartesian_cubature(space):
     (polar,) = verifier._integrate_cases([(pair, field)], 4, verifier._identity_terms, settings)
 
     def cartesian(pts):
+        x, y = pts[:, : space.m], pts[:, space.m :]
+        r, rho = radial_coords(space, x, y)
+        inside = (rho >= 0.5) & (rho <= 2.0) & (r > field.spec.x_floor)
+        coords = (r[inside], np.linalg.norm(y[inside], axis=1), rho[inside])
         out = np.zeros((4, pts.shape[0]))
-        b = verifier._Batch(space, pts, [field])
-        if b.idx.size:
-            out[:, b.idx] = verifier._identity_terms(b, pair, 0)
+        b = verifier._Batch(space, pts[inside], coords, [field])
+        out[:, inside] = verifier._identity_terms(b, pair, 0)
         return out
 
     a = 1.0 + space.gamma

@@ -63,6 +63,9 @@ def test_validation_messages():
         make_pair("dambrosio_power", SP, 2.0, {"alpha": 0.0})
     with pytest.raises(ValueError, match="unexpected"):
         make_pair("nch_ball", SP, 2.0, {"R": 4.0, "alpha": 1.0})
+    # kappa = Q/2 = 5e307 is finite, but kappa^2 overflows
+    with pytest.raises(ValueError, match=r"kappa\^p = 5e\+307\^2 overflows"):
+        make_pair("dambrosio_power", SpaceParams(1, 1, 1e308), 2.0, {"alpha": 0.0, "beta": 0.0})
 
 
 def test_log_ball_subcritical_flag():
