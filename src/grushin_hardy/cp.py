@@ -27,21 +27,33 @@ p(p-1)/2^(p-1) and the supremum at least p/2^(p-1).  These directional limits
 enter the search as explicit candidates, so the reported extremum can never
 miss a value approached only at the ends of the radius range.
 
-The search itself is a dense polar grid (with an exact r = 1 ring for the
-c3_min branch seam) followed by Nelder-Mead refinement restarted from the
-best grid cells.  N and every denominator depend on t only through t^2, so
-each quotient is even in t and the grid covers only the upper half circle
-theta in [0, pi], both ends included: the lower half repeats its values.
-The grid is scored by the array evaluator `_quotient`; every single-point
-evaluation (the refinement, the half-cell probes, the c3_min circle search)
-goes through `objective`, the same arithmetic on Python floats.
+Every extremum lies on the real axis t = 0.  Write z = s + i t, r = |z|
+and w = |1 + z|, so that N = w^p - 1 - p s:
+
+    cp_pge2: at fixed r, N is convex in s with its vertex at s = -r^2/2.  For
+             r <= 2 the vertex lies in [-r, r], where the quotient is
+             p r^(2-p)/2 >= p 2^(1-p), the axis value at s = -2; for r >= 2
+             the minimum over the circle is at s = -r.
+    c3_min:  both denominators depend on r alone and N is concave in s, so
+             at fixed r the minimum is at s = r or s = -r.
+    c1_inf, c2_sup: the quotient is (w+1)^(2-p) [p/2 + A(w)/r^2] with
+             A(w) = w^p - 1 - (p/2)(w^2 - 1) <= 0, so at fixed w it increases
+             with r, which ranges over [|w-1|, w+1]; at both ends z is real,
+             so the infimum and the supremum are both taken on t = 0.
+
+The search is therefore one dimensional: a log-spaced scan of |s| on both
+signs of the axis (with exact s = -1 and s = 1 for the c3_min branch seam),
+scored by the array evaluator `_quotient`, then bounded Brent on log|s| near
+each sign's best scan point, which evaluates single points with `objective`,
+the same arithmetic on Python floats.  The 2-D `_quotient` and `objective`
+stay defined on the whole plane, so tests can check the lemma off the axis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -58,14 +70,9 @@ __all__ = [
 
 KINDS = ("cp_pge2", "c1_inf", "c2_sup", "c3_min")
 
-# the search grid: angles, radius decades on each side of r = 1 and radii
-# per decade; then Nelder-Mead iterations from the best grid cells
-_THETA_SAMPLES = 720
+# the axis scan: radius decades on each side of |s| = 1 and radii per decade
 _RADIUS_DECADES = 6
 _RADIUS_PER_DECADE = 40
-_REFINE_ITERS = 200
-_RESTARTS = 5
-
 
 @dataclass(frozen=True)
 class CpObjectiveKind:
@@ -86,8 +93,8 @@ class CpObjectiveKind:
 
 @dataclass(frozen=True)
 class ConstantEstimate:
-    """Search outcome: the extremal value, its argument, and a conservative
-    enclosure assembled from the grid scan plus the refinement."""
+    """Search outcome: the extremal value, its argument (always on t = 0), and
+    a conservative enclosure assembled from the axis scan plus the refinement."""
 
     value: float
     argmin_s: float
@@ -170,10 +177,9 @@ def _numerator(p: float, s: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quotient(kind: CpObjectiveKind, s: np.ndarray, t: np.ndarray, r2: Optional[np.ndarray] = None) -> np.ndarray:
-    """The remainder quotient on arrays: the grid scan's evaluator."""
-    if r2 is None:
-        r2 = s * s + t * t
+def _quotient(kind: CpObjectiveKind, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The remainder quotient on arrays: the axis scan's evaluator."""
+    r2 = s * s + t * t
     p = kind.p
     num = _numerator(p, s, r2)
     if kind.kind == "cp_pge2":
@@ -189,9 +195,9 @@ def _quotient(kind: CpObjectiveKind, s: np.ndarray, t: np.ndarray, r2: Optional[
 def objective(kind: CpObjectiveKind, s: float, t: float) -> float:
     """The remainder quotient at a single point (s, t) != (0, 0).
 
-    The same arithmetic as the grid's array evaluator `_quotient`, on Python
-    floats: a single point costs no array set-up, which is what the simplex
-    refinement, the half-cell probes and the c3_min circle search call.
+    The same arithmetic as the scan's array evaluator `_quotient`, on Python
+    floats: a single point costs no array set-up, which is what the Brent
+    refinement and the bracket probes call.
     Returns nan where the float arithmetic overflows or underflows to 0/0.
     """
     if s == 0.0 and t == 0.0:
@@ -261,62 +267,6 @@ def _limit_candidates(kind: CpObjectiveKind) -> List[float]:
     return [1.0, lo if kind.kind == "c2_sup" else hi]
 
 
-def _nelder_mead(f: Callable[[float, float], float], s0: float, t0: float) -> Tuple[float, float, float, int]:
-    """Minimize f(s, t) from (s0, t0); returns (fun, s, t, evaluations).
-
-    scipy's non-adaptive Nelder-Mead with xatol 1e-12, fatol 1e-15 and
-    _REFINE_ITERS iterations, step for step on Python floats: the same start
-    simplex, coefficients, stable vertex sort and stop test, so it gives the
-    same iterates (tests check this against scipy).  The cap of
-    4 * _REFINE_ITERS evaluations that scipy is also given never binds: an
-    iteration makes at most 4 calls, so 3 + 4 * (_REFINE_ITERS - 1) is the most.
-    """
-    xatol, fatol = 1e-12, 1e-15
-    sim = [(s0, t0), (1.05 * s0 if s0 != 0.0 else 0.00025, t0), (s0, 1.05 * t0 if t0 != 0.0 else 0.00025)]
-    fsim = [f(*v) for v in sim]
-    calls = 3
-    order = sorted(range(3), key=fsim.__getitem__)
-    sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-    iterations = 1
-    while iterations < _REFINE_ITERS:
-        (s_0, t_0), (s_1, t_1), (s_2, t_2) = sim
-        f_0, f_1, f_2 = fsim
-        x_close = abs(s_1 - s_0) <= xatol and abs(t_1 - t_0) <= xatol
-        x_close = x_close and abs(s_2 - s_0) <= xatol and abs(t_2 - t_0) <= xatol
-        if x_close and abs(f_0 - f_1) <= fatol and abs(f_0 - f_2) <= fatol:
-            break
-        sb, tb = (s_0 + s_1) / 2, (t_0 + t_1) / 2
-        xr = (2 * sb - s_2, 2 * tb - t_2)  # reflection
-        fxr = f(*xr)
-        calls += 1
-        if fxr < f_0:
-            xe = (3 * sb - 2 * s_2, 3 * tb - 2 * t_2)  # expansion
-            fxe = f(*xe)
-            calls += 1
-            sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < f_1:
-            sim[2], fsim[2] = xr, fxr
-        else:
-            if fxr < f_2:
-                xc = (1.5 * sb - 0.5 * s_2, 1.5 * tb - 0.5 * t_2)  # contraction
-                accept = (fxc := f(*xc)) <= fxr
-            else:
-                xc = (0.5 * sb + 0.5 * s_2, 0.5 * tb + 0.5 * t_2)  # inside contraction
-                accept = (fxc := f(*xc)) < f_2
-            calls += 1
-            if accept:
-                sim[2], fsim[2] = xc, fxc
-            else:  # shrink toward the best vertex
-                for j in (1, 2):
-                    sim[j] = (s_0 + 0.5 * (sim[j][0] - s_0), t_0 + 0.5 * (sim[j][1] - t_0))
-                    fsim[j] = f(*sim[j])
-                calls += 2
-        iterations += 1
-        order = sorted(range(3), key=fsim.__getitem__)
-        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
-    return fsim[0], sim[0][0], sim[0][1], calls
-
-
 def _bounded_brent(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float, int]:
     """Minimize f on [a, b]; returns (x, fun, evaluations).
 
@@ -382,122 +332,69 @@ def _bounded_brent(f: Callable[[float], float], a: float, b: float) -> Tuple[flo
 
 
 def find_constant(kind: CpObjectiveKind) -> ConstantEstimate:
-    """Global polar-grid search plus simplex refinement for one constant.
+    """The extremum of the axis function q(s) = objective(kind, s, 0).
 
-    The grid spans the upper half circle only, as the quotient is even in t;
-    it is scored on arrays by `_quotient`, and the refinement and the probes
-    evaluate single points with `objective`.
+    The axis lemma (module docstring) puts every extremum on t = 0, so the
+    search is one dimensional: a log-spaced scan of |s| on both signs, scored
+    on arrays by `_quotient`, then bounded Brent on log|s| over one scan step
+    either side of each sign's best scan point, evaluated with `objective`.
 
-    The returned bracket is [value - slack, grid_best + span] for infima
+    The returned bracket is [value - slack, scan_best + span] for infima
     (mirrored for c2_sup). Any sampled quotient value bounds an infimum from
-    above, so the grid end is rigorous up to `span`: the quotient probed one
-    half grid cell away from the reported argument. That allowance covers any
-    independent sampling at this resolution or finer, no matter how the other
-    grid happens to align with the true extremum.
+    above, so the scan end is rigorous up to `span`: the quotient probed half
+    a scan step away from the reported argument on the axis. That allowance
+    covers any independent sampling at this resolution or finer, no matter
+    how the other sampling happens to align with the true extremum.
     """
     sign = -1.0 if kind.kind == "c2_sup" else 1.0
-
-    # theta in [0, pi], both ends included: the quotient is even in t
-    theta = np.linspace(0.0, 2.0 * np.pi, _THETA_SAMPLES, endpoint=False)[: _THETA_SAMPLES // 2 + 1]
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
     d = _RADIUS_DECADES
-    n_r = 2 * d * _RADIUS_PER_DECADE + 1
-    radii = np.geomspace(10.0 ** (-d), 10.0**d, n_r)
-    # exact ring at r = 1 so the c3_min branch seam is always sampled
-    radii = np.append(radii, 1.0)
+    radii = np.geomspace(10.0 ** (-d), 10.0**d, 2 * d * _RADIUS_PER_DECADE + 1)
+    h = math.log(10.0) / _RADIUS_PER_DECADE  # the scan step in log|s|
+    # both signs of s, then exact s = -1 and s = 1, where the c3_min branches meet
+    s_scan = np.concatenate([-radii, radii, [-1.0, 1.0]])
+    scores = sign * _quotient(kind, s_scan, np.zeros_like(s_scan))
+    scores[np.isnan(scores)] = np.inf
 
-    def scan(radii_block: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        s = radii_block[:, None] * cos_t[None, :]
-        t = radii_block[:, None] * sin_t[None, :]
-        r2 = (radii_block**2)[:, None] * np.ones_like(cos_t)[None, :]
-        return s, t, sign * _quotient(kind, s, t, r2)
-
-    s_grid, t_grid, score_grid = scan(radii)
-
-    # supremum searches extend outward while the best cell sits in the top decade
-    extensions = 0
-    r_hi = 10.0**d
-    while kind.kind == "c2_sup" and extensions < 6:
-        flat = int(np.argmin(score_grid))
-        best_r = np.sqrt(s_grid.ravel()[flat] ** 2 + t_grid.ravel()[flat] ** 2)
-        if best_r < r_hi / 10.0:
-            break
-        new_radii = np.geomspace(r_hi, r_hi * 100.0, 2 * _RADIUS_PER_DECADE + 1)[1:]
-        s_n, t_n, sc_n = scan(new_radii)
-        s_grid = np.vstack([s_grid, s_n])
-        t_grid = np.vstack([t_grid, t_n])
-        score_grid = np.vstack([score_grid, sc_n])
-        r_hi *= 100.0
-        extensions += 1
-
-    flat_scores = score_grid.ravel()
-    best = np.argpartition(flat_scores, _RESTARTS - 1)[:_RESTARTS]
-    order = best[np.argsort(flat_scores[best])]
-    grid_best_score = float(flat_scores[order[0]])
-    starts = [int(i) for i in order]
-    if kind.kind == "c3_min":
-        # make sure both branch regions and the seam contribute a start
-        r_flat = np.sqrt(s_grid.ravel() ** 2 + t_grid.ravel() ** 2)
-        for region in (r_flat >= 1.0, r_flat < 1.0):
-            idx = np.where(region)[0]
-            if idx.size:
-                starts.append(int(idx[np.argmin(flat_scores[idx])]))
-
-    def score(s: float, t: float) -> float:
-        if s == 0.0 and t == 0.0:
-            return math.inf
-        q = objective(kind, s, t)
+    def score(s: float) -> float:
+        q = objective(kind, s, 0.0)
         return sign * q if math.isfinite(q) else math.inf
 
-    best_score = grid_best_score
-    best_s = float(s_grid.ravel()[order[0]])
-    best_t = float(t_grid.ravel()[order[0]])
-    for i in dict.fromkeys(starts):
-        f, s_r, t_r, _ = _nelder_mead(score, float(s_grid.ravel()[i]), float(t_grid.ravel()[i]))
+    best = int(np.argmin(scores))
+    scan_best_score = best_score = float(scores[best])
+    best_s = float(s_scan[best])
+    n_r = radii.size
+    for side, block in ((-1.0, scores[:n_r]), (1.0, scores[n_r : 2 * n_r])):
+        x = math.log(radii[int(np.argmin(block))])
+        x_r, f, _ = _bounded_brent(lambda x: score(side * math.exp(x)), x - h, x + h)
         if f < best_score:
-            best_score, best_s, best_t = f, s_r, t_r
-    refined = True
-    if kind.kind == "c3_min":
-        # 1-d refinement along the unit circle, where the two branches meet
-        th, f, _ = _bounded_brent(lambda th: objective(kind, math.cos(th), math.sin(th)), 0.0, 2.0 * np.pi)
-        if f < best_score:
-            best_score, best_s, best_t = f, math.cos(th), math.sin(th)
+            best_score, best_s = f, side * math.exp(x_r)
 
+    refined = True
     for lim in _limit_candidates(kind):
         if sign * lim < best_score:
             best_score = sign * lim
             refined = False
 
-    # probe one half grid cell around the reported argument; the worst of the
-    # probes bounds how far any equally fine sampling can sit from the extremum
+    # probe half a scan step either side of the reported argument; the worse
+    # probe bounds how far any equally fine sampling can sit from the extremum
     span = 0.0
-    r_arg = math.hypot(best_s, best_t)
-    if r_arg > 0.0 and math.isfinite(best_score):
-        th_arg = math.atan2(best_t, best_s)
-        h_log = math.log(10.0) / (2.0 * _RADIUS_PER_DECADE)
-        h_th = math.pi / _THETA_SAMPLES
-        for dr in (-h_log, 0.0, h_log):
-            for dth in (-h_th, 0.0, h_th):
-                if dr == 0.0 and dth == 0.0:
-                    continue
-                rr = r_arg * math.exp(dr)
-                tt = th_arg + dth
-                q = sign * objective(kind, rr * math.cos(tt), rr * math.sin(tt))
-                if math.isfinite(q):
-                    span = max(span, q - best_score)
+    for dx in (-0.5 * h, 0.5 * h):
+        q = score(best_s * math.exp(dx))
+        if math.isfinite(q):
+            span = max(span, q - best_score)
 
     value = sign * best_score
-    grid_best = sign * grid_best_score
+    scan_best = sign * scan_best_score
     slack = 1e-11 * (1.0 + abs(value))
-    rigor = 1e-15 * (1.0 + abs(grid_best))
+    rigor = 1e-15 * (1.0 + abs(scan_best))
     if kind.kind == "c2_sup":
-        bracket = (grid_best - span - rigor, value + slack)
+        bracket = (scan_best - span - rigor, value + slack)
     else:
-        bracket = (value - slack, grid_best + span + rigor)
+        bracket = (value - slack, scan_best + span + rigor)
     return ConstantEstimate(
         value=value,
         argmin_s=best_s,
-        argmin_t=best_t,
+        argmin_t=0.0,
         refined=refined,
         bracket=bracket,
     )

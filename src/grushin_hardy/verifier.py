@@ -419,17 +419,26 @@ def _integrate_cases(
     n_comp = n_terms * len(cases)
 
     def integrand(nodes: np.ndarray) -> np.ndarray:
-        coords, jac = lift(nodes)
-        out = np.empty((n_comp, nodes.shape[0]))
-        batch = _Batch(space, nodes, coords, fields)
-        for group in by_pair.values():
-            pair = cases[group[0]][0]
-            for ci in group:
-                rows = out[n_terms * ci : n_terms * (ci + 1)]
-                for row, values in zip(rows, terms(batch, pair, slots[ci])):
-                    row[:] = values
-            batch.forget(pair)
-        out *= jac
+        # an overflow, division by zero or invalid operation outside the
+        # kernels' own errstate blocks stops the run with a message, instead
+        # of a stream of RuntimeWarnings ahead of the non-finite stop
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                coords, jac = lift(nodes)
+                out = np.empty((n_comp, nodes.shape[0]))
+                batch = _Batch(space, nodes, coords, fields)
+                for group in by_pair.values():
+                    pair = cases[group[0]][0]
+                    for ci in group:
+                        rows = out[n_terms * ci : n_terms * (ci + 1)]
+                        for row, values in zip(rows, terms(batch, pair, slots[ci])):
+                            row[:] = values
+                    batch.forget(pair)
+                out *= jac
+        except FloatingPointError as exc:
+            raise ValueError(
+                f"integrand arithmetic failed in space ({space.m},{space.k},{space.gamma:g}): {exc}"
+            ) from None
         return out
 
     res = integrate_vector(integrand, n_comp, region, settings)

@@ -20,6 +20,7 @@ verifier.verify_hpw checks, if the pair has one.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -251,9 +252,9 @@ class WeightPair:
         """Ball radius for rho_ball domains, None on the whole space."""
         return self.params.get("R")
 
-    @property
+    @cached_property
     def scalars(self) -> SimpleNamespace:
-        """The k of the spec formulas."""
+        """The k of the spec formulas, built once per pair."""
         space = self.space
         return SimpleNamespace(
             g=space.gamma, p=self.p, Q=space.Q, C=self.sharp_constant, **self.params

@@ -184,15 +184,23 @@ def test_gate_3_remainder_constants(capsys):
         if c1 > c2 + 1e-12:
             failures.append(f"c1({p:g}) = {c1:.6f} exceeds c2 = {c2:.6f}")
 
+    # every extremum lies on the real axis t = 0
+    searches = [("cp_pge2", p) for p in (2.0, 3.0, 4.0)]
+    searches += [(kind, p) for p in (1.25, 1.5, 1.75) for kind in ("c1_inf", "c2_sup", "c3_min")]
+    for kind, p in searches:
+        t = constant(kind, p).argmin_t
+        if t != 0.0:
+            failures.append(f"{kind}({p:g}) argmin_t = {t!r} is off the real axis")
+
     elapsed = time.monotonic() - t0
-    ok = not failures and elapsed < 10.0
+    ok = not failures and elapsed < 2.0
     announce(
         capsys,
         f"[gate 3/8] remainder constants cp/c1/c2/c3: {verdict(ok)}  "
-        f"12 searches, {len(failures)} range violations  ({elapsed:.1f}s / 10s)",
+        f"{len(searches)} searches, {len(failures)} violations  ({elapsed:.1f}s / 2s)",
     )
     assert not failures, failures
-    assert elapsed < 10.0
+    assert elapsed < 2.0
 
 
 def test_gate_4_identity_sweep(capsys):

@@ -353,6 +353,19 @@ def test_verify_all_suite(tmp_path, capsys):
     assert any("phase_twisted" in n for n in names)
 
 
+def run_python(code, *argv, check=False):
+    """Run code in a fresh interpreter that imports this checkout's package."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+        check=check,
+    )
+
+
 def test_cli_import_leaves_scipy_optimize_and_stats_unloaded():
     # the CLI needs only scipy's version; scipy.stats is imported inside
     # weights.condition_report, and nothing imports scipy.optimize
@@ -360,16 +373,21 @@ def test_cli_import_leaves_scipy_optimize_and_stats_unloaded():
         "import sys, grushin_hardy.cli; "
         "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])"
     )
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-        timeout=120,
-        check=True,
-    )
+    proc = run_python(code, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_verify_all_with_an_overflowing_space_prints_one_error_line():
+    # gamma = 300 overflows the polar Jacobian; in a fresh process, where no
+    # warning filter hides them, numpy's RuntimeWarnings must not precede
+    # the error
+    code = "import sys; from grushin_hardy.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = run_python(code, "verify", "--all", "--space", "1,1,300")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: integrand arithmetic failed in space (1,1,300): ")
 
 
 def test_verify_needs_config_or_all(capsys):

@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from grushin_hardy import cp
 from grushin_hardy.cp import (
@@ -124,8 +124,8 @@ SAMPLE_KINDS = [
 
 @pytest.mark.parametrize("kind", SAMPLE_KINDS, ids=lambda k: k.kind)
 def test_objective_matches_array_evaluator(kind):
-    # the single-point evaluator serves the refinement, the grid's array
-    # evaluator serves the scan; both must give one quotient
+    # the single-point evaluator serves the refinement, the array evaluator
+    # serves the scan; both must give one quotient
     rng = np.random.default_rng(108)
     n = 20000
     r = np.concatenate([10.0 ** rng.uniform(-6.0, 6.0, n), rng.uniform(1e-3, 0.04, n)])
@@ -138,7 +138,7 @@ def test_objective_matches_array_evaluator(kind):
     want = _quotient(kind, s, t)
     got = np.array([objective(kind, a, b) for a, b in zip(s.tolist(), t.tolist())])
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-    # the half-circle scan relies on the exact symmetry in t
+    # N and every denominator depend on t only through t^2
     mirrored = np.array([objective(kind, a, -b) for a, b in zip(s.tolist(), t.tolist())])
     assert np.array_equal(mirrored, got)
 
@@ -150,6 +150,46 @@ def test_find_constant_returns_builtin_types(kind):
     for x in (est.value, est.argmin_s, est.argmin_t, *est.bracket):
         assert type(x) is float
     assert type(est.refined) is bool
+    # every extremum lies on the real axis
+    assert est.argmin_t == 0.0
+
+
+ORACLE_KINDS = [CpObjectiveKind("cp_pge2", float(p)) for p in np.linspace(2.0, 6.0, 20)] + [
+    CpObjectiveKind(kind, float(p))
+    for kind in ("c1_inf", "c2_sup", "c3_min")
+    for p in np.linspace(1.02, 1.98, 20)
+]
+
+
+def test_no_polar_sample_beats_the_axis_extremum():
+    # the axis lemma, checked off the axis: on a polar grid of 361 angles in
+    # [0, pi] (the quotient is even in t) by 482 radii, including r = 1 for
+    # the c3_min seam, no sample may fall below an infimum (or rise above
+    # the c2_sup supremum) by more than 1e-14 relative
+    theta = np.linspace(0.0, np.pi, 361)
+    radii = np.append(np.geomspace(1e-6, 1e6, 481), 1.0)
+    s = radii[:, None] * np.cos(theta)[None, :]
+    t = radii[:, None] * np.sin(theta)[None, :]
+    for kind in ORACLE_KINDS:
+        est = find_constant(kind)
+        sign = -1.0 if kind.kind == "c2_sup" else 1.0
+        with np.errstate(invalid="ignore"):
+            grid_best = sign * np.nanmin(sign * _quotient(kind, s, t))
+        assert sign * (est.value - grid_best) <= 1e-14 * (1.0 + abs(est.value)), (kind, est.value, grid_best)
+        # the grid holds the axis scan, so its best lies inside the bracket
+        lo, hi = est.bracket
+        assert lo <= grid_best <= hi, (kind, grid_best, est.bracket)
+
+
+@pytest.mark.parametrize("p", np.linspace(1.02, 1.98, 25).tolist())
+def test_c3_min_is_the_seam_value(p):
+    # N is concave in s at fixed r, so c3_min is the smaller axis branch
+    # minimum; both meet at s = 1, which gives 2^p - 1 - p
+    est = find_constant(CpObjectiveKind("c3_min", p))
+    closed = 2.0**p - 1.0 - p
+    assert est.value == pytest.approx(closed, rel=1e-13)
+    lo, hi = est.bracket
+    assert lo <= closed <= hi
 
 
 def test_kind_validation():
@@ -280,48 +320,7 @@ def test_c3_seam_value():
     assert objective(k, 1.0, 0.0) == pytest.approx(2.0 * np.sqrt(2.0) - 2.5, rel=1e-14)
 
 
-# -- the float ports of scipy's minimizers, with scipy as the oracle ----------
-
-
-def scipy_nelder_mead(f, s0, t0):
-    res = minimize(
-        lambda st: f(*st.tolist()),
-        np.asarray([s0, t0]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 200, "maxfev": 800},
-    )
-    return (float(res.fun), float(res.x[0]), float(res.x[1]), res.nfev), res.nit
-
-
-def test_nelder_mead_port_matches_scipy_on_gate3_starts(monkeypatch):
-    # every restart of one gate-3 search per kind, replayed through scipy
-    starts = []
-    port = cp._nelder_mead
-
-    def spy(f, s0, t0):
-        starts.append((f, s0, t0))
-        return port(f, s0, t0)
-
-    monkeypatch.setattr(cp, "_nelder_mead", spy)
-    for kind, p in (("cp_pge2", 3.0), ("c1_inf", 1.5), ("c2_sup", 1.5), ("c3_min", 1.5)):
-        find_constant(CpObjectiveKind(kind, p))
-    # starts on the theta = 0 row take the simplex's 0.00025 step in t
-    assert any(t0 == 0.0 for _, _, t0 in starts) and any(t0 != 0.0 for _, _, t0 in starts)
-    for f, s0, t0 in starts:
-        want, _ = scipy_nelder_mead(f, s0, t0)
-        assert repr(port(f, s0, t0)) == repr(want)
-
-
-def test_nelder_mead_port_matches_scipy_at_the_iteration_cap():
-    # a badly scaled Rosenbrock valley runs into the 200-iteration cap; the
-    # start (0, 0) takes the 0.00025 step on both axes
-    def rosenbrock(s, t):
-        return 1e4 * (t - s * s) ** 2 + (1.0 - s) ** 2
-
-    for s0, t0 in ((-1.2, 1.0), (0.0, 0.0)):
-        want, nit = scipy_nelder_mead(rosenbrock, s0, t0)
-        assert nit == 200
-        assert repr(cp._nelder_mead(rosenbrock, s0, t0)) == repr(want)
+# -- the float port of scipy's bounded Brent, with scipy as the oracle -----------
 
 
 @pytest.mark.parametrize("p", [1.25, 1.5, 1.75])

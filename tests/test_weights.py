@@ -33,6 +33,7 @@ def test_pair_spec_is_complete(pair_id):
     assert sorted(spec.defaults) == sorted(spec.params)
     pair = make_pair(pair_id, SP, 2.0, dict(spec.defaults))
     assert pair.sharp_constant == spec.kappa(pair.scalars) ** pair.p
+    assert pair.scalars is pair.scalars  # built once per pair
     phi = pair.phi_batch(sample_points(SP, np.random.default_rng(3), 50))
     assert np.all(phi == 0.0) if spec.phi is None else np.all(phi != 0.0)
     ext = build_extremal_field(pair, truncation_level=1)
