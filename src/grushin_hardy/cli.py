@@ -223,20 +223,6 @@ def _build_objects(config: RunConfig):
     return pair, field, field_cfg
 
 
-def _divergence_samples(space: SpaceParams, samples: int, seed: int) -> np.ndarray:
-    """Uniform points of [-2, 2]^n with rho in [0.5, 2] and |x| >= 0.2."""
-    rng = np.random.default_rng(seed)
-
-    def draw() -> np.ndarray:
-        x = rng.uniform(-2.0, 2.0, size=(4 * samples, space.m))
-        y = rng.uniform(-2.0, 2.0, size=(4 * samples, space.k))
-        return np.hstack([x, y])
-
-    return rejection_sample(
-        space, draw, lambda r, rho_v: (rho_v >= 0.5) & (rho_v <= 2.0) & (r >= 0.2), samples
-    )
-
-
 def _weighted_rho_field(space: SpaceParams, c: float, s: float):
     def field(pts: np.ndarray) -> np.ndarray:
         r, rho_v = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
@@ -246,8 +232,11 @@ def _weighted_rho_field(space: SpaceParams, c: float, s: float):
 
 
 def divergence_check(space: SpaceParams, samples: int, seed: int) -> Dict[str, object]:
-    """Closed-form vs finite-difference divergence on random sample points."""
-    pts = _divergence_samples(space, samples, seed)
+    """Closed-form vs finite-difference divergence on uniform points of
+    [-2, 2]^n with rho in [0.5, 2] and |x| >= 0.2."""
+    pts = rejection_sample(
+        space, 2.0, lambda r, rho_v: (rho_v >= 0.5) & (rho_v <= 2.0) & (r >= 0.2), samples, seed
+    )
     r, rho_v = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
     # Richardson error ~ step^4; 1e-3 of the singular-set distance keeps
     # it far below the 1e-6 gate without hitting roundoff

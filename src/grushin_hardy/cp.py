@@ -43,10 +43,11 @@ and w = |1 + z|, so that N = w^p - 1 - p s:
 
 The search is therefore one dimensional: a log-spaced scan of |s| on both
 signs of the axis (with exact s = -1 and s = 1 for the c3_min branch seam),
-scored by the array evaluator `_quotient`, then bounded Brent on log|s| near
-each sign's best scan point, which evaluates single points with `objective`,
-the same arithmetic on Python floats.  The 2-D `_quotient` and `objective`
-stay defined on the whole plane, so tests can check the lemma off the axis.
+scored by the array evaluator `_quotient`, then a golden-section search on
+log|s| near each sign's best scan point, which evaluates single points with
+`objective`, the same arithmetic on Python floats.  The 2-D `_quotient` and
+`objective` stay defined on the whole plane, so tests can check the lemma off
+the axis.
 """
 
 from __future__ import annotations
@@ -196,8 +197,8 @@ def objective(kind: CpObjectiveKind, s: float, t: float) -> float:
     """The remainder quotient at a single point (s, t) != (0, 0).
 
     The same arithmetic as the scan's array evaluator `_quotient`, on Python
-    floats: a single point costs no array set-up, which is what the Brent
-    refinement and the bracket probes call.
+    floats: a single point costs no array set-up, which is what the
+    golden-section refinement and the bracket probes call.
     Returns nan where the float arithmetic overflows or underflows to 0/0.
     """
     if s == 0.0 and t == 0.0:
@@ -267,68 +268,25 @@ def _limit_candidates(kind: CpObjectiveKind) -> List[float]:
     return [1.0, lo if kind.kind == "c2_sup" else hi]
 
 
-def _bounded_brent(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float, int]:
-    """Minimize f on [a, b]; returns (x, fun, evaluations).
+def _golden_section(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float]:
+    """Minimize f on [a, b] by golden-section search; returns (x, f(x)).
 
-    scipy's bounded Brent (`minimize_scalar(method="bounded")`) step for step
-    on Python floats, with xatol 1e-12 and its 500-call cap: golden-section
-    steps, parabolic steps where the parabola is acceptable.
+    Each step keeps the sub-interval around the lower of two interior
+    probes, until the interval is narrower than 1e-9.
     """
-    xatol = 1e-12
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = nfc = xf = a + golden_mean * (b - a)
-    rat = e = 0.0
-    fx = ffulc = fnfc = f(xf)
-    calls = 1
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = -tol1 if xm - xf < 0.0 else tol1
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        step = max(abs(rat), tol1)
-        x = xf - step if rat < 0.0 else xf + step
-        fu = f(x)
-        calls += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+    g = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-9:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if calls >= 500:
-            break
-    return xf, fx, calls
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 def find_constant(kind: CpObjectiveKind) -> ConstantEstimate:
@@ -336,15 +294,19 @@ def find_constant(kind: CpObjectiveKind) -> ConstantEstimate:
 
     The axis lemma (module docstring) puts every extremum on t = 0, so the
     search is one dimensional: a log-spaced scan of |s| on both signs, scored
-    on arrays by `_quotient`, then bounded Brent on log|s| over one scan step
-    either side of each sign's best scan point, evaluated with `objective`.
+    on arrays by `_quotient`, then a golden-section search on log|s| over one
+    scan step either side of each sign's best scan point, evaluated with
+    `objective`.
 
-    The returned bracket is [value - slack, scan_best + span] for infima
-    (mirrored for c2_sup). Any sampled quotient value bounds an infimum from
-    above, so the scan end is rigorous up to `span`: the quotient probed half
-    a scan step away from the reported argument on the axis. That allowance
-    covers any independent sampling at this resolution or finer, no matter
-    how the other sampling happens to align with the true extremum.
+    The returned bracket is [value - slack, scan_best + span + rigor] for
+    infima (mirrored for c2_sup). Any sampled quotient value bounds an infimum
+    from above, so the scan end is rigorous up to `span`: the quotient probed
+    half a scan step away from the reported argument on the axis. That
+    allowance covers any independent sampling at this resolution or finer,
+    no matter how the other sampling happens to align with the true extremum.
+    `rigor`, 1e-13 relative, covers the evaluator's own rounding: at p = 2,
+    where the quotient is exactly 1, `_quotient` reads 1 +- 4.9e-14 on the
+    axis.
     """
     sign = -1.0 if kind.kind == "c2_sup" else 1.0
     d = _RADIUS_DECADES
@@ -365,7 +327,7 @@ def find_constant(kind: CpObjectiveKind) -> ConstantEstimate:
     n_r = radii.size
     for side, block in ((-1.0, scores[:n_r]), (1.0, scores[n_r : 2 * n_r])):
         x = math.log(radii[int(np.argmin(block))])
-        x_r, f, _ = _bounded_brent(lambda x: score(side * math.exp(x)), x - h, x + h)
+        x_r, f = _golden_section(lambda x: score(side * math.exp(x)), x - h, x + h)
         if f < best_score:
             best_score, best_s = f, side * math.exp(x_r)
 
@@ -386,7 +348,7 @@ def find_constant(kind: CpObjectiveKind) -> ConstantEstimate:
     value = sign * best_score
     scan_best = sign * scan_best_score
     slack = 1e-11 * (1.0 + abs(value))
-    rigor = 1e-15 * (1.0 + abs(scan_best))
+    rigor = 1e-13 * (1.0 + abs(scan_best))
     if kind.kind == "c2_sup":
         bracket = (scan_best - span - rigor, value + slack)
     else:

@@ -358,17 +358,21 @@ def phi_numeric(pair: WeightPair, pts: np.ndarray, step: np.ndarray) -> np.ndarr
 
 
 def rejection_sample(
-    space: SpaceParams, draw: Callable[[], np.ndarray], keep: Callable, samples: int
+    space: SpaceParams, half: float | np.ndarray, keep: Callable, samples: int, seed: int
 ) -> np.ndarray:
-    """The first samples points of the (N, m+k) batches draw() returns whose
-    keep(|x|, rho) holds, from at most SAMPLER_ROUNDS batches; raises
-    ValueError when those rounds keep fewer."""
+    """The first samples points, uniform in the box |pts[:, i]| <= half[i]
+    (a scalar half broadcasts), whose keep(|x|, rho) holds.
+
+    Draws rounds of 4 * samples points from np.random.default_rng(seed), at
+    most SAMPLER_ROUNDS of them; raises ValueError when they keep fewer.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    rng = np.random.default_rng(seed)
     kept: List[np.ndarray] = []
     count = 0
     for _ in range(SAMPLER_ROUNDS):
-        pts = draw()
+        pts = rng.uniform(-1.0, 1.0, size=(4 * samples, space.n)) * half
         kept.append(pts[keep(*radial_coords(space, pts[:, : space.m], pts[:, space.m :]))])
         count += len(kept[-1])
         if count >= samples:
@@ -380,33 +384,37 @@ def rejection_sample(
 
 
 def condition_report(pair: WeightPair, samples: int, seed: int = 0) -> Dict[str, float]:
-    """Quasi-random check of the defect condition over the pair's domain.
+    """Random check of the defect condition over the pair's domain.
 
-    Draws Sobol points with rho in [0.3, 0.9] * (R or 2) and |x| >= 0.1 rho,
-    and reports min_phi = min of the closed-form defect and max_abs_mismatch =
+    Samples points with rho in [0.3, 0.9] * (R or 2) and |x| >= 0.1 rho, and
+    reports min_phi = min of the closed-form defect and max_abs_mismatch =
     max of |phi - phi_numeric| / (1 + p w). Raises ValueError when
-    SAMPLER_ROUNDS rounds of draws keep fewer than samples points.
+    SAMPLER_ROUNDS rounds of draws keep fewer than samples points, or when
+    the arithmetic overflows, divides by zero or turns invalid.
     """
     space = pair.space
-    scale = pair.radius if pair.radius is not None else 2.0
+    # a numpy scalar, so that an overflowing box edge raises like the arrays do
+    scale = np.float64(pair.radius if pair.radius is not None else 2.0)
     a = 1.0 + space.gamma
-    half = np.repeat([0.9 * scale, (0.9 * scale) ** a / a], [space.m, space.k])
-    # imported here: scipy.stats costs about 0.3 s and 60 MB, and only this check uses it
-    from scipy.stats import qmc
-
-    sob = qmc.Sobol(d=space.n, scramble=True, seed=seed)
-    draw = max(1 << int(2 * samples - 1).bit_length(), 64)  # a power of two >= 2 samples
-    pts = rejection_sample(
-        space,
-        lambda: (2.0 * sob.random(draw) - 1.0) * half,
-        lambda r, rho: (rho >= 0.3 * scale) & (rho <= 0.9 * scale) & (r >= 0.1 * rho),
-        samples,
-    )
-    r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
-    margin = np.minimum(rho, r) if space.gamma > 0 else rho
-    if pair.radius is not None:
-        margin = np.minimum(margin, pair.radius - rho)
-    phi = pair.phi_batch(pts)
-    w = pair.w_batch(pts)
-    mismatch = np.abs(phi - phi_numeric(pair, pts, 1e-4 * margin)) / (1.0 + pair.p * w)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            half = np.repeat([0.9 * scale, (0.9 * scale) ** a / a], [space.m, space.k])
+            pts = rejection_sample(
+                space,
+                half,
+                lambda r, rho: (rho >= 0.3 * scale) & (rho <= 0.9 * scale) & (r >= 0.1 * rho),
+                samples,
+                seed,
+            )
+            r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
+            margin = np.minimum(rho, r) if space.gamma > 0 else rho
+            if pair.radius is not None:
+                margin = np.minimum(margin, pair.radius - rho)
+            phi = pair.phi_batch(pts)
+            w = pair.w_batch(pts)
+            mismatch = np.abs(phi - phi_numeric(pair, pts, 1e-4 * margin)) / (1.0 + pair.p * w)
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"condition arithmetic failed in space ({space.m},{space.k},{space.gamma:g}): {exc}"
+        ) from None
     return {"min_phi": float(np.min(phi)), "max_abs_mismatch": float(np.max(mismatch))}

@@ -367,14 +367,31 @@ def run_python(code, *argv, check=False):
 
 
 def test_cli_import_leaves_scipy_optimize_and_stats_unloaded():
-    # the CLI needs only scipy's version; scipy.stats is imported inside
-    # weights.condition_report, and nothing imports scipy.optimize
+    # the CLI needs only scipy's version; a condition check samples with
+    # numpy alone, and nothing imports scipy.optimize
     code = (
-        "import sys, grushin_hardy.cli; "
-        "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])"
+        "import contextlib, io, sys\n"
+        "from grushin_hardy.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['condition', '--pair', 'log_ball', '--samples', '16'])\n"
+        "print(code, [m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])"
     )
     proc = run_python(code, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "0 []"
+
+
+def test_condition_with_an_overflowing_space_prints_one_error_line():
+    # gamma = 300 overflows the v formula; in a fresh process, where no
+    # warning filter hides them, numpy's RuntimeWarnings must not precede
+    # the error
+    code = "import sys; from grushin_hardy.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ("condition", "--pair", "dambrosio_power", "--space", "1,1,300", "--samples", "10")
+    proc = run_python(code, *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: condition arithmetic failed in space (1,1,300): ")
 
 
 def test_verify_all_with_an_overflowing_space_prints_one_error_line():

@@ -210,6 +210,8 @@ def test_find_constant_p2_is_one():
     lo, hi = est.bracket
     assert hi - lo <= 1e-10
     assert lo <= est.value <= hi
+    # the evaluator reads 1 +- 5e-14 on the axis; the bracket covers that
+    assert lo <= 1.0 <= hi
 
 
 @pytest.mark.parametrize("entry", GOLDEN["entries"], ids=lambda e: f"{e['kind']}-p{e['p']}")
@@ -222,6 +224,7 @@ def test_find_constant_brackets_golden(entry):
     assert lo <= entry["value"] <= hi
     if "anchor_value" in entry:
         assert est.value == pytest.approx(entry["anchor_value"], rel=1e-9)
+        assert lo <= entry["anchor_value"] <= hi
     lo_r, hi_r = stated_range(kind)
     if kind.kind == "c2_sup":
         assert lo_r <= est.value < hi_r
@@ -320,16 +323,46 @@ def test_c3_seam_value():
     assert objective(k, 1.0, 0.0) == pytest.approx(2.0 * np.sqrt(2.0) - 2.5, rel=1e-14)
 
 
-# -- the float port of scipy's bounded Brent, with scipy as the oracle -----------
+# -- the golden-section refinement, with scipy's bounded Brent as the oracle ------
+
+GATE3_SEARCHES = [("cp_pge2", p) for p in (2.0, 3.0, 4.0)] + [
+    (kind, p) for p in (1.25, 1.5, 1.75) for kind in ("c1_inf", "c2_sup", "c3_min")
+]
 
 
-@pytest.mark.parametrize("p", [1.25, 1.5, 1.75])
-def test_bounded_brent_port_matches_scipy_on_the_c3_circle(p):
-    kind = CpObjectiveKind("c3_min", p)
+def refined_intervals():
+    """The (kind, side, a, b) log|s| intervals that find_constant refines in
+    gate 3's twelve searches: one scan step either side of each sign's best
+    scan point."""
+    d, per = cp._RADIUS_DECADES, cp._RADIUS_PER_DECADE
+    radii = np.geomspace(10.0 ** (-d), 10.0**d, 2 * d * per + 1)
+    h = math.log(10.0) / per
+    out = []
+    for name, p in GATE3_SEARCHES:
+        kind = CpObjectiveKind(name, p)
+        sign = -1.0 if name == "c2_sup" else 1.0
+        for side in (-1.0, 1.0):
+            scores = sign * _quotient(kind, side * radii, np.zeros_like(radii))
+            scores[np.isnan(scores)] = np.inf
+            x = math.log(radii[int(np.argmin(scores))])
+            out.append(pytest.param(kind, side, x - h, x + h, id=f"{name}-p{p:g}-s{side:+g}"))
+    return out
 
-    def f(th):
-        return objective(kind, math.cos(th), math.sin(th))
 
-    ref = minimize_scalar(f, bounds=(0.0, 2.0 * np.pi), method="bounded", options={"xatol": 1e-12})
-    assert ref.nfev < 500
-    assert repr(cp._bounded_brent(f, 0.0, 2.0 * np.pi)) == repr((float(ref.x), float(ref.fun), ref.nfev))
+@pytest.mark.parametrize("kind,side,a,b", refined_intervals())
+def test_golden_section_matches_scipy_bounded_on_the_refined_intervals(kind, side, a, b):
+    sign = -1.0 if kind.kind == "c2_sup" else 1.0
+
+    def f(x):
+        q = objective(kind, side * math.exp(x), 0.0)
+        return sign * q if math.isfinite(q) else math.inf
+
+    x, fun = cp._golden_section(f, a, b)
+    assert a <= x <= b and fun == f(x)
+    ref = minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": 1e-12})
+    # where the minimum sits at an end of the interval or at the c3_min seam
+    # s = 1 (its centre), each search stops about its x tolerance short of it;
+    # find_constant also holds the three scan points, which cover those cases
+    scan = min(f(a), f(0.5 * (a + b)), f(b))
+    assert min(fun, scan) == pytest.approx(min(float(ref.fun), scan), rel=1e-13, abs=0.0)
+
