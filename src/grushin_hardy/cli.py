@@ -34,11 +34,13 @@ from .geometry import (
     grad_gamma_rho,
     radial_coords,
 )
-# the check functions are called through _CHECKS by their names in this module
+# the checks outside the shared mesh are called through _CHECKS by their names
+# in this module; the verify_* names stay bound for perfbench/tracer.py
 from .verifier import (
-    PRECONDITIONS,
+    FIELD_CHECKS,
     CknParams,
     sharpness_probe,
+    verify_checks,
     verify_ckn,
     verify_hpw,
     verify_identity,
@@ -78,6 +80,8 @@ class RunConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        if not self.checks:
+            raise ValueError("checks must name at least one check")
         for name in self.checks:
             if name not in CHECK_NAMES:
                 raise ValueError(f"unknown check {name!r}; expected one of {CHECK_NAMES}")
@@ -288,38 +292,37 @@ def _quadrature(config: RunConfig) -> Dict:
 
 
 class _Check(NamedTuple):
-    """One check name: the arguments its function and precondition take,
-    from (config, pair, field); the name of that function in this module;
-    the residual of its result; and the keyword options the config adds."""
+    """One check name: the arguments its function takes, from (config,
+    pair, field); the residual of its result; and, unless it is a field
+    check (a FIELD_CHECKS name, run through verify_checks), the name of its
+    function in this module and the keyword options the config adds."""
 
     args: Callable[[RunConfig, WeightPair, TestField], tuple]
-    function: str
     residual: Callable[[object], float]
+    function: str = ""
     options: Callable[[RunConfig], Dict] = _quadrature
 
 
 _CHECKS: Dict[str, _Check] = {
-    "identity": _Check(_pair_field, "verify_identity", lambda rep: rep.residual),
-    "inequality": _Check(_pair_field, "verify_inequality", lambda rep: rep.margin),
-    "remainder_pge2": _Check(_pair_field, "verify_remainder_p_ge2", lambda rep: rep.margin),
+    "identity": _Check(_pair_field, lambda rep: rep.residual),
+    "inequality": _Check(_pair_field, lambda rep: rep.margin),
+    "remainder_pge2": _Check(_pair_field, lambda rep: rep.margin),
     "remainder_plt2": _Check(
-        _pair_field,
-        "verify_remainder_p_lt2",
-        lambda rep: min(rep.lower_margin, rep.upper_margin, rep.min_margin),
+        _pair_field, lambda rep: min(rep.lower_margin, rep.upper_margin, rep.min_margin)
     ),
-    "sharpness": _Check(_pair, "sharpness_probe", lambda rep: rep.final_gap),
-    "ckn": _Check(_ckn_args, "verify_ckn", lambda rep: rep.left - rep.right),
-    "hpw": _Check(_hpw_args, "verify_hpw", lambda rep: rep.left - rep.right),
+    "sharpness": _Check(_pair, lambda rep: rep.final_gap, "sharpness_probe"),
+    "ckn": _Check(_ckn_args, lambda rep: rep.left - rep.right),
+    "hpw": _Check(_hpw_args, lambda rep: rep.left - rep.right),
     "divergence": _Check(
         lambda config, pair, field: (config.space,),
-        "divergence_check",
         lambda rec: rec["max_rel_err"],
+        "divergence_check",
         lambda config: {"samples": 100, "seed": config.seed},
     ),
     "condition": _Check(
         _pair,
-        "condition_check",
         lambda rec: rec["max_abs_mismatch"],
+        "condition_check",
         lambda config: {"samples": 200, "seed": config.seed},
     ),
 }
@@ -327,11 +330,14 @@ _CHECKS: Dict[str, _Check] = {
 CHECK_NAMES = tuple(_CHECKS)
 
 
-def _run_check(name: str, config: RunConfig, args: tuple) -> Dict[str, object]:
-    """One check's record; its function is looked up by name here, when the
-    check runs, so whatever this module binds to that name now is called."""
+def _run_check(name: str, config: RunConfig, args: tuple, out: object) -> Dict[str, object]:
+    """One check's record. A field check's report out comes from
+    verify_checks; any other check's function is looked up by name here,
+    when the check runs, so whatever this module binds to that name now is
+    called."""
     check = _CHECKS[name]
-    out = globals()[check.function](*args, **check.options(config))
+    if name not in FIELD_CHECKS:
+        out = globals()[check.function](*args, **check.options(config))
     if isinstance(out, dict):  # a sampled check: no quadrature, and its verdict is no term
         terms = dict(out)
         passed, qerr = terms.pop("passed"), 0.0
@@ -356,16 +362,17 @@ def _versions() -> Dict[str, str]:
 
 
 def run(config: RunConfig) -> Dict:
-    """Execute the configured checks in declared order and build the report."""
+    """Execute the configured checks and build the report, in declared order.
+    The field checks run first, together on one mesh (verify_checks)."""
     t0 = time.time()
     pair, field, field_echo = _build_objects(config)
-    calls = []
-    for name in config.checks:
-        args = _CHECKS[name].args(config, pair, field)
-        if name in PRECONDITIONS:
-            PRECONDITIONS[name](*args)
-        calls.append((name, args))
-    checks = [_run_check(name, config, args) for name, args in calls]
+    calls = [(name, _CHECKS[name].args(config, pair, field)) for name in config.checks]
+    shared = [call for call in calls if call[0] in FIELD_CHECKS]
+    reports = iter(verify_checks(shared, config.quadrature) if shared else ())
+    checks = [
+        _run_check(name, config, args, next(reports) if name in FIELD_CHECKS else None)
+        for name, args in calls
+    ]
     echo = config_to_dict(config)
     echo["field"] = field_echo
     return _report(echo, checks, t0)

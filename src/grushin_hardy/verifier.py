@@ -26,7 +26,7 @@ integral never passes.
 import math
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +47,7 @@ __all__ = [
     "CknParams",
     "CknReport",
     "HpwReport",
+    "verify_checks",
     "verify_identity",
     "verify_identity_sweep",
     "verify_inequality",
@@ -56,7 +57,7 @@ __all__ = [
     "verify_ckn",
     "verify_hpw",
     "HPW_CASES",
-    "PRECONDITIONS",
+    "FIELD_CHECKS",
 ]
 
 HPW_CASES = tuple(HPW_PAIRS)
@@ -67,7 +68,15 @@ _IDENTITY_REL_TOL = 1e-6
 _SHARPNESS_GAP = 0.05
 
 
+@dataclass(frozen=True)
 class _Report:
+    """What every check reports, from its own integrals: their summed error
+    estimate, whether every one converged, and the verdict, which needs both."""
+
+    quadrature_error: float
+    converged: bool
+    passed: bool
+
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
 
@@ -80,9 +89,6 @@ class IdentityReport(_Report):
     phi_term: float
     residual: float
     rel_residual: float
-    quadrature_error: float
-    converged: bool
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -91,9 +97,6 @@ class InequalityReport(_Report):
     w_term: float
     ratio: float
     margin: float
-    quadrature_error: float
-    converged: bool
-    passed: bool
 
     def to_dict(self) -> Dict[str, object]:
         d = asdict(self)
@@ -110,9 +113,6 @@ class RemainderPge2Report(_Report):
     constant: float
     constant_bracket: Tuple[float, float]
     margin: float
-    quadrature_error: float
-    converged: bool
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,6 @@ class RemainderPlt2Report(_Report):
     lower_margin: float
     upper_margin: float
     min_margin: float
-    quadrature_error: float
-    converged: bool
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -137,9 +134,6 @@ class SharpnessReport(_Report):
     levels: List[Dict[str, float]]
     sharp_constant: float
     final_gap: float
-    quadrature_error: float
-    converged: bool
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -184,10 +178,7 @@ class CknReport(_Report):
     bracket_mismatch: float
     left: float
     right: float
-    quadrature_error: float
-    converged: bool
     consistent: bool
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -200,15 +191,12 @@ class HpwReport(_Report):
     constant: float
     left: float
     right: float
-    quadrature_error: float
-    converged: bool
-    passed: bool
     garofalo: Optional[Dict[str, float]] = None
     classical: Optional[Dict[str, float]] = None
 
 
-# -- preconditions: one per check, taking its verify_* function's arguments
-# before settings; the verify_* functions and cli.run call them before any work
+# -- preconditions: one per field check, taking its verify_* function's
+# arguments before settings; the check's plan calls it before any work
 
 
 def _check_support(pair: WeightPair, field: TestField) -> None:
@@ -253,16 +241,6 @@ def _check_hpw(case: str, p: float, field: TestField) -> None:
         raise ValueError(f"{case} needs a field built with finite R")
     if field.space.gamma > 0.0 and not field.spec.x_floor > 0.0:
         raise ValueError("gamma > 0 weights are singular on {x=0}; use x_floor > 0")
-
-
-PRECONDITIONS: Dict[str, Callable[..., None]] = {
-    "identity": _check_support,
-    "inequality": _check_support,
-    "remainder_pge2": _check_remainder_pge2,
-    "remainder_plt2": _check_remainder_plt2,
-    "ckn": _check_ckn,
-    "hpw": _check_hpw,
-}
 
 
 def _polar_pieces(fields: Sequence[TestField]):
@@ -386,37 +364,44 @@ class _Batch:
         wf = self.root(pair, "w") * self.vals[f]
         return xi, wf, xi + wf
 
+    def cp(self, pair: WeightPair, f: int) -> np.ndarray:
+        """C_p(xi, eta) of one case, shared by the checks that integrate it."""
+        def make() -> np.ndarray:
+            xi, _, eta = self.xi_eta(pair, f)
+            return cp_value_batch(xi, eta, pair.p)
+
+        return self._cached((id(pair), "cp", f), make)
+
     def forget(self, pair: Optional[WeightPair]) -> None:
         """Drop the pair's arrays, which keeps one pair's in memory at a time."""
         self._memo = {k: a for k, a in self._memo.items() if k[0] != id(pair)}
 
 
-def _integrate_cases(
-    cases: Sequence[Tuple[Optional[WeightPair], TestField]],
-    n_terms: int,
-    terms,
-    settings: Optional[IntegrationSettings],
-) -> List[List]:
-    """Integrate n_terms integrands per (pair, field) case on one shared mesh.
+def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSettings]) -> List[List]:
+    """Integrate the rows of every case on one shared mesh.
 
-    terms(batch, pair, f) gives a case's rows on the batch (f is the field's
-    slot). Cases share one space and one support region; returns each case's
-    results.
+    A case is one check's integrand on one field, (pair, field, n_terms,
+    terms): terms(batch, pair, f) gives its n_terms rows on the batch (f is
+    the field's slot). Cases share one space and one support region; returns
+    each case's results.
     """
     if len(cases) == 0:
         raise ValueError("the integration needs at least one case")
-    space = cases[0][1].space
-    if any(field.space != space for _, field in cases):
+    pairs, case_fields, sizes, terms = zip(*cases)
+    space = case_fields[0].space
+    if any(field.space != space for field in case_fields):
         raise ValueError("sweep cases must share one space")
 
-    fields = list({id(field): field for _, field in cases}.values())
-    slots = [next(i for i, f in enumerate(fields) if f is field) for _, field in cases]
+    fields = list({id(field): field for field in case_fields}.values())
+    slots = [next(i for i, f in enumerate(fields) if f is field) for field in case_fields]
     by_pair: Dict[int, List[int]] = {}  # case indices; a pair's cases run together
-    for ci, (pair, _) in enumerate(cases):
+    for ci, pair in enumerate(pairs):
         by_pair.setdefault(id(pair), []).append(ci)
+    ends = np.cumsum(sizes).tolist()
+    starts = [0] + ends[:-1]
 
     region, lift = _polar_pieces(fields)
-    n_comp = n_terms * len(cases)
+    n_comp = ends[-1]
 
     def integrand(nodes: np.ndarray) -> np.ndarray:
         # an overflow, division by zero or invalid operation outside the
@@ -428,10 +413,10 @@ def _integrate_cases(
                 out = np.empty((n_comp, nodes.shape[0]))
                 batch = _Batch(space, nodes, coords, fields)
                 for group in by_pair.values():
-                    pair = cases[group[0]][0]
+                    pair = pairs[group[0]]
                     for ci in group:
-                        rows = out[n_terms * ci : n_terms * (ci + 1)]
-                        for row, values in zip(rows, terms(batch, pair, slots[ci])):
+                        rows = out[starts[ci] : ends[ci]]
+                        for row, values in zip(rows, terms[ci](batch, pair, slots[ci])):
                             row[:] = values
                     batch.forget(pair)
                 out *= jac
@@ -442,7 +427,7 @@ def _integrate_cases(
         return out
 
     res = integrate_vector(integrand, n_comp, region, settings)
-    return [res[n_terms * ci : n_terms * (ci + 1)] for ci in range(len(cases))]
+    return [res[start:end] for start, end in zip(starts, ends)]
 
 
 def _summary(res) -> Tuple[List[float], float, bool]:
@@ -465,25 +450,32 @@ def _slack(qerr: float, width: float = 0.0, term: float = 0.0) -> float:
     return 10.0 * qerr + width * term
 
 
-def _identity_terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
+def _lhs_w_terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
+    """v |Df|^p and w |f|^p of one case."""
     p = pair.p
-    xi, _, eta = b.xi_eta(pair, f)
-    fp = b.power("vals", f, p)
-    return [
-        b.weight(pair, "v") * b.power("df", f, p),
-        b.weight(pair, "w") * fp,
-        cp_value_batch(xi, eta, p),
-        b.weight(pair, "phi") * fp,
-    ]
+    return [b.weight(pair, "v") * b.power("df", f, p), b.weight(pair, "w") * b.power("vals", f, p)]
 
 
-def _identity_report(res) -> IdentityReport:
+def _identity_terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
+    phi_term = b.weight(pair, "phi") * b.power("vals", f, pair.p)
+    return _lhs_w_terms(b, pair, f) + [b.cp(pair, f), phi_term]
+
+
+# -- plans: one per field check, taking its verify_* function's arguments
+# without settings. A plan runs the check's precondition and constant
+# searches and yields the check's case; sent the case's integrals, it yields
+# the check's report.
+
+
+def _identity_plan(pair: WeightPair, field: TestField):
+    _check_support(pair, field)
+    res = yield pair, field, 4, _identity_terms
     (lhs, w_term, cp_term, phi_term), qerr, converged = _summary(res)
     residual = lhs - w_term - cp_term - phi_term
     denom = max(lhs, w_term)
     rel_residual = residual / denom if denom > 0 else 0.0
     passed = converged and abs(residual) <= max(10.0 * qerr, _IDENTITY_REL_TOL * lhs)
-    return IdentityReport(
+    yield IdentityReport(
         lhs=lhs,
         w_term=w_term,
         cp_term=cp_term,
@@ -496,54 +488,14 @@ def _identity_report(res) -> IdentityReport:
     )
 
 
-def verify_identity(
-    pair: WeightPair,
-    field: TestField,
-    settings: Optional[IntegrationSettings] = None,
-) -> IdentityReport:
-    """Check lhs = w_term + cp_term + phi_term on one field."""
-    return verify_identity_sweep([(pair, field)], settings)[0]
-
-
-def verify_identity_sweep(
-    cases: Sequence[Tuple[WeightPair, TestField]],
-    settings: Optional[IntegrationSettings] = None,
-) -> List[IdentityReport]:
-    """Check the identity for many (pair, field) cases on one shared mesh.
-
-    Every case is integrated with the same adaptive refinement, so the mesh
-    cost is paid once instead of once per case.  Each report is built from
-    its own four components, sampled at identical points, so the quadrature
-    error still cancels inside each residual.  All cases must live on one
-    space and the fields must share one outer_rho and one x_floor.
-    """
-    for pair, field in cases:
-        _check_support(pair, field)
-    res = _integrate_cases(cases, 4, _identity_terms, settings)
-    return [_identity_report(r) for r in res]
-
-
-def verify_inequality(
-    pair: WeightPair,
-    field: TestField,
-    settings: Optional[IntegrationSettings] = None,
-) -> InequalityReport:
-    """Check lhs >= w_term up to quadrature slack."""
+def _inequality_plan(pair: WeightPair, field: TestField):
     _check_support(pair, field)
-    p = pair.p
-
-    def terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
-        return [
-            b.weight(pair, "v") * b.power("df", f, p),
-            b.weight(pair, "w") * b.power("vals", f, p),
-        ]
-
-    (res,) = _integrate_cases([(pair, field)], 2, terms, settings)
+    res = yield pair, field, 2, _lhs_w_terms
     (lhs, w_term), qerr, converged = _summary(res)
     ratio = lhs / w_term if w_term > 0 else float("nan")
     margin = lhs - w_term
     passed = converged and margin >= -_slack(qerr)
-    return InequalityReport(
+    yield InequalityReport(
         lhs=lhs,
         w_term=w_term,
         ratio=ratio,
@@ -554,27 +506,23 @@ def verify_inequality(
     )
 
 
-def verify_remainder_p_ge2(
-    pair: WeightPair,
-    field: TestField,
-    settings: Optional[IntegrationSettings] = None,
-    constant: Optional[ConstantEstimate] = None,
-) -> RemainderPge2Report:
-    """Check cp_term >= c_p * eta_term for p >= 2 on a phi = 0 pair."""
+def _remainder_pge2_plan(
+    pair: WeightPair, field: TestField, constant: Optional[ConstantEstimate] = None
+):
     _check_remainder_pge2(pair, field)
     p = pair.p
     if constant is None:
         constant = find_constant(CpObjectiveKind(kind="cp_pge2", p=p))
 
     def terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
-        xi, _, eta = b.xi_eta(pair, f)
-        return [cp_value_batch(xi, eta, p), np.abs(eta) ** p]
+        _, _, eta = b.xi_eta(pair, f)
+        return [b.cp(pair, f), np.abs(eta) ** p]
 
-    (res,) = _integrate_cases([(pair, field)], 2, terms, settings)
+    res = yield pair, field, 2, terms
     (cp_term, eta_term), qerr, converged = _summary(res)
     margin = cp_term - constant.value * eta_term
     passed = converged and margin >= -_slack(qerr, constant.width, eta_term)
-    return RemainderPge2Report(
+    yield RemainderPge2Report(
         p=p,
         cp_term=cp_term,
         eta_term=eta_term,
@@ -587,13 +535,9 @@ def verify_remainder_p_ge2(
     )
 
 
-def verify_remainder_p_lt2(
-    pair: WeightPair,
-    field: TestField,
-    settings: Optional[IntegrationSettings] = None,
-    constants: Optional[Dict[str, ConstantEstimate]] = None,
-) -> RemainderPlt2Report:
-    """Check the two-sided and min-form remainder bounds for 1 < p < 2."""
+def _remainder_plt2_plan(
+    pair: WeightPair, field: TestField, constants: Optional[Dict[str, ConstantEstimate]] = None
+):
     _check_remainder_plt2(pair, field)
     p = pair.p
     if constants is None:
@@ -613,9 +557,9 @@ def verify_remainder_p_lt2(
             mixed = np.where(s > 0, s ** (p - 2.0) * eta2, 0.0)
             # the min form: t -> 0 makes t^(p-2) |eta|^2 -> inf, so |eta|^p wins
             minform = np.where(t > 0, np.minimum(eta_p, t ** (p - 2.0) * eta2), eta_p)
-        return [cp_value_batch(xi, eta, p), mixed, minform]
+        return [b.cp(pair, f), mixed, minform]
 
-    (res,) = _integrate_cases([(pair, field)], 3, terms, settings)
+    res = yield pair, field, 3, terms
     (cp_term, mixed_term, min_term), qerr, converged = _summary(res)
     c1, c2, c3 = (constants[k] for k in ("c1_inf", "c2_sup", "c3_min"))
     lower_margin = cp_term - c1.value * mixed_term
@@ -626,7 +570,7 @@ def verify_remainder_p_lt2(
         and upper_margin >= -_slack(qerr, c2.width, mixed_term)
         and min_margin >= -_slack(qerr, c3.width, min_term)
     )
-    return RemainderPlt2Report(
+    yield RemainderPlt2Report(
         p=p,
         cp_term=cp_term,
         mixed_term=mixed_term,
@@ -641,6 +585,204 @@ def verify_remainder_p_lt2(
         converged=converged,
         passed=converged and ok,
     )
+
+
+def _ckn_plan(pair: WeightPair, field: TestField, ckn: CknParams):
+    _check_ckn(pair, field, ckn)
+    p = pair.p
+
+    def terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
+        w = b.weight(pair, "w")
+        return _identity_terms(b, pair, f) + [
+            w ** (ckn.b * ckn.q) * b.power("vals", f, ckn.q),
+            w ** (ckn.c * ckn.r) * b.power("vals", f, ckn.r),
+        ]
+
+    res = yield pair, field, 6, terms
+    (lhs, w_term, cp_term, phi_term, int_q, int_r), qerr, converged = _summary(res)
+    bracket = lhs - cp_term
+    mismatch = abs(bracket - (w_term + phi_term))
+    consistent = mismatch <= 10.0 * qerr
+
+    base = max(bracket, 0.0)
+    left = base ** (ckn.delta / p) * max(int_q, 0.0) ** ((1.0 - ckn.delta) / ckn.q)
+    right = max(int_r, 0.0) ** (1.0 / ckn.r)
+    tol_left = _power_error(
+        left,
+        [
+            (ckn.delta / p, base, res[0].error_estimate + res[2].error_estimate),
+            ((1.0 - ckn.delta) / ckn.q, int_q, res[4].error_estimate),
+        ],
+    )
+    tol_right = _power_error(right, [(1.0 / ckn.r, int_r, res[5].error_estimate)])
+    passed = converged and consistent and left >= right - 10.0 * (tol_left + tol_right)
+    yield CknReport(
+        params=ckn,
+        lhs=lhs,
+        cp_term=cp_term,
+        bracket=bracket,
+        w_term=w_term,
+        phi_term=phi_term,
+        bracket_mismatch=mismatch,
+        left=left,
+        right=right,
+        quadrature_error=qerr,
+        converged=converged,
+        consistent=consistent,
+        passed=passed,
+    )
+
+
+def _hpw_plan(case: str, p: float, field: TestField):
+    _check_hpw(case, p, field)
+    hpw = HPW_PAIRS[case].hpw
+    space = field.space
+    gamma = space.gamma
+    pp = p / (p - 1.0)
+    k = SimpleNamespace(p=p, pp=pp, R=field.spec.R)
+    garofalo_p2 = hpw.garofalo and p == 2.0
+    track_grad = garofalo_p2 and gamma == 0.0
+
+    def terms(b: _Batch, _pair: None, f: int) -> List[np.ndarray]:
+        r, rho = b.coords
+        fa_pp = b.power("vals", f, pp)
+        df_p = b.power("df", f, p)
+        ratio_pow = (rho / r) ** (gamma * p * pp / 2.0) if gamma > 0 else 1.0
+        rows = hpw.rows(rho, ratio_pow, df_p, fa_pp, k)
+        rows.append(np.abs(b.vals[f]) ** 2)
+        if track_grad:
+            rows.append(b.grad_sq(f))
+        return rows
+
+    res = yield None, field, 4 if track_grad else 3, terms
+    values, qerr, converged = _summary(res)
+    grad_term, weight_term, mass_term = values[:3]
+    constant = hpw.constant(p, space.Q)
+    left = grad_term ** (1.0 / p) * weight_term ** (1.0 / pp)
+    right = constant * mass_term
+    factors = [
+        (1.0 / p, grad_term, res[0].error_estimate),
+        (1.0 / pp, weight_term, res[1].error_estimate),
+    ]
+    tol = 10.0 * (_power_error(left, factors) + constant * res[2].error_estimate)
+    passed = converged and left >= right - tol
+
+    garofalo = None
+    classical = None
+    if garofalo_p2:
+        g_left = grad_term * weight_term
+        g_right = ((space.Q - 2.0) / 2.0) ** 2 * mass_term**2
+        garofalo = {"left": g_left, "right": g_right, "passed": bool(converged and g_left >= g_right - 10.0 * qerr * (1.0 + g_left + g_right))}
+        passed = passed and garofalo["passed"]
+        if track_grad:
+            full_grad = values[3]
+            n_dim = space.n
+            c_left = full_grad * weight_term
+            c_right = (n_dim - 2.0) ** 2 / 4.0 * mass_term**2
+            classical = {
+                "grad_full": full_grad,
+                "left": c_left,
+                "right": c_right,
+                "dominates": bool(full_grad >= grad_term - 10.0 * qerr),
+                "passed": bool(converged and c_left >= c_right - 10.0 * qerr * (1.0 + c_left + c_right)),
+            }
+            passed = passed and classical["passed"] and classical["dominates"]
+
+    yield HpwReport(
+        case=case,
+        p=p,
+        grad_term=grad_term,
+        weight_term=weight_term,
+        mass_term=mass_term,
+        constant=constant,
+        left=left,
+        right=right,
+        quadrature_error=qerr,
+        converged=converged,
+        passed=passed,
+        garofalo=garofalo,
+        classical=classical,
+    )
+
+
+FIELD_CHECKS: Dict[str, Callable[..., Generator]] = {
+    "identity": _identity_plan,
+    "inequality": _inequality_plan,
+    "remainder_pge2": _remainder_pge2_plan,
+    "remainder_plt2": _remainder_plt2_plan,
+    "ckn": _ckn_plan,
+    "hpw": _hpw_plan,
+}
+
+
+def verify_checks(
+    checks: Sequence[Tuple[str, tuple]],
+    settings: Optional[IntegrationSettings] = None,
+) -> List[_Report]:
+    """Run field checks on one shared mesh and return their reports in order.
+
+    Each check is (name, args): a FIELD_CHECKS name and the arguments its
+    verify_* function takes, without settings. Every precondition and
+    constant search runs before the one integration, whose batches evaluate
+    the weights, |f|^q, |Df|^q and C_p once for all the checks. A report's
+    quadrature_error and converged come from its own integrals alone, but
+    every integral steers the refinement, so a check's values can differ,
+    within its error, from a run with other checks.
+    """
+    plans = [FIELD_CHECKS[name](*args) for name, args in checks]
+    results = _integrate_cases([next(plan) for plan in plans], settings)
+    return [plan.send(res) for plan, res in zip(plans, results)]
+
+
+def verify_identity(
+    pair: WeightPair,
+    field: TestField,
+    settings: Optional[IntegrationSettings] = None,
+) -> IdentityReport:
+    """Check lhs = w_term + cp_term + phi_term on one field."""
+    return verify_checks([("identity", (pair, field))], settings)[0]
+
+
+def verify_identity_sweep(
+    cases: Sequence[Tuple[WeightPair, TestField]],
+    settings: Optional[IntegrationSettings] = None,
+) -> List[IdentityReport]:
+    """Check the identity for many (pair, field) cases on one shared mesh
+    (see verify_checks). Each report's four components are sampled at
+    identical points, so the quadrature error still cancels inside its
+    residual. All cases must live on one space and the fields must share one
+    outer_rho and one x_floor.
+    """
+    return verify_checks([("identity", case) for case in cases], settings)
+
+
+def verify_inequality(
+    pair: WeightPair,
+    field: TestField,
+    settings: Optional[IntegrationSettings] = None,
+) -> InequalityReport:
+    """Check lhs >= w_term up to quadrature slack."""
+    return verify_checks([("inequality", (pair, field))], settings)[0]
+
+
+def verify_remainder_p_ge2(
+    pair: WeightPair,
+    field: TestField,
+    settings: Optional[IntegrationSettings] = None,
+    constant: Optional[ConstantEstimate] = None,
+) -> RemainderPge2Report:
+    """Check cp_term >= c_p * eta_term for p >= 2 on a phi = 0 pair."""
+    return verify_checks([("remainder_pge2", (pair, field, constant))], settings)[0]
+
+
+def verify_remainder_p_lt2(
+    pair: WeightPair,
+    field: TestField,
+    settings: Optional[IntegrationSettings] = None,
+    constants: Optional[Dict[str, ConstantEstimate]] = None,
+) -> RemainderPlt2Report:
+    """Check the two-sided and min-form remainder bounds for 1 < p < 2."""
+    return verify_checks([("remainder_plt2", (pair, field, constants))], settings)[0]
 
 
 def sharpness_probe(
@@ -705,6 +847,8 @@ def sharpness_probe(
     )
 
 
+
+
 def verify_ckn(
     pair: WeightPair,
     field: TestField,
@@ -717,49 +861,7 @@ def verify_ckn(
     bracket_mismatch); the inequality is
     B^(delta/p) * (int w^(b q) |f|^q)^((1-delta)/q) >= (int w^(c r) |f|^r)^(1/r).
     """
-    _check_ckn(pair, field, ckn)
-    p = pair.p
-
-    def terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
-        w = b.weight(pair, "w")
-        return _identity_terms(b, pair, f) + [
-            w ** (ckn.b * ckn.q) * b.power("vals", f, ckn.q),
-            w ** (ckn.c * ckn.r) * b.power("vals", f, ckn.r),
-        ]
-
-    (res,) = _integrate_cases([(pair, field)], 6, terms, settings)
-    (lhs, w_term, cp_term, phi_term, int_q, int_r), qerr, converged = _summary(res)
-    bracket = lhs - cp_term
-    mismatch = abs(bracket - (w_term + phi_term))
-    consistent = mismatch <= 10.0 * qerr
-
-    base = max(bracket, 0.0)
-    left = base ** (ckn.delta / p) * max(int_q, 0.0) ** ((1.0 - ckn.delta) / ckn.q)
-    right = max(int_r, 0.0) ** (1.0 / ckn.r)
-    tol_left = _power_error(
-        left,
-        [
-            (ckn.delta / p, base, res[0].error_estimate + res[2].error_estimate),
-            ((1.0 - ckn.delta) / ckn.q, int_q, res[4].error_estimate),
-        ],
-    )
-    tol_right = _power_error(right, [(1.0 / ckn.r, int_r, res[5].error_estimate)])
-    passed = converged and consistent and left >= right - 10.0 * (tol_left + tol_right)
-    return CknReport(
-        params=ckn,
-        lhs=lhs,
-        cp_term=cp_term,
-        bracket=bracket,
-        w_term=w_term,
-        phi_term=phi_term,
-        bracket_mismatch=mismatch,
-        left=left,
-        right=right,
-        quadrature_error=qerr,
-        converged=converged,
-        consistent=consistent,
-        passed=passed,
-    )
+    return verify_checks([("ckn", (pair, field, ckn))], settings)[0]
 
 
 def verify_hpw(
@@ -781,73 +883,4 @@ def verify_hpw(
     dambrosio_power's alpha and beta or log_ball's alpha, do not enter it,
     although the CLI's report echoes them with the run's pair.
     """
-    _check_hpw(case, p, field)
-    hpw = HPW_PAIRS[case].hpw
-    space = field.space
-    gamma = space.gamma
-    pp = p / (p - 1.0)
-    k = SimpleNamespace(p=p, pp=pp, R=field.spec.R)
-    garofalo_p2 = hpw.garofalo and p == 2.0
-    track_grad = garofalo_p2 and gamma == 0.0
-    ncomp = 4 if track_grad else 3
-
-    def terms(b: _Batch, _pair: None, f: int) -> List[np.ndarray]:
-        r, rho = b.coords
-        fa_pp = b.power("vals", f, pp)
-        df_p = b.power("df", f, p)
-        ratio_pow = (rho / r) ** (gamma * p * pp / 2.0) if gamma > 0 else 1.0
-        rows = hpw.rows(rho, ratio_pow, df_p, fa_pp, k)
-        rows.append(np.abs(b.vals[f]) ** 2)
-        if track_grad:
-            rows.append(b.grad_sq(f))
-        return rows
-
-    (res,) = _integrate_cases([(None, field)], ncomp, terms, settings)
-    values, qerr, converged = _summary(res)
-    grad_term, weight_term, mass_term = values[:3]
-    constant = hpw.constant(p, space.Q)
-    left = grad_term ** (1.0 / p) * weight_term ** (1.0 / pp)
-    right = constant * mass_term
-    factors = [
-        (1.0 / p, grad_term, res[0].error_estimate),
-        (1.0 / pp, weight_term, res[1].error_estimate),
-    ]
-    tol = 10.0 * (_power_error(left, factors) + constant * res[2].error_estimate)
-    passed = converged and left >= right - tol
-
-    garofalo = None
-    classical = None
-    if garofalo_p2:
-        g_left = grad_term * weight_term
-        g_right = ((space.Q - 2.0) / 2.0) ** 2 * mass_term**2
-        garofalo = {"left": g_left, "right": g_right, "passed": bool(converged and g_left >= g_right - 10.0 * qerr * (1.0 + g_left + g_right))}
-        passed = passed and garofalo["passed"]
-        if track_grad:
-            full_grad = values[3]
-            n_dim = space.n
-            c_left = full_grad * weight_term
-            c_right = (n_dim - 2.0) ** 2 / 4.0 * mass_term**2
-            classical = {
-                "grad_full": full_grad,
-                "left": c_left,
-                "right": c_right,
-                "dominates": bool(full_grad >= grad_term - 10.0 * qerr),
-                "passed": bool(converged and c_left >= c_right - 10.0 * qerr * (1.0 + c_left + c_right)),
-            }
-            passed = passed and classical["passed"] and classical["dominates"]
-
-    return HpwReport(
-        case=case,
-        p=p,
-        grad_term=grad_term,
-        weight_term=weight_term,
-        mass_term=mass_term,
-        constant=constant,
-        left=left,
-        right=right,
-        quadrature_error=qerr,
-        converged=converged,
-        passed=passed,
-        garofalo=garofalo,
-        classical=classical,
-    )
+    return verify_checks([("hpw", (case, p, field))], settings)[0]

@@ -116,12 +116,21 @@ def test_verify_validation_exits_2(tmp_path, capsys):
 
 
 def test_verify_empty_checks(tmp_path, capsys):
-    path = write_config(tmp_path, dict(BASE_CONFIG, checks=[]))
-    code, out, _ = run_cli(capsys, "verify", "--config", path)
-    assert code == 0
-    report = json.loads(out)
-    assert report["checks"] == []
-    assert report["summary"] == {"passed": 0, "failed": 0}
+    # a run of no checks would pass vacuously, so an empty list is refused,
+    # whether it is written out or the config leaves "checks" out
+    no_key = {k: v for k, v in BASE_CONFIG.items() if k != "checks"}
+    for cfg in (dict(BASE_CONFIG, checks=[]), no_key):
+        code, out, err = run_cli(capsys, "verify", "--config", write_config(tmp_path, cfg))
+        assert code == 2
+        assert out == ""
+        assert "checks must name at least one check" in err
+
+
+def test_verify_all_with_an_empty_checks_flag_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--all", "--checks", ",")
+    assert code == 2
+    assert out == ""
+    assert "checks must name at least one check" in err
 
 
 def test_verify_unknown_check(tmp_path, capsys):
@@ -141,15 +150,15 @@ def test_verify_non_numeric_config_value(tmp_path, capsys):
 
 # -- malformed configs ------------------------------------------------------------
 
-# valid as it stands, with no checks, so that any run that is not refused
-# returns 0 at once
+# valid as it stands, with one sampled check of about 2 ms, so that any run
+# that is not refused returns 0 at once
 MALFORMED_BASE = {
     "space": {"m": 1, "k": 1, "gamma": 1.0},
     "pair": {"id": "dambrosio_power", "alpha": 0.0, "beta": 0.0},
     "p": 2.0,
     "field": {"inner_rho": 0.5, "outer_rho": 2.0, "truncation_level": 0},
     "quadrature": {"rel_tol": 1e-8, "abs_tol": 1e-12, "max_evals": 1000},
-    "checks": [],
+    "checks": ["condition"],
     "seed": 7,
 }
 _JSON_SCALARS = st.one_of(
@@ -338,7 +347,7 @@ def test_verify_runs_every_check(tmp_path, capsys, name):
     assert record["name"] == name
     assert record["passed"] is True
     assert {"residual", "quadrature_error"} <= set(record)
-    assert set(verifier.PRECONDITIONS) <= set(cli.CHECK_NAMES)
+    assert set(verifier.FIELD_CHECKS) <= set(cli.CHECK_NAMES)
 
 
 def test_verify_all_suite(tmp_path, capsys):
@@ -411,6 +420,78 @@ def test_verify_needs_config_or_all(capsys):
     code, _, err = run_cli(capsys, "verify")
     assert code == 2
     assert "--config" in err
+
+
+# -- the field checks of one run share one mesh ----------------------------------
+
+ONE_CHECK = {
+    "identity": verifier.verify_identity,
+    "inequality": verifier.verify_inequality,
+    "remainder_pge2": verifier.verify_remainder_p_ge2,
+    "remainder_plt2": verifier.verify_remainder_p_lt2,
+    "ckn": verifier.verify_ckn,
+    "hpw": verifier.verify_hpw,
+}
+INTEGRAL_TERMS = (
+    "lhs", "w_term", "cp_term", "phi_term", "eta_term", "mixed_term", "min_term",
+    "grad_term", "weight_term", "mass_term",
+)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [*cli.ALL_SUITE, dict(BASE_CONFIG, p=1.5, checks=["remainder_plt2", "inequality", "hpw"])],
+    ids=lambda entry: f"{entry['pair']['id']}-p{entry['p']:g}-{len(entry['checks'])}",
+)
+def test_shared_mesh_matches_one_check_runs(entry):
+    # every integral term of a shared run lies within the larger of the two
+    # quadrature errors of its one-check run, with the same verdict
+    config = cli.config_from_dict(entry)
+    pair, field, _ = cli._build_objects(config)
+    shared = cli.run(config)["checks"]
+    compared = 0
+    for name, record in zip(config.checks, shared):
+        if name not in ONE_CHECK:
+            continue
+        one = ONE_CHECK[name](*cli._CHECKS[name].args(config, pair, field), config.quadrature)
+        # hpw's classical gradient term sits beside the others
+        terms, single = ({**t, **(t.get("classical") or {})} for t in (record["terms"], one.to_dict()))
+        allow = max(record["quadrature_error"], one.quadrature_error)
+        for key in (*INTEGRAL_TERMS, "grad_full"):
+            if key in single:
+                assert abs(terms[key] - single[key]) <= allow, (name, key)
+                compared += 1
+        assert (record["passed"], terms["converged"]) == (one.passed, one.converged), name
+    assert compared > 0
+
+
+def test_verify_all_integrates_once_per_entry_and_sharpness_level(tmp_path, capsys, monkeypatch):
+    integrate = verifier.integrate_vector
+    components = []  # of each integration, in call order
+
+    def counting(integrand, n_components, *args, **kwargs):
+        components.append(n_components)
+        return integrate(integrand, n_components, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "integrate_vector", counting)
+    code, _, _ = run_cli(capsys, "verify", "--all", "--out", str(tmp_path / "all.json"))
+    assert code == 0
+    levels = 3  # sharpness_probe's default, one 1-D integration per level
+    assert len(components) == len(cli.ALL_SUITE) + levels, components
+
+
+def test_budget_stop_fails_every_integral_check(tmp_path, capsys):
+    # 100 evals cannot refine the shared mesh or a sharpness level; no check
+    # that integrates may pass, while the sampled checks still do
+    path = write_config(tmp_path, cli.ALL_SUITE[0])
+    code, out, _ = run_cli(capsys, "verify", "--config", path, "--max-evals", "100")
+    assert code == 1
+    records = json.loads(out)["checks"]
+    assert [r["name"] for r in records] == cli.ALL_SUITE[0]["checks"]
+    for record in records:
+        sampled = record["name"] in ("divergence", "condition")
+        assert record["passed"] is sampled, record["name"]
+        assert record["terms"].get("converged") is (None if sampled else False), record["name"]
 
 
 # -- export -------------------------------------------------------------------

@@ -292,7 +292,7 @@ def test_polar_terms_match_beta_function_oracle(space):
         return [mass * (r / rho) ** beta for beta in betas]
 
     settings = IntegrationSettings(rel_tol=1e-12, abs_tol=1e-300)
-    (res,) = verifier._integrate_cases([(None, field)], len(betas), terms, settings)
+    (res,) = verifier._integrate_cases([(None, field, len(betas), terms)], settings)
 
     def amplitude_sq(rho):
         pt = np.zeros((1, space.n))
@@ -418,7 +418,7 @@ def test_sweep_terms_vanish_exactly_outside_a_fields_support(monkeypatch):
         return [None] * n_comp
 
     monkeypatch.setattr(verifier, "integrate_vector", capture)
-    verifier._integrate_cases(cases, 4, verifier._identity_terms, None)
+    verifier._integrate_cases([(*case, 4, verifier._identity_terms) for case in cases], None)
     out = seen["out"]
     assert np.all(np.isfinite(out))
     for ci, (_, f) in enumerate(cases):
@@ -435,7 +435,7 @@ def test_polar_identity_terms_match_cartesian_cubature(space):
     pair = make_pair("nch_ball", space, 3.0, {"R": 4.0})
     field = annulus_field(space)
     settings = IntegrationSettings(rel_tol=1e-8)
-    (polar,) = verifier._integrate_cases([(pair, field)], 4, verifier._identity_terms, settings)
+    (polar,) = verifier._integrate_cases([(pair, field, 4, verifier._identity_terms)], settings)
 
     def cartesian(pts):
         x, y = pts[:, : space.m], pts[:, space.m :]
