@@ -18,7 +18,7 @@ import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy
@@ -34,8 +34,7 @@ from .geometry import (
     grad_gamma_rho,
     radial_coords,
 )
-# the checks outside the shared mesh are called through _CHECKS by their names
-# in this module; the verify_* names stay bound for perfbench/tracer.py
+# the verify_* names stay bound here, unused, for tools that rebind them
 from .verifier import (
     FIELD_CHECKS,
     CknParams,
@@ -93,100 +92,70 @@ def _section(value: object, label: str) -> Dict:
     return value
 
 
-def _take(data: object, allowed: Dict[str, object], section: str) -> Dict:
-    out = dict(allowed)
-    for key, value in _section(data, section).items():
-        if key not in allowed:
-            raise ValueError(f"unknown {section} key {key!r}")
-        out[key] = value
-    return out
-
-
-def _num(value: object, label: str) -> float:
-    """Reject config values that are not finite plain numbers: a nested
-    structure would raise a bare TypeError, a NaN pass every comparison."""
+def _read(value: object, default: object, label: str) -> object:
+    """A config value read by the type of its default. A dict default is a
+    section, and its keys are the only ones allowed; an int default takes an
+    integer, a float a finite number, None a finite number or None, and a
+    str a string. Anything else, such as a nested structure for a number or
+    a NaN that would pass every range check, raises ValueError."""
+    if isinstance(default, dict):
+        for key in _section(value, label):
+            if key not in default:
+                raise ValueError(f"unknown {label} key {key!r}")
+        return {key: _read(value.get(key, d), d, f"{label}.{key}") for key, d in default.items()}
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ValueError(f"{label} must be a string")
+        return value
+    if value is None and default is None:
+        return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{label} must be a number")
     if not abs(value) <= sys.float_info.max:
         raise ValueError(f"{label} must be finite")
+    if isinstance(default, int):
+        if not float(value).is_integer():
+            raise ValueError(f"{label} must be an integer")
+        return int(value)
     return float(value)
 
 
-def _int(value: object, label: str) -> int:
-    number = _num(value, label)
-    if not number.is_integer():
-        raise ValueError(f"{label} must be an integer")
-    return int(number)
+_SPACE = {"m": 1, "k": 1, "gamma": 1.0}
+# family "" and x_floor None are resolved against the pair in _build_objects
+_FIELD = {f.name: f.default for f in fields(TestFieldSpec) if f.name in _FIELD_NUMBERS}
+_FIELD.update(family="", x_floor=None, truncation_level=0)
+_CKN = {"q": 2.0, "r": 2.0, "delta": 0.5, "b": -0.5, "c": 0.0}
 
 
 def config_from_dict(data: Dict) -> RunConfig:
-    """Build and validate a RunConfig; raises ValueError on any bad value."""
+    """Build and validate a RunConfig; raises ValueError on any bad value.
+    _read checks each value's type, and the dataclasses check its range."""
     known = {"space", "pair", "p", "field", "quadrature", "checks", "ckn", "seed"}
     for key in _section(data, "config"):
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
     if "space" not in data or "pair" not in data:
         raise ValueError("config requires 'space' and 'pair' sections")
-
-    sp = _take(data["space"], {"m": 1, "k": 1, "gamma": 1.0}, "space")
-    space = SpaceParams(
-        _int(sp["m"], "space.m"),
-        _int(sp["k"], "space.k"),
-        _num(sp["gamma"], "space.gamma"),
-    )
-
-    pair_section = dict(_section(data["pair"], "pair"))
-    pair_id = pair_section.pop("id", None)
+    pair_params = dict(_section(data["pair"], "pair"))
+    pair_id = pair_params.pop("id", None)
     if not isinstance(pair_id, str):
         raise ValueError("pair section requires a string 'id'")
-    pair_params = {k: _num(v, f"pair.{k}") for k, v in pair_section.items()}
-
-    p = _num(data.get("p", 2.0), "p")
-
-    # family and x_floor left open are resolved against the pair in _build_objects
-    defaults = {f.name: f.default for f in fields(TestFieldSpec) if f.name in _FIELD_NUMBERS}
-    defaults.update(family=None, x_floor=None, truncation_level=0)
-    field_cfg = _take(data.get("field", {}), defaults, "field")
-    if field_cfg["family"] is not None and not isinstance(field_cfg["family"], str):
-        raise ValueError("field.family must be a string")
-    for key in _FIELD_NUMBERS:
-        field_cfg[key] = _num(field_cfg[key], f"field.{key}")
-    if field_cfg["x_floor"] is not None:
-        field_cfg["x_floor"] = _num(field_cfg["x_floor"], "field.x_floor")
-    field_cfg["truncation_level"] = _int(field_cfg["truncation_level"], "field.truncation_level")
-
-    quad = _take(data.get("quadrature", {}), asdict(IntegrationSettings()), "quadrature")
-    settings = IntegrationSettings(
-        rel_tol=_num(quad["rel_tol"], "quadrature.rel_tol"),
-        abs_tol=_num(quad["abs_tol"], "quadrature.abs_tol"),
-        max_evals=_int(quad["max_evals"], "quadrature.max_evals"),
-    )
-
-    raw_checks = data.get("checks", [])
-    if not isinstance(raw_checks, (list, tuple)) or not all(isinstance(c, str) for c in raw_checks):
+    checks = data.get("checks", [])
+    if not isinstance(checks, (list, tuple)) or not all(isinstance(c, str) for c in checks):
         raise ValueError("checks must be a list of check names")
-    checks = tuple(raw_checks)
-
-    ckn = None
-    if data.get("ckn") is not None:
-        ck = _take(
-            data["ckn"],
-            {"p": p, "q": 2.0, "r": 2.0, "delta": 0.5, "b": -0.5, "c": 0.0},
-            "ckn",
-        )
-        ckn = {key: _num(value, f"ckn.{key}") for key, value in ck.items()}
-
-    seed = _int(data.get("seed", 0), "seed")
+    p = _read(data.get("p", 2.0), 2.0, "p")
+    quadrature = _read(data.get("quadrature", {}), asdict(IntegrationSettings()), "quadrature")
+    ckn = data.get("ckn")
     return RunConfig(
-        space=space,
+        space=SpaceParams(**_read(data["space"], _SPACE, "space")),
         pair_id=pair_id,
-        pair_params=pair_params,
+        pair_params={key: _read(v, 0.0, f"pair.{key}") for key, v in pair_params.items()},
         p=p,
-        field=field_cfg,
-        quadrature=settings,
-        checks=checks,
-        ckn=ckn,
-        seed=seed,
+        field=_read(data.get("field", {}), _FIELD, "field"),
+        quadrature=IntegrationSettings(**quadrature),
+        checks=tuple(checks),
+        ckn=None if ckn is None else _read(ckn, {"p": p, **_CKN}, "ckn"),
+        seed=_read(data.get("seed", 0), 0, "seed"),
     )
 
 
@@ -209,7 +178,7 @@ def _build_objects(config: RunConfig):
     x_floor = field_cfg["x_floor"]
     if x_floor is None:
         x_floor = 0.25 * float(field_cfg["inner_rho"]) if pair.x_singular else 0.0
-    if family is None:
+    if not family:
         family = "bump_radial_x_cutoff" if x_floor > 0.0 else "bump_radial"
     field_cfg["family"] = family
     field_cfg["x_floor"] = x_floor
@@ -267,77 +236,48 @@ def condition_check(pair, samples: int, seed: int) -> Dict[str, object]:
     return out
 
 
-def _ckn_args(config: RunConfig, pair: WeightPair, field: TestField) -> tuple:
-    if config.ckn is None:
-        raise ValueError("ckn check requires a ckn section in the config")
-    return (pair, field, CknParams(**config.ckn))
-
-
-def _hpw_args(config: RunConfig, pair: WeightPair, field: TestField) -> tuple:
-    if pair.spec.hpw is None:
-        raise ValueError(f"no hpw case corresponds to pair {pair.id!r}")
-    return (pair.spec.hpw.case, config.p, field)
-
-
-def _pair_field(config: RunConfig, pair: WeightPair, field: TestField) -> tuple:
+def _field_args(name: str, config: RunConfig, pair: WeightPair, field: TestField) -> tuple:
+    """The arguments that field check name's verify_* function takes,
+    without settings."""
+    if name == "ckn":
+        if config.ckn is None:
+            raise ValueError("ckn check requires a ckn section in the config")
+        return (pair, field, CknParams(**config.ckn))
+    if name == "hpw":
+        if pair.spec.hpw is None:
+            raise ValueError(f"no hpw case corresponds to pair {pair.id!r}")
+        return (pair.spec.hpw.case, config.p, field)
     return (pair, field)
 
 
-def _pair(config: RunConfig, pair: WeightPair, field: TestField) -> tuple:
-    return (pair,)
+def _run_check(name: str, config: RunConfig, pair: WeightPair) -> object:
+    """Run a check outside the shared mesh. Each function is looked up in
+    this module when the check runs, so a name rebound after import is the
+    one called."""
+    if name == "sharpness":
+        return sharpness_probe(pair, settings=config.quadrature)
+    if name == "divergence":
+        return divergence_check(config.space, samples=100, seed=config.seed)
+    return condition_check(pair, samples=200, seed=config.seed)
 
 
-def _quadrature(config: RunConfig) -> Dict:
-    return {"settings": config.quadrature}
-
-
-class _Check(NamedTuple):
-    """One check name: the arguments its function takes, from (config,
-    pair, field); the residual of its result; and, unless it is a field
-    check (a FIELD_CHECKS name, run through verify_checks), the name of its
-    function in this module and the keyword options the config adds."""
-
-    args: Callable[[RunConfig, WeightPair, TestField], tuple]
-    residual: Callable[[object], float]
-    function: str = ""
-    options: Callable[[RunConfig], Dict] = _quadrature
-
-
-_CHECKS: Dict[str, _Check] = {
-    "identity": _Check(_pair_field, lambda rep: rep.residual),
-    "inequality": _Check(_pair_field, lambda rep: rep.margin),
-    "remainder_pge2": _Check(_pair_field, lambda rep: rep.margin),
-    "remainder_plt2": _Check(
-        _pair_field, lambda rep: min(rep.lower_margin, rep.upper_margin, rep.min_margin)
-    ),
-    "sharpness": _Check(_pair, lambda rep: rep.final_gap, "sharpness_probe"),
-    "ckn": _Check(_ckn_args, lambda rep: rep.left - rep.right),
-    "hpw": _Check(_hpw_args, lambda rep: rep.left - rep.right),
-    "divergence": _Check(
-        lambda config, pair, field: (config.space,),
-        lambda rec: rec["max_rel_err"],
-        "divergence_check",
-        lambda config: {"samples": 100, "seed": config.seed},
-    ),
-    "condition": _Check(
-        _pair,
-        lambda rec: rec["max_abs_mismatch"],
-        "condition_check",
-        lambda config: {"samples": 200, "seed": config.seed},
-    ),
+# the residual of each check's report (or sampled record); its keys name the checks
+_RESIDUALS: Dict[str, Callable[[object], float]] = {
+    "identity": lambda rep: rep.residual,
+    "inequality": lambda rep: rep.margin,
+    "remainder_pge2": lambda rep: rep.margin,
+    "remainder_plt2": lambda rep: min(rep.lower_margin, rep.upper_margin, rep.min_margin),
+    "sharpness": lambda rep: rep.final_gap,
+    "ckn": lambda rep: rep.left - rep.right,
+    "hpw": lambda rep: rep.left - rep.right,
+    "divergence": lambda rec: rec["max_rel_err"],
+    "condition": lambda rec: rec["max_abs_mismatch"],
 }
 
-CHECK_NAMES = tuple(_CHECKS)
+CHECK_NAMES = tuple(_RESIDUALS)
 
 
-def _run_check(name: str, config: RunConfig, args: tuple, out: object) -> Dict[str, object]:
-    """One check's record. A field check's report out comes from
-    verify_checks; any other check's function is looked up by name here,
-    when the check runs, so whatever this module binds to that name now is
-    called."""
-    check = _CHECKS[name]
-    if name not in FIELD_CHECKS:
-        out = globals()[check.function](*args, **check.options(config))
+def _record(name: str, out: object) -> Dict[str, object]:
     if isinstance(out, dict):  # a sampled check: no quadrature, and its verdict is no term
         terms = dict(out)
         passed, qerr = terms.pop("passed"), 0.0
@@ -347,7 +287,7 @@ def _run_check(name: str, config: RunConfig, args: tuple, out: object) -> Dict[s
         "name": name,
         "passed": bool(passed),
         "terms": terms,
-        "residual": float(check.residual(out)),
+        "residual": float(_RESIDUALS[name](out)),
         "quadrature_error": float(qerr),
     }
 
@@ -366,12 +306,15 @@ def run(config: RunConfig) -> Dict:
     The field checks run first, together on one mesh (verify_checks)."""
     t0 = time.time()
     pair, field, field_echo = _build_objects(config)
-    calls = [(name, _CHECKS[name].args(config, pair, field)) for name in config.checks]
-    shared = [call for call in calls if call[0] in FIELD_CHECKS]
+    shared = [
+        (name, _field_args(name, config, pair, field))
+        for name in config.checks
+        if name in FIELD_CHECKS
+    ]
     reports = iter(verify_checks(shared, config.quadrature) if shared else ())
     checks = [
-        _run_check(name, config, args, next(reports) if name in FIELD_CHECKS else None)
-        for name, args in calls
+        _record(name, next(reports) if name in FIELD_CHECKS else _run_check(name, config, pair))
+        for name in config.checks
     ]
     echo = config_to_dict(config)
     echo["field"] = field_echo
@@ -519,7 +462,7 @@ def _parse_space_flag(text: str) -> Dict[str, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("--space expects m,k,gamma")
-    return {"m": int(parts[0]), "k": int(parts[1]), "gamma": float(parts[2])}
+    return _read(dict(zip(_SPACE, map(float, parts))), _SPACE, "space")
 
 
 def _pair_defaults(pair_id: str) -> Dict[str, float]:

@@ -195,10 +195,6 @@ class HpwReport(_Report):
     classical: Optional[Dict[str, float]] = None
 
 
-# -- preconditions: one per field check, taking its verify_* function's
-# arguments before settings; the check's plan calls it before any work
-
-
 def _check_support(pair: WeightPair, field: TestField) -> None:
     if pair.space != field.space:
         raise ValueError("pair and field use different spaces")
@@ -215,32 +211,6 @@ def _check_remainder(pair: WeightPair, field: TestField, p_ok: bool, p_rule: str
     if not p_ok:
         raise ValueError(p_rule)
     _check_support(pair, field)
-
-
-def _check_remainder_pge2(pair: WeightPair, field: TestField) -> None:
-    _check_remainder(pair, field, pair.p >= 2.0, "verify_remainder_p_ge2 needs p >= 2")
-
-
-def _check_remainder_plt2(pair: WeightPair, field: TestField) -> None:
-    _check_remainder(pair, field, 1.0 < pair.p < 2.0, "verify_remainder_p_lt2 needs 1 < p < 2")
-
-
-def _check_ckn(pair: WeightPair, field: TestField, ckn: CknParams) -> None:
-    if abs(ckn.p - pair.p) > 1e-12:
-        raise ValueError("CknParams p must match the pair's p")
-    _check_support(pair, field)
-
-
-def _check_hpw(case: str, p: float, field: TestField) -> None:
-    spec = HPW_PAIRS.get(case)
-    if spec is None:
-        raise ValueError(f"case must be one of {HPW_CASES}")
-    if p <= 1.0:
-        raise ValueError("p must be > 1")
-    if "R" in spec.params and not math.isfinite(field.spec.R):
-        raise ValueError(f"{case} needs a field built with finite R")
-    if field.space.gamma > 0.0 and not field.spec.x_floor > 0.0:
-        raise ValueError("gamma > 0 weights are singular on {x=0}; use x_floor > 0")
 
 
 def _polar_pieces(fields: Sequence[TestField]):
@@ -509,7 +479,7 @@ def _inequality_plan(pair: WeightPair, field: TestField):
 def _remainder_pge2_plan(
     pair: WeightPair, field: TestField, constant: Optional[ConstantEstimate] = None
 ):
-    _check_remainder_pge2(pair, field)
+    _check_remainder(pair, field, pair.p >= 2.0, "verify_remainder_p_ge2 needs p >= 2")
     p = pair.p
     if constant is None:
         constant = find_constant(CpObjectiveKind(kind="cp_pge2", p=p))
@@ -538,7 +508,7 @@ def _remainder_pge2_plan(
 def _remainder_plt2_plan(
     pair: WeightPair, field: TestField, constants: Optional[Dict[str, ConstantEstimate]] = None
 ):
-    _check_remainder_plt2(pair, field)
+    _check_remainder(pair, field, 1.0 < pair.p < 2.0, "verify_remainder_p_lt2 needs 1 < p < 2")
     p = pair.p
     if constants is None:
         constants = {
@@ -588,7 +558,9 @@ def _remainder_plt2_plan(
 
 
 def _ckn_plan(pair: WeightPair, field: TestField, ckn: CknParams):
-    _check_ckn(pair, field, ckn)
+    if abs(ckn.p - pair.p) > 1e-12:
+        raise ValueError("CknParams p must match the pair's p")
+    _check_support(pair, field)
     p = pair.p
 
     def terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
@@ -634,8 +606,16 @@ def _ckn_plan(pair: WeightPair, field: TestField, ckn: CknParams):
 
 
 def _hpw_plan(case: str, p: float, field: TestField):
-    _check_hpw(case, p, field)
-    hpw = HPW_PAIRS[case].hpw
+    spec = HPW_PAIRS.get(case)
+    if spec is None:
+        raise ValueError(f"case must be one of {HPW_CASES}")
+    if p <= 1.0:
+        raise ValueError("p must be > 1")
+    if "R" in spec.params and not math.isfinite(field.spec.R):
+        raise ValueError(f"{case} needs a field built with finite R")
+    if field.space.gamma > 0.0 and not field.spec.x_floor > 0.0:
+        raise ValueError("gamma > 0 weights are singular on {x=0}; use x_floor > 0")
+    hpw = spec.hpw
     space = field.space
     gamma = space.gamma
     pp = p / (p - 1.0)

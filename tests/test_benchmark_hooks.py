@@ -2,9 +2,11 @@
 by rebinding its public names, such as ``radial_coords`` in fields, weights,
 verifier and cli, and ``find_constant`` in cp, verifier and cli (the source of
 the per-kind ``cp.find_constant.*_s`` metrics). A change that drops or renames
-one of them fails here. Its traced ``integrate_vector`` reads
-``IntegrationSettings.rule`` from an explicit settings object, and its
-per-point metrics count the rows of the first argument of each traced call."""
+one of them fails here, and so does a check dispatch that binds its functions
+at import time, since a name rebound later is then never called. Its traced
+``integrate_vector`` reads ``IntegrationSettings.rule`` from an explicit
+settings object, and its per-point metrics count the rows of the first
+argument of each traced call."""
 
 import importlib.util
 import pathlib
@@ -84,3 +86,21 @@ def test_traced_sweep_counts_one_point_per_node():
     metrics = tracer.layer_metrics(0)
     assert metrics["weights.vwphi.ns_per_pt"] > 0.0
     assert metrics["cp.cp_value_batch.ns_per_pt"] > 0.0
+
+
+def test_traced_verify_all_calls_each_check_through_its_module_name(tmp_path):
+    module = load_tracer_module()
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        code = cli.main(["verify", "--all", "--out", str(tmp_path / "all.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+
+    def entries_with(check):
+        return sum(check in entry["checks"] for entry in cli.ALL_SUITE)
+
+    assert tracer.names.count("verifier.sharpness_probe") == entries_with("sharpness") == 1
+    assert tracer.names.count(module.DIVERGENCE) == entries_with("divergence")
+    assert tracer.names.count(module.CONDITION) == entries_with("condition")

@@ -159,6 +159,8 @@ MALFORMED_BASE = {
     "field": {"inner_rho": 0.5, "outer_rho": 2.0, "truncation_level": 0},
     "quadrature": {"rel_tol": 1e-8, "abs_tol": 1e-12, "max_evals": 1000},
     "checks": ["condition"],
+    # valid at p = 2, and not built, since only the condition check runs
+    "ckn": {"q": 2.0, "r": 2.0, "delta": 0.5, "b": -0.5, "c": 0.0},
     "seed": 7,
 }
 _JSON_SCALARS = st.one_of(
@@ -174,14 +176,21 @@ _NUMERIC_SLOTS = (
     ("p",),
     ("seed",),
     ("space", "m"),
+    ("space", "k"),
     ("space", "gamma"),
     ("pair", "alpha"),
+    ("pair", "beta"),
     ("field", "inner_rho"),
     ("field", "outer_rho"),
     ("field", "truncation_level"),
+    ("field", "smoothness_margin"),
+    ("field", "phase_kappa"),
+    ("field", "x_floor"),
     ("quadrature", "rel_tol"),
     ("quadrature", "abs_tol"),
     ("quadrature", "max_evals"),
+    ("ckn", "q"),
+    ("ckn", "delta"),
 )
 _INTEGER_SLOTS = (
     ("seed",),
@@ -221,6 +230,13 @@ _MALFORMED = st.sampled_from(
         # the cubature rule is fixed, so naming one is an unknown key
         st.sampled_from(("gauss_kronrod_tensor", "genz_malik", None)).map(
             lambda v: _with(("quadrature", "rule"), v)
+        ),
+        _NOT_OBJECTS.filter(lambda v: not isinstance(v, str)).map(
+            lambda v: _with(("field", "family"), v)
+        ),
+        # a valid number under a key that the config or one of its sections lacks
+        st.sampled_from(((), ("space",), ("pair",), ("field",), ("quadrature",), ("ckn",))).map(
+            lambda section: _with((*section, "unknown"), 1.0)
         ),
     ]
 ).flatmap(lambda kind: kind)
@@ -453,7 +469,7 @@ def test_shared_mesh_matches_one_check_runs(entry):
     for name, record in zip(config.checks, shared):
         if name not in ONE_CHECK:
             continue
-        one = ONE_CHECK[name](*cli._CHECKS[name].args(config, pair, field), config.quadrature)
+        one = ONE_CHECK[name](*cli._field_args(name, config, pair, field), config.quadrature)
         # hpw's classical gradient term sits beside the others
         terms, single = ({**t, **(t.get("classical") or {})} for t in (record["terms"], one.to_dict()))
         allow = max(record["quadrature_error"], one.quadrature_error)
@@ -463,6 +479,20 @@ def test_shared_mesh_matches_one_check_runs(entry):
                 compared += 1
         assert (record["passed"], terms["converged"]) == (one.passed, one.converged), name
     assert compared > 0
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [*cli.ALL_SUITE, dict(BASE_CONFIG, ckn={"q": 2.0, "r": 2.0, "delta": 0.5, "b": -0.5, "c": 0.0})],
+    ids=[*(f"all_suite[{i}]" for i in range(len(cli.ALL_SUITE))), "base_with_ckn"],
+)
+def test_report_config_reproduces_its_run(entry):
+    # the module docstring's promise: a report alone reproduces its run
+    report = cli.run(cli.config_from_dict(entry))
+    again = cli.run(cli.config_from_dict(json.loads(json.dumps(report["config"]))))
+    for rep in (report, again):
+        rep.pop("wall_clock_seconds")
+    assert cli._dump(again) == cli._dump(report)
 
 
 def test_verify_all_integrates_once_per_entry_and_sharpness_level(tmp_path, capsys, monkeypatch):
@@ -614,12 +644,21 @@ def test_check_divergence_command(capsys):
     assert rec["max_rel_err"] <= 1e-6
 
 
-@pytest.mark.parametrize("samples", ["0", "-3"])
-def test_check_divergence_needs_samples(capsys, samples):
-    code, out, err = run_cli(capsys, "check-divergence", "--space", "1,1,1.0", "--samples", samples)
+@pytest.mark.parametrize(
+    "space, samples, message",
+    [
+        ("1,1,1.0", "0", "samples must be >= 1"),
+        ("1,1,1.0", "-3", "samples must be >= 1"),
+        # the flag is read as the config's space section
+        ("1.5,1,0", "100", "space.m must be an integer"),
+    ],
+    ids=["0", "-3", "space-1.5,1,0"],
+)
+def test_check_divergence_needs_samples(capsys, space, samples, message):
+    code, out, err = run_cli(capsys, "check-divergence", "--space", space, "--samples", samples)
     assert code == 2
     assert out == ""
-    assert "samples must be >= 1" in err
+    assert message in err
 
 
 @pytest.mark.parametrize(
