@@ -462,6 +462,11 @@ def _parse_space_flag(text: str) -> Dict[str, float]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("--space expects m,k,gamma")
+    for part in parts:
+        try:
+            float(part)
+        except ValueError:
+            raise ValueError(f"--space: {part!r} is not a number") from None
     return _read(dict(zip(_SPACE, map(float, parts))), _SPACE, "space")
 
 

@@ -6,7 +6,10 @@ For complex vectors xi, eta and p > 1,
 
 with the continuous extension C_p(xi, xi) = |xi|^p (for 1 < p < 2 the literal
 third term is 0/0 at xi = eta).  C_p is nonnegative, homogeneous of degree p,
-and C_2(xi, eta) = |eta|^2 exactly.
+and C_2(xi, eta) = |eta|^2 exactly.  With eta = xi + y, xi - eta = -y and
+Re((xi-eta) . conj(eta)) = -|y|^2 - Re(y . conj(xi)), so
+C_p(xi, xi+y) = |xi|^p + (p-1)|y|^p + p |y|^(p-2) Re(y . conj(xi)), the form in
+which the verifier builds it from the identity's own powers.
 
 The remainder constants are extrema of quotients of the shared numerator
 

@@ -255,7 +255,8 @@ def build_extremal_field(
     sign = 1.0 if ascending else -1.0
     spec, k = pair.spec, pair.scalars
     R = pair.params.get("R", float("inf"))
-    outer = float(spec.rho_of_tau(tau_hi, k))
+    with np.errstate(over="ignore"):  # a power pair's rho_of_tau reaches inf: R clips it
+        outer = float(spec.rho_of_tau(tau_hi, k))
     if R != float("inf"):
         outer = min(outer, np.nextafter(R, 0.0))
 

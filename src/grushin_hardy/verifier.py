@@ -13,7 +13,8 @@ in closed form.
 
 Conventions: Df is the radial derivative, xi = v^(1/p) Df and
 eta = xi + w^(1/p) f, so xi - eta = -w^(1/p) f and every integrand is
-assembled pointwise from (f, Df, v, w, phi). The pieces cover only the
+assembled pointwise from (f, Df, v, w, phi); C_p(xi, eta) comes in closed
+form from the identity's own rows (see _Batch). The pieces cover only the
 fields' support, away from {x=0} wherever a weight is singular there, so
 every weight is finite at every node, and a term is an exact 0 wherever its
 field vanishes.
@@ -30,7 +31,8 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cp import ConstantEstimate, CpObjectiveKind, cp_value_batch, find_constant
+from .cp import ConstantEstimate, CpObjectiveKind, find_constant
+from .cp import cp_value_batch  # unused here; perfbench/tracer.py rebinds it
 from .cubature import IntegrationSettings, Region, integrate_vector
 from .fields import ExtremalField, TestField, build_extremal_field
 from .fields import radial_derivative_batch  # unused here; perfbench/tracer.py rebinds it
@@ -199,9 +201,16 @@ def _check_support(pair: WeightPair, field: TestField) -> None:
     if pair.space != field.space:
         raise ValueError("pair and field use different spaces")
     radius = pair.radius
-    if radius is not None and not field.spec.outer_rho <= 0.9 * radius:
+    outside = radius is not None and not field.spec.outer_rho <= 0.9 * radius
+    on_axis = pair.x_singular and not field.spec.x_floor > 0.0
+    if (outside or on_axis) and field.spec.family == "extremal_truncated":
+        raise ValueError(
+            f"field family extremal_truncated cannot run a field check on {pair.id} here: "
+            "the extremal field runs out to R and down to x = 0"
+        )
+    if outside:
         raise ValueError("field must keep outer_rho <= 0.9 R on a ball domain")
-    if pair.x_singular and not field.spec.x_floor > 0.0:
+    if on_axis:
         raise ValueError("pair is singular on {x=0}; use a field with x_floor > 0")
 
 
@@ -278,10 +287,13 @@ class _Batch:
     Each field gives f, f_r and f_rho on the nodes' (r, s, rho) (see
     TestField.eval_radial), and Df follows in closed form: r and rho are both
     of degree 1 under the dilations, so Df = (r/rho)^gamma (r f_r + rho f_rho)/rho.
-    The pair weights, their p-th roots and the powers |f|^q, |Df|^q are
-    computed on first use and reused, so C cases over F fields and P pairs
-    cost F field and P weight evaluations, not C of each. The weights are
-    given the (N, 2) nodes, one row per node, with coords = (r, rho).
+    C_p(xi, eta) = v|Df|^p + (p-1) w|f|^p + p h G (see cp.py) reuses the
+    case's identity rows, the pair's h = v^(1/p) w^((p-1)/p) (the paper's
+    field is h grad rho/|grad rho|) and G = |f|^(p-2) Re(conj(f) Df), which
+    is real, 0 where f is, and shared by every pair with the same p. Each
+    array is computed on first use and reused, so C cases over F fields and
+    P pairs cost F field and P weight evaluations, not C of each. The weights
+    are given the (N, 2) nodes, one row per node, with coords = (r, rho).
     """
 
     def __init__(self, space: SpaceParams, nodes: np.ndarray, coords, fields: Sequence[TestField]):
@@ -309,11 +321,6 @@ class _Batch:
             lambda: getattr(pair, f"{name}_batch")(self.nodes, coords=self.coords),
         )
 
-    def root(self, pair: WeightPair, name: str) -> np.ndarray:
-        return self._cached(
-            (id(pair), name, "root"), lambda: self.weight(pair, name) ** (1.0 / pair.p)
-        )
-
     def power(self, kind: str, f: int, q: float) -> np.ndarray:
         """|f|^q (kind "vals") or |Df|^q (kind "df") of field slot f."""
         return self._cached((kind, f, q), lambda: np.abs(getattr(self, kind)[f]) ** q)
@@ -330,15 +337,37 @@ class _Batch:
 
     def xi_eta(self, pair: WeightPair, f: int):
         """xi = v^(1/p) Df, w^(1/p) f and eta = xi + w^(1/p) f of one case."""
-        xi = self.root(pair, "v") * self.df[f]
-        wf = self.root(pair, "w") * self.vals[f]
+        xi = self.weight(pair, "v") ** (1.0 / pair.p) * self.df[f]
+        wf = self.weight(pair, "w") ** (1.0 / pair.p) * self.vals[f]
         return xi, wf, xi + wf
+
+    def rows(self, pair: WeightPair, f: int) -> List[np.ndarray]:
+        """v |Df|^p and w |f|^p of one case: the inequality's terms."""
+        return [
+            self._cached(
+                (id(pair), name, f), lambda: self.weight(pair, name) * self.power(kind, f, pair.p)
+            )
+            for name, kind in (("v", "df"), ("w", "vals"))
+        ]
+
+    def h(self, pair: WeightPair) -> np.ndarray:
+        """v^(1/p) w^((p-1)/p), as w (v/w)^(1/p) with one power."""
+        v, w = self.weight(pair, "v"), self.weight(pair, "w")
+        return self._cached((id(pair), "h"), lambda: w * (v / w) ** (1.0 / pair.p))
+
+    def g(self, f: int, p: float) -> np.ndarray:
+        """|f|^(p-2) Re(conj(f) Df) of field slot f, as |f|^p Re(Df/f), 0 where f is."""
+        def make() -> np.ndarray:
+            vals = self.vals[f]
+            return self.power("vals", f, p) * (self.df[f] / np.where(vals != 0.0, vals, 1.0)).real
+
+        return self._cached(("g", f, p), make)
 
     def cp(self, pair: WeightPair, f: int) -> np.ndarray:
         """C_p(xi, eta) of one case, shared by the checks that integrate it."""
         def make() -> np.ndarray:
-            xi, _, eta = self.xi_eta(pair, f)
-            return cp_value_batch(xi, eta, pair.p)
+            lhs, w_row = self.rows(pair, f)
+            return lhs + (pair.p - 1.0) * w_row + pair.p * self.h(pair) * self.g(f, pair.p)
 
         return self._cached((id(pair), "cp", f), make)
 
@@ -420,15 +449,9 @@ def _slack(qerr: float, width: float = 0.0, term: float = 0.0) -> float:
     return 10.0 * qerr + width * term
 
 
-def _lhs_w_terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
-    """v |Df|^p and w |f|^p of one case."""
-    p = pair.p
-    return [b.weight(pair, "v") * b.power("df", f, p), b.weight(pair, "w") * b.power("vals", f, p)]
-
-
 def _identity_terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
     phi_term = b.weight(pair, "phi") * b.power("vals", f, pair.p)
-    return _lhs_w_terms(b, pair, f) + [b.cp(pair, f), phi_term]
+    return b.rows(pair, f) + [b.cp(pair, f), phi_term]
 
 
 # -- plans: one per field check, taking its verify_* function's arguments
@@ -460,7 +483,7 @@ def _identity_plan(pair: WeightPair, field: TestField):
 
 def _inequality_plan(pair: WeightPair, field: TestField):
     _check_support(pair, field)
-    res = yield pair, field, 2, _lhs_w_terms
+    res = yield pair, field, 2, _Batch.rows
     (lhs, w_term), qerr, converged = _summary(res)
     ratio = lhs / w_term if w_term > 0 else float("nan")
     margin = lhs - w_term
@@ -825,8 +848,6 @@ def sharpness_probe(
         converged=converged,
         passed=passed,
     )
-
-
 
 
 def verify_ckn(

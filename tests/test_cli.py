@@ -651,14 +651,42 @@ def test_check_divergence_command(capsys):
         ("1,1,1.0", "-3", "samples must be >= 1"),
         # the flag is read as the config's space section
         ("1.5,1,0", "100", "space.m must be an integer"),
+        ("1,x,0", "100", "--space: 'x' is not a number"),
     ],
-    ids=["0", "-3", "space-1.5,1,0"],
+    ids=["0", "-3", "space-1.5,1,0", "space-1,x,0"],
 )
 def test_check_divergence_needs_samples(capsys, space, samples, message):
     code, out, err = run_cli(capsys, "check-divergence", "--space", space, "--samples", samples)
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_sharpness_past_the_float_range_of_rho_of_tau(capsys):
+    # darca_power's level-6 plateau ends at tau ~ 1170, where rho = 0.5 e^tau
+    # overflows; the field's outer edge is that limit clipped to R, and no
+    # RuntimeWarning (an error under this suite's filter) precedes the report
+    code, out, _ = run_cli(capsys, "sharpness", "--pair", "darca_power", "--p", "3", "--levels", "7")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["passed"] is True
+    assert len(rec["levels"]) == 7
+
+
+@pytest.mark.parametrize(
+    "space, pair",
+    [
+        ({"m": 1, "k": 1, "gamma": 0.0}, {"id": "nch_ball", "R": 4.0}),  # runs out to R
+        ({"m": 1, "k": 1, "gamma": 1.0}, BASE_CONFIG["pair"]),  # down to x = 0
+    ],
+    ids=["nch_ball", "gamma-1"],
+)
+def test_extremal_field_checks_are_refused_by_family(tmp_path, capsys, space, pair):
+    config = dict(BASE_CONFIG, space=space, pair=pair, field={"family": "extremal_truncated"})
+    code, out, err = run_cli(capsys, "verify", "--config", write_config(tmp_path, config))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: field family extremal_truncated cannot run a field check")
+    assert err.rstrip().endswith("the extremal field runs out to R and down to x = 0")
 
 
 @pytest.mark.parametrize(

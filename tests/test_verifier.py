@@ -3,13 +3,14 @@
 import json
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 
-from grushin_hardy.cp import ConstantEstimate
+from grushin_hardy.cp import ConstantEstimate, cp_value_batch
 from grushin_hardy.cubature import IntegrationSettings, Region, integrate_vector
 from grushin_hardy.fields import (
     TestField,
@@ -31,7 +32,7 @@ from grushin_hardy.verifier import (
     verify_remainder_p_lt2,
 )
 from grushin_hardy import verifier
-from grushin_hardy.weights import make_pair
+from grushin_hardy.weights import PAIRS, make_pair
 
 SP = SpaceParams(1, 1, 1.0)
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "constants.json").read_text())
@@ -386,6 +387,54 @@ def test_radial_kernel_matches_the_nd_path(space):
         for g, w in zip(got, want):
             assert np.any(w != 0.0) and np.any(w == 0.0)
             np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13 * np.abs(w).max())
+
+
+def _closed_form_fields(space):
+    def field(family, **kwargs):
+        return build_test_field(space, TestFieldSpec(family=family, x_floor=0.125, **kwargs))
+
+    return [field("bump_radial_x_cutoff"), field("phase_twisted", phase_kappa=1.3)]
+
+
+@pytest.mark.parametrize(
+    "space", (SpaceParams(1, 1, 1.0), SpaceParams(2, 1, 0.0), SpaceParams(2, 2, 1.0)), ids=str
+)
+@pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+@pytest.mark.parametrize("pair_id", PAIRS)
+def test_closed_form_cp_matches_the_kernel(space, p, pair_id):
+    # C_p = v|Df|^p + (p-1) w|f|^p + p h G against cp_value_batch(xi, eta, p),
+    # on random nodes of the polar pieces, for a real and a phase-twisted field
+    fields = _closed_form_fields(space)
+    region, lift = verifier._polar_pieces(fields)
+    rng = np.random.default_rng(131)
+    nodes = np.column_stack([rng.uniform(0.0, region.box[0][1], 2000), rng.uniform(0.0, 1.0, 2000)])
+    b = verifier._Batch(space, nodes, lift(nodes)[0], fields)
+    pair = make_pair(pair_id, space, p, dict(PAIRS[pair_id].defaults))
+    for f in range(len(fields)):
+        xi, wf, eta = b.xi_eta(pair, f)
+        scale = np.maximum(np.abs(xi) ** p, np.abs(wf) ** p)
+        assert np.all(np.abs(b.cp(pair, f) - cp_value_batch(xi, eta, p)) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("p", (1.25, 1.5, 1.75))
+def test_closed_form_g_is_zero_where_the_field_is(p):
+    # |f|^(p-2) is infinite where f = 0 for p < 2, but G is exactly 0 there,
+    # with no floating-point error raised on the way; fields 0 and 1 vanish
+    # on the pieces' rho < 0.8, which fields 2 and 3 fill
+    inner = [build_test_field(SP, replace(f.spec, inner_rho=0.8)) for f in _closed_form_fields(SP)]
+    fields = inner + _closed_form_fields(SP)
+    region, lift = verifier._polar_pieces(fields)
+    rng = np.random.default_rng(137)
+    nodes = np.column_stack([rng.uniform(0.0, region.box[0][1], 4000), rng.uniform(0.0, 1.0, 4000)])
+    with np.errstate(all="raise", under="ignore"):
+        b = verifier._Batch(SP, nodes, lift(nodes)[0], fields)
+        for f in (0, 1):
+            zero = b.vals[f] == 0.0
+            assert np.any(zero) and np.any(~zero)
+            g = b.g(f, p)
+            assert np.all(np.isfinite(g))
+            assert np.all(g[zero] == 0.0)
+            assert np.any(g[~zero] != 0.0)
 
 
 def test_sweep_terms_vanish_exactly_outside_a_fields_support(monkeypatch):
