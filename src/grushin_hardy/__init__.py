@@ -5,7 +5,6 @@ Baouendi-Grushin operator."""
 from grushin_hardy.cp import (
     ConstantEstimate,
     CpObjectiveKind,
-    cp_value,
     cp_value_batch,
     find_constant,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "SpaceParams",
     "ConstantEstimate",
     "CpObjectiveKind",
-    "cp_value",
     "cp_value_batch",
     "find_constant",
     "IntegrationSettings",

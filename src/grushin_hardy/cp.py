@@ -65,7 +65,6 @@ __all__ = [
     "KINDS",
     "CpObjectiveKind",
     "ConstantEstimate",
-    "cp_value",
     "cp_value_batch",
     "objective",
     "stated_range",
@@ -135,15 +134,6 @@ def cp_value_batch(xi: np.ndarray, eta: np.ndarray, p: float) -> np.ndarray:
     # as t -> 0, and t = 0 takes the continuous extension |xi|^p
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(t > 0.0, ap - t ** (p - 1.0) * (t + p * (re / t)), ap)
-
-
-def cp_value(xi, eta, p: float) -> float:
-    """C_p(xi, eta) for a single pair of complex scalars or vectors."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-    eta = np.atleast_1d(np.asarray(eta, dtype=complex))
-    if xi.shape != eta.shape:
-        raise ValueError("xi and eta must have the same length")
-    return float(cp_value_batch(xi[None, :], eta[None, :], p)[0])
 
 
 def _numerator(p: float, s: np.ndarray, r2: np.ndarray) -> np.ndarray:

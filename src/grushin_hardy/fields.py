@@ -255,10 +255,8 @@ def build_extremal_field(
     sign = 1.0 if ascending else -1.0
     spec, k = pair.spec, pair.scalars
     R = pair.params.get("R", float("inf"))
-    with np.errstate(over="ignore"):  # a power pair's rho_of_tau reaches inf: R clips it
-        outer = float(spec.rho_of_tau(tau_hi, k))
-    if R != float("inf"):
-        outer = min(outer, np.nextafter(R, 0.0))
+    with np.errstate(over="ignore"):  # rho_of_tau may reach inf: R or the largest float clips it
+        outer = float(min(spec.rho_of_tau(tau_hi, k), np.nextafter(R, 0.0)))
 
     field_spec = TestFieldSpec(
         family="extremal_truncated",

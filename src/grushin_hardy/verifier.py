@@ -38,7 +38,7 @@ from .fields import ExtremalField, TestField, build_extremal_field
 from .fields import radial_derivative_batch  # unused here; perfbench/tracer.py rebinds it
 from .geometry import SpaceParams
 from .geometry import radial_coords  # unused here; perfbench/tracer.py rebinds it
-from .weights import HPW_PAIRS, WeightPair
+from .weights import HPW_PAIRS, PAIRS, WEIGHTS, WeightPair, eval_monomials, log_features
 
 __all__ = [
     "IdentityReport",
@@ -197,21 +197,26 @@ class HpwReport(_Report):
     classical: Optional[Dict[str, float]] = None
 
 
+def _refuse(field: TestField, pair_id: str, message: str) -> None:
+    """Raise a support rule's message, or the family's for an extremal field."""
+    if field.spec.family == "extremal_truncated":
+        message = (
+            f"field family extremal_truncated cannot run a field check on {pair_id} here: "
+            "the extremal field runs out to R and down to x = 0"
+        )
+    raise ValueError(message)
+
+
 def _check_support(pair: WeightPair, field: TestField) -> None:
     if pair.space != field.space:
         raise ValueError("pair and field use different spaces")
     radius = pair.radius
     outside = radius is not None and not field.spec.outer_rho <= 0.9 * radius
     on_axis = pair.x_singular and not field.spec.x_floor > 0.0
-    if (outside or on_axis) and field.spec.family == "extremal_truncated":
-        raise ValueError(
-            f"field family extremal_truncated cannot run a field check on {pair.id} here: "
-            "the extremal field runs out to R and down to x = 0"
-        )
     if outside:
-        raise ValueError("field must keep outer_rho <= 0.9 R on a ball domain")
+        _refuse(field, pair.id, "field must keep outer_rho <= 0.9 R on a ball domain")
     if on_axis:
-        raise ValueError("pair is singular on {x=0}; use a field with x_floor > 0")
+        _refuse(field, pair.id, "pair is singular on {x=0}; use a field with x_floor > 0")
 
 
 def _check_remainder(pair: WeightPair, field: TestField, p_ok: bool, p_rule: str) -> None:
@@ -287,17 +292,18 @@ class _Batch:
     Each field gives f, f_r and f_rho on the nodes' (r, s, rho) (see
     TestField.eval_radial), and Df follows in closed form: r and rho are both
     of degree 1 under the dilations, so Df = (r/rho)^gamma (r f_r + rho f_rho)/rho.
+    The nodes' log features are computed once per distinct R, and each pair
+    gets its declared v, w, phi and h = v^(1/p) w^((p-1)/p) (the paper's field
+    is h grad rho/|grad rho|) from them with one matmul and one exp.
     C_p(xi, eta) = v|Df|^p + (p-1) w|f|^p + p h G (see cp.py) reuses the
-    case's identity rows, the pair's h = v^(1/p) w^((p-1)/p) (the paper's
-    field is h grad rho/|grad rho|) and G = |f|^(p-2) Re(conj(f) Df), which
-    is real, 0 where f is, and shared by every pair with the same p. Each
-    array is computed on first use and reused, so C cases over F fields and
-    P pairs cost F field and P weight evaluations, not C of each. The weights
-    are given the (N, 2) nodes, one row per node, with coords = (r, rho).
+    case's identity rows and G = |f|^(p-2) Re(conj(f) Df), which is real, 0
+    where f is, and shared by every pair with the same p. Each array is
+    computed on first use and reused, so C cases over F fields and P pairs
+    cost F field and P weight evaluations, not C of each.
     """
 
-    def __init__(self, space: SpaceParams, nodes: np.ndarray, coords, fields: Sequence[TestField]):
-        self.space, self.nodes = space, nodes
+    def __init__(self, space: SpaceParams, coords, fields: Sequence[TestField]):
+        self.space = space
         r, self.s, rho = coords
         self.coords = (r, rho)
         scale = (r / rho) ** space.gamma / rho
@@ -314,12 +320,16 @@ class _Batch:
             self._memo[key] = make()
         return self._memo[key]
 
+    def features(self, R: Optional[float]) -> np.ndarray:
+        """The nodes' weights.log_features for the radius R."""
+        return self._cached(("features", R), lambda: log_features(*self.coords, R))
+
     def weight(self, pair: WeightPair, name: str) -> np.ndarray:
-        """The pair's v, w or phi."""
-        return self._cached(
-            (id(pair), name),
-            lambda: getattr(pair, f"{name}_batch")(self.nodes, coords=self.coords),
-        )
+        """The pair's v, w, phi or h (a name in weights.WEIGHTS)."""
+        def make() -> np.ndarray:
+            return eval_monomials(pair.monomials, self.features(pair.radius))
+
+        return self._cached((id(pair), "weights"), make)[WEIGHTS.index(name)]
 
     def power(self, kind: str, f: int, q: float) -> np.ndarray:
         """|f|^q (kind "vals") or |Df|^q (kind "df") of field slot f."""
@@ -350,11 +360,6 @@ class _Batch:
             for name, kind in (("v", "df"), ("w", "vals"))
         ]
 
-    def h(self, pair: WeightPair) -> np.ndarray:
-        """v^(1/p) w^((p-1)/p), as w (v/w)^(1/p) with one power."""
-        v, w = self.weight(pair, "v"), self.weight(pair, "w")
-        return self._cached((id(pair), "h"), lambda: w * (v / w) ** (1.0 / pair.p))
-
     def g(self, f: int, p: float) -> np.ndarray:
         """|f|^(p-2) Re(conj(f) Df) of field slot f, as |f|^p Re(Df/f), 0 where f is."""
         def make() -> np.ndarray:
@@ -367,7 +372,8 @@ class _Batch:
         """C_p(xi, eta) of one case, shared by the checks that integrate it."""
         def make() -> np.ndarray:
             lhs, w_row = self.rows(pair, f)
-            return lhs + (pair.p - 1.0) * w_row + pair.p * self.h(pair) * self.g(f, pair.p)
+            h = self.weight(pair, "h")
+            return lhs + (pair.p - 1.0) * w_row + pair.p * h * self.g(f, pair.p)
 
         return self._cached((id(pair), "cp", f), make)
 
@@ -410,7 +416,7 @@ def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSetti
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 coords, jac = lift(nodes)
                 out = np.empty((n_comp, nodes.shape[0]))
-                batch = _Batch(space, nodes, coords, fields)
+                batch = _Batch(space, coords, fields)
                 for group in by_pair.values():
                     pair = pairs[group[0]]
                     for ci in group:
@@ -629,30 +635,28 @@ def _ckn_plan(pair: WeightPair, field: TestField, ckn: CknParams):
 
 
 def _hpw_plan(case: str, p: float, field: TestField):
-    spec = HPW_PAIRS.get(case)
-    if spec is None:
+    pair_id = HPW_PAIRS.get(case)
+    if pair_id is None:
         raise ValueError(f"case must be one of {HPW_CASES}")
+    spec = PAIRS[pair_id]
     if p <= 1.0:
         raise ValueError("p must be > 1")
     if "R" in spec.params and not math.isfinite(field.spec.R):
         raise ValueError(f"{case} needs a field built with finite R")
     if field.space.gamma > 0.0 and not field.spec.x_floor > 0.0:
-        raise ValueError("gamma > 0 weights are singular on {x=0}; use x_floor > 0")
+        _refuse(field, pair_id, "gamma > 0 weights are singular on {x=0}; use x_floor > 0")
     hpw = spec.hpw
     space = field.space
     gamma = space.gamma
     pp = p / (p - 1.0)
-    k = SimpleNamespace(p=p, pp=pp, R=field.spec.R)
+    monomials = np.array(hpw.weights(SimpleNamespace(g=gamma, p=p, a=p * pp / 2.0)))
+    R = field.spec.R if "R" in spec.params else None
     garofalo_p2 = hpw.garofalo and p == 2.0
     track_grad = garofalo_p2 and gamma == 0.0
 
     def terms(b: _Batch, _pair: None, f: int) -> List[np.ndarray]:
-        r, rho = b.coords
-        fa_pp = b.power("vals", f, pp)
-        df_p = b.power("df", f, p)
-        ratio_pow = (rho / r) ** (gamma * p * pp / 2.0) if gamma > 0 else 1.0
-        rows = hpw.rows(rho, ratio_pow, df_p, fa_pp, k)
-        rows.append(np.abs(b.vals[f]) ** 2)
+        grad, weight = eval_monomials(monomials, b.features(R))
+        rows = [grad * b.power("df", f, p), weight * b.power("vals", f, pp), b.power("vals", f, 2)]
         if track_grad:
             rows.append(b.grad_sq(f))
         return rows

@@ -5,16 +5,17 @@ Each pair satisfies a weighted Hardy inequality
     integral v |D f|^p  >=  integral w |f|^p  +  lower-order phi term,
 
 where D is the projected derivative along grad_gamma(rho) and w already
-carries the sharp constant of the pair. The catalog stores closed forms for
-v, w and the analytic defect
+carries the sharp constant of the pair. The analytic defect
 
-    phi = div_gamma( w^((p-1)/p) v^(1/p) grad_gamma(rho)/|grad_gamma(rho)| ) - p w,
+    phi = div_gamma( h grad_gamma(rho)/|grad_gamma(rho)| ) - p w,  h = v^(1/p) w^((p-1)/p),
 
-which the corollary proofs give explicitly for every pair, together with a
-finite-difference cross-check of that divergence condition.
+is given explicitly by the corollary proofs and cross-checked by finite
+differences. Every weight is a monomial c (r/rho)^e1 rho^e2 (R-rho)^e3
+log(R/rho)^e4 in r = |x| and rho: a pair declares c and the exponents of v,
+w and phi, h's follow, and all four are c exp(E @ F) on the log features F.
 
 Everything known about a pair is its entry in PAIRS: parameters, validity
-rules, kappa (the sharp constant is kappa^p), the formulas, the extremal
+rules, kappa (the sharp constant is kappa^p), the monomials, the extremal
 profile that fields.ExtremalField uses, and the uncertainty display that
 verifier.verify_hpw checks, if the pair has one.
 """
@@ -39,7 +40,10 @@ __all__ = [
     "HPW_PAIRS",
     "PairSpec",
     "HpwSpec",
+    "WEIGHTS",
     "WeightPair",
+    "eval_monomials",
+    "log_features",
     "make_pair",
     "phi_numeric",
     "rejection_sample",
@@ -50,23 +54,26 @@ __all__ = [
 SAMPLER_ROUNDS = 64
 
 Coords = Tuple[np.ndarray, np.ndarray]  # (|x|, rho), as radial_coords returns
-# f(|x|, rho, k) or f(tau, k): k holds the pair's parameters with g = gamma,
-# p, Q and, in a built pair, C = kappa^p (see WeightPair.scalars)
+# f(tau, k) or f(rho, k): k holds the pair's parameters with g = gamma, p, Q
+# and, in a built pair, C = kappa^p (see WeightPair.scalars)
 Formula = Callable[..., np.ndarray]
+# k -> (c, e1, e2, e3, e4): the weight c (r/rho)^e1 rho^e2 (R-rho)^e3 log(R/rho)^e4
+Monomial = Callable[[SimpleNamespace], Tuple[float, ...]]
+WEIGHTS = ("v", "w", "phi", "h")  # the rows of WeightPair.monomials
 
 
 @dataclass(frozen=True)
 class HpwSpec:
     """An uncertainty-product display, checked by verifier.verify_hpw.
 
-    rows(rho, ratio_pow, |Df|^p, |f|^p', k) gives its gradient and weight
-    integrands, with ratio_pow = (rho/|x|)^(gamma p p'/2) and k holding p,
-    pp = p' and the field's R; constant(p, Q) is the printed constant.
+    weights(k) declares the monomials (see Monomial) that weigh its gradient
+    integrand |Df|^p and its weight integrand |f|^p', with k holding g = gamma,
+    p and a = p p'/2; constant(p, Q) is the printed constant.
     """
 
     case: str
     constant: Callable[[float, float], float]
-    rows: Callable[..., List[np.ndarray]]
+    weights: Callable[[SimpleNamespace], Tuple[Tuple[float, ...], Tuple[float, ...]]]
     garofalo: bool = False  # at p = 2 also the squared (Garofalo-type) product
 
 
@@ -78,10 +85,9 @@ class PairSpec:
     defaults: Dict[str, float]  # the CLI's parameters
     rules: Tuple[Tuple[Callable, str], ...]  # (holds(k), message), checked in order
     kappa: Callable[[SimpleNamespace], float]
-    v: Formula
-    w: Formula
-    phi: Optional[Formula]  # None when phi is identically 0
-    x_exponents: Callable  # |x| exponents of the weights; a negative one is singular on {x=0}
+    v: Monomial
+    w: Monomial
+    phi: Optional[Monomial]  # None when phi is identically 0
     # extremal profile b(rho)^kap in the coordinate tau = tau_sign log b + const
     tau_of_rho: Formula
     rho_of_tau: Formula
@@ -97,6 +103,29 @@ def _log_dist(R, rho: np.ndarray) -> np.ndarray:
     return np.log1p((R - rho) / rho)
 
 
+def log_features(r: np.ndarray, rho: np.ndarray, R: Optional[float]) -> np.ndarray:
+    """The (4, N) log features log(r/rho), log rho, log(R-rho), log log(R/rho)
+    of points' (|x|, rho); the last two are 0 when R is None."""
+    out = np.zeros((4, rho.shape[0]))
+    out[0], out[1] = np.log(r / rho), np.log(rho)
+    if R is not None:
+        out[2], out[3] = np.log(R - rho), np.log(_log_dist(R, rho))
+    return out
+
+
+def eval_monomials(rows: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """c exp(e @ features) for each row (c, e) of an (n, 5) array of monomials,
+    on log_features' output. A zero exponent contributes exactly 1, even
+    where its feature is not finite (r = 0, rho = R)."""
+    c, e = rows[:, 0], rows[:, 1:]
+    logs = e @ features
+    if np.isnan(logs).any():  # 0 * inf: sum only the features with a non-zero exponent
+        bad = np.isnan(logs).any(axis=0)
+        terms = e[:, :, None] * features[:, bad]
+        logs[:, bad] = np.where(e[:, :, None] != 0.0, terms, 0.0).sum(axis=1)
+    return np.multiply(np.exp(logs, out=logs), c[:, None], out=logs)
+
+
 def _nch_profile(rho, kap, k):
     u = k.R - rho
     return u**kap, -kap * u ** (kap - 1.0), 1.0 / u
@@ -105,14 +134,6 @@ def _nch_profile(rho, kap, k):
 def _log_profile(rho, kap, k):
     L = _log_dist(k.R, rho)
     return L**kap, -kap * L ** (kap - 1.0) / rho, 1.0 / (L * rho)
-
-
-def _log_hpw_rows(rho, ratio_pow, df_p, f_pp, k):
-    log_dist = np.log(k.R / rho)
-    return [
-        log_dist ** (2.0 * k.p) * df_p,
-        rho ** (k.p * k.pp / 2.0) * ratio_pow * log_dist ** (-k.p * k.pp / 2.0) * f_pp,
-    ]
 
 
 _R_POSITIVE = (lambda k: k.R > 0, "requires R > 0")
@@ -133,11 +154,11 @@ PAIRS: Dict[str, PairSpec] = {
         defaults={"R": 4.0},
         rules=(_R_POSITIVE,),
         kappa=lambda k: (k.p - 1.0) / k.p,
-        v=lambda r, rho, k: np.ones_like(rho),
-        w=lambda r, rho, k: k.C * (r / rho) ** (k.g * k.p) / (k.R - rho) ** k.p,
-        phi=lambda r, rho, k: ((k.p - 1.0) / k.p) ** (k.p - 1.0) * (k.Q - 1.0)
-        * (r / rho) ** (k.g * k.p) / ((k.R - rho) ** (k.p - 1.0) * rho),
-        x_exponents=lambda k: (k.g * k.p,),
+        v=lambda k: (1.0, 0.0, 0.0, 0.0, 0.0),
+        w=lambda k: (k.C, k.g * k.p, 0.0, -k.p, 0.0),
+        phi=lambda k: (
+            ((k.p - 1.0) / k.p) ** (k.p - 1.0) * (k.Q - 1.0), k.g * k.p, -1.0, 1.0 - k.p, 0.0
+        ),
         # profile (R - rho)^kap, tau anchored at R - rho = 0.6 R
         tau_of_rho=lambda rho, k: np.log(0.6 * k.R / (k.R - rho)),
         rho_of_tau=lambda tau, k: k.R - 0.6 * k.R * np.exp(-tau),
@@ -148,10 +169,7 @@ PAIRS: Dict[str, PairSpec] = {
         hpw=HpwSpec(
             "ball_nch",
             lambda p, Q: (p - 1.0) / p,
-            lambda rho, ratio_pow, df_p, f_pp, k: [
-                df_p,
-                (k.R - rho) ** (k.p * k.pp / 2.0) * ratio_pow * f_pp,
-            ],
+            lambda k: ((1.0, 0.0, 0.0, 0.0, 0.0), (1.0, -k.g * k.a, 0.0, k.a, 0.0)),
         ),
     ),
     "dambrosio_power": PairSpec(
@@ -159,18 +177,15 @@ PAIRS: Dict[str, PairSpec] = {
         defaults={"alpha": 0.0, "beta": 0.0},
         rules=((lambda k: k.Q > k.alpha - k.beta, "requires Q > alpha - beta"),),
         kappa=lambda k: (k.Q + k.beta - k.alpha) / k.p,
-        v=lambda r, rho, k: r ** (k.beta - k.g * k.p) * rho ** (k.p * (1.0 + k.g) - k.alpha),
-        w=lambda r, rho, k: k.C * r**k.beta * rho ** (-k.alpha),
+        # v = r^(beta - g p) rho^(p (1+g) - alpha), w = C r^beta rho^(-alpha)
+        v=lambda k: (1.0, k.beta - k.g * k.p, k.beta + k.p - k.alpha, 0.0, 0.0),
+        w=lambda k: (k.C, k.beta, k.beta - k.alpha, 0.0, 0.0),
         phi=None,
-        x_exponents=lambda k: (k.beta - k.g * k.p, k.beta),
         **_POWER_PROFILE,
         hpw=HpwSpec(
             "whole_dambrosio",
             lambda p, Q: (Q - p) / p,
-            lambda rho, ratio_pow, df_p, f_pp, k: [
-                df_p,
-                rho ** (k.p * k.pp / 2.0) * ratio_pow * f_pp,
-            ],
+            lambda k: ((1.0, 0.0, 0.0, 0.0, 0.0), (1.0, -k.g * k.a, k.a, 0.0, 0.0)),
             garofalo=True,
         ),
     ),
@@ -179,10 +194,9 @@ PAIRS: Dict[str, PairSpec] = {
         defaults={"theta": 0.5, "alpha": 1.0, "R": 1e30},
         rules=(_R_POSITIVE, (lambda k: k.Q > k.p * k.theta, "requires Q > p*theta")),
         kappa=lambda k: (k.Q - k.p * k.theta) / k.p,
-        v=lambda r, rho, k: (r / rho) ** (k.g * k.alpha) * rho ** (k.p * (1.0 - k.theta)),
-        w=lambda r, rho, k: k.C * (r / rho) ** (k.g * (k.alpha + k.p)) * rho ** (-k.p * k.theta),
+        v=lambda k: (1.0, k.g * k.alpha, k.p * (1.0 - k.theta), 0.0, 0.0),
+        w=lambda k: (k.C, k.g * (k.alpha + k.p), -k.p * k.theta, 0.0, 0.0),
         phi=None,
-        x_exponents=lambda k: (k.g * k.alpha, k.g * (k.alpha + k.p)),
         **_POWER_PROFILE,
     ),
     "log_ball": PairSpec(
@@ -199,12 +213,12 @@ PAIRS: Dict[str, PairSpec] = {
             ),
         ),
         kappa=lambda k: abs(k.alpha + 1.0) / k.p,
-        v=lambda r, rho, k: _log_dist(k.R, rho) ** (k.alpha + k.p),
-        w=lambda r, rho, k: k.C * _log_dist(k.R, rho) ** k.alpha * (r / rho) ** (k.g * k.p)
-        * rho ** (-k.p),
-        phi=lambda r, rho, k: (abs(k.alpha + 1.0) / k.p) ** (k.p - 1.0) * (k.Q - k.p)
-        * _log_dist(k.R, rho) ** (k.alpha + 1.0) * (r / rho) ** (k.g * k.p) * rho ** (-k.p),
-        x_exponents=lambda k: (k.g * k.p,),
+        v=lambda k: (1.0, 0.0, 0.0, 0.0, k.alpha + k.p),
+        w=lambda k: (k.C, k.g * k.p, -k.p, 0.0, k.alpha),
+        phi=lambda k: (
+            (abs(k.alpha + 1.0) / k.p) ** (k.p - 1.0) * (k.Q - k.p),
+            k.g * k.p, -k.p, 0.0, k.alpha + 1.0,
+        ),
         # profile log(R/rho)^kap, tau = -log log(R/rho)
         tau_of_rho=lambda rho, k: -np.log(_log_dist(k.R, rho)),
         rho_of_tau=lambda tau, k: k.R * np.exp(-np.exp(-tau)),
@@ -212,14 +226,18 @@ PAIRS: Dict[str, PairSpec] = {
         profile=_log_profile,
         inner=lambda k: k.R * float(np.exp(-1.0)),
         tau_sign=-1.0,
-        hpw=HpwSpec("log_ball", lambda p, Q: (p + 1.0) / p, _log_hpw_rows),
+        hpw=HpwSpec(
+            "log_ball",
+            lambda p, Q: (p + 1.0) / p,
+            lambda k: ((1.0, 0.0, 0.0, 0.0, 2.0 * k.p), (1.0, -k.g * k.a, k.a, 0.0, -k.a)),
+        ),
     ),
 }
 
 PAIR_IDS = tuple(PAIRS)
 
-# uncertainty display -> the pair whose corollary it is
-HPW_PAIRS: Dict[str, PairSpec] = {s.hpw.case: s for s in PAIRS.values() if s.hpw is not None}
+# uncertainty display -> the id of the pair whose corollary it is
+HPW_PAIRS: Dict[str, str] = {s.hpw.case: i for i, s in PAIRS.items() if s.hpw is not None}
 
 
 @dataclass(frozen=True)
@@ -227,8 +245,8 @@ class WeightPair:
     """One catalog entry with evaluators; immutable, evaluation is pure.
 
     params keys match the CLI config schema verbatim: R, alpha, beta, theta.
-    The batch evaluators take the points' precomputed (|x|, rho) as coords
-    when the caller already has them; pts is then not read.
+    The batch evaluators evaluate one row of monomials, and take the points'
+    precomputed (|x|, rho) as coords when the caller has them.
     """
 
     id: str
@@ -236,7 +254,7 @@ class WeightPair:
     p: float
     params: Dict[str, float]
     kappa: float
-    x_singular: bool  # the weights are singular on {x=0}
+    x_singular: bool  # singular on {x=0}: gamma > 0, or v or w has a negative |x| exponent
     allow_negative_phi: bool = False
 
     @property
@@ -260,34 +278,38 @@ class WeightPair:
             g=space.gamma, p=self.p, Q=space.Q, C=self.sharp_constant, **self.params
         )
 
-    def _prepare(self, pts: np.ndarray, coords: Optional[Coords]) -> Coords:
-        if coords is not None:
-            return coords
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.space.n:
-            raise ValueError(f"points must have shape (N, {self.space.n})")
-        return radial_coords(self.space, pts[:, : self.space.m], pts[:, self.space.m :])
+    @cached_property
+    def monomials(self) -> np.ndarray:
+        """The WEIGHTS as (4, 5) rows (c, e1, ..., e4); h = v^(1/p) w^((p-1)/p)."""
+        k, spec, q = self.scalars, self.spec, 1.0 / self.p
+        v, w = np.array(spec.v(k)), np.array(spec.w(k))
+        h = np.append(v[0] ** q * w[0] ** (1.0 - q), v[1:] * q + w[1:] * (1.0 - q))
+        return np.array([v, w, np.zeros(5) if spec.phi is None else spec.phi(k), h])
 
-    def _formula(
-        self, formula: Optional[Formula], pts: np.ndarray, coords: Optional[Coords]
-    ) -> np.ndarray:
-        r, rho = self._prepare(pts, coords)
+    def _row(self, name: str, pts: np.ndarray, coords: Optional[Coords]) -> np.ndarray:
+        if coords is None:
+            pts = np.asarray(pts, dtype=float)
+            if pts.ndim != 2 or pts.shape[1] != self.space.n:
+                raise ValueError(f"points must have shape (N, {self.space.n})")
+            coords = radial_coords(self.space, pts[:, : self.space.m], pts[:, self.space.m :])
+        r, rho = coords
+        monomial = self.monomials[[WEIGHTS.index(name)]]
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.zeros_like(rho) if formula is None else formula(r, rho, self.scalars)
+            out = eval_monomials(monomial, log_features(r, rho, self.radius))[0]
         # points beyond a ball domain (rho > R) lie outside it: nan
         return out if self.radius is None else np.where(rho > self.radius, np.nan, out)
 
     def v_batch(self, pts: np.ndarray, coords: Optional[Coords] = None) -> np.ndarray:
         """v on an (N, m+k) batch; singular or out-of-domain points give inf/nan."""
-        return self._formula(self.spec.v, pts, coords)
+        return self._row("v", pts, coords)
 
     def w_batch(self, pts: np.ndarray, coords: Optional[Coords] = None) -> np.ndarray:
         """w (including the sharp constant) on an (N, m+k) batch."""
-        return self._formula(self.spec.w, pts, coords)
+        return self._row("w", pts, coords)
 
     def phi_batch(self, pts: np.ndarray, coords: Optional[Coords] = None) -> np.ndarray:
         """Analytic defect phi on an (N, m+k) batch."""
-        return self._formula(self.spec.phi, pts, coords)
+        return self._row("phi", pts, coords)
 
 
 def make_pair(
@@ -321,7 +343,8 @@ def make_pair(
             raise ValueError(message)
     kappa = spec.kappa(k)
     with np.errstate(over="ignore"):
-        if not np.isfinite(np.float64(kappa) ** p):
+        k.C = np.float64(kappa) ** p
+        if not np.isfinite(k.C):
             raise ValueError(f"{pair_id}: the sharp constant kappa^p = {kappa:g}^{p:g} overflows")
     return WeightPair(
         id=pair_id,
@@ -329,7 +352,7 @@ def make_pair(
         p=p,
         params=params,
         kappa=kappa,
-        x_singular=space.gamma > 0 or any(e < 0 for e in spec.x_exponents(k)),
+        x_singular=space.gamma > 0 or min(spec.v(k)[1], spec.w(k)[1]) < 0,
         allow_negative_phi=allow_negative_phi,
     )
 

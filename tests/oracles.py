@@ -6,7 +6,9 @@ complex-modulus arithmetic instead of the packaged objective assembly,
 composite Simpson sums instead of adaptive cubature, and point-wise
 geometry and field derivatives (a Point, rho, the dilations, the
 sub-elliptic gradient and the projected derivative D f) instead of the
-package's (|x|, rho) batch kernels.  Running this file as a script
+package's (|x|, rho) batch kernels, and the catalog pairs' weights as the
+hand-typed formulas of the corollaries instead of the declared monomials.
+Running this file as a script
 regenerates tests/golden/constants.json.
 """
 
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from grushin_hardy.cp import cp_value_batch
 from grushin_hardy.geometry import SpaceParams, radial_coords, unit_grad_gamma_rho
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -127,6 +130,15 @@ def simpson_grid_integral(f, lo, hi, n_per_axis):
     return float(np.sum(wmesh.ravel() * np.asarray(vals)))
 
 
+def cp_value(xi, eta, p):
+    """C_p(xi, eta) for a single pair of complex scalars or vectors."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
+    eta = np.atleast_1d(np.asarray(eta, dtype=complex))
+    if xi.shape != eta.shape:
+        raise ValueError("xi and eta must have the same length")
+    return float(cp_value_batch(xi[None, :], eta[None, :], p)[0])
+
+
 # -- point-wise geometry and field derivatives ----------------------------------
 
 
@@ -212,6 +224,76 @@ def radial_derivative(space: SpaceParams, field, z: Point) -> complex:
     unit = unit_grad_gamma_rho(space, np.concatenate([z.x, z.y])[None, :])[0]
     gg = grad_gamma(space, field_eval(field, z), z)
     return complex(np.dot(unit, gg))
+
+
+# -- hand-typed weights of the catalog pairs ------------------------------------
+
+
+def _log_dist(R, rho):
+    return np.log1p((R - rho) / rho)
+
+
+# pair id -> (v, w, phi, x_exponents): v, w and phi as f(|x|, rho, k), phi
+# None when it is identically 0, and the |x| exponents of v and w, a negative
+# one being singular on {x=0}; k is WeightPair.scalars
+HAND_WEIGHTS = {
+    "nch_ball": (
+        lambda r, rho, k: np.ones_like(rho),
+        lambda r, rho, k: k.C * (r / rho) ** (k.g * k.p) / (k.R - rho) ** k.p,
+        lambda r, rho, k: ((k.p - 1.0) / k.p) ** (k.p - 1.0) * (k.Q - 1.0)
+        * (r / rho) ** (k.g * k.p) / ((k.R - rho) ** (k.p - 1.0) * rho),
+        lambda k: (k.g * k.p,),
+    ),
+    "dambrosio_power": (
+        lambda r, rho, k: r ** (k.beta - k.g * k.p) * rho ** (k.p * (1.0 + k.g) - k.alpha),
+        lambda r, rho, k: k.C * r**k.beta * rho ** (-k.alpha),
+        None,
+        lambda k: (k.beta - k.g * k.p, k.beta),
+    ),
+    "darca_power": (
+        lambda r, rho, k: (r / rho) ** (k.g * k.alpha) * rho ** (k.p * (1.0 - k.theta)),
+        lambda r, rho, k: k.C * (r / rho) ** (k.g * (k.alpha + k.p)) * rho ** (-k.p * k.theta),
+        None,
+        lambda k: (k.g * k.alpha, k.g * (k.alpha + k.p)),
+    ),
+    "log_ball": (
+        lambda r, rho, k: _log_dist(k.R, rho) ** (k.alpha + k.p),
+        lambda r, rho, k: k.C * _log_dist(k.R, rho) ** k.alpha * (r / rho) ** (k.g * k.p)
+        * rho ** (-k.p),
+        lambda r, rho, k: (abs(k.alpha + 1.0) / k.p) ** (k.p - 1.0) * (k.Q - k.p)
+        * _log_dist(k.R, rho) ** (k.alpha + 1.0) * (r / rho) ** (k.g * k.p) * rho ** (-k.p),
+        lambda k: (k.g * k.p,),
+    ),
+}
+
+
+def hand_weight(pair, name, r, rho):
+    """v, w or phi of a built pair from the hand-typed formulas, on arrays of
+    |x| and rho, nan beyond a ball's R."""
+    v, w, phi, _ = HAND_WEIGHTS[pair.id]
+    formula = {"v": v, "w": w, "phi": phi}[name]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.zeros_like(rho) if formula is None else formula(r, rho, pair.scalars)
+    return out if pair.radius is None else np.where(rho > pair.radius, np.nan, out)
+
+
+def hand_hpw_weights(case, r, rho, gamma, p, R):
+    """The gradient and weight factors of an uncertainty display, as the
+    hand-typed rows wrote them: a = p p'/2 and (rho/|x|)^(gamma a)."""
+    a = p * p / (p - 1.0) / 2.0
+    ratio = (rho / r) ** (gamma * a)
+    if case == "ball_nch":
+        return np.ones_like(rho), (R - rho) ** a * ratio
+    if case == "whole_dambrosio":
+        return np.ones_like(rho), rho**a * ratio
+    log_dist = np.log(R / rho)
+    return log_dist ** (2.0 * p), rho**a * ratio * log_dist ** (-a)
+
+
+def hand_x_singular(pair):
+    """The singular-set rule of the hand-typed catalog: gamma > 0, or a
+    negative |x| exponent of v or w."""
+    return pair.space.gamma > 0 or any(e < 0 for e in HAND_WEIGHTS[pair.id][3](pair.scalars))
 
 
 def main():

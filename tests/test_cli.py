@@ -673,19 +673,37 @@ def test_sharpness_past_the_float_range_of_rho_of_tau(capsys):
     assert len(rec["levels"]) == 7
 
 
+def test_sharpness_on_a_whole_space_pair_past_the_float_range(capsys):
+    # dambrosio_power's level-7 plateau ends at tau ~ 1160, where rho_of_tau
+    # is inf and no R clips it; the probe's integrals run in tau and never
+    # read the field's outer edge
+    ratios = {}
+    for levels in (7, 8):
+        argv = ("sharpness", "--pair", "dambrosio_power", "--p", "3", "--levels", str(levels))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (0, 1)
+        ratios[levels] = [level["rayleigh_ratio"] for level in json.loads(out)["levels"]]
+    assert ratios[8][:7] == ratios[7]
+    assert all(a > b >= 1.0 for a, b in zip(ratios[8], ratios[8][1:]))  # kappa^p = 1
+
+
 @pytest.mark.parametrize(
-    "space, pair",
+    "space, pair, checks",
     [
-        ({"m": 1, "k": 1, "gamma": 0.0}, {"id": "nch_ball", "R": 4.0}),  # runs out to R
-        ({"m": 1, "k": 1, "gamma": 1.0}, BASE_CONFIG["pair"]),  # down to x = 0
+        ({"m": 1, "k": 1, "gamma": 0.0}, {"id": "nch_ball", "R": 4.0}, ["identity"]),  # out to R
+        ({"m": 1, "k": 1, "gamma": 1.0}, BASE_CONFIG["pair"], ["identity"]),  # down to x = 0
+        # hpw has its own x-floor rule at gamma > 0
+        ({"m": 1, "k": 1, "gamma": 1.0}, {"id": "nch_ball", "R": 4.0}, ["hpw"]),
     ],
-    ids=["nch_ball", "gamma-1"],
+    ids=["nch_ball", "gamma-1", "hpw"],
 )
-def test_extremal_field_checks_are_refused_by_family(tmp_path, capsys, space, pair):
-    config = dict(BASE_CONFIG, space=space, pair=pair, field={"family": "extremal_truncated"})
+def test_extremal_field_checks_are_refused_by_family(tmp_path, capsys, space, pair, checks):
+    field = {"family": "extremal_truncated"}
+    config = dict(BASE_CONFIG, space=space, pair=pair, field=field, checks=checks)
     code, out, err = run_cli(capsys, "verify", "--config", write_config(tmp_path, config))
     assert (code, out) == (2, "")
     assert err.startswith("error: field family extremal_truncated cannot run a field check")
+    assert f"on {pair['id']} here" in err
     assert err.rstrip().endswith("the extremal field runs out to R and down to x = 0")
 
 

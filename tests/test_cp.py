@@ -13,12 +13,12 @@ from grushin_hardy.cp import (
     ConstantEstimate,
     CpObjectiveKind,
     _quotient,
-    cp_value,
     cp_value_batch,
     find_constant,
     objective,
     stated_range,
 )
+from oracles import cp_value
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "constants.json")
 

@@ -375,7 +375,7 @@ def test_radial_kernel_matches_the_nd_path(space):
     pts = np.hstack([r[:, None] * directions(space.m), s[:, None] * directions(space.k)])
     r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
     fields = _kernel_fields(space)
-    b = verifier._Batch(space, pts, (r, s, rho), fields)
+    b = verifier._Batch(space, (r, s, rho), fields)
     for slot, field in enumerate(fields):
         vals, grads = field.eval_batch(pts)
         want = (
@@ -408,7 +408,7 @@ def test_closed_form_cp_matches_the_kernel(space, p, pair_id):
     region, lift = verifier._polar_pieces(fields)
     rng = np.random.default_rng(131)
     nodes = np.column_stack([rng.uniform(0.0, region.box[0][1], 2000), rng.uniform(0.0, 1.0, 2000)])
-    b = verifier._Batch(space, nodes, lift(nodes)[0], fields)
+    b = verifier._Batch(space, lift(nodes)[0], fields)
     pair = make_pair(pair_id, space, p, dict(PAIRS[pair_id].defaults))
     for f in range(len(fields)):
         xi, wf, eta = b.xi_eta(pair, f)
@@ -427,7 +427,7 @@ def test_closed_form_g_is_zero_where_the_field_is(p):
     rng = np.random.default_rng(137)
     nodes = np.column_stack([rng.uniform(0.0, region.box[0][1], 4000), rng.uniform(0.0, 1.0, 4000)])
     with np.errstate(all="raise", under="ignore"):
-        b = verifier._Batch(SP, nodes, lift(nodes)[0], fields)
+        b = verifier._Batch(SP, lift(nodes)[0], fields)
         for f in (0, 1):
             zero = b.vals[f] == 0.0
             assert np.any(zero) and np.any(~zero)
@@ -492,7 +492,7 @@ def test_polar_identity_terms_match_cartesian_cubature(space):
         inside = (rho >= 0.5) & (rho <= 2.0) & (r > field.spec.x_floor)
         coords = (r[inside], np.linalg.norm(y[inside], axis=1), rho[inside])
         out = np.zeros((4, pts.shape[0]))
-        b = verifier._Batch(space, pts[inside], coords, [field])
+        b = verifier._Batch(space, coords, [field])
         out[:, inside] = verifier._identity_terms(b, pair, 0)
         return out
 

@@ -1,11 +1,24 @@
 """Weight-pair catalog: validation, closed forms, and the defect condition."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import oracles
 from grushin_hardy.geometry import SpaceParams, radial_coords
 from grushin_hardy.fields import build_extremal_field
-from grushin_hardy.weights import PAIR_IDS, PAIRS, condition_report, make_pair, phi_numeric
+from grushin_hardy.weights import (
+    HPW_PAIRS,
+    PAIR_IDS,
+    PAIRS,
+    WEIGHTS,
+    condition_report,
+    eval_monomials,
+    log_features,
+    make_pair,
+    phi_numeric,
+)
 
 SP = SpaceParams(1, 1, 1.0)
 
@@ -200,3 +213,79 @@ def test_batch_evaluator_guards():
     with pytest.raises(ValueError, match="singular set"):
         phi_numeric(pair, np.array([[1.0, 0.0], [0.01, 0.5]]), 0.01)
 
+
+DECLARED_SPACES = (SpaceParams(1, 1, 1.0), SpaceParams(2, 1, 0.0), SpaceParams(2, 2, 1.0))
+# the grid of every pair at its defaults in three spaces and three p, plus
+# log_ball at Q = 2 < p = 3, which only allow_negative_phi admits
+DECLARED_GRID = [
+    (pair_id, space, p, False)
+    for space in DECLARED_SPACES
+    for pair_id in PAIR_IDS
+    for p in (1.5, 2.0, 3.0)
+] + [("log_ball", SpaceParams(1, 1, 0.0), 3.0, True)]
+
+
+def declared_pair(pair_id, space, p, negative):
+    return make_pair(pair_id, space, p, dict(PAIRS[pair_id].defaults), allow_negative_phi=negative)
+
+
+@pytest.mark.parametrize("pair_id,space,p,negative", DECLARED_GRID, ids=str)
+def test_declared_weights_match_the_hand_formulas(pair_id, space, p, negative):
+    pair = declared_pair(pair_id, space, p, negative)
+    scale = pair.radius if pair.radius is not None and pair.radius < 100.0 else 2.0
+    pts = sample_points(space, np.random.default_rng(17), 400, 0.02 * scale, 0.98 * scale, 0.01)
+    r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
+    want = {name: oracles.hand_weight(pair, name, r, rho) for name in ("v", "w", "phi")}
+    want["h"] = want["v"] ** (1.0 / p) * want["w"] ** ((p - 1.0) / p)
+    got = eval_monomials(pair.monomials, log_features(r, rho, pair.radius))
+    for name, row in zip(WEIGHTS, got):
+        assert np.all(np.abs(row - want[name]) <= 1e-13 * np.abs(want[name])), name
+    for name in ("v", "w", "phi"):
+        # one row of the same matmul, which BLAS may round differently in the last bits
+        row = got[WEIGHTS.index(name)]
+        np.testing.assert_allclose(getattr(pair, f"{name}_batch")(pts), row, rtol=1e-14, atol=0)
+    assert pair.x_singular == oracles.hand_x_singular(pair)
+    assert (PAIRS[pair_id].phi is None) == (oracles.HAND_WEIGHTS[pair_id][2] is None)
+
+
+def test_declared_weights_keep_their_edge_values():
+    # v = 1 of the ball pair is exactly 1 on {x = 0}, where log(r/rho) = -inf
+    nch = make_pair("nch_ball", SP, 2.0, {"R": 4.0})
+    axis = np.column_stack([np.zeros(5), np.linspace(0.1, 2.0, 5)])
+    assert np.all(nch.v_batch(axis) == 1.0)
+    assert np.all(np.isinf(nch.w_batch(np.array([[4.0, 0.0]]))))
+    # a phi declared identically 0 is exactly 0 inside the ball and nan beyond
+    darca = make_pair("darca_power", SP, 3.0, {"theta": 0.5, "alpha": 1.0, "R": 4.0})
+    pts = sample_points(SP, np.random.default_rng(19), 200, 0.05, 3.95, 0.0)
+    assert np.all(darca.phi_batch(pts) == 0.0)
+    assert np.all(darca.phi_batch(axis) == 0.0)
+    assert np.all(np.isnan(darca.phi_batch(np.array([[4.5, 0.0], [0.0, 9.0]]))))
+    # a zero coefficient is exactly 0 inside the domain: log_ball at Q = p
+    flat = SpaceParams(1, 1, 0.0)
+    log_pair = make_pair("log_ball", flat, 2.0, {"alpha": -3.0, "R": 4.0})
+    assert log_pair.monomials[WEIGHTS.index("phi"), 0] == 0.0
+    pts = sample_points(flat, np.random.default_rng(23), 200, 0.05, 3.95, 0.0)
+    assert np.all(log_pair.phi_batch(pts) == 0.0)
+
+
+@pytest.mark.parametrize("pair_id,space,p,negative", DECLARED_GRID, ids=str)
+def test_condition_mismatch_over_the_declared_grid(pair_id, space, p, negative):
+    rep = condition_report(declared_pair(pair_id, space, p, negative), 200, seed=0)
+    assert rep["max_abs_mismatch"] <= 1e-10
+
+
+@pytest.mark.parametrize("space", DECLARED_SPACES, ids=str)
+@pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+@pytest.mark.parametrize("case", sorted(HPW_PAIRS))
+def test_declared_hpw_weights_match_the_hand_formulas(space, p, case):
+    spec = PAIRS[HPW_PAIRS[case]]
+    R = spec.defaults.get("R")
+    scale = R or 2.0
+    pts = sample_points(space, np.random.default_rng(29), 400, 0.05 * scale, 0.95 * scale, 0.01)
+    r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
+    pp = p / (p - 1.0)
+    k = SimpleNamespace(g=space.gamma, p=p, a=p * pp / 2.0)
+    got = eval_monomials(np.array(spec.hpw.weights(k)), log_features(r, rho, R))
+    want = oracles.hand_hpw_weights(case, r, rho, space.gamma, p, R)
+    for g, w in zip(got, want):
+        assert np.all(np.abs(g - w) <= 1e-13 * np.abs(w))
