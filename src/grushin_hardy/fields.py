@@ -16,12 +16,12 @@ verifier.sharpness_probe) and plateau widening is plain interval growth.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from grushin_hardy.geometry import SpaceParams, radial_coords
-from grushin_hardy.weights import Coords, WeightPair
+from grushin_hardy.weights import WeightPair
 
 __all__ = [
     "FAMILIES",
@@ -145,20 +145,15 @@ class TestField:
             f, f_r = f * phase, f_r * phase
         return f, f_r, f_rho
 
-    def eval_batch(
-        self, pts: np.ndarray, coords: Optional[Coords] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def eval_batch(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Values (N,) and Euclidean gradients (N, m+k), both complex, of an
-        (N, m+k) batch: eval_radial with grad f = f_r x/|x| + f_rho grad rho.
-
-        coords are the points' precomputed (|x|, rho), if the caller has them.
-        """
+        (N, m+k) batch: eval_radial with grad f = f_r x/|x| + f_rho grad rho."""
         space = self.space
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != space.n:
             raise ValueError(f"points must have shape (N, {space.n})")
         x, y = pts[:, : space.m], pts[:, space.m :]
-        r, rho = radial_coords(space, x, y) if coords is None else coords
+        r, rho = radial_coords(space, x, y)
         f, f_r, f_rho = self.eval_radial(r, rho)
         g = space.gamma
         # f_r vanishes at |x| = 0 and f_rho at rho = 0, so 1 stands in there
@@ -277,20 +272,17 @@ def build_extremal_field(
     )
 
 
-def radial_derivative_batch(
-    space: SpaceParams, pts: np.ndarray, grads: np.ndarray, coords: Optional[Coords] = None
-) -> np.ndarray:
+def radial_derivative_batch(space: SpaceParams, pts: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Batch D f of Euclidean gradients on an (N, m+k) batch, via the
     cancellation-free form (r/rho)^g (x.df_x + (1+g) y.df_y)/rho.
 
     This is the continuous extension of the projected derivative: it returns
     0 on {x=0} for gamma > 0 and at points where the gradient vanishes,
     rather than raising, because integrands extend by continuity there.
-    coords are the points' precomputed (|x|, rho), if the caller has them.
     """
     pts = np.asarray(pts, dtype=float)
     x, y = pts[:, : space.m], pts[:, space.m :]
-    r, rho = radial_coords(space, x, y) if coords is None else coords
+    r, rho = radial_coords(space, x, y)
     dot = np.einsum("ni,ni->n", x, grads[:, : space.m]) + (1.0 + space.gamma) * np.einsum(
         "ni,ni->n", y, grads[:, space.m :]
     )

@@ -33,7 +33,7 @@ import numpy as np
 
 from .cp import ConstantEstimate, CpObjectiveKind, find_constant
 from .cp import cp_value_batch  # unused here; perfbench/tracer.py rebinds it
-from .cubature import IntegrationSettings, Region, integrate_vector
+from .cubature import IntegralResult, IntegrationSettings, Region, integrate_vector
 from .fields import ExtremalField, TestField, build_extremal_field
 from .fields import radial_derivative_batch  # unused here; perfbench/tracer.py rebinds it
 from .geometry import SpaceParams
@@ -294,12 +294,10 @@ class _Batch:
     of degree 1 under the dilations, so Df = (r/rho)^gamma (r f_r + rho f_rho)/rho.
     The nodes' log features are computed once per distinct R, and each pair
     gets its declared v, w, phi and h = v^(1/p) w^((p-1)/p) (the paper's field
-    is h grad rho/|grad rho|) from them with one matmul and one exp.
-    C_p(xi, eta) = v|Df|^p + (p-1) w|f|^p + p h G (see cp.py) reuses the
-    case's identity rows and G = |f|^(p-2) Re(conj(f) Df), which is real, 0
-    where f is, and shared by every pair with the same p. Each array is
-    computed on first use and reused, so C cases over F fields and P pairs
-    cost F field and P weight evaluations, not C of each.
+    is h grad rho/|grad rho|) from them with one matmul and one exp. Every
+    array, a term's row (see _TERMS) too, is computed on first use and kept in
+    one memo, so C cases over F fields and P pairs cost F field and P weight
+    evaluations, not C of each.
     """
 
     def __init__(self, space: SpaceParams, coords, fields: Sequence[TestField]):
@@ -347,18 +345,12 @@ class _Batch:
 
     def xi_eta(self, pair: WeightPair, f: int):
         """xi = v^(1/p) Df, w^(1/p) f and eta = xi + w^(1/p) f of one case."""
-        xi = self.weight(pair, "v") ** (1.0 / pair.p) * self.df[f]
-        wf = self.weight(pair, "w") ** (1.0 / pair.p) * self.vals[f]
-        return xi, wf, xi + wf
+        def make():
+            xi = self.weight(pair, "v") ** (1.0 / pair.p) * self.df[f]
+            wf = self.weight(pair, "w") ** (1.0 / pair.p) * self.vals[f]
+            return xi, wf, xi + wf
 
-    def rows(self, pair: WeightPair, f: int) -> List[np.ndarray]:
-        """v |Df|^p and w |f|^p of one case: the inequality's terms."""
-        return [
-            self._cached(
-                (id(pair), name, f), lambda: self.weight(pair, name) * self.power(kind, f, pair.p)
-            )
-            for name, kind in (("v", "df"), ("w", "vals"))
-        ]
+        return self._cached((id(pair), "xi_eta", f), make)
 
     def g(self, f: int, p: float) -> np.ndarray:
         """|f|^(p-2) Re(conj(f) Df) of field slot f, as |f|^p Re(Df/f), 0 where f is."""
@@ -368,45 +360,87 @@ class _Batch:
 
         return self._cached(("g", f, p), make)
 
-    def cp(self, pair: WeightPair, f: int) -> np.ndarray:
-        """C_p(xi, eta) of one case, shared by the checks that integrate it."""
-        def make() -> np.ndarray:
-            lhs, w_row = self.rows(pair, f)
-            h = self.weight(pair, "h")
-            return lhs + (pair.p - 1.0) * w_row + pair.p * h * self.g(f, pair.p)
-
-        return self._cached((id(pair), "cp", f), make)
+    def term(self, pair: Optional[WeightPair], f: int, name) -> np.ndarray:
+        """The row of term name (a _TERMS key or (key, *params)) for the case (pair, f)."""
+        key, params = (name[0], name[1:]) if isinstance(name, tuple) else (name, ())
+        return self._cached((id(pair), f, name), lambda: _TERMS[key](self, pair, f, *params))
 
     def forget(self, pair: Optional[WeightPair]) -> None:
         """Drop the pair's arrays, which keeps one pair's in memory at a time."""
         self._memo = {k: a for k, a in self._memo.items() if k[0] != id(pair)}
 
 
-def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSettings]) -> List[List]:
-    """Integrate the rows of every case on one shared mesh.
+def _mixed(b: _Batch, pair: WeightPair, f: int) -> np.ndarray:
+    xi, wf, eta = b.xi_eta(pair, f)
+    s = np.abs(xi) + np.abs(wf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # (|xi| + |xi-eta|)^(p-2) |eta|^2 <= (|xi| + |xi-eta|)^p -> 0 with s
+        return np.where(s > 0, s ** (pair.p - 2.0) * np.abs(eta) ** 2, 0.0)
 
-    A case is one check's integrand on one field, (pair, field, n_terms,
-    terms): terms(batch, pair, f) gives its n_terms rows on the batch (f is
-    the field's slot). Cases share one space and one support region; returns
-    each case's results.
+
+def _min_form(b: _Batch, pair: WeightPair, f: int) -> np.ndarray:
+    _, wf, eta = b.xi_eta(pair, f)
+    t, eta_p = np.abs(wf), b.term(pair, f, "eta_p")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # t -> 0 makes t^(p-2) |eta|^2 -> inf, so |eta|^p wins
+        return np.where(t > 0, np.minimum(eta_p, t ** (pair.p - 2.0) * np.abs(eta) ** 2), eta_p)
+
+
+# The term table: name -> fn(batch, pair, f, *params), the name's row for one
+# case; a name with parameters is the tuple (name, *params). C_p(xi, eta) =
+# v|Df|^p + (p-1) w|f|^p + p h G (see cp.py) reuses lhs and w, and G = |f|^(p-2)
+# Re(conj(f) Df) is real, 0 where f is, and shared by every pair with the same
+# p. The HPW rows have no pair: a display name carries its monomials and R.
+_TERMS: Dict[str, Callable[..., np.ndarray]] = {
+    "lhs": lambda b, pair, f: b.weight(pair, "v") * b.power("df", f, pair.p),
+    "w": lambda b, pair, f: b.weight(pair, "w") * b.power("vals", f, pair.p),
+    "cp": lambda b, pair, f: (
+        b.term(pair, f, "lhs")
+        + (pair.p - 1.0) * b.term(pair, f, "w")
+        + pair.p * b.weight(pair, "h") * b.g(f, pair.p)
+    ),
+    "phi": lambda b, pair, f: b.weight(pair, "phi") * b.power("vals", f, pair.p),
+    "eta_p": lambda b, pair, f: np.abs(b.xi_eta(pair, f)[2]) ** pair.p,
+    "mixed": _mixed,
+    "min": _min_form,
+    "w^e|f|^q": lambda b, pair, f, e, q: b.weight(pair, "w") ** e * b.power("vals", f, q),
+    "display": lambda b, _, f, rows, R, i, kind, q: b._cached(
+        ("display", rows, R), lambda: eval_monomials(np.array(rows), b.features(R))
+    )[i] * b.power(kind, f, q),
+    "mass": lambda b, _, f: b.power("vals", f, 2),
+    "grad_sq": lambda b, _, f: b.grad_sq(f),
+}
+
+_IDENTITY = ("lhs", "w", "cp", "phi")  # lhs = w + cp + phi
+
+
+def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSettings]) -> List[Dict]:
+    """Integrate the terms of every case on one shared mesh.
+
+    A case is one check's integrand on one field, (pair, field, names): the
+    names of its terms in _TERMS. Each distinct (pair, field, name) is one
+    component, integrated once however many cases list it, and every case
+    that lists it reads its value and error. Cases share one space and one
+    support region; returns each case's results by term name.
     """
     if len(cases) == 0:
         raise ValueError("the integration needs at least one case")
-    pairs, case_fields, sizes, terms = zip(*cases)
-    space = case_fields[0].space
-    if any(field.space != space for field in case_fields):
+    space = cases[0][1].space
+    if any(field.space != space for _, field, _ in cases):
         raise ValueError("sweep cases must share one space")
 
-    fields = list({id(field): field for field in case_fields}.values())
-    slots = [next(i for i, f in enumerate(fields) if f is field) for field in case_fields]
-    by_pair: Dict[int, List[int]] = {}  # case indices; a pair's cases run together
-    for ci, pair in enumerate(pairs):
-        by_pair.setdefault(id(pair), []).append(ci)
-    ends = np.cumsum(sizes).tolist()
-    starts = [0] + ends[:-1]
+    fields = list({id(field): field for _, field, _ in cases}.values())
+    slot = {id(field): i for i, field in enumerate(fields)}
+    component: Dict[tuple, int] = {}  # (id(pair), slot, name) -> its row
+    by_pair: Dict[int, tuple] = {}  # (pair, its (slot, name) terms); a pair's terms run together
+    for pair, field, names in cases:
+        for name in names:
+            key = (id(pair), slot[id(field)], name)
+            if key not in component:
+                component[key] = len(component)
+                by_pair.setdefault(id(pair), (pair, []))[1].append(key[1:])
 
     region, lift = _polar_pieces(fields)
-    n_comp = ends[-1]
 
     def integrand(nodes: np.ndarray) -> np.ndarray:
         # an overflow, division by zero or invalid operation outside the
@@ -415,14 +449,11 @@ def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSetti
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 coords, jac = lift(nodes)
-                out = np.empty((n_comp, nodes.shape[0]))
+                out = np.empty((len(component), nodes.shape[0]))
                 batch = _Batch(space, coords, fields)
-                for group in by_pair.values():
-                    pair = pairs[group[0]]
-                    for ci in group:
-                        rows = out[starts[ci] : ends[ci]]
-                        for row, values in zip(rows, terms[ci](batch, pair, slots[ci])):
-                            row[:] = values
+                for pair, terms in by_pair.values():
+                    for f, name in terms:
+                        out[component[id(pair), f, name]] = batch.term(pair, f, name)
                     batch.forget(pair)
                 out *= jac
         except FloatingPointError as exc:
@@ -431,15 +462,19 @@ def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSetti
             ) from None
         return out
 
-    res = integrate_vector(integrand, n_comp, region, settings)
-    return [res[start:end] for start, end in zip(starts, ends)]
+    res = integrate_vector(integrand, len(component), region, settings)
+    return [
+        {name: res[component[id(pair), slot[id(field)], name]] for name in names}
+        for pair, field, names in cases
+    ]
 
 
-def _summary(res) -> Tuple[List[float], float, bool]:
-    """A case's integral values, their summed error estimate, and whether
-    every one converged."""
-    values = [float(r.value) for r in res]
-    return values, float(sum(r.error_estimate for r in res)), all(r.converged for r in res)
+def _summary(res: Dict[object, IntegralResult], names: Sequence) -> Tuple[List[float], float, bool]:
+    """The values of a case's named terms, their summed error estimate (a
+    term listed twice counts twice), and whether every one converged."""
+    listed = [res[name] for name in names]
+    values = [float(r.value) for r in listed]
+    return values, float(sum(r.error_estimate for r in listed)), all(r.converged for r in listed)
 
 
 def _power_error(value: float, factors: Sequence[Tuple[float, float, float]]) -> float:
@@ -455,21 +490,16 @@ def _slack(qerr: float, width: float = 0.0, term: float = 0.0) -> float:
     return 10.0 * qerr + width * term
 
 
-def _identity_terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
-    phi_term = b.weight(pair, "phi") * b.power("vals", f, pair.p)
-    return b.rows(pair, f) + [b.cp(pair, f), phi_term]
-
-
 # -- plans: one per field check, taking its verify_* function's arguments
 # without settings. A plan runs the check's precondition and constant
-# searches and yields the check's case; sent the case's integrals, it yields
-# the check's report.
+# searches and yields the check's case, (pair, field, term names); sent the
+# case's integrals by name, it yields the check's report.
 
 
 def _identity_plan(pair: WeightPair, field: TestField):
     _check_support(pair, field)
-    res = yield pair, field, 4, _identity_terms
-    (lhs, w_term, cp_term, phi_term), qerr, converged = _summary(res)
+    res = yield pair, field, _IDENTITY
+    (lhs, w_term, cp_term, phi_term), qerr, converged = _summary(res, _IDENTITY)
     residual = lhs - w_term - cp_term - phi_term
     denom = max(lhs, w_term)
     rel_residual = residual / denom if denom > 0 else 0.0
@@ -489,8 +519,9 @@ def _identity_plan(pair: WeightPair, field: TestField):
 
 def _inequality_plan(pair: WeightPair, field: TestField):
     _check_support(pair, field)
-    res = yield pair, field, 2, _Batch.rows
-    (lhs, w_term), qerr, converged = _summary(res)
+    names = ("lhs", "w")
+    res = yield pair, field, names
+    (lhs, w_term), qerr, converged = _summary(res, names)
     ratio = lhs / w_term if w_term > 0 else float("nan")
     margin = lhs - w_term
     passed = converged and margin >= -_slack(qerr)
@@ -512,13 +543,9 @@ def _remainder_pge2_plan(
     p = pair.p
     if constant is None:
         constant = find_constant(CpObjectiveKind(kind="cp_pge2", p=p))
-
-    def terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
-        _, _, eta = b.xi_eta(pair, f)
-        return [b.cp(pair, f), np.abs(eta) ** p]
-
-    res = yield pair, field, 2, terms
-    (cp_term, eta_term), qerr, converged = _summary(res)
+    names = ("cp", "eta_p")
+    res = yield pair, field, names
+    (cp_term, eta_term), qerr, converged = _summary(res, names)
     margin = cp_term - constant.value * eta_term
     passed = converged and margin >= -_slack(qerr, constant.width, eta_term)
     yield RemainderPge2Report(
@@ -544,22 +571,9 @@ def _remainder_plt2_plan(
             kind: find_constant(CpObjectiveKind(kind=kind, p=p))
             for kind in ("c1_inf", "c2_sup", "c3_min")
         }
-
-    def terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
-        xi, wf, eta = b.xi_eta(pair, f)
-        eta2 = np.abs(eta) ** 2
-        eta_p = np.abs(eta) ** p
-        t = np.abs(wf)
-        s = np.abs(xi) + t
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # (|xi| + |xi-eta|)^(p-2) |eta|^2 <= (|xi| + |xi-eta|)^p -> 0 with s
-            mixed = np.where(s > 0, s ** (p - 2.0) * eta2, 0.0)
-            # the min form: t -> 0 makes t^(p-2) |eta|^2 -> inf, so |eta|^p wins
-            minform = np.where(t > 0, np.minimum(eta_p, t ** (p - 2.0) * eta2), eta_p)
-        return [b.cp(pair, f), mixed, minform]
-
-    res = yield pair, field, 3, terms
-    (cp_term, mixed_term, min_term), qerr, converged = _summary(res)
+    names = ("cp", "mixed", "min")
+    res = yield pair, field, names
+    (cp_term, mixed_term, min_term), qerr, converged = _summary(res, names)
     c1, c2, c3 = (constants[k] for k in ("c1_inf", "c2_sup", "c3_min"))
     lower_margin = cp_term - c1.value * mixed_term
     upper_margin = c2.value * mixed_term - cp_term
@@ -591,16 +605,11 @@ def _ckn_plan(pair: WeightPair, field: TestField, ckn: CknParams):
         raise ValueError("CknParams p must match the pair's p")
     _check_support(pair, field)
     p = pair.p
-
-    def terms(b: _Batch, pair: WeightPair, f: int) -> List[np.ndarray]:
-        w = b.weight(pair, "w")
-        return _identity_terms(b, pair, f) + [
-            w ** (ckn.b * ckn.q) * b.power("vals", f, ckn.q),
-            w ** (ckn.c * ckn.r) * b.power("vals", f, ckn.r),
-        ]
-
-    res = yield pair, field, 6, terms
-    (lhs, w_term, cp_term, phi_term, int_q, int_r), qerr, converged = _summary(res)
+    # with delta = 0, q = r and b = c, so both name one integral
+    name_q, name_r = ("w^e|f|^q", ckn.b * ckn.q, ckn.q), ("w^e|f|^q", ckn.c * ckn.r, ckn.r)
+    names = _IDENTITY + (name_q, name_r)
+    res = yield pair, field, names
+    (lhs, w_term, cp_term, phi_term, int_q, int_r), qerr, converged = _summary(res, names)
     bracket = lhs - cp_term
     mismatch = abs(bracket - (w_term + phi_term))
     consistent = mismatch <= 10.0 * qerr
@@ -611,11 +620,11 @@ def _ckn_plan(pair: WeightPair, field: TestField, ckn: CknParams):
     tol_left = _power_error(
         left,
         [
-            (ckn.delta / p, base, res[0].error_estimate + res[2].error_estimate),
-            ((1.0 - ckn.delta) / ckn.q, int_q, res[4].error_estimate),
+            (ckn.delta / p, base, res["lhs"].error_estimate + res["cp"].error_estimate),
+            ((1.0 - ckn.delta) / ckn.q, int_q, res[name_q].error_estimate),
         ],
     )
-    tol_right = _power_error(right, [(1.0 / ckn.r, int_r, res[5].error_estimate)])
+    tol_right = _power_error(right, [(1.0 / ckn.r, int_r, res[name_r].error_estimate)])
     passed = converged and consistent and left >= right - 10.0 * (tol_left + tol_right)
     yield CknReport(
         params=ckn,
@@ -645,47 +654,36 @@ def _hpw_plan(case: str, p: float, field: TestField):
         raise ValueError(f"{case} needs a field built with finite R")
     if field.space.gamma > 0.0 and not field.spec.x_floor > 0.0:
         _refuse(field, pair_id, "gamma > 0 weights are singular on {x=0}; use x_floor > 0")
-    hpw = spec.hpw
-    space = field.space
-    gamma = space.gamma
+    hpw, space, gamma = spec.hpw, field.space, field.space.gamma
     pp = p / (p - 1.0)
-    monomials = np.array(hpw.weights(SimpleNamespace(g=gamma, p=p, a=p * pp / 2.0)))
+    rows = hpw.weights(SimpleNamespace(g=gamma, p=p, a=p * pp / 2.0))
     R = field.spec.R if "R" in spec.params else None
     garofalo_p2 = hpw.garofalo and p == 2.0
     track_grad = garofalo_p2 and gamma == 0.0
-
-    def terms(b: _Batch, _pair: None, f: int) -> List[np.ndarray]:
-        grad, weight = eval_monomials(monomials, b.features(R))
-        rows = [grad * b.power("df", f, p), weight * b.power("vals", f, pp), b.power("vals", f, 2)]
-        if track_grad:
-            rows.append(b.grad_sq(f))
-        return rows
-
-    res = yield None, field, 4 if track_grad else 3, terms
-    values, qerr, converged = _summary(res)
-    grad_term, weight_term, mass_term = values[:3]
+    grad, weight = ("display", rows, R, 0, "df", p), ("display", rows, R, 1, "vals", pp)
+    names = (grad, weight, "mass") + (("grad_sq",) if track_grad else ())
+    res = yield None, field, names
+    (grad_term, weight_term, mass_term, *_), qerr, converged = _summary(res, names)
     constant = hpw.constant(p, space.Q)
     left = grad_term ** (1.0 / p) * weight_term ** (1.0 / pp)
     right = constant * mass_term
     factors = [
-        (1.0 / p, grad_term, res[0].error_estimate),
-        (1.0 / pp, weight_term, res[1].error_estimate),
+        (1.0 / p, grad_term, res[grad].error_estimate),
+        (1.0 / pp, weight_term, res[weight].error_estimate),
     ]
-    tol = 10.0 * (_power_error(left, factors) + constant * res[2].error_estimate)
+    tol = 10.0 * (_power_error(left, factors) + constant * res["mass"].error_estimate)
     passed = converged and left >= right - tol
 
-    garofalo = None
-    classical = None
+    garofalo = classical = None
     if garofalo_p2:
         g_left = grad_term * weight_term
         g_right = ((space.Q - 2.0) / 2.0) ** 2 * mass_term**2
         garofalo = {"left": g_left, "right": g_right, "passed": bool(converged and g_left >= g_right - 10.0 * qerr * (1.0 + g_left + g_right))}
         passed = passed and garofalo["passed"]
         if track_grad:
-            full_grad = values[3]
-            n_dim = space.n
+            full_grad = float(res["grad_sq"].value)
             c_left = full_grad * weight_term
-            c_right = (n_dim - 2.0) ** 2 / 4.0 * mass_term**2
+            c_right = (space.n - 2.0) ** 2 / 4.0 * mass_term**2
             classical = {
                 "grad_full": full_grad,
                 "left": c_left,
@@ -731,10 +729,12 @@ def verify_checks(
     Each check is (name, args): a FIELD_CHECKS name and the arguments its
     verify_* function takes, without settings. Every precondition and
     constant search runs before the one integration, whose batches evaluate
-    the weights, |f|^q, |Df|^q and C_p once for all the checks. A report's
-    quadrature_error and converged come from its own integrals alone, but
-    every integral steers the refinement, so a check's values can differ,
-    within its error, from a run with other checks.
+    the weights, |f|^q and |Df|^q once for all the checks. A term that
+    several checks list (such as the identity's lhs, w and cp) is integrated
+    once, and each of those checks reports its value and error estimate. A
+    report's quadrature_error and converged come from the terms it lists
+    alone, but every integral steers the refinement, so a check's values can
+    differ, within its error, from a run with other checks.
     """
     plans = [FIELD_CHECKS[name](*args) for name, args in checks]
     results = _integrate_cases([next(plan) for plan in plans], settings)
@@ -884,7 +884,7 @@ def verify_hpw(
     too, and at gamma = 0 also the classical gradient form it dominates.
 
     The display reads only p, p' = p/(p-1), Q and the field's R (the case's
-    HpwSpec.rows and constant). The parameters of the pair it belongs to,
+    HpwSpec.weights and constant). The parameters of the pair it belongs to,
     dambrosio_power's alpha and beta or log_ball's alpha, do not enter it,
     although the CLI's report echoes them with the run's pair.
     """

@@ -53,7 +53,6 @@ __all__ = [
 # draws a rejection sampler makes before it gives up
 SAMPLER_ROUNDS = 64
 
-Coords = Tuple[np.ndarray, np.ndarray]  # (|x|, rho), as radial_coords returns
 # f(tau, k) or f(rho, k): k holds the pair's parameters with g = gamma, p, Q
 # and, in a built pair, C = kappa^p (see WeightPair.scalars)
 Formula = Callable[..., np.ndarray]
@@ -245,8 +244,7 @@ class WeightPair:
     """One catalog entry with evaluators; immutable, evaluation is pure.
 
     params keys match the CLI config schema verbatim: R, alpha, beta, theta.
-    The batch evaluators evaluate one row of monomials, and take the points'
-    precomputed (|x|, rho) as coords when the caller has them.
+    The batch evaluators evaluate one row of monomials on an (N, m+k) batch.
     """
 
     id: str
@@ -286,30 +284,28 @@ class WeightPair:
         h = np.append(v[0] ** q * w[0] ** (1.0 - q), v[1:] * q + w[1:] * (1.0 - q))
         return np.array([v, w, np.zeros(5) if spec.phi is None else spec.phi(k), h])
 
-    def _row(self, name: str, pts: np.ndarray, coords: Optional[Coords]) -> np.ndarray:
-        if coords is None:
-            pts = np.asarray(pts, dtype=float)
-            if pts.ndim != 2 or pts.shape[1] != self.space.n:
-                raise ValueError(f"points must have shape (N, {self.space.n})")
-            coords = radial_coords(self.space, pts[:, : self.space.m], pts[:, self.space.m :])
-        r, rho = coords
+    def _row(self, name: str, pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.space.n:
+            raise ValueError(f"points must have shape (N, {self.space.n})")
+        r, rho = radial_coords(self.space, pts[:, : self.space.m], pts[:, self.space.m :])
         monomial = self.monomials[[WEIGHTS.index(name)]]
         with np.errstate(divide="ignore", invalid="ignore"):
             out = eval_monomials(monomial, log_features(r, rho, self.radius))[0]
         # points beyond a ball domain (rho > R) lie outside it: nan
         return out if self.radius is None else np.where(rho > self.radius, np.nan, out)
 
-    def v_batch(self, pts: np.ndarray, coords: Optional[Coords] = None) -> np.ndarray:
+    def v_batch(self, pts: np.ndarray) -> np.ndarray:
         """v on an (N, m+k) batch; singular or out-of-domain points give inf/nan."""
-        return self._row("v", pts, coords)
+        return self._row("v", pts)
 
-    def w_batch(self, pts: np.ndarray, coords: Optional[Coords] = None) -> np.ndarray:
+    def w_batch(self, pts: np.ndarray) -> np.ndarray:
         """w (including the sharp constant) on an (N, m+k) batch."""
-        return self._row("w", pts, coords)
+        return self._row("w", pts)
 
-    def phi_batch(self, pts: np.ndarray, coords: Optional[Coords] = None) -> np.ndarray:
+    def phi_batch(self, pts: np.ndarray) -> np.ndarray:
         """Analytic defect phi on an (N, m+k) batch."""
-        return self._row("phi", pts, coords)
+        return self._row("phi", pts)
 
 
 def make_pair(

@@ -510,6 +510,34 @@ def test_verify_all_integrates_once_per_entry_and_sharpness_level(tmp_path, caps
     assert len(components) == len(cli.ALL_SUITE) + levels, components
 
 
+def test_a_term_shared_by_checks_is_integrated_once(monkeypatch):
+    # ALL_SUITE[0]'s field checks list 17 terms, 7 of them another check's;
+    # ALL_SUITE[1]'s identity and inequality share lhs and w_term
+    integrate = verifier.integrate_vector
+    components = []  # of each 2-D (field-check) integration
+
+    def counting(integrand, n_components, region, settings=None):
+        if region.dim == 2:
+            components.append(n_components)
+        return integrate(integrand, n_components, region, settings)
+
+    monkeypatch.setattr(verifier, "integrate_vector", counting)
+    lhs_w = ("identity", "inequality", "ckn")
+    cp = ("identity", "remainder_pge2", "ckn")
+    cases = (
+        (cli.ALL_SUITE[0], 10, {"lhs": lhs_w, "w_term": lhs_w, "cp_term": cp}),
+        (cli.ALL_SUITE[1], 4, {"lhs": lhs_w[:2], "w_term": lhs_w[:2]}),
+    )
+    for entry, n_components, shared in cases:
+        components.clear()
+        report = cli.run(cli.config_from_dict(entry))
+        assert components == [n_components], entry["checks"]
+        terms = {rec["name"].split("[")[0]: rec["terms"] for rec in report["checks"]}
+        for key, checks in shared.items():
+            values = [terms[name][key].hex() for name in checks]
+            assert values == values[:1] * len(checks), (key, values)
+
+
 def test_budget_stop_fails_every_integral_check(tmp_path, capsys):
     # 100 evals cannot refine the shared mesh or a sharpness level; no check
     # that integrates may pass, while the sampled checks still do

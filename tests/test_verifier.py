@@ -286,14 +286,17 @@ def test_polar_terms_match_beta_function_oracle(space):
         space, TestFieldSpec(family="bump_radial", inner_rho=0.5, outer_rho=2.0)
     )
     betas = (0.0, 0.5, 1.0, 2.0)
+    region, lift = verifier._polar_pieces([field])
 
-    def terms(b, _pair, f):
+    def integrand(nodes):
+        coords, jac = lift(nodes)
+        b = verifier._Batch(space, coords, [field])
         r, rho = b.coords
-        mass = b.power("vals", f, 2.0)
-        return [mass * (r / rho) ** beta for beta in betas]
+        mass = b.power("vals", 0, 2.0)
+        return np.array([mass * (r / rho) ** beta for beta in betas]) * jac
 
     settings = IntegrationSettings(rel_tol=1e-12, abs_tol=1e-300)
-    (res,) = verifier._integrate_cases([(None, field, len(betas), terms)], settings)
+    res = integrate_vector(integrand, len(betas), region, settings)
 
     def amplitude_sq(rho):
         pt = np.zeros((1, space.n))
@@ -413,7 +416,7 @@ def test_closed_form_cp_matches_the_kernel(space, p, pair_id):
     for f in range(len(fields)):
         xi, wf, eta = b.xi_eta(pair, f)
         scale = np.maximum(np.abs(xi) ** p, np.abs(wf) ** p)
-        assert np.all(np.abs(b.cp(pair, f) - cp_value_batch(xi, eta, p)) <= 1e-12 * scale)
+        assert np.all(np.abs(b.term(pair, f, "cp") - cp_value_batch(xi, eta, p)) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("p", (1.25, 1.5, 1.75))
@@ -467,7 +470,7 @@ def test_sweep_terms_vanish_exactly_outside_a_fields_support(monkeypatch):
         return [None] * n_comp
 
     monkeypatch.setattr(verifier, "integrate_vector", capture)
-    verifier._integrate_cases([(*case, 4, verifier._identity_terms) for case in cases], None)
+    verifier._integrate_cases([(*case, verifier._IDENTITY) for case in cases], None)
     out = seen["out"]
     assert np.all(np.isfinite(out))
     for ci, (_, f) in enumerate(cases):
@@ -484,7 +487,7 @@ def test_polar_identity_terms_match_cartesian_cubature(space):
     pair = make_pair("nch_ball", space, 3.0, {"R": 4.0})
     field = annulus_field(space)
     settings = IntegrationSettings(rel_tol=1e-8)
-    (polar,) = verifier._integrate_cases([(pair, field, 4, verifier._identity_terms)], settings)
+    (polar,) = verifier._integrate_cases([(pair, field, verifier._IDENTITY)], settings)
 
     def cartesian(pts):
         x, y = pts[:, : space.m], pts[:, space.m :]
@@ -493,13 +496,13 @@ def test_polar_identity_terms_match_cartesian_cubature(space):
         coords = (r[inside], np.linalg.norm(y[inside], axis=1), rho[inside])
         out = np.zeros((4, pts.shape[0]))
         b = verifier._Batch(space, coords, [field])
-        out[:, inside] = verifier._identity_terms(b, pair, 0)
+        out[:, inside] = [b.term(pair, 0, name) for name in verifier._IDENTITY]
         return out
 
     a = 1.0 + space.gamma
     box = ((-2.0, 2.0), (-(2.0**a) / a, 2.0**a / a))  # around the support rho <= 2
     cart = integrate_vector(cartesian, 4, Region(box=box), settings)
-    for p_res, c_res in zip(polar, cart):
+    for p_res, c_res in zip((polar[name] for name in verifier._IDENTITY), cart):
         assert p_res.converged and c_res.converged
         assert abs(p_res.value - c_res.value) <= p_res.error_estimate + c_res.error_estimate
 
