@@ -172,18 +172,21 @@ def _numerator(p: float, s: np.ndarray, r2: np.ndarray) -> np.ndarray:
 
 
 def _quotient(kind: CpObjectiveKind, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The remainder quotient on arrays: the axis scan's evaluator."""
-    r2 = s * s + t * t
+    """The remainder quotient on arrays: the axis scan's evaluator. Like
+    `objective`, it returns nan where the float arithmetic overflows or
+    divides by zero, so an overflowed denominator never reads as 0."""
     p = kind.p
-    num = _numerator(p, s, r2)
-    if kind.kind == "cp_pge2":
-        den = r2 ** (0.5 * p)
-    elif kind.kind in ("c1_inf", "c2_sup"):
-        mod_u = np.sqrt(np.maximum(1.0 + 2.0 * s + r2, 0.0))
-        den = (mod_u + 1.0) ** (p - 2.0) * r2
-    else:
-        den = np.where(r2 >= 1.0, r2 ** (0.5 * p), r2)
-    return num / den
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r2 = s * s + t * t
+        num = _numerator(p, s, r2)
+        if kind.kind == "cp_pge2":
+            den = r2 ** (0.5 * p)
+        elif kind.kind in ("c1_inf", "c2_sup"):
+            mod_u = np.sqrt(np.maximum(1.0 + 2.0 * s + r2, 0.0))
+            den = (mod_u + 1.0) ** (p - 2.0) * r2
+        else:
+            den = np.where(r2 >= 1.0, r2 ** (0.5 * p), r2)
+        return np.where(np.isfinite(num) & np.isfinite(den) & (den != 0.0), num / den, np.nan)
 
 
 def objective(kind: CpObjectiveKind, s: float, t: float) -> float:

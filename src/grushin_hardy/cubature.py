@@ -5,19 +5,19 @@ a tensor Gauss-Kronrod 7/15 rule. A cell is halved on the axis whose own
 Kronrod-minus-Gauss difference is largest (the same nodes, so the choice
 costs no evaluation): a kink or edge singularity along one axis is refined
 only across it. A region may cut its box on axis 0 into pieces; every
-piece starts as one cell, and all cells are refined from one heap against
-one global tolerance, so a kink on a cut needs no refinement.
-Cell i is row i of one set of numpy arrays that double when full; a heap
-of (-max error, cell id) fixes the refinement order, each popped batch is
-split by array indexing and evaluated in one call, and the final reduction
-sums the live rows in id order, so results are bit-identical across runs.
+piece starts as one cell, and all cells are refined together against one
+global tolerance, so a kink on a cut needs no refinement.
+Cell i is row i of one set of numpy arrays that double when full; these
+arrays are the only refinement state. Each round sums the live rows in id
+order, for the stop test and the result alike, so results are bit-identical
+across runs, and picks its worst live cells by a stable sort of their
+errors; the batch is split by array indexing and evaluated in one call.
 
 Integrands are batch callables mapping an (N, n) coordinate array to (N,)
 real or complex values. A non-finite value stops the integration with a
 ValueError that names the component and the node.
 """
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
@@ -85,8 +85,8 @@ class Region:
         object.__setattr__(self, "box", box)
         if not 1 <= len(box) <= 3:
             raise ValueError("region dimension must be between 1 and 3")
-        if any(lo >= hi for lo, hi in box):
-            raise ValueError("each box interval needs lo < hi")
+        if any(not -np.inf < lo < hi < np.inf for lo, hi in box):
+            raise ValueError("each box interval needs finite lo < hi")
         cuts = tuple(sorted({float(c) for c in self.cuts}))
         if any(not box[0][0] < c < box[0][1] for c in cuts):
             raise ValueError("cuts must lie strictly inside the box on axis 0")
@@ -201,19 +201,13 @@ def integrate_vector(
         raise ValueError("n_components must be >= 1")
     rule = _rule(region.dim)
 
-    evals = 0
     n_cells = 0
     # row i of each array is cell i, in id order: center, half-widths,
     # value, error, split axis and whether it is still part of the mesh
     cells: List[np.ndarray] = []
-    heap: List[Tuple[float, int]] = []
-    # running totals steer refinement; the reported value is re-summed over
-    # the live cells at the end
-    tot_vals = np.zeros(n_components, dtype=complex)
-    tot_errs = np.zeros(n_components)
 
     def push(cs: np.ndarray, hs: np.ndarray) -> None:
-        nonlocal evals, n_cells, tot_vals, tot_errs, cells
+        nonlocal n_cells, cells
         pts = cs[:, None, :] + hs[:, None, :] * rule.points[None, :, :]
         flat = pts.reshape(-1, region.dim)
         out = np.asarray(integrand(flat))
@@ -228,40 +222,35 @@ def integrate_vector(
                 f"integrand component {comp} is {out[comp, node]} at node {tuple(flat[node].tolist())}"
             )
         values = np.moveaxis(out.reshape(n_components, cs.shape[0], -1), 0, 2)
-        vals, errs, split = rule.apply(values, hs)
-        evals += cs.shape[0] * rule.points_per_cell
-        tot_vals = tot_vals + vals.sum(axis=0)
-        tot_errs = tot_errs + errs.sum(axis=0)
         start, n_cells = n_cells, n_cells + cs.shape[0]
-        rows = (cs, hs, vals, errs, split, np.ones(cs.shape[0], dtype=bool))
+        rows = (cs, hs, *rule.apply(values, hs), np.ones(cs.shape[0], dtype=bool))
         cells = [_put(store, new, start) for store, new in zip(cells or [r[:0] for r in rows], rows)]
-        for cid, score in enumerate(errs.max(axis=1).tolist(), start):
-            heapq.heappush(heap, (-score, cid))
 
     push(*_initial_cells(region))
+    # cap the batch so one evaluation stays within ~3M value slots even for
+    # wide bundles; a fixed 64-cell cap would allocate hundreds of MB when
+    # n_components is large
+    batch_cap = max(1, min(64, 3_000_000 // (rule.points_per_cell * n_components)))
 
-    while heap:
-        tol = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(tot_vals))
-        if np.all(tot_errs <= tol):
-            break
-        top_score = -heap[0][0]
-        # cap the batch so one evaluation stays within ~3M value slots even
-        # for wide bundles; a fixed 64-cell cap would allocate hundreds of MB
-        # when n_components is large
-        batch_cap = max(1, min(64, 3_000_000 // (rule.points_per_cell * n_components)))
-        # split together only cells within 4x of the worst error; splitting
-        # negligible cells alongside one hot cell would waste most of the
-        # evaluation budget
-        batch = [heapq.heappop(heap)[1]]
-        while heap and len(batch) < batch_cap and -heap[0][0] >= 0.25 * top_score:
-            batch.append(heapq.heappop(heap)[1])
-        # a refused batch stays alive: its cells are still part of the mesh
-        if evals + 2 * len(batch) * rule.points_per_cell > settings.max_evals:
-            break
+    while True:
         centers, halves, vals, errs, axes, alive = cells
-        for cid in batch:
-            tot_vals = tot_vals - vals[cid]
-            tot_errs = tot_errs - errs[cid]
+        live = np.flatnonzero(alive[:n_cells])
+        # summed in id order, so the result does not depend on the refinement
+        # history
+        live_errs = errs[live]
+        total, error = vals[live].sum(axis=0), live_errs.sum(axis=0)
+        met = error <= np.maximum(settings.abs_tol, settings.rel_tol * np.abs(total))
+        if met.all():
+            break
+        # worst error first, ties by smaller id; split together only cells
+        # within 4x of the worst error, since splitting negligible cells
+        # alongside one hot cell would waste most of the evaluation budget
+        score = live_errs.max(axis=1)
+        order = np.argsort(-score, kind="stable")[:batch_cap]
+        batch = live[order[score[order] >= 0.25 * score[order[0]]]]
+        # a refused batch stays alive: its cells are still part of the mesh
+        if (n_cells + 2 * len(batch)) * rule.points_per_cell > settings.max_evals:
+            break
         alive[batch] = False
         # each cell becomes its two halves on its split axis, in batch order
         cs = np.repeat(centers[batch], 2, axis=0)
@@ -271,16 +260,12 @@ def integrate_vector(
         cs[idx, ax] += np.tile([-1.0, 1.0], len(batch)) * hs[idx, ax]
         push(cs, hs)
 
-    # summed in id order, so the result does not depend on the refinement
-    # history
-    _, _, vals, errs, _, alive = cells
-    live = np.flatnonzero(alive[:n_cells])
     return [
         IntegralResult(
             value=val.real if val.imag == 0.0 else val,
             error_estimate=float(err),
-            evals=evals,
-            converged=bool(err <= max(settings.abs_tol, settings.rel_tol * abs(val))),
+            evals=n_cells * rule.points_per_cell,
+            converged=bool(ok),
         )
-        for val, err in zip(vals[live].sum(axis=0), errs[live].sum(axis=0))
+        for val, err, ok in zip(total, error, met)
     ]

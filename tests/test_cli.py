@@ -66,6 +66,16 @@ def test_constants_cp4_matches_golden(capsys):
     assert lo - 1e-12 <= golden <= hi + 1e-12
 
 
+def test_constants_at_large_p_prints_no_warning():
+    # in a fresh process, where no warning filter hides them, the scan's
+    # overflow at p = 60 must not reach stderr
+    code = "import sys; from grushin_hardy.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = run_python(code, "constants", "--kind", "cp", "--p", "60")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["value"] > 0.0
+
+
 def test_constants_invalid_combination(capsys):
     code, _, err = run_cli(capsys, "constants", "--kind", "cp", "--p", "1.5")
     assert code == 2

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,19 @@ def test_find_constant_brackets_golden(entry):
         assert lo_r <= est.value < hi_r
     else:
         assert lo_r < est.value <= hi_r
+
+
+@pytest.mark.parametrize("p", [52.0, 60.0, 100.0, 300.0])
+def test_find_constant_at_large_p_skips_overflowed_scan_points(p):
+    # r^p overflows on the 1e-6..1e6 scan from p = 52; an overflowed
+    # denominator must read as nan, not as a quotient of 0 that wins the scan
+    kind = CpObjectiveKind("cp_pge2", p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = find_constant(kind)
+    lo, hi = est.bracket
+    assert 0.0 < est.value <= stated_range(kind)[1]
+    assert lo <= est.value <= hi
 
 
 @pytest.mark.parametrize("p", [1.25, 1.5, 1.75])

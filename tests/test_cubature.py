@@ -54,6 +54,12 @@ def test_gaussian_3d_against_error_function():
 def test_settings_and_region_validation():
     with pytest.raises(ValueError, match="lo < hi"):
         Region(box=((1.0, 0.0),))
+    # NaN fails every comparison, so lo < hi alone would let it through and
+    # the mesh would refine NaN cells until the budget ran out
+    nan, inf = float("nan"), float("inf")
+    for box in (((nan, 1.0),), ((0.0, inf),), ((-inf, 0.0),), ((0.0, 1.0), (0.0, nan))):
+        with pytest.raises(ValueError, match="finite lo < hi"):
+            Region(box=box)
     with pytest.raises(ValueError, match="between 1 and 3"):
         Region(box=())
     with pytest.raises(ValueError, match="between 1 and 3"):
@@ -75,6 +81,55 @@ def test_settings_and_region_validation():
     with pytest.raises(TypeError):
         IntegrationSettings(rule="genz_malik")
     assert IntegrationSettings().rule == "gauss_kronrod_tensor"
+
+
+def _piece_spy(weights, n_components=1):
+    """An integrand on the unit pieces of [0, len(weights)] whose first call
+    gives piece i the error weights[i] * E (the same degree-20 profile on
+    each piece, scaled) and whose later calls are zero; it records the cell
+    centers of each call in call order."""
+    calls = []
+    profile = cubature._NODES_1D**20
+
+    def f(pts):
+        # the middle Kronrod node of each cell is its center
+        calls.append(pts[7::15, 0].tolist())
+        scale = np.repeat(weights, 15) if len(calls) == 1 else np.zeros(len(pts))
+        return np.broadcast_to(scale * np.tile(profile, len(pts) // 15), (n_components, len(pts)))
+
+    region = Region(box=((0.0, float(len(weights))),), cuts=tuple(range(1, len(weights))))
+    return f, region, calls
+
+
+@pytest.mark.parametrize(
+    "weights,split",
+    [
+        # pieces within 4x of the worst are split together, worst first and
+        # ties by smaller id; piece 2 (0.2 E) waits for a later round
+        ([1.0, 1.0, 0.2, 0.3], [0, 1, 3]),
+        ([0.3, 1.0, 0.2, 1.0], [1, 3, 0]),
+    ],
+)
+def test_a_round_splits_the_cells_within_4x_of_the_worst(weights, split):
+    f, region, calls = _piece_spy(weights)
+    res = integrate_vector(f, 1, region)[0]
+    assert res.converged
+    assert calls[0] == [0.5, 1.5, 2.5, 3.5]
+    # each split piece becomes its two halves, in batch order
+    assert calls[1] == [c for i in split for c in (i + 0.25, i + 0.75)]
+    assert calls[2] == [2.25, 2.75]
+
+
+def test_a_wide_bundle_splits_fewer_cells_per_round():
+    # 80000 components of 15 nodes cap a batch at 3M // (15 * 80000) = 2
+    # cells, so of four equal pieces only the first two split in round one
+    f, region, calls = _piece_spy([1.0] * 4, n_components=80_000)
+    integrate_vector(f, 80_000, region)
+    assert calls[1] == [0.25, 0.75, 1.25, 1.75]
+    assert calls[2] == [2.25, 2.75, 3.25, 3.75]
+    f, region, calls = _piece_spy([1.0] * 4)
+    integrate_vector(f, 1, region)
+    assert calls[1] == [0.25, 0.75, 1.25, 1.75, 2.25, 2.75, 3.25, 3.75]
 
 
 def test_cut_on_a_kink_costs_one_cell_per_piece():
