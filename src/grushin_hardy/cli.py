@@ -523,20 +523,9 @@ def cmd_constants(args) -> int:
     if args.tol is not None and not 0.0 <= args.tol < float("inf"):
         raise ValueError("--tol must be finite and >= 0")
     est = find_constant(CpObjectiveKind(kind=mapped, p=args.p))
-    width = est.width
-    out = {
-        "kind": args.kind,
-        "p": args.p,
-        "value": est.value,
-        "argmin_s": est.argmin_s,
-        "argmin_t": est.argmin_t,
-        "bracket": list(est.bracket),
-        "bracket_width": width,
-        "refined": est.refined,
-    }
-    print(_dump(out))
-    if args.tol is not None and width > args.tol:
-        print(f"bracket width {width:.3e} exceeds --tol {args.tol:.3e}", file=sys.stderr)
+    print(_dump({**asdict(est), "kind": args.kind, "p": args.p, "bracket_width": est.width}))
+    if args.tol is not None and est.width > args.tol:
+        print(f"bracket width {est.width:.3e} exceeds --tol {args.tol:.3e}", file=sys.stderr)
         return 1
     return 0
 

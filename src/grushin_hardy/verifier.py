@@ -220,7 +220,7 @@ def _check_support(pair: WeightPair, field: TestField) -> None:
 
 
 def _check_remainder(pair: WeightPair, field: TestField, p_ok: bool, p_rule: str) -> None:
-    if pair.spec.phi is not None:
+    if pair.monomials[WEIGHTS.index("phi"), 0] != 0.0:
         raise ValueError("remainder bounds need a pair with phi identically 0")
     if not p_ok:
         raise ValueError(p_rule)
@@ -825,9 +825,9 @@ def sharpness_probe(
             den = s_val**pair.p * om
             return np.stack([num, den])
 
-        res = integrate_vector(
-            bundle, 2, Region(box=((0.0, ext.tau_hi),)), settings
-        )
+        # cuts at the window's bands, which the plateau's nodes may miss
+        region = Region(box=((0.0, ext.tau_hi),), cuts=(ext.band, ext.tau_hi - ext.band))
+        res = integrate_vector(bundle, 2, region, settings)
         num, den = float(res[0].value), float(res[1].value)
         ratio = num / den
         err = (res[0].error_estimate + ratio * res[1].error_estimate) / den

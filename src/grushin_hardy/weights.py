@@ -4,24 +4,24 @@ Each pair satisfies a weighted Hardy inequality
 
     integral v |D f|^p  >=  integral w |f|^p  +  lower-order phi term,
 
-where D is the projected derivative along grad_gamma(rho) and w already
-carries the sharp constant of the pair. The analytic defect
+where D is the projected derivative along grad_gamma(rho) and w = kappa^p w0
+carries the sharp constant of the pair. Every weight is a monomial
+c (r/rho)^e1 rho^e2 (R-rho)^e3 log(R/rho)^e4 in r = |x| and rho, and all are
+c exp(E @ F) on the log features F. A pair declares v and w0 only. As in the
+corollary proofs, kappa and the analytic defect
 
     phi = div_gamma( h grad_gamma(rho)/|grad_gamma(rho)| ) - p w,  h = v^(1/p) w^((p-1)/p),
 
-is given explicitly by the corollary proofs and cross-checked by finite
-differences. Every weight is a monomial c (r/rho)^e1 rho^e2 (R-rho)^e3
-log(R/rho)^e4 in r = |x| and rho: a pair declares c and the exponents of v,
-w and phi, h's follow, and all four are c exp(E @ F) on the log features F.
+follow from one expansion of the divergence (_expand): kappa cancels its
+term with w0's exponents, and the rest, phi, is one monomial or exactly 0.
+phi_numeric cross-checks phi by finite differences.
 
 Everything known about a pair is its entry in PAIRS: parameters, validity
-rules, kappa (the sharp constant is kappa^p), the monomials, the extremal
-profile that fields.ExtremalField uses, and the uncertainty display that
-verifier.verify_hpw checks, if the pair has one.
+rules, v and w0, the extremal profile that fields.ExtremalField uses, and
+the uncertainty display that verifier.verify_hpw checks, if the pair has one.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -59,6 +59,9 @@ Formula = Callable[..., np.ndarray]
 # k -> (c, e1, e2, e3, e4): the weight c (r/rho)^e1 rho^e2 (R-rho)^e3 log(R/rho)^e4
 Monomial = Callable[[SimpleNamespace], Tuple[float, ...]]
 WEIGHTS = ("v", "w", "phi", "h")  # the rows of WeightPair.monomials
+_EPS = float(np.finfo(float).eps)
+# _expand's terms H/rho, H/(R-rho), H/(rho log(R/rho)): shifts of H's exponents
+_SHIFTS = ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (-1.0, 0.0, -1.0))
 
 
 @dataclass(frozen=True)
@@ -83,10 +86,8 @@ class PairSpec:
     params: Tuple[str, ...]  # required parameters
     defaults: Dict[str, float]  # the CLI's parameters
     rules: Tuple[Tuple[Callable, str], ...]  # (holds(k), message), checked in order
-    kappa: Callable[[SimpleNamespace], float]
     v: Monomial
-    w: Monomial
-    phi: Optional[Monomial]  # None when phi is identically 0
+    w: Monomial  # w0 = w / kappa^p, with c = 1
     # extremal profile b(rho)^kap in the coordinate tau = tau_sign log b + const
     tau_of_rho: Formula
     rho_of_tau: Formula
@@ -152,12 +153,8 @@ PAIRS: Dict[str, PairSpec] = {
         params=("R",),
         defaults={"R": 4.0},
         rules=(_R_POSITIVE,),
-        kappa=lambda k: (k.p - 1.0) / k.p,
         v=lambda k: (1.0, 0.0, 0.0, 0.0, 0.0),
-        w=lambda k: (k.C, k.g * k.p, 0.0, -k.p, 0.0),
-        phi=lambda k: (
-            ((k.p - 1.0) / k.p) ** (k.p - 1.0) * (k.Q - 1.0), k.g * k.p, -1.0, 1.0 - k.p, 0.0
-        ),
+        w=lambda k: (1.0, k.g * k.p, 0.0, -k.p, 0.0),
         # profile (R - rho)^kap, tau anchored at R - rho = 0.6 R
         tau_of_rho=lambda rho, k: np.log(0.6 * k.R / (k.R - rho)),
         rho_of_tau=lambda tau, k: k.R - 0.6 * k.R * np.exp(-tau),
@@ -175,11 +172,9 @@ PAIRS: Dict[str, PairSpec] = {
         params=("alpha", "beta"),
         defaults={"alpha": 0.0, "beta": 0.0},
         rules=((lambda k: k.Q > k.alpha - k.beta, "requires Q > alpha - beta"),),
-        kappa=lambda k: (k.Q + k.beta - k.alpha) / k.p,
-        # v = r^(beta - g p) rho^(p (1+g) - alpha), w = C r^beta rho^(-alpha)
+        # v = r^(beta - g p) rho^(p (1+g) - alpha), w0 = r^beta rho^(-alpha)
         v=lambda k: (1.0, k.beta - k.g * k.p, k.beta + k.p - k.alpha, 0.0, 0.0),
-        w=lambda k: (k.C, k.beta, k.beta - k.alpha, 0.0, 0.0),
-        phi=None,
+        w=lambda k: (1.0, k.beta, k.beta - k.alpha, 0.0, 0.0),
         **_POWER_PROFILE,
         hpw=HpwSpec(
             "whole_dambrosio",
@@ -192,32 +187,16 @@ PAIRS: Dict[str, PairSpec] = {
         params=("alpha", "theta", "R"),
         defaults={"theta": 0.5, "alpha": 1.0, "R": 1e30},
         rules=(_R_POSITIVE, (lambda k: k.Q > k.p * k.theta, "requires Q > p*theta")),
-        kappa=lambda k: (k.Q - k.p * k.theta) / k.p,
         v=lambda k: (1.0, k.g * k.alpha, k.p * (1.0 - k.theta), 0.0, 0.0),
-        w=lambda k: (k.C, k.g * (k.alpha + k.p), -k.p * k.theta, 0.0, 0.0),
-        phi=None,
+        w=lambda k: (1.0, k.g * (k.alpha + k.p), -k.p * k.theta, 0.0, 0.0),
         **_POWER_PROFILE,
     ),
     "log_ball": PairSpec(
         params=("alpha", "R"),
         defaults={"alpha": -3.0, "R": 4.0},
-        rules=(
-            _R_POSITIVE,
-            (lambda k: k.alpha + 1 < 0, "requires alpha + 1 < 0"),
-            # phi carries the factor (Q - p); Q < p flips its sign, so the pair
-            # is only an identity then, not an inequality
-            (
-                lambda k: k.Q >= k.p or k.allow_negative_phi,
-                "requires Q >= p (pass allow_negative_phi to keep the identity only)",
-            ),
-        ),
-        kappa=lambda k: abs(k.alpha + 1.0) / k.p,
+        rules=(_R_POSITIVE, (lambda k: k.alpha + 1 < 0, "requires alpha + 1 < 0")),
         v=lambda k: (1.0, 0.0, 0.0, 0.0, k.alpha + k.p),
-        w=lambda k: (k.C, k.g * k.p, -k.p, 0.0, k.alpha),
-        phi=lambda k: (
-            (abs(k.alpha + 1.0) / k.p) ** (k.p - 1.0) * (k.Q - k.p),
-            k.g * k.p, -k.p, 0.0, k.alpha + 1.0,
-        ),
+        w=lambda k: (1.0, k.g * k.p, -k.p, 0.0, k.alpha),
         # profile log(R/rho)^kap, tau = -log log(R/rho)
         tau_of_rho=lambda rho, k: -np.log(_log_dist(k.R, rho)),
         rho_of_tau=lambda tau, k: k.R * np.exp(-np.exp(-tau)),
@@ -253,6 +232,8 @@ class WeightPair:
     params: Dict[str, float]
     kappa: float
     x_singular: bool  # singular on {x=0}: gamma > 0, or v or w has a negative |x| exponent
+    scalars: SimpleNamespace  # the k of the spec formulas, with C = kappa^p
+    monomials: np.ndarray = field(compare=False)  # the WEIGHTS as (4, 5) rows (c, e1, ..., e4)
     allow_negative_phi: bool = False
 
     @property
@@ -267,22 +248,6 @@ class WeightPair:
     def radius(self) -> Optional[float]:
         """Ball radius for rho_ball domains, None on the whole space."""
         return self.params.get("R")
-
-    @cached_property
-    def scalars(self) -> SimpleNamespace:
-        """The k of the spec formulas, built once per pair."""
-        space = self.space
-        return SimpleNamespace(
-            g=space.gamma, p=self.p, Q=space.Q, C=self.sharp_constant, **self.params
-        )
-
-    @cached_property
-    def monomials(self) -> np.ndarray:
-        """The WEIGHTS as (4, 5) rows (c, e1, ..., e4); h = v^(1/p) w^((p-1)/p)."""
-        k, spec, q = self.scalars, self.spec, 1.0 / self.p
-        v, w = np.array(spec.v(k)), np.array(spec.w(k))
-        h = np.append(v[0] ** q * w[0] ** (1.0 - q), v[1:] * q + w[1:] * (1.0 - q))
-        return np.array([v, w, np.zeros(5) if spec.phi is None else spec.phi(k), h])
 
     def _row(self, name: str, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -308,6 +273,30 @@ class WeightPair:
         return self._row("phi", pts)
 
 
+def _expand(v: Tuple[float, ...], w: Tuple[float, ...], k: SimpleNamespace):
+    """kappa and the rows phi / kappa^(p-1) and h0 = v^(1/p) w0^((p-1)/p) of v, w0.
+
+    With h0 = c (r/rho)^e1 H and H = rho^e2 (R-rho)^e3 log(R/rho)^e4, r/rho is
+    constant along grad_gamma(rho) and |grad_gamma(rho)| = (r/rho)^gamma, so
+    div_gamma(h0 grad_gamma(rho)/|grad_gamma(rho)|) = c (r/rho)^(e1+gamma) H
+    ((e2+Q-1)/rho - e3/(R-rho) - e4/(rho log(R/rho))). The term with w0's
+    exponents is p kappa w0; the others are phi / kappa^(p-1).
+    """
+    h = (v[0] ** (1.0 / k.p),) + tuple(b + (a - b) / k.p for a, b in zip(v[1:], w[1:]))
+    c, e2, e3, e4 = h[0], *h[2:]
+    coefs = (c * (e2 + k.Q - 1.0), -c * e3, -c * e4)
+    offsets = [max(abs(e + s - b) for e, s, b in zip(h[2:], shift, w[2:])) for shift in _SHIFTS]
+    j = offsets.index(min(offsets))
+    # a defect coefficient within rounding of 0 is 0, as Q - p is at Q = p
+    tol = 16.0 * _EPS * c * (abs(e2) + k.Q + 1.0)
+    rest = [i for i in range(3) if i != j and abs(coefs[i]) > tol]
+    phi = (0.0,) * 5
+    if rest:
+        (i,) = rest  # every catalog defect is one monomial
+        phi = (coefs[i], w[1]) + tuple(b + s - t for b, s, t in zip(w[2:], _SHIFTS[i], _SHIFTS[j]))
+    return coefs[j] / k.p, phi, h
+
+
 def make_pair(
     pair_id: str,
     space: SpaceParams,
@@ -315,7 +304,8 @@ def make_pair(
     params: Dict[str, float],
     allow_negative_phi: bool = False,
 ) -> WeightPair:
-    """Validated catalog entry; error messages name the violated constraint."""
+    """Validated catalog entry; error messages name the violated constraint.
+    A pair with phi < 0 gives the identity only: allow_negative_phi admits it."""
     spec = PAIRS.get(pair_id)
     if spec is None:
         raise ValueError(f"unknown pair id {pair_id!r}; expected one of {PAIR_IDS}")
@@ -331,24 +321,31 @@ def make_pair(
     params = {k: float(params[k]) for k in required}
     if not np.all(np.isfinite(list(params.values()))):
         raise ValueError(f"{pair_id} parameters must be finite")
-    k = SimpleNamespace(
-        g=space.gamma, p=p, Q=space.Q, allow_negative_phi=allow_negative_phi, **params
-    )
+    k = SimpleNamespace(g=space.gamma, p=p, Q=space.Q, **params)
     for holds, message in spec.rules:
         if not holds(k):
             raise ValueError(message)
-    kappa = spec.kappa(k)
+    v, w = spec.v(k), spec.w(k)
+    kappa, phi, h = _expand(v, w, k)
     with np.errstate(over="ignore"):
         k.C = np.float64(kappa) ** p
         if not np.isfinite(k.C):
             raise ValueError(f"{pair_id}: the sharp constant kappa^p = {kappa:g}^{p:g} overflows")
+    if phi[0] < 0 and not allow_negative_phi:
+        raise ValueError(
+            f"{pair_id}: phi < 0 here, so only the identity holds; pass allow_negative_phi"
+        )
+    scale = kappa ** (p - 1.0)
+    rows = (v, (k.C, *w[1:]), (scale * phi[0], *phi[1:]), (scale * h[0], *h[1:]))
     return WeightPair(
         id=pair_id,
         space=space,
         p=p,
         params=params,
         kappa=kappa,
-        x_singular=space.gamma > 0 or min(spec.v(k)[1], spec.w(k)[1]) < 0,
+        x_singular=space.gamma > 0 or min(v[1], w[1]) < 0,
+        scalars=k,
+        monomials=np.array(rows),
         allow_negative_phi=allow_negative_phi,
     )
 

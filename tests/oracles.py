@@ -6,8 +6,9 @@ complex-modulus arithmetic instead of the packaged objective assembly,
 composite Simpson sums instead of adaptive cubature, and point-wise
 geometry and field derivatives (a Point, rho, the dilations, the
 sub-elliptic gradient and the projected derivative D f) instead of the
-package's (|x|, rho) batch kernels, and the catalog pairs' weights as the
-hand-typed formulas of the corollaries instead of the declared monomials.
+package's (|x|, rho) batch kernels, and the catalog pairs' kappa and
+weights as the hand-typed formulas of the corollaries instead of the
+monomials that the package derives from v and w0.
 Running this file as a script
 regenerates tests/golden/constants.json.
 """
@@ -15,6 +16,7 @@ regenerates tests/golden/constants.json.
 import json
 import os
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -233,47 +235,69 @@ def _log_dist(R, rho):
     return np.log1p((R - rho) / rho)
 
 
+# pair id -> kappa(k), the sharp constant being kappa^p; k holds the pair's
+# parameters with g = gamma, p and Q
+HAND_KAPPA = {
+    "nch_ball": lambda k: (k.p - 1.0) / k.p,
+    "dambrosio_power": lambda k: (k.Q + k.beta - k.alpha) / k.p,
+    "darca_power": lambda k: (k.Q - k.p * k.theta) / k.p,
+    "log_ball": lambda k: abs(k.alpha + 1.0) / k.p,
+}
+
 # pair id -> (v, w, phi, x_exponents): v, w and phi as f(|x|, rho, k), phi
 # None when it is identically 0, and the |x| exponents of v and w, a negative
-# one being singular on {x=0}; k is WeightPair.scalars
+# one being singular on {x=0}; k is hand_scalars' namespace
 HAND_WEIGHTS = {
     "nch_ball": (
         lambda r, rho, k: np.ones_like(rho),
-        lambda r, rho, k: k.C * (r / rho) ** (k.g * k.p) / (k.R - rho) ** k.p,
-        lambda r, rho, k: ((k.p - 1.0) / k.p) ** (k.p - 1.0) * (k.Q - 1.0)
+        lambda r, rho, k: k.kappa**k.p * (r / rho) ** (k.g * k.p) / (k.R - rho) ** k.p,
+        lambda r, rho, k: k.kappa ** (k.p - 1.0) * (k.Q - 1.0)
         * (r / rho) ** (k.g * k.p) / ((k.R - rho) ** (k.p - 1.0) * rho),
         lambda k: (k.g * k.p,),
     ),
     "dambrosio_power": (
         lambda r, rho, k: r ** (k.beta - k.g * k.p) * rho ** (k.p * (1.0 + k.g) - k.alpha),
-        lambda r, rho, k: k.C * r**k.beta * rho ** (-k.alpha),
+        lambda r, rho, k: k.kappa**k.p * r**k.beta * rho ** (-k.alpha),
         None,
         lambda k: (k.beta - k.g * k.p, k.beta),
     ),
     "darca_power": (
         lambda r, rho, k: (r / rho) ** (k.g * k.alpha) * rho ** (k.p * (1.0 - k.theta)),
-        lambda r, rho, k: k.C * (r / rho) ** (k.g * (k.alpha + k.p)) * rho ** (-k.p * k.theta),
+        lambda r, rho, k: k.kappa**k.p * (r / rho) ** (k.g * (k.alpha + k.p))
+        * rho ** (-k.p * k.theta),
         None,
         lambda k: (k.g * k.alpha, k.g * (k.alpha + k.p)),
     ),
     "log_ball": (
         lambda r, rho, k: _log_dist(k.R, rho) ** (k.alpha + k.p),
-        lambda r, rho, k: k.C * _log_dist(k.R, rho) ** k.alpha * (r / rho) ** (k.g * k.p)
-        * rho ** (-k.p),
-        lambda r, rho, k: (abs(k.alpha + 1.0) / k.p) ** (k.p - 1.0) * (k.Q - k.p)
+        lambda r, rho, k: k.kappa**k.p * _log_dist(k.R, rho) ** k.alpha
+        * (r / rho) ** (k.g * k.p) * rho ** (-k.p),
+        lambda r, rho, k: k.kappa ** (k.p - 1.0) * (k.Q - k.p)
         * _log_dist(k.R, rho) ** (k.alpha + 1.0) * (r / rho) ** (k.g * k.p) * rho ** (-k.p),
         lambda k: (k.g * k.p,),
     ),
 }
 
 
+def hand_scalars(pair):
+    """The k of the hand formulas: the pair's parameters with g = gamma, p, Q
+    and the hand-typed kappa."""
+    k = SimpleNamespace(g=pair.space.gamma, p=pair.p, Q=pair.space.Q, **pair.params)
+    k.kappa = HAND_KAPPA[pair.id](k)
+    return k
+
+
 def hand_weight(pair, name, r, rho):
-    """v, w or phi of a built pair from the hand-typed formulas, on arrays of
-    |x| and rho, nan beyond a ball's R."""
+    """v, w, phi or h = v^(1/p) w^((p-1)/p) of a built pair from the
+    hand-typed formulas, on arrays of |x| and rho, nan beyond a ball's R."""
+    k, p = hand_scalars(pair), pair.p
     v, w, phi, _ = HAND_WEIGHTS[pair.id]
-    formula = {"v": v, "w": w, "phi": phi}[name]
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.zeros_like(rho) if formula is None else formula(r, rho, pair.scalars)
+        if name == "h":
+            out = v(r, rho, k) ** (1.0 / p) * w(r, rho, k) ** ((p - 1.0) / p)
+        else:
+            formula = {"v": v, "w": w, "phi": phi}[name]
+            out = np.zeros_like(rho) if formula is None else formula(r, rho, k)
     return out if pair.radius is None else np.where(rho > pair.radius, np.nan, out)
 
 
@@ -293,7 +317,7 @@ def hand_hpw_weights(case, r, rho, gamma, p, R):
 def hand_x_singular(pair):
     """The singular-set rule of the hand-typed catalog: gamma > 0, or a
     negative |x| exponent of v or w."""
-    return pair.space.gamma > 0 or any(e < 0 for e in HAND_WEIGHTS[pair.id][3](pair.scalars))
+    return pair.space.gamma > 0 or any(e < 0 for e in HAND_WEIGHTS[pair.id][3](hand_scalars(pair)))
 
 
 def main():

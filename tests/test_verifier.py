@@ -599,6 +599,16 @@ def test_sharpness_dambrosio():
     assert rep.final_gap <= 0.05
 
 
+def test_sharpness_integrals_see_the_window_bands_at_every_level():
+    # from level 7 on (tau_hi about 1160) the first cell's nodes miss both
+    # window bands; without cuts at them that level read exactly kappa^p = 1
+    pair = make_pair("dambrosio_power", SP, 3.0, {"alpha": 0.0, "beta": 0.0})
+    rep = sharpness_probe(pair, levels=8)
+    assert rep.converged and rep.final_gap == pytest.approx(0.0015377, rel=1e-4)
+    gaps = [e["rayleigh_ratio"] - rep.sharp_constant for e in rep.levels]
+    assert all(1.8 < a / b < 2.1 for a, b in zip(gaps, gaps[1:]))  # halves per level
+
+
 def test_sharpness_levels_validation():
     pair = make_pair("dambrosio_power", SP, 2.0, {"alpha": 0.0, "beta": 0.0})
     with pytest.raises(ValueError, match="levels must be >= 2"):

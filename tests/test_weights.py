@@ -45,10 +45,10 @@ def test_pair_spec_is_complete(pair_id):
     spec = PAIRS[pair_id]
     assert sorted(spec.defaults) == sorted(spec.params)
     pair = make_pair(pair_id, SP, 2.0, dict(spec.defaults))
-    assert pair.sharp_constant == spec.kappa(pair.scalars) ** pair.p
-    assert pair.scalars is pair.scalars  # built once per pair
+    assert pair.kappa == pytest.approx(oracles.hand_scalars(pair).kappa, rel=1e-13, abs=0)
+    assert pair.scalars.C == pair.sharp_constant  # the spec formulas' k, built by make_pair
     phi = pair.phi_batch(sample_points(SP, np.random.default_rng(3), 50))
-    assert np.all(phi == 0.0) if spec.phi is None else np.all(phi != 0.0)
+    assert np.all(phi == 0.0) if oracles.HAND_WEIGHTS[pair_id][2] is None else np.all(phi != 0.0)
     ext = build_extremal_field(pair, truncation_level=1)
     tau = np.linspace(0.05, min(ext.tau_hi - 0.05, 12.0), 40)
     assert np.allclose(ext.tau_of_rho(ext.rho_of_tau(tau)), tau, rtol=0, atol=1e-9)
@@ -85,7 +85,7 @@ def test_validation_messages():
 def test_log_ball_subcritical_flag():
     # Q = 2 < p = 3 flips the sign of phi; only allowed explicitly
     flat = SpaceParams(1, 1, 0.0)
-    with pytest.raises(ValueError, match="requires Q >= p"):
+    with pytest.raises(ValueError, match="log_ball: phi < 0 here"):
         make_pair("log_ball", flat, 3.0, {"alpha": -3.0, "R": 4.0})
     pair = make_pair("log_ball", flat, 3.0, {"alpha": -3.0, "R": 4.0}, allow_negative_phi=True)
     assert pair.allow_negative_phi
@@ -235,8 +235,7 @@ def test_declared_weights_match_the_hand_formulas(pair_id, space, p, negative):
     scale = pair.radius if pair.radius is not None and pair.radius < 100.0 else 2.0
     pts = sample_points(space, np.random.default_rng(17), 400, 0.02 * scale, 0.98 * scale, 0.01)
     r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
-    want = {name: oracles.hand_weight(pair, name, r, rho) for name in ("v", "w", "phi")}
-    want["h"] = want["v"] ** (1.0 / p) * want["w"] ** ((p - 1.0) / p)
+    want = {name: oracles.hand_weight(pair, name, r, rho) for name in WEIGHTS}
     got = eval_monomials(pair.monomials, log_features(r, rho, pair.radius))
     for name, row in zip(WEIGHTS, got):
         assert np.all(np.abs(row - want[name]) <= 1e-13 * np.abs(want[name])), name
@@ -245,7 +244,9 @@ def test_declared_weights_match_the_hand_formulas(pair_id, space, p, negative):
         row = got[WEIGHTS.index(name)]
         np.testing.assert_allclose(getattr(pair, f"{name}_batch")(pts), row, rtol=1e-14, atol=0)
     assert pair.x_singular == oracles.hand_x_singular(pair)
-    assert (PAIRS[pair_id].phi is None) == (oracles.HAND_WEIGHTS[pair_id][2] is None)
+    assert pair.kappa == pytest.approx(oracles.hand_scalars(pair).kappa, rel=1e-13, abs=0)
+    # phi derives as exactly 0 where the hand formula is identically 0
+    assert (pair.monomials[WEIGHTS.index("phi"), 0] == 0.0) == bool(np.all(want["phi"] == 0.0))
 
 
 def test_declared_weights_keep_their_edge_values():
@@ -289,3 +290,41 @@ def test_declared_hpw_weights_match_the_hand_formulas(space, p, case):
     want = oracles.hand_hpw_weights(case, r, rho, space.gamma, p, R)
     for g, w in zip(got, want):
         assert np.all(np.abs(g - w) <= 1e-13 * np.abs(w))
+
+
+def random_pair_draw(rng):
+    """A random valid (pair id, space, p, params): m, k <= 3, gamma <= 3, p in (1.05, 5)."""
+    space = SpaceParams(int(rng.integers(1, 4)), int(rng.integers(1, 4)), float(rng.uniform(0, 3)))
+    p, Q = float(rng.uniform(1.05, 5.0)), space.Q
+    R = float(rng.uniform(0.5, 10.0))
+    pair_id = PAIR_IDS[int(rng.integers(len(PAIR_IDS)))]
+    if pair_id == "nch_ball":
+        return pair_id, space, p, {"R": R}
+    if pair_id == "dambrosio_power":
+        beta = float(rng.uniform(-3.0, 3.0))
+        return pair_id, space, p, {"alpha": beta + Q * float(rng.uniform(-1.0, 0.95)), "beta": beta}
+    if pair_id == "darca_power":
+        theta = Q / p * float(rng.uniform(-1.0, 0.95))
+        return pair_id, space, p, {"alpha": float(rng.uniform(-3.0, 3.0)), "theta": theta, "R": R}
+    return pair_id, space, p, {"alpha": float(rng.uniform(-6.0, -1.05)), "R": R}
+
+
+def test_derived_rows_match_the_hand_formulas_on_random_pairs():
+    # kappa and the rows that make_pair derives from v and w0 against the
+    # hand-typed corollaries, on 2400 random pairs at 4 random (|x|, rho) each
+    rng = np.random.default_rng(20)
+    for _ in range(2400):
+        pair_id, space, p, params = random_pair_draw(rng)
+        pair = make_pair(pair_id, space, p, params, allow_negative_phi=True)
+        want_kappa = oracles.hand_scalars(pair).kappa
+        assert abs(pair.kappa - want_kappa) <= 1e-13 * want_kappa, (pair_id, space, p, params)
+        scale = pair.radius if pair.radius is not None else 2.0
+        rho = scale * rng.uniform(0.2, 0.9, 4)
+        r = rho * rng.uniform(0.2, 1.0, 4)
+        got = eval_monomials(pair.monomials, log_features(r, rho, pair.radius))
+        for name, row in zip(WEIGHTS, got):
+            want = oracles.hand_weight(pair, name, r, rho)
+            assert np.all(np.abs(row - want) <= 1e-13 * np.abs(want)), (name, pair_id, space, p)
+        if np.any(got[WEIGHTS.index("phi")] < 0):  # only allow_negative_phi admits it
+            with pytest.raises(ValueError, match="phi < 0"):
+                make_pair(pair_id, space, p, params)
