@@ -7,12 +7,13 @@ f and its partials in |x| and rho, from which the integrands build Df and
 batches. The transitions are C^2 quintic smoothsteps; only first
 derivatives enter any identity, so C^2 regularity is enough.
 
-Extremal fields multiply the corollary power profiles by a plateau window
-in the coordinate tau in which the profile is exp(-kappa_eff tau): tau =
-log rho for power pairs, log(u_a/(R-rho)) for the boundary pair, and
-log(1/log(R/rho)) for the logarithmic pair. In that coordinate the Rayleigh
-quotient of the pair reduces exactly to one dimension (see
-verifier.sharpness_probe) and plateau widening is plain interval growth.
+Extremal fields multiply a profile b^kap by a plateau window in tau =
+s log(b/anchor), where the profile is exp(-kappa_eff tau) times a constant.
+Equality in the pointwise step needs f_rho = -kappa tau' f, with tau' the
+factor 1/rho, 1/(R-rho) or 1/(rho log(R/rho)) of the term j of weights._expand
+that kappa cancels: |d log b/d rho| of b = rho, R-rho or log(R/rho). So b,
+tau and the mass density of the exact 1-d Rayleigh reduction (see
+verifier.sharpness_probe) derive from j, and widening is interval growth.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from typing import Tuple
 import numpy as np
 
 from grushin_hardy.geometry import SpaceParams, radial_coords
-from grushin_hardy.weights import WeightPair
+from grushin_hardy.weights import WEIGHTS, WeightPair, eval_monomials, log_features
 
 __all__ = [
     "FAMILIES",
@@ -41,6 +42,16 @@ FAMILIES = ("bump_radial", "bump_radial_x_cutoff", "phase_twisted", "extremal_tr
 # J1 = int S5'(u)^2 du, J0 = int S5(u)^2 du over one band
 _J1 = 10.0 / 7.0
 _J0 = 0.39177489177489176
+
+# weights._expand's term j -> the extremal's base b as (b(rho, R), rho(b, R),
+# d log b/d rho at (rho, b), the anchor b at tau = 0 as a function of R, and
+# the sign s in tau = s log(b/anchor)); log(R/rho) via log1p, as in weights
+_BASES = (
+    (lambda rho, R: rho, lambda b, R: b, lambda rho, b: 1.0 / b, lambda R: 0.5, 1.0),
+    (lambda rho, R: R - rho, lambda b, R: R - b, lambda rho, b: -1.0 / b, lambda R: 0.6 * R, -1.0),
+    (lambda rho, R: np.log1p((R - rho) / rho), lambda b, R: R * np.exp(-b),
+     lambda rho, b: -1.0 / (rho * b), lambda R: 1.0, -1.0),
+)
 
 
 def smoothstep5(u: np.ndarray) -> np.ndarray:
@@ -170,8 +181,8 @@ class ExtremalField(TestField):
     profile decays toward the pair's singular boundary (the one that
     concentrates the Rayleigh quotient), and build_extremal_field's
     ascending=True flips the exponent to the sign printed in the corollary
-    statements. The coordinate tau and the profile come from the pair's
-    entry in weights.PAIRS.
+    statements. The base b, the coordinate tau and the mass density omega
+    are derived from _expand's term j, the pair's kappa_term (see _BASES).
     """
 
     def __init__(
@@ -188,15 +199,20 @@ class ExtremalField(TestField):
         self.band = band
         self.plateau = plateau
         self.tau_hi = plateau + 2.0 * band
-        self._k = pair.scalars
+        self._b, _, self._d_log, self._anchor, self._sign = _BASES[pair.kappa_term]
+        # rho^(Q-1) h0 less its coefficient, its |x| factor and the power of b
+        # that exp(-kappa p tau) cancels, set to exactly 0
+        self._omega = pair.monomials[[WEIGHTS.index("h")]].copy()
+        self._omega[0, :3] = 1.0, 0.0, self._omega[0, 2] + pair.space.Q - 1.0
+        self._omega[0, 2 + pair.kappa_term] = 0.0
 
     def tau_of_rho(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
+        b = self._b(np.asarray(rho, dtype=float), self.pair.radius)
         with np.errstate(divide="ignore"):
-            return self.pair.spec.tau_of_rho(rho, self._k)
+            return self._sign * np.log(b / self._anchor(self.pair.radius))
 
     def rho_of_tau(self, tau: np.ndarray) -> np.ndarray:
-        return self.pair.spec.rho_of_tau(np.asarray(tau, dtype=float), self._k)
+        return _rho_of_tau(self.pair, np.asarray(tau, dtype=float))
 
     def rho_breaks(self) -> Tuple[float, ...]:
         """The rho values of the tau window's ends and band edges."""
@@ -209,17 +225,25 @@ class ExtremalField(TestField):
         return _window(tau, 0.0, self.tau_hi, self.band)
 
     def probe_weight(self, tau: np.ndarray) -> np.ndarray:
-        """Mass density omega(tau) of the exact 1-d Rayleigh reduction.
+        """Mass density omega(tau) of the exact 1-d Rayleigh reduction: rho^(Q-1)
+        h0 exp(-kappa p tau), less h0's |x| factor, which the angles integrate out.
 
         Constant factors are dropped; they cancel in the quotient.
         """
-        return self.pair.spec.probe_weight(np.asarray(tau, dtype=float), self._k)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            rho = self.rho_of_tau(tau)
+            return eval_monomials(self._omega, log_features(rho, rho, self.pair.radius))[0]
 
     def _amplitude(self, rho: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        tau = self.tau_of_rho(rho)
-        S, dS = self.window(tau)
-        prof, d_prof, d_tau = self.pair.spec.profile(rho, self.spec.extremal_exponent, self._k)
-        return prof * S, d_prof * S + prof * dS * d_tau
+        kap, b = self.spec.extremal_exponent, self._b(rho, self.pair.radius)
+        S, dS = self.window(self._sign * np.log(b / self._anchor(self.pair.radius)))
+        prof = b**kap  # with d tau/d rho = s d log b/d rho in f_rho below
+        return prof * S, prof * self._d_log(rho, b) * (kap * S + self._sign * dS)
+
+
+def _rho_of_tau(pair: WeightPair, tau: np.ndarray) -> np.ndarray:
+    _, rho_of_b, _, anchor, sign = _BASES[pair.kappa_term]
+    return rho_of_b(anchor(pair.radius) * np.exp(sign * tau), pair.radius)
 
 
 def build_test_field(space: SpaceParams, spec: TestFieldSpec) -> TestField:
@@ -248,28 +272,19 @@ def build_extremal_field(
     tau_hi = plateau + 2.0 * band
 
     sign = 1.0 if ascending else -1.0
-    spec, k = pair.spec, pair.scalars
     R = pair.params.get("R", float("inf"))
-    with np.errstate(over="ignore"):  # rho_of_tau may reach inf: R or the largest float clips it
-        outer = float(min(spec.rho_of_tau(tau_hi, k), np.nextafter(R, 0.0)))
+    with np.errstate(over="ignore"):  # rho(tau) may reach inf: R or the largest float clips it
+        outer = float(min(_rho_of_tau(pair, tau_hi), np.nextafter(R, 0.0)))
 
     field_spec = TestFieldSpec(
         family="extremal_truncated",
-        inner_rho=spec.inner(k),
+        inner_rho=float(_rho_of_tau(pair, 0.0)),
         outer_rho=outer,
-        x_floor=0.0,
         smoothness_margin=band / tau_hi,
-        phase_kappa=0.0,
-        extremal_exponent=spec.tau_sign * sign * kappa,
+        extremal_exponent=_BASES[pair.kappa_term][4] * sign * kappa,
         R=R,
     )
-    return ExtremalField(
-        space=pair.space,
-        spec=field_spec,
-        pair=pair,
-        band=band,
-        plateau=plateau,
-    )
+    return ExtremalField(pair.space, field_spec, pair, band, plateau)
 
 
 def radial_derivative_batch(space: SpaceParams, pts: np.ndarray, grads: np.ndarray) -> np.ndarray:

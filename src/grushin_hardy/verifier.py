@@ -656,7 +656,7 @@ def _hpw_plan(case: str, p: float, field: TestField):
         _refuse(field, pair_id, "gamma > 0 weights are singular on {x=0}; use x_floor > 0")
     hpw, space, gamma = spec.hpw, field.space, field.space.gamma
     pp = p / (p - 1.0)
-    rows = hpw.weights(SimpleNamespace(g=gamma, p=p, a=p * pp / 2.0))
+    rows = hpw.weights(SimpleNamespace(g=gamma, p=p, a=pp))
     R = field.spec.R if "R" in spec.params else None
     garofalo_p2 = hpw.garofalo and p == 2.0
     track_grad = garofalo_p2 and gamma == 0.0
@@ -877,11 +877,12 @@ def verify_hpw(
 ) -> HpwReport:
     """Check one of the three uncertainty-product displays.
 
-    The displays put the pair's sharp constant to the power 1/2 on the
-    right; that matches their printed constants (p-1)/p, (Q-p)/p, (p+1)/p
-    exactly when p = 2, the case exercised by the acceptance suite. For
-    whole_dambrosio at p = 2 the squared (Garofalo-type) product is checked
-    too, and at gamma = 0 also the classical gradient form it dominates.
+    The right side is the printed constant (p-1)/p, (Q-p)/p or (p+1)/p times
+    int |f|^2. Its weights take a = p' (see HpwSpec), which balances the
+    display under the Grushin dilation at every p; at p = 2, the acceptance
+    suite's case, p' = p p'/2. For whole_dambrosio at p = 2 the squared
+    (Garofalo-type) product is checked too, and at gamma = 0 also the
+    classical gradient form it dominates.
 
     The display reads only p, p' = p/(p-1), Q and the field's R (the case's
     HpwSpec.weights and constant). The parameters of the pair it belongs to,

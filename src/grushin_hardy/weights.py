@@ -17,8 +17,9 @@ term with w0's exponents, and the rest, phi, is one monomial or exactly 0.
 phi_numeric cross-checks phi by finite differences.
 
 Everything known about a pair is its entry in PAIRS: parameters, validity
-rules, v and w0, the extremal profile that fields.ExtremalField uses, and
-the uncertainty display that verifier.verify_hpw checks, if the pair has one.
+rules, v and w0, and the uncertainty display that verifier.verify_hpw
+checks, if the pair has one. The extremal that fields.ExtremalField builds
+is derived too, from the term that kappa cancels (WeightPair.kappa_term).
 """
 
 from dataclasses import dataclass, field
@@ -53,9 +54,6 @@ __all__ = [
 # draws a rejection sampler makes before it gives up
 SAMPLER_ROUNDS = 64
 
-# f(tau, k) or f(rho, k): k holds the pair's parameters with g = gamma, p, Q
-# and, in a built pair, C = kappa^p (see WeightPair.scalars)
-Formula = Callable[..., np.ndarray]
 # k -> (c, e1, e2, e3, e4): the weight c (r/rho)^e1 rho^e2 (R-rho)^e3 log(R/rho)^e4
 Monomial = Callable[[SimpleNamespace], Tuple[float, ...]]
 WEIGHTS = ("v", "w", "phi", "h")  # the rows of WeightPair.monomials
@@ -70,7 +68,7 @@ class HpwSpec:
 
     weights(k) declares the monomials (see Monomial) that weigh its gradient
     integrand |Df|^p and its weight integrand |f|^p', with k holding g = gamma,
-    p and a = p p'/2; constant(p, Q) is the printed constant.
+    p and a = p'; constant(p, Q) is the printed constant.
     """
 
     case: str
@@ -88,13 +86,6 @@ class PairSpec:
     rules: Tuple[Tuple[Callable, str], ...]  # (holds(k), message), checked in order
     v: Monomial
     w: Monomial  # w0 = w / kappa^p, with c = 1
-    # extremal profile b(rho)^kap in the coordinate tau = tau_sign log b + const
-    tau_of_rho: Formula
-    rho_of_tau: Formula
-    probe_weight: Formula  # mass density of the 1-d Rayleigh reduction in tau
-    profile: Callable  # (rho, kap, k) -> b^kap, its rho-derivative, dtau/drho
-    inner: Callable[[SimpleNamespace], float]  # rho at tau = 0
-    tau_sign: float
     hpw: Optional[HpwSpec] = None
 
 
@@ -126,27 +117,7 @@ def eval_monomials(rows: np.ndarray, features: np.ndarray) -> np.ndarray:
     return np.multiply(np.exp(logs, out=logs), c[:, None], out=logs)
 
 
-def _nch_profile(rho, kap, k):
-    u = k.R - rho
-    return u**kap, -kap * u ** (kap - 1.0), 1.0 / u
-
-
-def _log_profile(rho, kap, k):
-    L = _log_dist(k.R, rho)
-    return L**kap, -kap * L ** (kap - 1.0) / rho, 1.0 / (L * rho)
-
-
 _R_POSITIVE = (lambda k: k.R > 0, "requires R > 0")
-
-# the power pairs' profile is rho^kap, with tau = log(rho/0.5)
-_POWER_PROFILE = dict(
-    tau_of_rho=lambda rho, k: np.log(rho / 0.5),
-    rho_of_tau=lambda tau, k: 0.5 * np.exp(tau),
-    probe_weight=lambda tau, k: np.ones_like(tau),
-    profile=lambda rho, kap, k: (rho**kap, kap * rho ** (kap - 1.0), 1.0 / rho),
-    inner=lambda k: 0.5,
-    tau_sign=1.0,
-)
 
 PAIRS: Dict[str, PairSpec] = {
     "nch_ball": PairSpec(
@@ -155,13 +126,6 @@ PAIRS: Dict[str, PairSpec] = {
         rules=(_R_POSITIVE,),
         v=lambda k: (1.0, 0.0, 0.0, 0.0, 0.0),
         w=lambda k: (1.0, k.g * k.p, 0.0, -k.p, 0.0),
-        # profile (R - rho)^kap, tau anchored at R - rho = 0.6 R
-        tau_of_rho=lambda rho, k: np.log(0.6 * k.R / (k.R - rho)),
-        rho_of_tau=lambda tau, k: k.R - 0.6 * k.R * np.exp(-tau),
-        probe_weight=lambda tau, k: (k.R - 0.6 * k.R * np.exp(-tau)) ** (k.Q - 1.0),
-        profile=_nch_profile,
-        inner=lambda k: 0.4 * k.R,
-        tau_sign=-1.0,
         hpw=HpwSpec(
             "ball_nch",
             lambda p, Q: (p - 1.0) / p,
@@ -175,7 +139,6 @@ PAIRS: Dict[str, PairSpec] = {
         # v = r^(beta - g p) rho^(p (1+g) - alpha), w0 = r^beta rho^(-alpha)
         v=lambda k: (1.0, k.beta - k.g * k.p, k.beta + k.p - k.alpha, 0.0, 0.0),
         w=lambda k: (1.0, k.beta, k.beta - k.alpha, 0.0, 0.0),
-        **_POWER_PROFILE,
         hpw=HpwSpec(
             "whole_dambrosio",
             lambda p, Q: (Q - p) / p,
@@ -189,7 +152,6 @@ PAIRS: Dict[str, PairSpec] = {
         rules=(_R_POSITIVE, (lambda k: k.Q > k.p * k.theta, "requires Q > p*theta")),
         v=lambda k: (1.0, k.g * k.alpha, k.p * (1.0 - k.theta), 0.0, 0.0),
         w=lambda k: (1.0, k.g * (k.alpha + k.p), -k.p * k.theta, 0.0, 0.0),
-        **_POWER_PROFILE,
     ),
     "log_ball": PairSpec(
         params=("alpha", "R"),
@@ -197,13 +159,6 @@ PAIRS: Dict[str, PairSpec] = {
         rules=(_R_POSITIVE, (lambda k: k.alpha + 1 < 0, "requires alpha + 1 < 0")),
         v=lambda k: (1.0, 0.0, 0.0, 0.0, k.alpha + k.p),
         w=lambda k: (1.0, k.g * k.p, -k.p, 0.0, k.alpha),
-        # profile log(R/rho)^kap, tau = -log log(R/rho)
-        tau_of_rho=lambda rho, k: -np.log(_log_dist(k.R, rho)),
-        rho_of_tau=lambda tau, k: k.R * np.exp(-np.exp(-tau)),
-        probe_weight=lambda tau, k: np.exp(-(k.Q - k.p) * np.exp(-tau)),
-        profile=_log_profile,
-        inner=lambda k: k.R * float(np.exp(-1.0)),
-        tau_sign=-1.0,
         hpw=HpwSpec(
             "log_ball",
             lambda p, Q: (p + 1.0) / p,
@@ -231,8 +186,8 @@ class WeightPair:
     p: float
     params: Dict[str, float]
     kappa: float
+    kappa_term: int  # _expand's term j that kappa cancels; it fixes the extremal's base
     x_singular: bool  # singular on {x=0}: gamma > 0, or v or w has a negative |x| exponent
-    scalars: SimpleNamespace  # the k of the spec formulas, with C = kappa^p
     monomials: np.ndarray = field(compare=False)  # the WEIGHTS as (4, 5) rows (c, e1, ..., e4)
     allow_negative_phi: bool = False
 
@@ -274,7 +229,8 @@ class WeightPair:
 
 
 def _expand(v: Tuple[float, ...], w: Tuple[float, ...], k: SimpleNamespace):
-    """kappa and the rows phi / kappa^(p-1) and h0 = v^(1/p) w0^((p-1)/p) of v, w0.
+    """kappa, the index j of the term it cancels, and the rows phi / kappa^(p-1)
+    and h0 = v^(1/p) w0^((p-1)/p) of v, w0.
 
     With h0 = c (r/rho)^e1 H and H = rho^e2 (R-rho)^e3 log(R/rho)^e4, r/rho is
     constant along grad_gamma(rho) and |grad_gamma(rho)| = (r/rho)^gamma, so
@@ -294,7 +250,7 @@ def _expand(v: Tuple[float, ...], w: Tuple[float, ...], k: SimpleNamespace):
     if rest:
         (i,) = rest  # every catalog defect is one monomial
         phi = (coefs[i], w[1]) + tuple(b + s - t for b, s, t in zip(w[2:], _SHIFTS[i], _SHIFTS[j]))
-    return coefs[j] / k.p, phi, h
+    return coefs[j] / k.p, j, phi, h
 
 
 def make_pair(
@@ -326,25 +282,25 @@ def make_pair(
         if not holds(k):
             raise ValueError(message)
     v, w = spec.v(k), spec.w(k)
-    kappa, phi, h = _expand(v, w, k)
+    kappa, j, phi, h = _expand(v, w, k)
     with np.errstate(over="ignore"):
-        k.C = np.float64(kappa) ** p
-        if not np.isfinite(k.C):
+        C = np.float64(kappa) ** p
+        if not np.isfinite(C):
             raise ValueError(f"{pair_id}: the sharp constant kappa^p = {kappa:g}^{p:g} overflows")
     if phi[0] < 0 and not allow_negative_phi:
         raise ValueError(
             f"{pair_id}: phi < 0 here, so only the identity holds; pass allow_negative_phi"
         )
     scale = kappa ** (p - 1.0)
-    rows = (v, (k.C, *w[1:]), (scale * phi[0], *phi[1:]), (scale * h[0], *h[1:]))
+    rows = (v, (C, *w[1:]), (scale * phi[0], *phi[1:]), (scale * h[0], *h[1:]))
     return WeightPair(
         id=pair_id,
         space=space,
         p=p,
         params=params,
         kappa=kappa,
+        kappa_term=j,
         x_singular=space.gamma > 0 or min(v[1], w[1]) < 0,
-        scalars=k,
         monomials=np.array(rows),
         allow_negative_phi=allow_negative_phi,
     )

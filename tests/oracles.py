@@ -279,6 +279,54 @@ HAND_WEIGHTS = {
 }
 
 
+def _nch_profile(rho, kap, k):
+    u = k.R - rho
+    return u**kap, -kap * u ** (kap - 1.0), 1.0 / u
+
+
+def _log_profile(rho, kap, k):
+    L = _log_dist(k.R, rho)
+    return L**kap, -kap * L ** (kap - 1.0) / rho, 1.0 / (L * rho)
+
+
+# the power pairs' profile is rho^kap, with tau = log(rho/0.5)
+_POWER_EXTREMAL = dict(
+    tau_of_rho=lambda rho, k: np.log(rho / 0.5),
+    rho_of_tau=lambda tau, k: 0.5 * np.exp(tau),
+    probe_weight=lambda tau, k: np.ones_like(tau),
+    profile=lambda rho, kap, k: (rho**kap, kap * rho ** (kap - 1.0), 1.0 / rho),
+    inner=lambda k: 0.5,
+    tau_sign=1.0,
+)
+
+# pair id -> the hand-typed extremal: the profile b(rho)^kap in the coordinate
+# tau = tau_sign log b + const, with probe_weight the mass density of the 1-d
+# Rayleigh reduction in tau, profile(rho, kap, k) -> (b^kap, its rho-derivative,
+# d tau/d rho) and inner(k) the rho at tau = 0; k is hand_scalars' namespace
+HAND_EXTREMAL = {
+    "nch_ball": dict(
+        # profile (R - rho)^kap, tau anchored at R - rho = 0.6 R
+        tau_of_rho=lambda rho, k: np.log(0.6 * k.R / (k.R - rho)),
+        rho_of_tau=lambda tau, k: k.R - 0.6 * k.R * np.exp(-tau),
+        probe_weight=lambda tau, k: (k.R - 0.6 * k.R * np.exp(-tau)) ** (k.Q - 1.0),
+        profile=_nch_profile,
+        inner=lambda k: 0.4 * k.R,
+        tau_sign=-1.0,
+    ),
+    "dambrosio_power": _POWER_EXTREMAL,
+    "darca_power": _POWER_EXTREMAL,
+    "log_ball": dict(
+        # profile log(R/rho)^kap, tau = -log log(R/rho)
+        tau_of_rho=lambda rho, k: -np.log(_log_dist(k.R, rho)),
+        rho_of_tau=lambda tau, k: k.R * np.exp(-np.exp(-tau)),
+        probe_weight=lambda tau, k: np.exp(-(k.Q - k.p) * np.exp(-tau)),
+        profile=_log_profile,
+        inner=lambda k: k.R * float(np.exp(-1.0)),
+        tau_sign=-1.0,
+    ),
+}
+
+
 def hand_scalars(pair):
     """The k of the hand formulas: the pair's parameters with g = gamma, p, Q
     and the hand-typed kappa."""
@@ -303,8 +351,8 @@ def hand_weight(pair, name, r, rho):
 
 def hand_hpw_weights(case, r, rho, gamma, p, R):
     """The gradient and weight factors of an uncertainty display, as the
-    hand-typed rows wrote them: a = p p'/2 and (rho/|x|)^(gamma a)."""
-    a = p * p / (p - 1.0) / 2.0
+    hand-typed rows wrote them: a = p' and (rho/|x|)^(gamma a)."""
+    a = p / (p - 1.0)
     ratio = (rho / r) ** (gamma * a)
     if case == "ball_nch":
         return np.ones_like(rho), (R - rho) ** a * ratio

@@ -714,6 +714,28 @@ def test_hpw_classical_gamma_zero():
     assert rep.left >= rep.right
 
 
+@pytest.mark.parametrize("p", (1.25, 1.5))
+def test_hpw_is_invariant_under_dilation(p):
+    # a = p' balances the display under the Grushin dilation at every p: a
+    # bump field and the same field dilated by 1e2 give one verdict and one
+    # left/right ratio, within the error that the converged terms propagate
+    space, settings = SpaceParams(1, 1, 0.0), IntegrationSettings()
+    pp = p / (p - 1.0)
+    ratios, errors, verdicts = [], [], []
+    for lo, hi in ((0.5, 2.0), (50.0, 200.0)):
+        field = build_test_field(space, TestFieldSpec("bump_radial", inner_rho=lo, outer_rho=hi))
+        rep = verify_hpw("whole_dambrosio", p, field, settings)
+        assert rep.converged
+        # a converged term's error is at most max(abs_tol, rel_tol |value|)
+        terms = (rep.grad_term, rep.weight_term, rep.mass_term)
+        rel = [max(settings.abs_tol / t, settings.rel_tol) for t in terms]
+        ratios.append(rep.left / rep.right)
+        errors.append(ratios[-1] * (rel[0] / p + rel[1] / pp + rel[2]))
+        verdicts.append(rep.passed)
+    assert verdicts[0] == verdicts[1]
+    assert abs(ratios[0] - ratios[1]) <= errors[0] + errors[1]
+
+
 def test_hpw_validation():
     field = annulus_field(SP)
     with pytest.raises(ValueError, match="case must be one of"):

@@ -46,7 +46,6 @@ def test_pair_spec_is_complete(pair_id):
     assert sorted(spec.defaults) == sorted(spec.params)
     pair = make_pair(pair_id, SP, 2.0, dict(spec.defaults))
     assert pair.kappa == pytest.approx(oracles.hand_scalars(pair).kappa, rel=1e-13, abs=0)
-    assert pair.scalars.C == pair.sharp_constant  # the spec formulas' k, built by make_pair
     phi = pair.phi_batch(sample_points(SP, np.random.default_rng(3), 50))
     assert np.all(phi == 0.0) if oracles.HAND_WEIGHTS[pair_id][2] is None else np.all(phi != 0.0)
     ext = build_extremal_field(pair, truncation_level=1)
@@ -275,6 +274,36 @@ def test_condition_mismatch_over_the_declared_grid(pair_id, space, p, negative):
     assert rep["max_abs_mismatch"] <= 1e-10
 
 
+@pytest.mark.parametrize("pair_id,space,p,negative", DECLARED_GRID, ids=str)
+@pytest.mark.parametrize("ascending", (False, True))
+def test_derived_extremal_matches_the_hand_entries(pair_id, space, p, negative, ascending):
+    pair = declared_pair(pair_id, space, p, negative)
+    hand, k = oracles.HAND_EXTREMAL[pair_id], oracles.hand_scalars(pair)
+    ext = build_extremal_field(pair, truncation_level=1, ascending=ascending)
+    kap = hand["tau_sign"] * (1.0 if ascending else -1.0) * k.kappa
+    assert ext.spec.extremal_exponent == pytest.approx(kap, rel=1e-13, abs=0)
+    R = pair.params.get("R", np.inf)
+    with np.errstate(over="ignore"):
+        outer = min(hand["rho_of_tau"](ext.tau_hi, k), np.nextafter(R, 0.0))
+    assert ext.spec.inner_rho == pytest.approx(hand["inner"](k), rel=1e-13, abs=0)
+    assert ext.spec.outer_rho == pytest.approx(outer, rel=1e-13, abs=0)
+    # the range where the ball pairs keep rho a few ulps or more from R
+    tau = np.linspace(0.05, min(ext.tau_hi - 0.05, 12.0), 40)
+    rho = hand["rho_of_tau"](tau, k)
+    np.testing.assert_allclose(ext.rho_of_tau(tau), rho, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(ext.tau_of_rho(rho), hand["tau_of_rho"](rho, k), rtol=1e-13, atol=0)
+    f, _, f_rho = ext.eval_radial(0.5 * rho, rho)
+    prof, d_prof, d_tau = hand["profile"](rho, kap, k)
+    S, dS = ext.window(hand["tau_of_rho"](rho, k))
+    np.testing.assert_allclose(f, prof * S, rtol=1e-13, atol=0)
+    # f_rho is a sum of two terms that can cancel: compare on their scale
+    scale = np.abs(d_prof * S) + np.abs(prof * dS * d_tau)
+    assert np.all(np.abs(f_rho - (d_prof * S + prof * dS * d_tau)) <= 1e-13 * scale)
+    # the mass density is the hand one times a constant
+    ratio = ext.probe_weight(tau) / hand["probe_weight"](tau, k)
+    assert np.all(np.abs(ratio / ratio[0] - 1.0) <= 1e-13)
+
+
 @pytest.mark.parametrize("space", DECLARED_SPACES, ids=str)
 @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
 @pytest.mark.parametrize("case", sorted(HPW_PAIRS))
@@ -284,8 +313,7 @@ def test_declared_hpw_weights_match_the_hand_formulas(space, p, case):
     scale = R or 2.0
     pts = sample_points(space, np.random.default_rng(29), 400, 0.05 * scale, 0.95 * scale, 0.01)
     r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
-    pp = p / (p - 1.0)
-    k = SimpleNamespace(g=space.gamma, p=p, a=p * pp / 2.0)
+    k = SimpleNamespace(g=space.gamma, p=p, a=p / (p - 1.0))
     got = eval_monomials(np.array(spec.hpw.weights(k)), log_features(r, rho, R))
     want = oracles.hand_hpw_weights(case, r, rho, space.gamma, p, R)
     for g, w in zip(got, want):
