@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .cp import CpObjectiveKind, find_constant
@@ -293,6 +292,8 @@ def _record(name: str, out: object) -> Dict[str, object]:
 
 
 def _versions() -> Dict[str, str]:
+    import scipy  # here, not at the top: only a report needs it, and it slows every CLI import
+
     return {
         "package": __version__,
         "python": platform.python_version(),

@@ -144,11 +144,12 @@ class _TensorGaussKronrod:
     def apply(
         self, values: np.ndarray, halves: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """values: (B, P, C) on the tensor grid; returns (vals, errs, split_axis)."""
-        sums = np.matmul(self.weights, values) * np.prod(halves, axis=1)[:, None, None]
-        i15 = sums[:, 0]
-        errs = np.abs(i15 - sums[:, 1])
-        split = np.argmax(np.abs(sums[:, 2:]).max(axis=2), axis=1)
+        """values: (C, B, P), component c on cell b's tensor grid; returns
+        (vals, errs, split_axis), vals and errs (B, C)."""
+        sums = np.matmul(values, self.weights.T) * np.prod(halves, axis=1)[:, None]
+        i15 = sums[:, :, 0].T
+        errs = np.abs(i15 - sums[:, :, 1].T)
+        split = np.argmax(np.abs(sums[:, :, 2:]).max(axis=0), axis=1)
         return i15, errs, split
 
 
@@ -215,15 +216,17 @@ def integrate_vector(
             raise ValueError(
                 f"integrand returned shape {out.shape}, expected {(n_components, flat.shape[0])}"
             )
-        bad = ~np.isfinite(out)
-        if bad.any():
-            comp, node = np.argwhere(bad)[0]
+        with np.errstate(invalid="ignore"):  # inf times a zero Gauss weight
+            vals, errs, split = rule.apply(out.reshape(n_components, cs.shape[0], -1), hs)
+        # every Kronrod weight is positive, so a non-finite value makes its
+        # cell's sum non-finite; a finite out means the sum overflowed
+        if not np.isfinite(vals).all() and not np.isfinite(out).all():
+            comp, node = np.argwhere(~np.isfinite(out))[0]
             raise ValueError(
                 f"integrand component {comp} is {out[comp, node]} at node {tuple(flat[node].tolist())}"
             )
-        values = np.moveaxis(out.reshape(n_components, cs.shape[0], -1), 0, 2)
         start, n_cells = n_cells, n_cells + cs.shape[0]
-        rows = (cs, hs, *rule.apply(values, hs), np.ones(cs.shape[0], dtype=bool))
+        rows = (cs, hs, vals, errs, split, np.ones(cs.shape[0], dtype=bool))
         cells = [_put(store, new, start) for store, new in zip(cells or [r[:0] for r in rows], rows)]
 
     push(*_initial_cells(region))

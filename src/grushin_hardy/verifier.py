@@ -14,7 +14,7 @@ in closed form.
 Conventions: Df is the radial derivative, xi = v^(1/p) Df and
 eta = xi + w^(1/p) f, so xi - eta = -w^(1/p) f and every integrand is
 assembled pointwise from (f, Df, v, w, phi); C_p(xi, eta) comes in closed
-form from the identity's own rows (see _Batch). The pieces cover only the
+form from the identity's own rows (see _TERMS). The pieces cover only the
 fields' support, away from {x=0} wherever a weight is singular there, so
 every weight is finite at every node, and a term is an exact 0 wherever its
 field vanishes.
@@ -287,131 +287,146 @@ def _polar_pieces(fields: Sequence[TestField]):
 
 
 class _Batch:
-    """What every field integrand needs on one cubature batch, computed once.
+    """What every field integrand shares on one batch, computed eagerly from the plan.
 
     Each field gives f, f_r and f_rho on the nodes' (r, s, rho) (see
     TestField.eval_radial), and Df follows in closed form: r and rho are both
     of degree 1 under the dilations, so Df = (r/rho)^gamma (r f_r + rho f_rho)/rho.
-    The nodes' log features are computed once per distinct R, and each pair
-    gets its declared v, w, phi and h = v^(1/p) w^((p-1)/p) (the paper's field
-    is h grad rho/|grad rho|) from them with one matmul and one exp. Every
-    array, a term's row (see _TERMS) too, is computed on first use and kept in
-    one memo, so C cases over F fields and P pairs cost F field and P weight
-    evaluations, not C of each.
+    power[slot, p] is (|f|^p, |Df|^p) and g[slot, p] is G = |f|^(p-2)
+    Re(conj(f) Df) = |f|^p Re(Df/f), 0 where f is, for every (slot, p) that
+    a pair reads. weights[i] is plan block i on the nodes (a pair's v, w, phi
+    and h = v^(1/p) w^((p-1)/p), or a display's rows): one eval_monomials per R.
     """
 
-    def __init__(self, space: SpaceParams, coords, fields: Sequence[TestField]):
+    def __init__(self, space: SpaceParams, coords, plan: "_Plan"):
         self.space = space
-        r, self.s, rho = coords
-        self.coords = (r, rho)
+        r, _, rho = self.nodes = coords
         scale = (r / rho) ** space.gamma / rho
-        self.vals, self.partials, self.df = [], [], []
-        for field in fields:
-            f, f_r, f_rho = field.eval_radial(r, rho)
-            self.vals.append(f)
-            self.partials.append((f_r, f_rho))
-            self.df.append(scale * (r * f_r + rho * f_rho))
-        self._memo: Dict[tuple, np.ndarray] = {}
-
-    def _cached(self, key: tuple, make) -> np.ndarray:
-        if key not in self._memo:
-            self._memo[key] = make()
-        return self._memo[key]
-
-    def features(self, R: Optional[float]) -> np.ndarray:
-        """The nodes' weights.log_features for the radius R."""
-        return self._cached(("features", R), lambda: log_features(*self.coords, R))
-
-    def weight(self, pair: WeightPair, name: str) -> np.ndarray:
-        """The pair's v, w, phi or h (a name in weights.WEIGHTS)."""
-        def make() -> np.ndarray:
-            return eval_monomials(pair.monomials, self.features(pair.radius))
-
-        return self._cached((id(pair), "weights"), make)[WEIGHTS.index(name)]
-
-    def power(self, kind: str, f: int, q: float) -> np.ndarray:
-        """|f|^q (kind "vals") or |Df|^q (kind "df") of field slot f."""
-        return self._cached((kind, f, q), lambda: np.abs(getattr(self, kind)[f]) ** q)
+        radial = [field.eval_radial(r, rho) for field in plan.fields]
+        self.vals = [f for f, _, _ in radial]
+        self.partials = [(f_r, f_rho) for _, f_r, f_rho in radial]
+        self.df = [scale * (r * f_r + rho * f_rho) for _, f_r, f_rho in radial]
+        size = [(np.abs(f), np.abs(d)) for f, d in zip(self.vals, self.df)]
+        ratio = {
+            f: (self.df[f] / np.where(self.vals[f] != 0.0, self.vals[f], 1.0)).real
+            for f in dict.fromkeys(f for f, _ in plan.powers)
+        }
+        self.power = {(f, p): (size[f][0] ** p, size[f][1] ** p) for f, p in plan.powers}
+        self.g = {(f, p): self.power[f, p][0] * ratio[f] for f, p in plan.powers}
+        monomials = [eval_monomials(rows, log_features(r, rho, R)) for R, rows in plan.groups]
+        self.weights = [monomials[group][rows] for group, rows in plan.blocks]
 
     def grad_sq(self, f: int) -> np.ndarray:
         """Euclidean |grad f|^2 of field slot f, from grad r . grad rho =
         (r/rho)^(2g+1) and |grad rho|^2 = (r^(4g+2) + (1+g)^2 s^2)/rho^(4g+2)."""
         f_r, f_rho = self.partials[f]
-        r, rho = self.coords
+        r, s, rho = self.nodes
         g = self.space.gamma
         cross = (f_r * np.conj(f_rho)).real * (r / rho) ** (2.0 * g + 1.0)
-        grad_rho_sq = (r ** (4.0 * g + 2.0) + (1.0 + g) ** 2 * self.s**2) / rho ** (4.0 * g + 2.0)
+        grad_rho_sq = (r ** (4.0 * g + 2.0) + (1.0 + g) ** 2 * s**2) / rho ** (4.0 * g + 2.0)
         return np.abs(f_r) ** 2 + 2.0 * cross + np.abs(f_rho) ** 2 * grad_rho_sq
 
-    def xi_eta(self, pair: WeightPair, f: int):
-        """xi = v^(1/p) Df, w^(1/p) f and eta = xi + w^(1/p) f of one case."""
-        def make():
-            xi = self.weight(pair, "v") ** (1.0 / pair.p) * self.df[f]
-            wf = self.weight(pair, "w") ** (1.0 / pair.p) * self.vals[f]
-            return xi, wf, xi + wf
 
-        return self._cached((id(pair), "xi_eta", f), make)
-
-    def g(self, f: int, p: float) -> np.ndarray:
-        """|f|^(p-2) Re(conj(f) Df) of field slot f, as |f|^p Re(Df/f), 0 where f is."""
-        def make() -> np.ndarray:
-            vals = self.vals[f]
-            return self.power("vals", f, p) * (self.df[f] / np.where(vals != 0.0, vals, 1.0)).real
-
-        return self._cached(("g", f, p), make)
-
-    def term(self, pair: Optional[WeightPair], f: int, name) -> np.ndarray:
-        """The row of term name (a _TERMS key or (key, *params)) for the case (pair, f)."""
-        key, params = (name[0], name[1:]) if isinstance(name, tuple) else (name, ())
-        return self._cached((id(pair), f, name), lambda: _TERMS[key](self, pair, f, *params))
-
-    def forget(self, pair: Optional[WeightPair]) -> None:
-        """Drop the pair's arrays, which keeps one pair's in memory at a time."""
-        self._memo = {k: a for k, a in self._memo.items() if k[0] != id(pair)}
+def _identity_rows(b: _Batch, lhs, w_term, cp, phi_term, f: int, p: float, block: int) -> None:
+    v, w, phi, h = b.weights[block]
+    f_p, df_p = b.power[f, p]
+    lhs = np.multiply(v, df_p, out=lhs)
+    w_term = np.multiply(w, f_p, out=w_term)
+    if phi_term is not None:
+        np.multiply(phi, f_p, out=phi_term)
+    if cp is not None:
+        np.multiply(w_term, p - 1.0, out=cp)
+        cp += lhs
+        cp += p * h * b.g[f, p]
 
 
-def _mixed(b: _Batch, pair: WeightPair, f: int) -> np.ndarray:
-    xi, wf, eta = b.xi_eta(pair, f)
-    s = np.abs(xi) + np.abs(wf)
+def _eta_rows(b: _Batch, eta_p, mixed, min_form, f: int, p: float, block: int) -> None:
+    v, w = b.weights[block][:2]
+    xi, wf = v ** (1.0 / p) * b.df[f], w ** (1.0 / p) * b.vals[f]
+    eta = np.abs(xi + wf)
+    eta_p = np.power(eta, p, out=eta_p)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # (|xi| + |xi-eta|)^(p-2) |eta|^2 <= (|xi| + |xi-eta|)^p -> 0 with s
-        return np.where(s > 0, s ** (pair.p - 2.0) * np.abs(eta) ** 2, 0.0)
+        if mixed is not None:
+            # (|xi| + |xi-eta|)^(p-2) |eta|^2 <= (|xi| + |xi-eta|)^p -> 0 with s
+            s = np.abs(xi) + np.abs(wf)
+            mixed[:] = np.where(s > 0, s ** (p - 2.0) * eta**2, 0.0)
+        if min_form is not None:
+            # t -> 0 makes t^(p-2) |eta|^2 -> inf, so |eta|^p wins
+            t = np.abs(wf)
+            min_form[:] = np.where(t > 0, np.minimum(eta_p, t ** (p - 2.0) * eta**2), eta_p)
 
 
-def _min_form(b: _Batch, pair: WeightPair, f: int) -> np.ndarray:
-    _, wf, eta = b.xi_eta(pair, f)
-    t, eta_p = np.abs(wf), b.term(pair, f, "eta_p")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # t -> 0 makes t^(p-2) |eta|^2 -> inf, so |eta|^p wins
-        return np.where(t > 0, np.minimum(eta_p, t ** (pair.p - 2.0) * np.abs(eta) ** 2), eta_p)
-
-
-# The term table: name -> fn(batch, pair, f, *params), the name's row for one
-# case; a name with parameters is the tuple (name, *params). C_p(xi, eta) =
-# v|Df|^p + (p-1) w|f|^p + p h G (see cp.py) reuses lhs and w, and G = |f|^(p-2)
-# Re(conj(f) Df) is real, 0 where f is, and shared by every pair with the same
-# p. The HPW rows have no pair: a display name carries its monomials and R.
-_TERMS: Dict[str, Callable[..., np.ndarray]] = {
-    "lhs": lambda b, pair, f: b.weight(pair, "v") * b.power("df", f, pair.p),
-    "w": lambda b, pair, f: b.weight(pair, "w") * b.power("vals", f, pair.p),
-    "cp": lambda b, pair, f: (
-        b.term(pair, f, "lhs")
-        + (pair.p - 1.0) * b.term(pair, f, "w")
-        + pair.p * b.weight(pair, "h") * b.g(f, pair.p)
+# The term table: family -> writer(batch, *rows, f, p, block, *params), which
+# writes in place each row of the family that the case (field slot f, its
+# pair's p and monomial block) lists, and gets None for the others. The
+# identity's rows share v, w, phi, h, |f|^p, |Df|^p and G, and C_p(xi, eta) =
+# v|Df|^p + (p-1) w|f|^p + p h G (see cp.py) reuses lhs and w; the remainder
+# rows share xi = v^(1/p) Df, xi - eta = -w^(1/p) f and eta. A name with
+# parameters is (name, *params); a display (HPW, no pair) carries its rows and R.
+_TERMS: Dict[Tuple[str, ...], Callable[..., object]] = {
+    ("lhs", "w", "cp", "phi"): _identity_rows,
+    ("eta_p", "mixed", "min"): _eta_rows,
+    ("w^e|f|^q",): lambda b, row, f, p, block, e, q: np.multiply(
+        b.weights[block][1] ** e, np.abs(b.vals[f]) ** q, out=row
     ),
-    "phi": lambda b, pair, f: b.weight(pair, "phi") * b.power("vals", f, pair.p),
-    "eta_p": lambda b, pair, f: np.abs(b.xi_eta(pair, f)[2]) ** pair.p,
-    "mixed": _mixed,
-    "min": _min_form,
-    "w^e|f|^q": lambda b, pair, f, e, q: b.weight(pair, "w") ** e * b.power("vals", f, q),
-    "display": lambda b, _, f, rows, R, i, kind, q: b._cached(
-        ("display", rows, R), lambda: eval_monomials(np.array(rows), b.features(R))
-    )[i] * b.power(kind, f, q),
-    "mass": lambda b, _, f: b.power("vals", f, 2),
-    "grad_sq": lambda b, _, f: b.grad_sq(f),
+    ("display",): lambda b, row, f, p, block, _, __, i, kind, q: np.multiply(
+        b.weights[block][i], np.abs(getattr(b, kind)[f]) ** q, out=row
+    ),
+    ("mass",): lambda b, row, f, p, block: np.power(np.abs(b.vals[f]), 2, out=row),
+    ("grad_sq",): lambda b, row, f, p, block: np.copyto(row, b.grad_sq(f)),
 }
+_FAMILY = {name: family for family in _TERMS for name in family}
 
 _IDENTITY = ("lhs", "w", "cp", "phi")  # lhs = w + cp + phi
+
+
+class _Plan:
+    """What every batch of one integration evaluates, resolved once from its
+    cases (see _integrate_cases): the row of each component, keyed by
+    (id(pair), field slot, name); the steps, one writer call per (pair, field,
+    _TERMS family, params); the (slot, p) that pairs read; and per distinct R
+    the monomial rows of every pair and display, whose places are blocks.
+    """
+
+    def __init__(self, cases: Sequence[tuple]):
+        self.fields = list({id(field): field for _, field, _ in cases}.values())
+        self.slot = {id(field): i for i, field in enumerate(self.fields)}
+        self.component: Dict[tuple, int] = {}
+        steps: Dict[tuple, tuple] = {}  # (id(pair), slot, family, params) -> (pair, rows)
+        for pair, field, names in cases:
+            for name in names:
+                key = (id(pair), self.slot[id(field)], name)
+                if key not in self.component:
+                    self.component[key] = len(self.component)
+                    term, params = (name[0], name[1:]) if isinstance(name, tuple) else (name, ())
+                    family = _FAMILY[term]
+                    step = steps.setdefault((*key[:2], family, params), (pair, [None] * len(family)))
+                    step[1][family.index(term)] = self.component[key]
+
+        groups: Dict[Optional[float], list] = {}  # R -> its monomial rows
+        blocks: Dict[object, int] = {}  # id(pair) or a display's (rows, R) -> its block
+        self.blocks, self.steps = [], []
+        for (_, f, family, params), (pair, rows) in steps.items():
+            source = None  # a pairless row other than a display reads no monomials
+            if pair is not None or family == ("display",):
+                source, R = (id(pair), pair.radius) if pair is not None else (params[:2], params[1])
+                if source not in blocks:
+                    group = groups.setdefault(R, [])
+                    start = sum(map(len, group))
+                    group.append(pair.monomials if pair is not None else np.array(params[0]))
+                    blocks[source] = len(self.blocks)
+                    self.blocks.append((list(groups).index(R), slice(start, start + len(group[-1]))))
+            self.steps.append((_TERMS[family], rows, f, pair and pair.p, blocks.get(source), params))
+        self.powers = tuple({(f, p): None for _, _, f, p, _, _ in self.steps if p is not None})
+        self.groups = [(R, np.concatenate(rows)) for R, rows in groups.items()]
+
+    def rows(self, space: SpaceParams, coords) -> np.ndarray:
+        """Every component's row on the nodes' (r, s, rho), before the Jacobian."""
+        b = _Batch(space, coords, self)
+        out = np.empty((len(self.component), coords[0].shape[0]))
+        for writer, rows, f, p, block, params in self.steps:
+            writer(b, *[None if k is None else out[k] for k in rows], f, p, block, *params)
+        return out
 
 
 def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSettings]) -> List[Dict]:
@@ -428,19 +443,8 @@ def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSetti
     space = cases[0][1].space
     if any(field.space != space for _, field, _ in cases):
         raise ValueError("sweep cases must share one space")
-
-    fields = list({id(field): field for _, field, _ in cases}.values())
-    slot = {id(field): i for i, field in enumerate(fields)}
-    component: Dict[tuple, int] = {}  # (id(pair), slot, name) -> its row
-    by_pair: Dict[int, tuple] = {}  # (pair, its (slot, name) terms); a pair's terms run together
-    for pair, field, names in cases:
-        for name in names:
-            key = (id(pair), slot[id(field)], name)
-            if key not in component:
-                component[key] = len(component)
-                by_pair.setdefault(id(pair), (pair, []))[1].append(key[1:])
-
-    region, lift = _polar_pieces(fields)
+    plan = _Plan(cases)
+    region, lift = _polar_pieces(plan.fields)
 
     def integrand(nodes: np.ndarray) -> np.ndarray:
         # an overflow, division by zero or invalid operation outside the
@@ -449,12 +453,7 @@ def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSetti
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 coords, jac = lift(nodes)
-                out = np.empty((len(component), nodes.shape[0]))
-                batch = _Batch(space, coords, fields)
-                for pair, terms in by_pair.values():
-                    for f, name in terms:
-                        out[component[id(pair), f, name]] = batch.term(pair, f, name)
-                    batch.forget(pair)
+                out = plan.rows(space, coords)
                 out *= jac
         except FloatingPointError as exc:
             raise ValueError(
@@ -462,9 +461,9 @@ def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSetti
             ) from None
         return out
 
-    res = integrate_vector(integrand, len(component), region, settings)
+    res = integrate_vector(integrand, len(plan.component), region, settings)
     return [
-        {name: res[component[id(pair), slot[id(field)], name]] for name in names}
+        {name: res[plan.component[id(pair), plan.slot[id(field)], name]] for name in names}
         for pair, field, names in cases
     ]
 
@@ -477,17 +476,21 @@ def _summary(res: Dict[object, IntegralResult], names: Sequence) -> Tuple[List[f
     return values, float(sum(r.error_estimate for r in listed)), all(r.converged for r in listed)
 
 
-def _power_error(value: float, factors: Sequence[Tuple[float, float, float]]) -> float:
-    """Propagated error of value = prod(base ** exponent): value times the sum
-    of exponent * error / base over the (exponent, base, error) factors, each
-    base floored at 1e-300."""
-    return value * sum(exponent * error / max(base, 1e-300) for exponent, base, error in factors)
-
-
 def _slack(qerr: float, width: float = 0.0, term: float = 0.0) -> float:
     """How far a margin may fall below 0: 10 times the propagated quadrature
     error, plus a constant's bracket width times the term it multiplies."""
     return 10.0 * qerr + width * term
+
+
+def _sides(left: Sequence, right: Sequence, constant: float = 1.0) -> Tuple[float, float, float]:
+    """Both sides of prod(base^e) >= constant prod(base^e), over the (e, base,
+    error) factors of left and right, and the slack of their difference: 10
+    times the errors both sides propagate from their factors' own errors, a
+    side times the sum of e error / base (each base floored at 1e-300), so it
+    scales with the sides under a dilation."""
+    sides = [c * math.prod(base**e for e, base, _ in f) for f, c in ((left, 1.0), (right, constant))]
+    errors = [v * sum(e * err / max(base, 1e-300) for e, base, err in f) for v, f in zip(sides, (left, right))]
+    return sides[0], sides[1], 10.0 * sum(errors)
 
 
 # -- plans: one per field check, taking its verify_* function's arguments
@@ -614,18 +617,11 @@ def _ckn_plan(pair: WeightPair, field: TestField, ckn: CknParams):
     mismatch = abs(bracket - (w_term + phi_term))
     consistent = mismatch <= 10.0 * qerr
 
-    base = max(bracket, 0.0)
-    left = base ** (ckn.delta / p) * max(int_q, 0.0) ** ((1.0 - ckn.delta) / ckn.q)
-    right = max(int_r, 0.0) ** (1.0 / ckn.r)
-    tol_left = _power_error(
-        left,
-        [
-            (ckn.delta / p, base, res["lhs"].error_estimate + res["cp"].error_estimate),
-            ((1.0 - ckn.delta) / ckn.q, int_q, res[name_q].error_estimate),
-        ],
-    )
-    tol_right = _power_error(right, [(1.0 / ckn.r, int_r, res[name_r].error_estimate)])
-    passed = converged and consistent and left >= right - 10.0 * (tol_left + tol_right)
+    e = {name: r.error_estimate for name, r in res.items()}
+    left_b = (ckn.delta / p, max(bracket, 0.0), e["lhs"] + e["cp"])
+    left_q = ((1.0 - ckn.delta) / ckn.q, max(int_q, 0.0), e[name_q])
+    left, right, slack = _sides([left_b, left_q], [(1.0 / ckn.r, max(int_r, 0.0), e[name_r])])
+    passed = converged and consistent and left >= right - slack
     yield CknReport(
         params=ckn,
         lhs=lhs,
@@ -665,31 +661,26 @@ def _hpw_plan(case: str, p: float, field: TestField):
     res = yield None, field, names
     (grad_term, weight_term, mass_term, *_), qerr, converged = _summary(res, names)
     constant = hpw.constant(p, space.Q)
-    left = grad_term ** (1.0 / p) * weight_term ** (1.0 / pp)
-    right = constant * mass_term
-    factors = [
-        (1.0 / p, grad_term, res[grad].error_estimate),
-        (1.0 / pp, weight_term, res[weight].error_estimate),
-    ]
-    tol = 10.0 * (_power_error(left, factors) + constant * res["mass"].error_estimate)
-    passed = converged and left >= right - tol
+    t = {name: (float(r.value), r.error_estimate) for name, r in res.items()}
+    mass, squares = [(1.0, *t["mass"])], [(2.0, *t["mass"])]
+    left, right, slack = _sides([(1.0 / p, *t[grad]), (1.0 / pp, *t[weight])], mass, constant)
+    passed = converged and left >= right - slack
 
     garofalo = classical = None
     if garofalo_p2:
-        g_left = grad_term * weight_term
-        g_right = ((space.Q - 2.0) / 2.0) ** 2 * mass_term**2
-        garofalo = {"left": g_left, "right": g_right, "passed": bool(converged and g_left >= g_right - 10.0 * qerr * (1.0 + g_left + g_right))}
+        q_sq = ((space.Q - 2.0) / 2.0) ** 2
+        g_left, g_right, g_slack = _sides([(1.0, *t[grad]), (1.0, *t[weight])], squares, q_sq)
+        garofalo = {"left": g_left, "right": g_right, "passed": bool(converged and g_left >= g_right - g_slack)}
         passed = passed and garofalo["passed"]
         if track_grad:
-            full_grad = float(res["grad_sq"].value)
-            c_left = full_grad * weight_term
-            c_right = (space.n - 2.0) ** 2 / 4.0 * mass_term**2
+            (full, e_full), n_sq = t["grad_sq"], (space.n - 2.0) ** 2 / 4.0
+            c_left, c_right, c_slack = _sides([(1.0, full, e_full), (1.0, *t[weight])], squares, n_sq)
             classical = {
-                "grad_full": full_grad,
+                "grad_full": full,
                 "left": c_left,
                 "right": c_right,
-                "dominates": bool(full_grad >= grad_term - 10.0 * qerr),
-                "passed": bool(converged and c_left >= c_right - 10.0 * qerr * (1.0 + c_left + c_right)),
+                "dominates": bool(full >= grad_term - 10.0 * (e_full + t[grad][1])),
+                "passed": bool(converged and c_left >= c_right - c_slack),
             }
             passed = passed and classical["passed"] and classical["dominates"]
 

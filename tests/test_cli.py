@@ -415,6 +415,19 @@ def test_cli_import_leaves_scipy_optimize_and_stats_unloaded():
     assert proc.stdout.strip() == "0 []"
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only when a report reads its version
+    code = (
+        "import sys\n"
+        "from grushin_hardy.cli import _versions\n"
+        "loaded, version = 'scipy' in sys.modules, _versions()['scipy']\n"
+        "import scipy\n"
+        "print(loaded, version == scipy.__version__)"
+    )
+    proc = run_python(code, check=True)
+    assert proc.stdout.strip() == "False True"
+
+
 def test_condition_with_an_overflowing_space_prints_one_error_line():
     # gamma = 300 overflows the v formula; in a fresh process, where no
     # warning filter hides them, numpy's RuntimeWarnings must not precede

@@ -1,5 +1,6 @@
 """Verifier operations: identity, remainders, sharpness, CKN, HPW."""
 
+import gc
 import json
 import math
 import pathlib
@@ -203,6 +204,22 @@ def test_sweep_over_different_supports_matches_single_cases():
     assert swept[0].w_term < swept[1].w_term
 
 
+def test_sweep_leaves_no_cyclic_garbage():
+    # a batch's arrays are freed when the integrand returns, by reference
+    # counts alone: nothing the integration builds refers back to itself
+    field = annulus_field(SP)
+    cases = [(make_pair("nch_ball", SP, p, {"R": 4.0}), field) for p in (1.5, 2.0, 3.0)]
+    settings = IntegrationSettings(rel_tol=1e-4)
+    verify_identity_sweep(cases, settings)
+    gc.collect()
+    gc.disable()
+    try:
+        verify_identity_sweep(cases, settings)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_sweep_validation():
     field = annulus_field(SP)
     pair = make_pair("dambrosio_power", SP, 2.0, {"alpha": 0.0, "beta": 0.0})
@@ -288,11 +305,11 @@ def test_polar_terms_match_beta_function_oracle(space):
     betas = (0.0, 0.5, 1.0, 2.0)
     region, lift = verifier._polar_pieces([field])
 
+    plan = verifier._Plan([(None, field, ("mass",))])
+
     def integrand(nodes):
         coords, jac = lift(nodes)
-        b = verifier._Batch(space, coords, [field])
-        r, rho = b.coords
-        mass = b.power("vals", 0, 2.0)
+        (r, _, rho), (mass,) = coords, plan.rows(space, coords)
         return np.array([mass * (r / rho) ** beta for beta in betas]) * jac
 
     settings = IntegrationSettings(rel_tol=1e-12, abs_tol=1e-300)
@@ -378,7 +395,8 @@ def test_radial_kernel_matches_the_nd_path(space):
     pts = np.hstack([r[:, None] * directions(space.m), s[:, None] * directions(space.k)])
     r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
     fields = _kernel_fields(space)
-    b = verifier._Batch(space, (r, s, rho), fields)
+    plan = verifier._Plan([(None, field, ("grad_sq",)) for field in fields])
+    b = verifier._Batch(space, (r, s, rho), plan)
     for slot, field in enumerate(fields):
         vals, grads = field.eval_batch(pts)
         want = (
@@ -411,12 +429,38 @@ def test_closed_form_cp_matches_the_kernel(space, p, pair_id):
     region, lift = verifier._polar_pieces(fields)
     rng = np.random.default_rng(131)
     nodes = np.column_stack([rng.uniform(0.0, region.box[0][1], 2000), rng.uniform(0.0, 1.0, 2000)])
-    b = verifier._Batch(space, lift(nodes)[0], fields)
     pair = make_pair(pair_id, space, p, dict(PAIRS[pair_id].defaults))
+    plan = verifier._Plan([(pair, field, ("cp",)) for field in fields])
+    b = verifier._Batch(space, lift(nodes)[0], plan)
+    (v, w, _, _), rows = b.weights[0], plan.rows(space, lift(nodes)[0])
     for f in range(len(fields)):
-        xi, wf, eta = b.xi_eta(pair, f)
+        xi, wf = v ** (1.0 / p) * b.df[f], w ** (1.0 / p) * b.vals[f]
+        eta = xi + wf
         scale = np.maximum(np.abs(xi) ** p, np.abs(wf) ** p)
-        assert np.all(np.abs(b.term(pair, f, "cp") - cp_value_batch(xi, eta, p)) <= 1e-12 * scale)
+        assert np.all(np.abs(rows[f] - cp_value_batch(xi, eta, p)) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+@pytest.mark.parametrize("pair_id", PAIRS)
+def test_a_family_row_does_not_depend_on_its_listed_siblings(pair_id, p):
+    # cp reuses the lhs and w rows where the case lists them and temporaries
+    # where it does not; every layout writes the same bits
+    fields = _closed_form_fields(SP)
+    region, lift = verifier._polar_pieces(fields)
+    rng = np.random.default_rng(139)
+    nodes = np.column_stack([rng.uniform(0.0, region.box[0][1], 500), rng.uniform(0.0, 1.0, 500)])
+    coords = lift(nodes)[0]
+    pair = make_pair(pair_id, SP, p, dict(PAIRS[pair_id].defaults))
+    layouts = (("cp",), ("cp", "eta_p"), ("lhs",), ("w",), ("lhs", "w"), verifier._IDENTITY)
+    seen = {}
+    for names in layouts:
+        plan = verifier._Plan([(pair, field, names) for field in fields])
+        rows = plan.rows(SP, coords)
+        for f, field in enumerate(fields):
+            for name in set(names) & {"lhs", "w", "cp"}:
+                row = rows[plan.component[id(pair), f, name]]
+                np.testing.assert_array_equal(seen.setdefault((f, name), row), row)
+    assert len(seen) == 3 * len(fields)
 
 
 @pytest.mark.parametrize("p", (1.25, 1.5, 1.75))
@@ -430,11 +474,13 @@ def test_closed_form_g_is_zero_where_the_field_is(p):
     rng = np.random.default_rng(137)
     nodes = np.column_stack([rng.uniform(0.0, region.box[0][1], 4000), rng.uniform(0.0, 1.0, 4000)])
     with np.errstate(all="raise", under="ignore"):
-        b = verifier._Batch(SP, lift(nodes)[0], fields)
+        pair = make_pair("dambrosio_power", SP, p, {"alpha": 0.0, "beta": 0.0})
+        plan = verifier._Plan([(pair, field, ("cp",)) for field in fields])
+        b = verifier._Batch(SP, lift(nodes)[0], plan)
         for f in (0, 1):
             zero = b.vals[f] == 0.0
             assert np.any(zero) and np.any(~zero)
-            g = b.g(f, p)
+            g = b.g[f, p]
             assert np.all(np.isfinite(g))
             assert np.all(g[zero] == 0.0)
             assert np.any(g[~zero] != 0.0)
@@ -488,6 +534,7 @@ def test_polar_identity_terms_match_cartesian_cubature(space):
     field = annulus_field(space)
     settings = IntegrationSettings(rel_tol=1e-8)
     (polar,) = verifier._integrate_cases([(pair, field, verifier._IDENTITY)], settings)
+    plan = verifier._Plan([(pair, field, verifier._IDENTITY)])
 
     def cartesian(pts):
         x, y = pts[:, : space.m], pts[:, space.m :]
@@ -495,8 +542,7 @@ def test_polar_identity_terms_match_cartesian_cubature(space):
         inside = (rho >= 0.5) & (rho <= 2.0) & (r > field.spec.x_floor)
         coords = (r[inside], np.linalg.norm(y[inside], axis=1), rho[inside])
         out = np.zeros((4, pts.shape[0]))
-        b = verifier._Batch(space, coords, [field])
-        out[:, inside] = [b.term(pair, 0, name) for name in verifier._IDENTITY]
+        out[:, inside] = plan.rows(space, coords)
         return out
 
     a = 1.0 + space.gamma
@@ -734,6 +780,27 @@ def test_hpw_is_invariant_under_dilation(p):
         verdicts.append(rep.passed)
     assert verdicts[0] == verdicts[1]
     assert abs(ratios[0] - ratios[1]) <= errors[0] + errors[1]
+
+
+def test_hpw_product_slack_does_not_grow_with_a_dilation():
+    # the Garofalo check's slack, relative to its left side, is the same for
+    # a bump field and the same field dilated by 1e2
+    space = SpaceParams(1, 1, 0.0)
+    relative = []
+    for lo, hi in ((0.5, 2.0), (50.0, 200.0)):
+        field = build_test_field(space, TestFieldSpec("bump_radial", inner_rho=lo, outer_rho=hi))
+        plan = verifier._hpw_plan("whole_dambrosio", 2.0, field)
+        case = next(plan)
+        (res,) = verifier._integrate_cases([case], None)
+        rep = plan.send(res)
+        term = {name: (float(r.value), r.error_estimate) for name, r in res.items()}
+        grad, weight = case[2][:2]
+        squares, constant = [(2.0, *term["mass"])], ((space.Q - 2.0) / 2.0) ** 2
+        left, right, slack = verifier._sides([(1.0, *term[grad]), (1.0, *term[weight])], squares, constant)
+        assert (left, right) == (rep.garofalo["left"], rep.garofalo["right"])
+        assert rep.passed and rep.garofalo["passed"]
+        relative.append(slack / left)
+    assert 0.5 <= relative[0] / relative[1] <= 2.0
 
 
 def test_hpw_validation():
