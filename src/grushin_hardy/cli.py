@@ -228,10 +228,9 @@ def divergence_check(space: SpaceParams, samples: int, seed: int) -> Dict[str, o
 
 def condition_check(pair, samples: int, seed: int) -> Dict[str, object]:
     rep = condition_report(pair, samples=samples, seed=seed)
-    phi_ok = pair.allow_negative_phi or rep["min_phi"] >= -1e-9
     out: Dict[str, object] = dict(rep)
     out["samples"] = samples
-    out["passed"] = bool(phi_ok and rep["max_abs_mismatch"] <= 1e-6)
+    out["passed"] = bool(rep["min_phi"] >= -1e-9 and rep["max_abs_mismatch"] <= 1e-6)
     return out
 
 

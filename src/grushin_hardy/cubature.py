@@ -1,17 +1,18 @@
 """Deterministic adaptive cubature over boxes in up to three dimensions.
 
-Cells are refined largest-error-first with the embedded error estimate of
-a tensor Gauss-Kronrod 7/15 rule. A cell is halved on the axis whose own
-Kronrod-minus-Gauss difference is largest (the same nodes, so the choice
-costs no evaluation): a kink or edge singularity along one axis is refined
-only across it. A region may cut its box on axis 0 into pieces; every
-piece starts as one cell, and all cells are refined together against one
-global tolerance, so a kink on a cut needs no refinement.
+Cells are refined worst-first by the embedded error estimate of a tensor
+Gauss-Kronrod 7/15 rule over each component's own tolerance. A cell is
+halved on the axis whose own Kronrod-minus-Gauss difference is largest
+(the same nodes, so the choice costs no evaluation): a kink or edge
+singularity along one axis is refined only across it. A region may cut
+its box on axis 0 into pieces; every piece starts as one cell, and all
+cells are refined together against one global tolerance, so a kink on a
+cut needs no refinement.
 Cell i is row i of one set of numpy arrays that double when full; these
 arrays are the only refinement state. Each round sums the live rows in id
 order, for the stop test and the result alike, so results are bit-identical
 across runs, and picks its worst live cells by a stable sort of their
-errors; the batch is split by array indexing and evaluated in one call.
+scores; the batch is split by array indexing and evaluated in one call.
 
 Integrands are batch callables mapping an (N, n) coordinate array to (N,)
 real or complex values. A non-finite value stops the integration with a
@@ -242,13 +243,15 @@ def integrate_vector(
         # history
         live_errs = errs[live]
         total, error = vals[live].sum(axis=0), live_errs.sum(axis=0)
-        met = error <= np.maximum(settings.abs_tol, settings.rel_tol * np.abs(total))
+        tol = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(total))
+        met = error <= tol
         if met.all():
             break
-        # worst error first, ties by smaller id; split together only cells
-        # within 4x of the worst error, since splitting negligible cells
-        # alongside one hot cell would waste most of the evaluation budget
-        score = live_errs.max(axis=1)
+        # worst err/tol first, so a large term cannot steer while a small one
+        # waits, ties by smaller id; split together only cells within 4x of
+        # the worst, since splitting negligible cells alongside one hot cell
+        # would waste most of the evaluation budget
+        score = (live_errs / tol).max(axis=1)
         order = np.argsort(-score, kind="stable")[:batch_cap]
         batch = live[order[score[order] >= 0.25 * score[order[0]]]]
         # a refused batch stays alive: its cells are still part of the mesh

@@ -26,7 +26,6 @@ integral never passes.
 
 import math
 from dataclasses import asdict, dataclass
-from types import SimpleNamespace
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +37,7 @@ from .fields import ExtremalField, TestField, build_extremal_field
 from .fields import radial_derivative_batch  # unused here; perfbench/tracer.py rebinds it
 from .geometry import SpaceParams
 from .geometry import radial_coords  # unused here; perfbench/tracer.py rebinds it
-from .weights import HPW_PAIRS, PAIRS, WEIGHTS, WeightPair, eval_monomials, log_features
+from .weights import HPW_PAIRS, PAIRS, WEIGHTS, WeightPair, eval_monomials, hpw_pair, log_features
 
 __all__ = [
     "IdentityReport",
@@ -58,11 +57,8 @@ __all__ = [
     "sharpness_probe",
     "verify_ckn",
     "verify_hpw",
-    "HPW_CASES",
     "FIELD_CHECKS",
 ]
-
-HPW_CASES = tuple(HPW_PAIRS)
 
 # the identity passes when |residual| <= max(10 quadrature errors, this * lhs)
 _IDENTITY_REL_TOL = 1e-6
@@ -294,8 +290,8 @@ class _Batch:
     of degree 1 under the dilations, so Df = (r/rho)^gamma (r f_r + rho f_rho)/rho.
     power[slot, p] is (|f|^p, |Df|^p) and g[slot, p] is G = |f|^(p-2)
     Re(conj(f) Df) = |f|^p Re(Df/f), 0 where f is, for every (slot, p) that
-    a pair reads. weights[i] is plan block i on the nodes (a pair's v, w, phi
-    and h = v^(1/p) w^((p-1)/p), or a display's rows): one eval_monomials per R.
+    a pair reads. weights[i] is plan block i on the nodes, a pair's v, w, phi
+    and h = v^(1/p) w^((p-1)/p): one eval_monomials per R.
     """
 
     def __init__(self, space: SpaceParams, coords, plan: "_Plan"):
@@ -362,15 +358,12 @@ def _eta_rows(b: _Batch, eta_p, mixed, min_form, f: int, p: float, block: int) -
 # identity's rows share v, w, phi, h, |f|^p, |Df|^p and G, and C_p(xi, eta) =
 # v|Df|^p + (p-1) w|f|^p + p h G (see cp.py) reuses lhs and w; the remainder
 # rows share xi = v^(1/p) Df, xi - eta = -w^(1/p) f and eta. A name with
-# parameters is (name, *params); a display (HPW, no pair) carries its rows and R.
+# parameters is (name, *params).
 _TERMS: Dict[Tuple[str, ...], Callable[..., object]] = {
     ("lhs", "w", "cp", "phi"): _identity_rows,
     ("eta_p", "mixed", "min"): _eta_rows,
     ("w^e|f|^q",): lambda b, row, f, p, block, e, q: np.multiply(
         b.weights[block][1] ** e, np.abs(b.vals[f]) ** q, out=row
-    ),
-    ("display",): lambda b, row, f, p, block, _, __, i, kind, q: np.multiply(
-        b.weights[block][i], np.abs(getattr(b, kind)[f]) ** q, out=row
     ),
     ("mass",): lambda b, row, f, p, block: np.power(np.abs(b.vals[f]), 2, out=row),
     ("grad_sq",): lambda b, row, f, p, block: np.copyto(row, b.grad_sq(f)),
@@ -385,7 +378,7 @@ class _Plan:
     cases (see _integrate_cases): the row of each component, keyed by
     (id(pair), field slot, name); the steps, one writer call per (pair, field,
     _TERMS family, params); the (slot, p) that pairs read; and per distinct R
-    the monomial rows of every pair and display, whose places are blocks.
+    the monomial rows of every pair, whose places are blocks.
     """
 
     def __init__(self, cases: Sequence[tuple]):
@@ -404,18 +397,15 @@ class _Plan:
                     step[1][family.index(term)] = self.component[key]
 
         groups: Dict[Optional[float], list] = {}  # R -> its monomial rows
-        blocks: Dict[object, int] = {}  # id(pair) or a display's (rows, R) -> its block
+        blocks: Dict[int, int] = {}  # id(pair) -> its block; a pairless row reads none
         self.blocks, self.steps = [], []
-        for (_, f, family, params), (pair, rows) in steps.items():
-            source = None  # a pairless row other than a display reads no monomials
-            if pair is not None or family == ("display",):
-                source, R = (id(pair), pair.radius) if pair is not None else (params[:2], params[1])
-                if source not in blocks:
-                    group = groups.setdefault(R, [])
-                    start = sum(map(len, group))
-                    group.append(pair.monomials if pair is not None else np.array(params[0]))
-                    blocks[source] = len(self.blocks)
-                    self.blocks.append((list(groups).index(R), slice(start, start + len(group[-1]))))
+        for (source, f, family, params), (pair, rows) in steps.items():
+            if pair is not None and source not in blocks:
+                group = groups.setdefault(pair.radius, [])
+                start = sum(map(len, group))
+                group.append(pair.monomials)
+                blocks[source] = len(self.blocks)
+                self.blocks.append((list(groups).index(pair.radius), slice(start, start + len(group[-1]))))
             self.steps.append((_TERMS[family], rows, f, pair and pair.p, blocks.get(source), params))
         self.powers = tuple({(f, p): None for _, _, f, p, _, _ in self.steps if p is not None})
         self.groups = [(R, np.concatenate(rows)) for R, rows in groups.items()]
@@ -642,7 +632,7 @@ def _ckn_plan(pair: WeightPair, field: TestField, ckn: CknParams):
 def _hpw_plan(case: str, p: float, field: TestField):
     pair_id = HPW_PAIRS.get(case)
     if pair_id is None:
-        raise ValueError(f"case must be one of {HPW_CASES}")
+        raise ValueError(f"case must be one of {tuple(HPW_PAIRS)}")
     spec = PAIRS[pair_id]
     if p <= 1.0:
         raise ValueError("p must be > 1")
@@ -650,17 +640,15 @@ def _hpw_plan(case: str, p: float, field: TestField):
         raise ValueError(f"{case} needs a field built with finite R")
     if field.space.gamma > 0.0 and not field.spec.x_floor > 0.0:
         _refuse(field, pair_id, "gamma > 0 weights are singular on {x=0}; use x_floor > 0")
-    hpw, space, gamma = spec.hpw, field.space, field.space.gamma
-    pp = p / (p - 1.0)
-    rows = hpw.weights(SimpleNamespace(g=gamma, p=p, a=pp))
-    R = field.spec.R if "R" in spec.params else None
-    garofalo_p2 = hpw.garofalo and p == 2.0
-    track_grad = garofalo_p2 and gamma == 0.0
-    grad, weight = ("display", rows, R, 0, "df", p), ("display", rows, R, 1, "vals", pp)
+    space, pp = field.space, p / (p - 1.0)
+    pair = hpw_pair(case, space, p, field.spec.R)
+    garofalo_p2 = spec.hpw.garofalo and p == 2.0
+    track_grad = garofalo_p2 and space.gamma == 0.0
+    grad, weight = "lhs", ("w^e|f|^q", -1.0 / (p - 1.0), pp)
     names = (grad, weight, "mass") + (("grad_sq",) if track_grad else ())
-    res = yield None, field, names
+    res = yield pair, field, names
     (grad_term, weight_term, mass_term, *_), qerr, converged = _summary(res, names)
-    constant = hpw.constant(p, space.Q)
+    constant = pair.kappa
     t = {name: (float(r.value), r.error_estimate) for name, r in res.items()}
     mass, squares = [(1.0, *t["mass"])], [(2.0, *t["mass"])]
     left, right, slack = _sides([(1.0 / p, *t[grad]), (1.0 / pp, *t[weight])], mass, constant)
@@ -868,16 +856,18 @@ def verify_hpw(
 ) -> HpwReport:
     """Check one of the three uncertainty-product displays.
 
-    The right side is the printed constant (p-1)/p, (Q-p)/p or (p+1)/p times
-    int |f|^2. Its weights take a = p' (see HpwSpec), which balances the
-    display under the Grushin dilation at every p; at p = 2, the acceptance
-    suite's case, p' = p p'/2. For whole_dambrosio at p = 2 the squared
+    Each is its pair's CKN instance at the pair's display point (see
+    weights.hpw_pair), (int v|Df|^p)^(1/p) (int w0^(-1/(p-1)) |f|^p')^(1/p')
+    >= |kappa| int |f|^2 with p' = p/(p-1): ball_nch is nch_ball at the
+    field's R, whole_dambrosio is dambrosio_power at alpha = p(1+gamma) and
+    beta = gamma p, and log_ball is log_ball at alpha = p and the field's R,
+    so |kappa| is (p-1)/p, |Q-p|/p or (p+1)/p. The display balances under
+    the Grushin dilation at every p. For whole_dambrosio at p = 2 the squared
     (Garofalo-type) product is checked too, and at gamma = 0 also the
     classical gradient form it dominates.
 
-    The display reads only p, p' = p/(p-1), Q and the field's R (the case's
-    HpwSpec.weights and constant). The parameters of the pair it belongs to,
-    dambrosio_power's alpha and beta or log_ball's alpha, do not enter it,
-    although the CLI's report echoes them with the run's pair.
+    The point reads only gamma, p and the field's R, so the parameters of
+    the CLI run's own pair, dambrosio_power's alpha and beta or log_ball's
+    alpha, do not enter it, although the CLI's report echoes them.
     """
     return verify_checks([("hpw", (case, p, field))], settings)[0]

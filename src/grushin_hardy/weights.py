@@ -17,9 +17,9 @@ term with w0's exponents, and the rest, phi, is one monomial or exactly 0.
 phi_numeric cross-checks phi by finite differences.
 
 Everything known about a pair is its entry in PAIRS: parameters, validity
-rules, v and w0, and the uncertainty display that verifier.verify_hpw
-checks, if the pair has one. The extremal that fields.ExtremalField builds
-is derived too, from the term that kappa cancels (WeightPair.kappa_term).
+rules, v and w0, and its uncertainty display's point (see hpw_pair), if it
+has one. The extremal that fields.ExtremalField builds is derived too, from
+the term that kappa cancels (WeightPair.kappa_term).
 """
 
 from dataclasses import dataclass, field
@@ -46,6 +46,7 @@ __all__ = [
     "eval_monomials",
     "log_features",
     "make_pair",
+    "hpw_pair",
     "phi_numeric",
     "rejection_sample",
     "condition_report",
@@ -64,16 +65,12 @@ _SHIFTS = ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (-1.0, 0.0, -1.0))
 
 @dataclass(frozen=True)
 class HpwSpec:
-    """An uncertainty-product display, checked by verifier.verify_hpw.
-
-    weights(k) declares the monomials (see Monomial) that weigh its gradient
-    integrand |Df|^p and its weight integrand |f|^p', with k holding g = gamma,
-    p and a = p'; constant(p, Q) is the printed constant.
-    """
+    """An uncertainty-product display, checked by verifier.verify_hpw: the CKN
+    instance of its pair (see hpw_pair) at point(k), the pair's parameters at
+    the display, with k holding g = gamma, p and the field's R."""
 
     case: str
-    constant: Callable[[float, float], float]
-    weights: Callable[[SimpleNamespace], Tuple[Tuple[float, ...], Tuple[float, ...]]]
+    point: Callable[[SimpleNamespace], Dict[str, float]]
     garofalo: bool = False  # at p = 2 also the squared (Garofalo-type) product
 
 
@@ -126,11 +123,7 @@ PAIRS: Dict[str, PairSpec] = {
         rules=(_R_POSITIVE,),
         v=lambda k: (1.0, 0.0, 0.0, 0.0, 0.0),
         w=lambda k: (1.0, k.g * k.p, 0.0, -k.p, 0.0),
-        hpw=HpwSpec(
-            "ball_nch",
-            lambda p, Q: (p - 1.0) / p,
-            lambda k: ((1.0, 0.0, 0.0, 0.0, 0.0), (1.0, -k.g * k.a, 0.0, k.a, 0.0)),
-        ),
+        hpw=HpwSpec("ball_nch", lambda k: {"R": k.R}),
     ),
     "dambrosio_power": PairSpec(
         params=("alpha", "beta"),
@@ -141,8 +134,7 @@ PAIRS: Dict[str, PairSpec] = {
         w=lambda k: (1.0, k.beta, k.beta - k.alpha, 0.0, 0.0),
         hpw=HpwSpec(
             "whole_dambrosio",
-            lambda p, Q: (Q - p) / p,
-            lambda k: ((1.0, 0.0, 0.0, 0.0, 0.0), (1.0, -k.g * k.a, k.a, 0.0, 0.0)),
+            lambda k: {"alpha": k.p * (1.0 + k.g), "beta": k.g * k.p},
             garofalo=True,
         ),
     ),
@@ -159,11 +151,7 @@ PAIRS: Dict[str, PairSpec] = {
         rules=(_R_POSITIVE, (lambda k: k.alpha + 1 < 0, "requires alpha + 1 < 0")),
         v=lambda k: (1.0, 0.0, 0.0, 0.0, k.alpha + k.p),
         w=lambda k: (1.0, k.g * k.p, -k.p, 0.0, k.alpha),
-        hpw=HpwSpec(
-            "log_ball",
-            lambda p, Q: (p + 1.0) / p,
-            lambda k: ((1.0, 0.0, 0.0, 0.0, 2.0 * k.p), (1.0, -k.g * k.a, k.a, 0.0, -k.a)),
-        ),
+        hpw=HpwSpec("log_ball", lambda k: {"alpha": k.p, "R": k.R}),
     ),
 }
 
@@ -189,7 +177,6 @@ class WeightPair:
     kappa_term: int  # _expand's term j that kappa cancels; it fixes the extremal's base
     x_singular: bool  # singular on {x=0}: gamma > 0, or v or w has a negative |x| exponent
     monomials: np.ndarray = field(compare=False)  # the WEIGHTS as (4, 5) rows (c, e1, ..., e4)
-    allow_negative_phi: bool = False
 
     @property
     def spec(self) -> PairSpec:
@@ -302,8 +289,24 @@ def make_pair(
         kappa_term=j,
         x_singular=space.gamma > 0 or min(v[1], w[1]) < 0,
         monomials=np.array(rows),
-        allow_negative_phi=allow_negative_phi,
     )
+
+
+def hpw_pair(case: str, space: SpaceParams, p: float, R: float) -> WeightPair:
+    """The pair of uncertainty display case at its HpwSpec.point, given the
+    field's R, with rows (v, w0, 0, 0) and kappa = |kappa| (see
+    verifier.verify_hpw). The display reads only v, w0 and |kappa|, so no
+    rule of the pair is checked: log_ball's point alpha = p breaks
+    alpha + 1 < 0, and its kappa is -(p+1)/p."""
+    pair_id = HPW_PAIRS[case]
+    spec = PAIRS[pair_id]
+    params = spec.hpw.point(SimpleNamespace(g=space.gamma, p=p, R=R))
+    k = SimpleNamespace(g=space.gamma, p=p, Q=space.Q, **params)
+    v, w0 = spec.v(k), spec.w(k)
+    kappa, j, _, _ = _expand(v, w0, k)
+    x_singular = space.gamma > 0 or min(v[1], w0[1]) < 0
+    rows = np.array((v, w0, (0.0,) * 5, (0.0,) * 5))
+    return WeightPair(pair_id, space, p, params, abs(kappa), j, x_singular, rows)
 
 
 def phi_numeric(pair: WeightPair, pts: np.ndarray, step: np.ndarray) -> np.ndarray:

@@ -362,6 +362,15 @@ def hand_hpw_weights(case, r, rho, gamma, p, R):
     return log_dist ** (2.0 * p), rho**a * ratio * log_dist ** (-a)
 
 
+# case -> (p, Q) -> the constant of an uncertainty display, as printed, with
+# whole_dambrosio's (Q-p)/p taken in absolute value where Q < p
+HAND_HPW_CONSTANT = {
+    "ball_nch": lambda p, Q: (p - 1.0) / p,
+    "whole_dambrosio": lambda p, Q: abs(Q - p) / p,
+    "log_ball": lambda p, Q: (p + 1.0) / p,
+}
+
+
 def hand_x_singular(pair):
     """The singular-set rule of the hand-typed catalog: gamma > 0, or a
     negative |x| exponent of v or w."""

@@ -14,6 +14,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from grushin_hardy import cli, verifier
+from grushin_hardy.geometry import SpaceParams
+from grushin_hardy.weights import make_pair
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "constants.json").read_text())
 
@@ -786,3 +788,13 @@ def test_condition_command(capsys):
     rec = json.loads(out)
     assert rec["min_phi"] >= -1e-9
     assert rec["max_abs_mismatch"] <= 1e-6
+
+
+def test_condition_fails_a_pair_with_negative_phi():
+    # at Q = 2 < p = 3 log_ball's phi is negative; allow_negative_phi builds
+    # the pair for the identity, but the condition must still fail on it
+    flat = SpaceParams(1, 1, 0.0)
+    pair = make_pair("log_ball", flat, 3.0, {"alpha": -3.0, "R": 4.0}, allow_negative_phi=True)
+    rec = cli.condition_check(pair, samples=200, seed=0)
+    assert rec["min_phi"] < 0 and rec["max_abs_mismatch"] <= 1e-6
+    assert not rec["passed"]

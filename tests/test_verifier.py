@@ -760,11 +760,12 @@ def test_hpw_classical_gamma_zero():
     assert rep.left >= rep.right
 
 
-@pytest.mark.parametrize("p", (1.25, 1.5))
+@pytest.mark.parametrize("p", (1.25, 1.5, 3.0))
 def test_hpw_is_invariant_under_dilation(p):
     # a = p' balances the display under the Grushin dilation at every p: a
     # bump field and the same field dilated by 1e2 give one verdict and one
-    # left/right ratio, within the error that the converged terms propagate
+    # left/right ratio, within the error that the converged terms propagate;
+    # at p = 3 > Q = 2 the constant is |Q-p|/p, not the negative (Q-p)/p
     space, settings = SpaceParams(1, 1, 0.0), IntegrationSettings()
     pp = p / (p - 1.0)
     ratios, errors, verdicts = [], [], []
@@ -772,6 +773,7 @@ def test_hpw_is_invariant_under_dilation(p):
         field = build_test_field(space, TestFieldSpec("bump_radial", inner_rho=lo, outer_rho=hi))
         rep = verify_hpw("whole_dambrosio", p, field, settings)
         assert rep.converged
+        assert rep.constant == pytest.approx(abs(space.Q - p) / p, rel=1e-15)
         # a converged term's error is at most max(abs_tol, rel_tol |value|)
         terms = (rep.grad_term, rep.weight_term, rep.mass_term)
         rel = [max(settings.abs_tol / t, settings.rel_tol) for t in terms]
@@ -780,6 +782,22 @@ def test_hpw_is_invariant_under_dilation(p):
         verdicts.append(rep.passed)
     assert verdicts[0] == verdicts[1]
     assert abs(ratios[0] - ratios[1]) <= errors[0] + errors[1]
+
+
+@pytest.mark.parametrize("scale", (1.0, 10.0, 100.0))
+def test_hpw_on_a_dilated_field_converges_within_a_small_budget(scale):
+    # a 10x dilation multiplies the weight term by 1e9 and the gradient and
+    # mass terms by about 1e3 and 1e4; cells ranked by absolute error served
+    # the weight term, and the gradient term stopped at err/tol 1.8 and 2.0
+    # at scales 10 and 100
+    space = SpaceParams(2, 1, 1.0)
+    spec = TestFieldSpec(
+        "bump_radial_x_cutoff", inner_rho=0.5 * scale, outer_rho=2.0 * scale, x_floor=0.125 * scale
+    )
+    field = build_test_field(space, spec)
+    rep = verify_hpw("whole_dambrosio", 1.25, field, IntegrationSettings(max_evals=400_000))
+    assert rep.converged and rep.passed
+    assert rep.left / rep.right == pytest.approx(4.062159, rel=1e-6)
 
 
 def test_hpw_product_slack_does_not_grow_with_a_dilation():

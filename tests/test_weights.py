@@ -1,7 +1,5 @@
 """Weight-pair catalog: validation, closed forms, and the defect condition."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -15,6 +13,7 @@ from grushin_hardy.weights import (
     WEIGHTS,
     condition_report,
     eval_monomials,
+    hpw_pair,
     log_features,
     make_pair,
     phi_numeric,
@@ -87,7 +86,7 @@ def test_log_ball_subcritical_flag():
     with pytest.raises(ValueError, match="log_ball: phi < 0 here"):
         make_pair("log_ball", flat, 3.0, {"alpha": -3.0, "R": 4.0})
     pair = make_pair("log_ball", flat, 3.0, {"alpha": -3.0, "R": 4.0}, allow_negative_phi=True)
-    assert pair.allow_negative_phi
+    assert pair.monomials[WEIGHTS.index("phi"), 0] < 0
     assert pair.phi_batch(np.array([[1.0, 0.5]]))[0] < 0
 
 
@@ -305,19 +304,22 @@ def test_derived_extremal_matches_the_hand_entries(pair_id, space, p, negative, 
 
 
 @pytest.mark.parametrize("space", DECLARED_SPACES, ids=str)
-@pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
+@pytest.mark.parametrize("p", (1.25, 1.5, 2.0, 3.0))
 @pytest.mark.parametrize("case", sorted(HPW_PAIRS))
 def test_declared_hpw_weights_match_the_hand_formulas(space, p, case):
-    spec = PAIRS[HPW_PAIRS[case]]
-    R = spec.defaults.get("R")
-    scale = R or 2.0
+    # the display rows that hpw_pair derives at its point, v and
+    # w0^(-1/(p-1)), and |kappa|, against the hand-typed displays
+    R = PAIRS[HPW_PAIRS[case]].defaults.get("R", np.inf)
+    scale = R if np.isfinite(R) else 2.0
     pts = sample_points(space, np.random.default_rng(29), 400, 0.05 * scale, 0.95 * scale, 0.01)
     r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
-    k = SimpleNamespace(g=space.gamma, p=p, a=p / (p - 1.0))
-    got = eval_monomials(np.array(spec.hpw.weights(k)), log_features(r, rho, R))
+    pair = hpw_pair(case, space, p, R)
+    v, w0 = eval_monomials(pair.monomials[:2], log_features(r, rho, pair.radius))
     want = oracles.hand_hpw_weights(case, r, rho, space.gamma, p, R)
-    for g, w in zip(got, want):
+    for g, w in zip((v, w0 ** (-1.0 / (p - 1.0))), want):
         assert np.all(np.abs(g - w) <= 1e-13 * np.abs(w))
+    constant = oracles.HAND_HPW_CONSTANT[case](p, space.Q)
+    assert abs(pair.kappa - constant) <= 1e-13 * constant
 
 
 def random_pair_draw(rng):
