@@ -15,7 +15,9 @@ across runs, and picks its worst live cells by a stable sort of their
 scores; the batch is split by array indexing and evaluated in one call.
 
 Integrands are batch callables mapping an (N, n) coordinate array to (N,)
-real or complex values. A non-finite value stops the integration with a
+real or complex values. The nodes come cell by cell, each cell's 15^n in
+axis-0-major order, so that they come in runs of 15^(n-1) that share their
+axis-0 coordinate. A non-finite value stops the integration with a
 ValueError that names the component and the node.
 """
 
@@ -266,12 +268,8 @@ def integrate_vector(
         cs[idx, ax] += np.tile([-1.0, 1.0], len(batch)) * hs[idx, ax]
         push(cs, hs)
 
+    evals = n_cells * rule.points_per_cell
     return [
-        IntegralResult(
-            value=val.real if val.imag == 0.0 else val,
-            error_estimate=float(err),
-            evals=n_cells * rule.points_per_cell,
-            converged=bool(ok),
-        )
-        for val, err, ok in zip(total, error, met)
+        IntegralResult(val.real if val.imag == 0.0 else val, err, evals, ok)
+        for val, err, ok in zip(total.tolist(), error.tolist(), met.tolist())
     ]

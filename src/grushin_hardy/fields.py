@@ -61,10 +61,9 @@ def smoothstep5(u: np.ndarray) -> np.ndarray:
 
 
 def smoothstep5_prime(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    inside = (u > 0.0) & (u < 1.0)
-    d = np.where(inside, 30.0 * u * u * (1.0 - u) ** 2, 0.0)
-    return d
+    """30u^2 (1-u)^2 on (0, 1), which is exactly 0 at the clipped ends."""
+    c = np.clip(u, 0.0, 1.0)
+    return 30.0 * c * c * (1.0 - c) ** 2
 
 
 def _window(t: np.ndarray, lo: float, hi: float, band: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -133,21 +132,18 @@ class TestField:
         self, r: np.ndarray, rho: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """f and its partials f_r = df/d|x| and f_rho = df/drho on arrays of
-        |x| and rho; real for a field without a phase, complex with one, and
-        exact zeros outside the support."""
+        |x| and rho that broadcast, such as (M, K) and (M, 1): the window and
+        phase are evaluated on rho's shape, the |x| cutoff on r's. Real for a
+        field without a phase, complex with one, and exact zeros outside the
+        support."""
         spec = self.spec
         inside = (rho >= spec.inner_rho) & (rho <= spec.outer_rho)
-        if not inside.all():
-            parts = self.eval_radial(r[inside], rho[inside])
-            out = tuple(np.zeros(rho.shape, dtype=part.dtype) for part in parts)
-            for full, part in zip(out, parts):
-                full[inside] = part
-            return out
-        amp, d_amp = self._amplitude(rho)
+        amp, d_amp = np.zeros(rho.shape), np.zeros(rho.shape)
+        amp[inside], d_amp[inside] = self._amplitude(rho[inside])
         if spec.x_floor > 0.0:
             u = r / spec.x_floor - 1.0
             cut = smoothstep5(u)
-            f, f_r, f_rho = amp * cut, amp * smoothstep5_prime(u) / spec.x_floor, d_amp * cut
+            f, f_r, f_rho = amp * cut, amp / spec.x_floor * smoothstep5_prime(u), d_amp * cut
         else:
             f, f_r, f_rho = amp, np.zeros_like(amp), d_amp
         if spec.phase_kappa != 0.0:

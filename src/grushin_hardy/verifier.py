@@ -12,12 +12,14 @@ node is mapped to its (|x|, |y|, rho), on which fields and weights evaluate
 in closed form.
 
 Conventions: Df is the radial derivative, xi = v^(1/p) Df and
-eta = xi + w^(1/p) f, so xi - eta = -w^(1/p) f and every integrand is
-assembled pointwise from (f, Df, v, w, phi); C_p(xi, eta) comes in closed
-form from the identity's own rows (see _TERMS). The pieces cover only the
-fields' support, away from {x=0} wherever a weight is singular there, so
-every weight is finite at every node, and a term is an exact 0 wherever its
-field vanishes.
+eta = xi + w^(1/p) f, so xi - eta = -w^(1/p) f. Every weight is a monomial,
+so every term but C_p's G part and the products (see _TERMS) is a monomial
+c weight^e |f|^q |Df|^q' jac, one row of an exponent table on the log
+features (see _Plan); C_p(xi, eta) comes in closed form from the identity's
+own rows. Every factor of rho alone is evaluated once per axis-0 node. The
+pieces cover only the fields' support, away from {x=0} wherever a weight is
+singular there, so every weight is finite at every node, and a term is an
+exact 0 wherever its field vanishes.
 
 A report's `passed` is the stated tolerance check and additionally
 requires the underlying quadrature to have converged; a non-converged
@@ -26,6 +28,8 @@ integral never passes.
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +41,7 @@ from .fields import ExtremalField, TestField, build_extremal_field
 from .fields import radial_derivative_batch  # unused here; perfbench/tracer.py rebinds it
 from .geometry import SpaceParams
 from .geometry import radial_coords  # unused here; perfbench/tracer.py rebinds it
-from .weights import HPW_PAIRS, PAIRS, WEIGHTS, WeightPair, eval_monomials, hpw_pair, log_features
+from .weights import HPW_PAIRS, PAIRS, WEIGHTS, WeightPair, hpw_pair, log_features
 
 __all__ = [
     "IdentityReport",
@@ -236,8 +240,11 @@ def _polar_pieces(fields: Sequence[TestField]):
     in t; so every kink lies on a cell edge and |x| < x_floor is never
     sampled. Two square-root edges are graded away: from the apex of a kink
     curve rho takes tau^2 for tau, and with x_floor = 0 psi runs up to pi/2
-    as (pi/2)(1 - (1-t)^a). lift gives the nodes' (r, s, rho), where
-    r = |x| and s = |y|, and their Jacobians.
+    as (pi/2)(1 - (1-t)^a). lift takes nodes (M, K, 2) that share their tau
+    along K, or flat (N, 2) nodes as K = 1, and gives their (r, s, rho,
+    log(r/rho)), where r = |x| and s = |y|, and the log of their Jacobian,
+    in logs: log(r/rho) = log(cos psi)/a. rho and every factor of rho alone
+    are evaluated on (M, 1), the rest on (M, K).
     """
     space = fields[0].space
     m, a = space.m, 1.0 + space.gamma
@@ -259,86 +266,75 @@ def _polar_pieces(fields: Sequence[TestField]):
         pieces.append((rho0, rho1, rho_grade, 2.0 * x_floor, x_floor, 1.0))
     rho0, rho1, rho_grade, r_out, r_in, grade = (np.array(col) for col in zip(*pieces))
     spheres = math.prod(2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0) for d in (m, space.k))
+    log_span, log_const = np.log(rho1 / rho0), math.log(spheres / a**space.k)
 
     def lift(nodes: np.ndarray) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
-        i = np.clip(np.floor(nodes[:, 0]).astype(int), 0, len(pieces) - 1)
-        tau, t = nodes[:, 0] - i, nodes[:, 1]
-        log_ratio = np.log(rho1[i] / rho0[i])
-        rho = rho0[i] * np.exp(log_ratio * tau ** rho_grade[i])
-        d_rho = rho * log_ratio * rho_grade[i] * tau ** (rho_grade[i] - 1.0)
+        grid = nodes.reshape(nodes.shape[0], -1, 2)
+        i = np.minimum(grid[:, :1, 0].astype(int), len(pieces) - 1)  # the nodes lie in [0, pieces]
+        tau, t, span, rg, g = grid[:, :1, 0] - i, grid[:, :, 1], log_span[i], rho_grade[i], grade[i]
+        rho = rho0[i] * np.exp(span * tau**rg)
         cos_hi = np.minimum(1.0, (r_in[i] / rho) ** a)
         sin_hi = np.sqrt(1.0 - cos_hi**2)
         width = np.arccos(cos_hi) - np.arccos(np.minimum(1.0, (r_out[i] / rho) ** a))
+        # log of spheres rho^(Q-1)/a^k drho/dtau dpsi/dt, less (1-t)^(g-1)
+        d_rho = rho * span * rg * tau ** (rg - 1.0)
+        log_side = (space.Q - 1.0) * np.log(rho) + np.log(d_rho * width * g)
         # psi = psi_hi - delta, expanded so that cos(psi) keeps its relative
         # precision where it vanishes on the y axis
-        delta = width * (1.0 - t) ** grade[i]
-        d_psi = width * grade[i] * (1.0 - t) ** (grade[i] - 1.0)
-        cos = cos_hi * np.cos(delta) + sin_hi * np.sin(delta)
-        sin = sin_hi * np.cos(delta) - cos_hi * np.sin(delta)
+        log_rest = np.log1p(-t)
+        delta = width * np.exp(g * log_rest)
+        cos_d, sin_d = np.cos(delta), np.sin(delta)
+        cos, sin = cos_hi * cos_d + sin_hi * sin_d, sin_hi * cos_d - cos_hi * sin_d
+        log_cos = np.log(cos)
         r, s = rho * cos ** (1.0 / a), rho**a * sin / a
-        jac = r ** (m - 1) * s ** (space.k - 1) * (rho**a / a) * cos ** (1.0 / a - 1.0)
-        return (r, s, rho), spheres * jac * d_rho * d_psi
+        # r^(m-1) s^(k-1) (rho^a/a) cos^(1/a-1) in logs, with the rho factors above
+        log_jac = (m / a - 1.0) * log_cos + (space.k - 1) * np.log(sin) + (g - 1.0) * log_rest
+        log_jac += log_const + log_side
+        return (r, s, rho, log_cos / a), log_jac
 
     return Region(box=((0.0, len(pieces)), (0.0, 1.0)), cuts=tuple(range(1, len(pieces)))), lift
 
 
-class _Batch:
-    """What every field integrand shares on one batch, computed eagerly from the plan.
+# log 0, where |f| or |Df| is 0: q * _LOG_ZERO exponentiates to an exact 0
+# for q > 0 and 0 * _LOG_ZERO to 1, where -inf would give 0 * -inf = nan
+_LOG_ZERO = -1e300
+_AXIS_NODES = 15  # integrate_vector's nodes per axis of a cell, axis 0 slowest
 
-    Each field gives f, f_r and f_rho on the nodes' (r, s, rho) (see
-    TestField.eval_radial), and Df follows in closed form: r and rho are both
-    of degree 1 under the dilations, so Df = (r/rho)^gamma (r f_r + rho f_rho)/rho.
-    power[slot, p] is (|f|^p, |Df|^p) and g[slot, p] is G = |f|^(p-2)
-    Re(conj(f) Df) = |f|^p Re(Df/f), 0 where f is, for every (slot, p) that
-    a pair reads. weights[i] is plan block i on the nodes, a pair's v, w, phi
-    and h = v^(1/p) w^((p-1)/p): one eval_monomials per R.
+
+def _log_abs(x: np.ndarray) -> np.ndarray:
+    size = np.abs(x)
+    return np.log(size, out=np.full(size.shape, _LOG_ZERO), where=size > 0.0)
+
+
+class _Batch:
+    """What every field integrand shares on one batch: the nodes' (r, s, rho,
+    log(r/rho)), rho on (M, 1) and the rest on (M, K), and each field's f,
+    f_r and f_rho (see TestField.eval_radial) and Df. r and rho are both of
+    degree 1 under the dilations, so Df = (r/rho)^gamma (r f_r + rho f_rho)/rho.
     """
 
     def __init__(self, space: SpaceParams, coords, plan: "_Plan"):
         self.space = space
-        r, _, rho = self.nodes = coords
+        r, _, rho, _ = self.nodes = coords
         scale = (r / rho) ** space.gamma / rho
         radial = [field.eval_radial(r, rho) for field in plan.fields]
         self.vals = [f for f, _, _ in radial]
         self.partials = [(f_r, f_rho) for _, f_r, f_rho in radial]
         self.df = [scale * (r * f_r + rho * f_rho) for _, f_r, f_rho in radial]
-        size = [(np.abs(f), np.abs(d)) for f, d in zip(self.vals, self.df)]
-        ratio = {
-            f: (self.df[f] / np.where(self.vals[f] != 0.0, self.vals[f], 1.0)).real
-            for f in dict.fromkeys(f for f, _ in plan.powers)
-        }
-        self.power = {(f, p): (size[f][0] ** p, size[f][1] ** p) for f, p in plan.powers}
-        self.g = {(f, p): self.power[f, p][0] * ratio[f] for f, p in plan.powers}
-        monomials = [eval_monomials(rows, log_features(r, rho, R)) for R, rows in plan.groups]
-        self.weights = [monomials[group][rows] for group, rows in plan.blocks]
 
     def grad_sq(self, f: int) -> np.ndarray:
         """Euclidean |grad f|^2 of field slot f, from grad r . grad rho =
         (r/rho)^(2g+1) and |grad rho|^2 = (r^(4g+2) + (1+g)^2 s^2)/rho^(4g+2)."""
         f_r, f_rho = self.partials[f]
-        r, s, rho = self.nodes
+        r, s, rho, _ = self.nodes
         g = self.space.gamma
         cross = (f_r * np.conj(f_rho)).real * (r / rho) ** (2.0 * g + 1.0)
         grad_rho_sq = (r ** (4.0 * g + 2.0) + (1.0 + g) ** 2 * s**2) / rho ** (4.0 * g + 2.0)
         return np.abs(f_r) ** 2 + 2.0 * cross + np.abs(f_rho) ** 2 * grad_rho_sq
 
 
-def _identity_rows(b: _Batch, lhs, w_term, cp, phi_term, f: int, p: float, block: int) -> None:
-    v, w, phi, h = b.weights[block]
-    f_p, df_p = b.power[f, p]
-    lhs = np.multiply(v, df_p, out=lhs)
-    w_term = np.multiply(w, f_p, out=w_term)
-    if phi_term is not None:
-        np.multiply(phi, f_p, out=phi_term)
-    if cp is not None:
-        np.multiply(w_term, p - 1.0, out=cp)
-        cp += lhs
-        cp += p * h * b.g[f, p]
-
-
-def _eta_rows(b: _Batch, eta_p, mixed, min_form, f: int, p: float, block: int) -> None:
-    v, w = b.weights[block][:2]
-    xi, wf = v ** (1.0 / p) * b.df[f], w ** (1.0 / p) * b.vals[f]
+def _eta_rows(b: _Batch, eta_p, mixed, min_form, f: int, p: float, v_root, w_root) -> None:
+    xi, wf = v_root * b.df[f], w_root * b.vals[f]
     eta = np.abs(xi + wf)
     eta_p = np.power(eta, p, out=eta_p)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -352,81 +348,159 @@ def _eta_rows(b: _Batch, eta_p, mixed, min_form, f: int, p: float, block: int) -
             min_form[:] = np.where(t > 0, np.minimum(eta_p, t ** (p - 2.0) * eta**2), eta_p)
 
 
-# The term table: family -> writer(batch, *rows, f, p, block, *params), which
-# writes in place each row of the family that the case (field slot f, its
-# pair's p and monomial block) lists, and gets None for the others. The
-# identity's rows share v, w, phi, h, |f|^p, |Df|^p and G, and C_p(xi, eta) =
-# v|Df|^p + (p-1) w|f|^p + p h G (see cp.py) reuses lhs and w; the remainder
-# rows share xi = v^(1/p) Df, xi - eta = -w^(1/p) f and eta. A name with
-# parameters is (name, *params).
-_TERMS: Dict[Tuple[str, ...], Callable[..., object]] = {
-    ("lhs", "w", "cp", "phi"): _identity_rows,
-    ("eta_p", "mixed", "min"): _eta_rows,
-    ("w^e|f|^q",): lambda b, row, f, p, block, e, q: np.multiply(
-        b.weights[block][1] ** e, np.abs(b.vals[f]) ** q, out=row
-    ),
-    ("mass",): lambda b, row, f, p, block: np.power(np.abs(b.vals[f]), 2, out=row),
-    ("grad_sq",): lambda b, row, f, p, block: np.copyto(row, b.grad_sq(f)),
+# The term table. A monomial term is c weight^e |f|^q |Df|^q' jac^j: term ->
+# (weight, e, c, q, q', j) given its pair's p and the name's parameters (a
+# name with parameters is (name, *params)). cp's is p h |f|^p, which a batch
+# completes in place to C_p(xi, eta) = v|Df|^p + (p-1) w|f|^p + p h G, with
+# G = |f|^p Re(Df/f) (see cp.py). The roots are what the products read.
+_V, _W, _PHI, _H = (WEIGHTS.index(name) for name in ("v", "w", "phi", "h"))
+_MONOMIALS: Dict[str, Callable[..., tuple]] = {
+    "lhs": lambda p: (_V, 1.0, 1.0, 0.0, p, 1.0),
+    "w": lambda p: (_W, 1.0, 1.0, p, 0.0, 1.0),
+    "cp": lambda p: (_H, 1.0, p, p, 0.0, 1.0),
+    "phi": lambda p: (_PHI, 1.0, 1.0, p, 0.0, 1.0),
+    "w^e|f|^q": lambda p, e, q: (_W, e, 1.0, q, 0.0, 1.0),
+    "mass": lambda p: (_V, 0.0, 1.0, 2.0, 0.0, 1.0),
+    "v^(1/p)": lambda p: (_V, 1.0 / p, 1.0, 0.0, 0.0, 0.0),
+    "w^(1/p)": lambda p: (_W, 1.0 / p, 1.0, 0.0, 0.0, 0.0),
+}
+# A product family -> (writer(batch, *rows, f, p, *roots), roots): it writes
+# in place each row of the family that the case (field slot f, its pair's p)
+# lists, gets None for the others, and gets the Jacobian after; the
+# remainder rows share xi = v^(1/p) Df, xi - eta = -w^(1/p) f and eta.
+_TERMS: Dict[Tuple[str, ...], Tuple[Callable[..., object], Tuple[str, ...]]] = {
+    ("eta_p", "mixed", "min"): (_eta_rows, ("v^(1/p)", "w^(1/p)")),
+    ("grad_sq",): (lambda b, row, f, p: np.copyto(row, b.grad_sq(f)), ()),
 }
 _FAMILY = {name: family for family in _TERMS for name in family}
 
 _IDENTITY = ("lhs", "w", "cp", "phi")  # lhs = w + cp + phi
 
 
+def _one_hot(on: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:
+    """(len(on), 2n) columns that hold row i's two values in columns 2 on[i]
+    and 2 on[i] + 1, and zeros elsewhere and where on[i] is -1."""
+    return ((on[:, None] == np.arange(n))[:, :, None] * values[:, None]).reshape(len(on), 2 * n)
+
+
+def _index(rows: List[int]):
+    """rows as a slice where they are consecutive, so that numpy indexes a view."""
+    consecutive = rows == list(range(rows[0], rows[0] + len(rows)))
+    return slice(rows[0], rows[-1] + 1) if consecutive else np.array(rows)
+
+
 class _Plan:
     """What every batch of one integration evaluates, resolved once from its
-    cases (see _integrate_cases): the row of each component, keyed by
-    (id(pair), field slot, name); the steps, one writer call per (pair, field,
-    _TERMS family, params); the (slot, p) that pairs read; and per distinct R
-    the monomial rows of every pair, whose places are blocks.
+    cases (see _integrate_cases). A batch's rows are the products, the
+    listed monomial terms by term and field slot, so that a cp's completion
+    reads whole blocks, and last the hidden ones: the lhs and w that a cp
+    reads where no case lists them, and the roots. Component (id(pair), field
+    slot, name) is its row. The exponent table has a row per monomial term,
+    on the features Phi = [1, log(r/rho), log rho, (log(R-rho), log log(R/rho))
+    per R that a row reads, (log|f|, log|Df|) per field slot, log jac].
     """
 
     def __init__(self, cases: Sequence[tuple]):
         self.fields = list({id(field): field for _, field, _ in cases}.values())
         self.slot = {id(field): i for i, field in enumerate(self.fields)}
-        self.component: Dict[tuple, int] = {}
-        steps: Dict[tuple, tuple] = {}  # (id(pair), slot, family, params) -> (pair, rows)
-        for pair, field, names in cases:
-            for name in names:
-                key = (id(pair), self.slot[id(field)], name)
-                if key not in self.component:
-                    self.component[key] = len(self.component)
-                    term, params = (name[0], name[1:]) if isinstance(name, tuple) else (name, ())
-                    family = _FAMILY[term]
-                    step = steps.setdefault((*key[:2], family, params), (pair, [None] * len(family)))
-                    step[1][family.index(term)] = self.component[key]
+        pairs = {id(pair): pair for pair, _, _ in cases}
+        listed = dict.fromkeys((id(pair), self.slot[id(field)], n) for pair, field, names in cases for n in names)
+        blocks: Dict[str, list] = {"": [], **{term: [] for term in _MONOMIALS}}  # "": the products
+        hidden: Dict[str, list] = {term: [] for term in _MONOMIALS}
+        for key in listed:
+            term = key[2] if isinstance(key[2], str) else key[2][0]
+            blocks["" if term in _FAMILY else term].append(key)
+        needs = [(i, f, name) for i, f, _ in blocks["cp"] for name in ("lhs", "w")]
+        needs += [(i, -1, root) for i, _, name in blocks[""] for root in _TERMS[_FAMILY[name]][1]]
+        for key in dict.fromkeys(key for key in needs if key not in listed):
+            hidden[key[2]].append(key)
+        for block in (*blocks.values(), *hidden.values()):
+            block.sort(key=itemgetter(1))
+        keys = [key for block in (*blocks.values(), *hidden.values()) for key in block]
+        row = {key: n for n, key in enumerate(keys)}
+        self.component, self.products = {key: row[key] for key in listed}, len(blocks[""])
 
-        groups: Dict[Optional[float], list] = {}  # R -> its monomial rows
-        blocks: Dict[int, int] = {}  # id(pair) -> its block; a pairless row reads none
-        self.blocks, self.steps = [], []
-        for (source, f, family, params), (pair, rows) in steps.items():
-            if pair is not None and source not in blocks:
-                group = groups.setdefault(pair.radius, [])
-                start = sum(map(len, group))
-                group.append(pair.monomials)
-                blocks[source] = len(self.blocks)
-                self.blocks.append((list(groups).index(pair.radius), slice(start, start + len(group[-1]))))
-            self.steps.append((_TERMS[family], rows, f, pair and pair.p, blocks.get(source), params))
-        self.powers = tuple({(f, p): None for _, _, f, p, _, _ in self.steps if p is not None})
-        self.groups = [(R, np.concatenate(rows)) for R, rows in groups.items()]
+        steps: Dict[tuple, list] = {}  # (id(pair), slot, family) -> its rows
+        for i, f, name in blocks[""]:
+            family = _FAMILY[name]
+            steps.setdefault((i, f, family), [None] * len(family))[family.index(name)] = row[i, f, name]
+        self.steps = [
+            (_TERMS[family][0], rows, f, pairs[i] and pairs[i].p, [row[i, -1, r] for r in _TERMS[family][1]])
+            for (i, f, family), rows in steps.items()
+        ]
+        self.cp = []  # per field slot: its cp rows, their lhs and w rows, and p - 1
+        cp_rows = [[row[i, f, name] for i, f, _ in blocks["cp"]] for name in ("cp", "lhs", "w")]
+        coef = np.array([pairs[i].p - 1.0 for i, _, _ in blocks["cp"]])[:, None]
+        start = 0
+        for f, group in groupby(blocks["cp"], key=itemgetter(1)):
+            end = start + len(list(group))
+            self.cp.append((*(_index(rows[start:end]) for rows in cp_rows), coef[start:end], f))
+            start = end
 
-    def rows(self, space: SpaceParams, coords) -> np.ndarray:
-        """Every component's row on the nodes' (r, s, rho), before the Jacobian."""
-        b = _Batch(space, coords, self)
-        out = np.empty((len(self.component), coords[0].shape[0]))
-        for writer, rows, f, p, block, params in self.steps:
-            writer(b, *[None if k is None else out[k] for k in rows], f, p, block, *params)
-        return out
+        # table row n: e (log|c|, e1, e2), e (e3, e4) on its R's columns and
+        # (q, q') on its field's, j on log jac's, by array ops on the pairs
+        keys = keys[self.products :]
+        index = {i: n for n, i in enumerate(pairs)}
+        who, p = [index[i] for i, _, _ in keys], [pair and pair.p for pair in pairs.values()]
+        spec = [
+            _MONOMIALS[name](p[n]) if isinstance(name, str) else _MONOMIALS[name[0]](p[n], *name[1:])
+            for n, (_, _, name) in zip(who, keys)
+        ]
+        weight, e, c, q, dq, j = np.fromiter(chain.from_iterable(spec), float, 6 * len(keys)).reshape(-1, 6).T
+        stack = np.array([np.zeros((4, 5)) if pair is None else pair.monomials for pair in pairs.values()])
+        mono, radius = stack[who, weight.astype(int)], [pair and pair.radius for pair in pairs.values()]
+        reads_r = stack[:, :, 3:].any(axis=(1, 2))
+        self.radii = list(dict.fromkeys(R for R, reads in zip(radius, reads_r) if reads))
+        on_r = np.array([self.radii.index(R) if R in self.radii else -1 for R in radius])[who]
+        on_f = np.array([f for _, f, _ in keys], dtype=int)  # a root's -1 reads no field
+        # the factor k = |c|^e goes in as log k, and a negative c (only phi's
+        # can be) flips the sign; a row with k = 0 is set to 0 after the exp,
+        # since an exp that underflows is several times slower
+        c = c * mono[:, 0]
+        k = np.power(np.abs(c), e, out=np.full(len(keys), np.inf), where=(c != 0.0) | (e >= 0.0))
+        self.zero, self.negative = np.flatnonzero(k == 0.0), np.flatnonzero(c < 0.0)
+        self.table = np.zeros((len(keys), 4 + 2 * (len(self.radii) + len(self.fields))))
+        np.log(k, out=self.table[:, 0], where=k > 0.0)
+        self.table[:, 1:3] = e[:, None] * mono[:, 1:3]
+        self.table[:, 3 : 3 + 2 * len(self.radii)] = _one_hot(on_r, len(self.radii), e[:, None] * mono[:, 3:])
+        self.table[:, 3 + 2 * len(self.radii) : -1] = _one_hot(on_f, len(self.fields), np.stack([q, dq], 1))
+        self.table[:, -1] = j
+        self.table[self.zero] = 0.0
+
+    def rows(self, space: SpaceParams, coords, log_jac=0.0) -> np.ndarray:
+        """Every component's row on the nodes' (r, s, rho, log(r/rho)) as lift
+        gives them, rho (M, 1) and the rest (M, K), times exp(log_jac)."""
+        b, (_, _, rho, log_ratio) = _Batch(space, coords, self), coords
+        phi = np.empty((self.table.shape[1], *log_ratio.shape))
+        phi[0], phi[1], phi[2], phi[-1] = 1.0, log_ratio, np.log(rho), log_jac
+        for n, R in enumerate(self.radii):
+            phi[3 + 2 * n : 5 + 2 * n] = log_features(rho[:, 0], rho[:, 0], R)[2:, :, None]
+        for f, col in enumerate(range(3 + 2 * len(self.radii), len(phi) - 1, 2)):
+            phi[col], phi[col + 1] = _log_abs(b.vals[f]), _log_abs(b.df[f])
+        out = np.empty((self.products + len(self.table), log_ratio.size))
+        table = np.matmul(self.table, phi.reshape(len(phi), -1), out=out[self.products :])
+        np.exp(table, out=table)
+        table[self.zero] = 0.0
+        table[self.negative] *= -1.0
+        for cp, lhs, w, coef, f in self.cp:
+            out[cp] *= (b.df[f] / np.where(b.vals[f] != 0.0, b.vals[f], 1.0)).real.reshape(-1)
+            out[cp] += out[lhs]
+            out[cp] += coef * out[w]
+        grid = out.reshape(len(out), *log_ratio.shape)
+        for writer, rows, f, p, roots in self.steps:
+            writer(b, *[None if k is None else grid[k] for k in rows], f, p, *grid[roots])
+        grid[: self.products] *= np.exp(log_jac)
+        return out[: len(self.component)]
 
 
 def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSettings]) -> List[Dict]:
     """Integrate the terms of every case on one shared mesh.
 
     A case is one check's integrand on one field, (pair, field, names): the
-    names of its terms in _TERMS. Each distinct (pair, field, name) is one
-    component, integrated once however many cases list it, and every case
-    that lists it reads its value and error. Cases share one space and one
-    support region; returns each case's results by term name.
+    names of its terms in _MONOMIALS or _TERMS. Each distinct (pair, field,
+    name) is one component, integrated once however many cases list it, and
+    every case that lists it reads its value and error. Cases share one
+    space and one support region; returns each case's results by term name.
     """
     if len(cases) == 0:
         raise ValueError("the integration needs at least one case")
@@ -442,14 +516,12 @@ def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSetti
         # of a stream of RuntimeWarnings ahead of the non-finite stop
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                coords, jac = lift(nodes)
-                out = plan.rows(space, coords)
-                out *= jac
+                # a cell's nodes share tau in runs of _AXIS_NODES
+                return plan.rows(space, *lift(nodes.reshape(-1, _AXIS_NODES, 2)))
         except FloatingPointError as exc:
             raise ValueError(
                 f"integrand arithmetic failed in space ({space.m},{space.k},{space.gamma:g}): {exc}"
             ) from None
-        return out
 
     res = integrate_vector(integrand, len(plan.component), region, settings)
     return [
@@ -642,6 +714,8 @@ def _hpw_plan(case: str, p: float, field: TestField):
         _refuse(field, pair_id, "gamma > 0 weights are singular on {x=0}; use x_floor > 0")
     space, pp = field.space, p / (p - 1.0)
     pair = hpw_pair(case, space, p, field.spec.R)
+    if pair.kappa == 0.0:
+        raise ValueError(f"{case} is vacuous here: its constant |Q-p|/p is 0 at Q = p = {p:g}")
     garofalo_p2 = spec.hpw.garofalo and p == 2.0
     track_grad = garofalo_p2 and space.gamma == 0.0
     grad, weight = "lhs", ("w^e|f|^q", -1.0 / (p - 1.0), pp)

@@ -22,6 +22,7 @@ import numpy as np
 
 from grushin_hardy.cp import cp_value_batch
 from grushin_hardy.geometry import SpaceParams, radial_coords, unit_grad_gamma_rho
+from grushin_hardy.weights import eval_monomials, log_features
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -375,6 +376,25 @@ def hand_x_singular(pair):
     """The singular-set rule of the hand-typed catalog: gamma > 0, or a
     negative |x| exponent of v or w."""
     return pair.space.gamma > 0 or any(e < 0 for e in HAND_WEIGHTS[pair.id][3](hand_scalars(pair)))
+
+
+def product_rows(pair, field, r, rho, names):
+    """The monomial terms of one (pair, field) case on flat (|x|, rho),
+    before the Jacobian, as chains of products: v, w, phi and h from
+    eval_monomials, f and Df from eval_radial, and C_p = v|Df|^p +
+    (p-1) w|f|^p + p h G with G = |f|^p Re(Df/f), 0 where f is."""
+    p = pair.p
+    v, w, phi, h = eval_monomials(pair.monomials, log_features(r, rho, pair.radius))
+    f, f_r, f_rho = field.eval_radial(r, rho)
+    df = (r / rho) ** pair.space.gamma * (r * f_r + rho * f_rho) / rho
+    f_p, df_p = np.abs(f) ** p, np.abs(df) ** p
+    g = f_p * (df / np.where(f != 0.0, f, 1.0)).real
+    rows = {"lhs": v * df_p, "w": w * f_p, "phi": phi * f_p, "mass": np.abs(f) ** 2}
+    rows["cp"] = rows["lhs"] + (p - 1.0) * rows["w"] + p * h * g
+    for name in names:
+        if not isinstance(name, str):  # ("w^e|f|^q", e, q)
+            rows[name] = w ** name[1] * np.abs(f) ** name[2]
+    return {name: rows[name] for name in names}
 
 
 def main():

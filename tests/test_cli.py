@@ -306,6 +306,15 @@ def test_verify_preconditions_run_before_any_check(tmp_path, capsys, monkeypatch
     assert ran == []
 
 
+def test_verify_hpw_refuses_a_vacuous_display(tmp_path, capsys):
+    # in (1,1,0) at p = 2, Q = p, so whole_dambrosio's constant is 0
+    cfg = dict(BASE_CONFIG, space={"m": 1, "k": 1, "gamma": 0.0}, checks=["hpw"])
+    code, out, err = run_cli(capsys, "verify", "--config", write_config(tmp_path, cfg))
+    assert code == 2
+    assert "whole_dambrosio is vacuous here" in err
+    assert out == ""
+
+
 def test_verify_hpw_needs_matching_pair(tmp_path, capsys):
     cfg = dict(
         BASE_CONFIG,

@@ -33,7 +33,8 @@ from grushin_hardy.verifier import (
     verify_remainder_p_lt2,
 )
 from grushin_hardy import verifier
-from grushin_hardy.weights import PAIRS, make_pair
+import oracles
+from grushin_hardy.weights import PAIRS, eval_monomials, log_features, make_pair
 
 SP = SpaceParams(1, 1, 1.0)
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "constants.json").read_text())
@@ -308,9 +309,9 @@ def test_polar_terms_match_beta_function_oracle(space):
     plan = verifier._Plan([(None, field, ("mass",))])
 
     def integrand(nodes):
-        coords, jac = lift(nodes)
-        (r, _, rho), (mass,) = coords, plan.rows(space, coords)
-        return np.array([mass * (r / rho) ** beta for beta in betas]) * jac
+        coords, log_jac = lift(nodes)
+        (r, _, rho, _), (mass,) = coords, plan.rows(space, coords, log_jac)
+        return np.array([mass * ((r / rho) ** beta).ravel() for beta in betas])
 
     settings = IntegrationSettings(rel_tol=1e-12, abs_tol=1e-300)
     res = integrate_vector(integrand, len(betas), region, settings)
@@ -336,7 +337,9 @@ def test_polar_pieces_put_cutoff_kinks_on_edges(x_floor):
     rng = np.random.default_rng(3)
     for i in range(n_pieces):
         nodes = np.column_stack([i + rng.uniform(0.0, 1.0, 400), rng.uniform(0.0, 1.0, 400)])
-        (r, s, rho), jac = lift(nodes)
+        (r, s, rho, log_ratio), log_jac = (np.ravel(x) for x in lift(nodes)[0]), lift(nodes)[1]
+        jac = np.exp(log_jac).ravel()
+        np.testing.assert_allclose(log_ratio, np.log(r / rho), rtol=1e-14, atol=1e-14)
         # (r, s, rho) are the |x|, |y| and rho of the point (r e_1, s e_(m+1))
         pts = np.zeros((nodes.shape[0], space.n))
         pts[:, 0], pts[:, space.m] = r, s
@@ -354,7 +357,7 @@ def test_polar_pieces_put_cutoff_kinks_on_edges(x_floor):
     if x_floor == 0.0:
         # the Jacobian alone integrates to the volume of the shell
         (vol,) = integrate_vector(
-            lambda n: lift(n)[1][None, :], 1, region, IntegrationSettings(rel_tol=1e-12)
+            lambda n: np.exp(lift(n)[1]).reshape(1, -1), 1, region, IntegrationSettings(rel_tol=1e-12)
         )
         exact = _radial_oracle(space, lambda rho: 1.0, 0.5, 2.0, 0.0)
         assert abs(vol.value - exact) <= 1e-11 * exact
@@ -396,7 +399,7 @@ def test_radial_kernel_matches_the_nd_path(space):
     r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
     fields = _kernel_fields(space)
     plan = verifier._Plan([(None, field, ("grad_sq",)) for field in fields])
-    b = verifier._Batch(space, (r, s, rho), plan)
+    b = verifier._Batch(space, tuple(x[:, None] for x in (r, s, rho, np.log(r / rho))), plan)
     for slot, field in enumerate(fields):
         vals, grads = field.eval_batch(pts)
         want = (
@@ -404,7 +407,7 @@ def test_radial_kernel_matches_the_nd_path(space):
             radial_derivative_batch(space, pts, grads),
             (np.abs(grads) ** 2).sum(axis=1),
         )
-        got = (b.vals[slot], b.df[slot], b.grad_sq(slot))
+        got = (b.vals[slot].ravel(), b.df[slot].ravel(), b.grad_sq(slot).ravel())
         for g, w in zip(got, want):
             assert np.any(w != 0.0) and np.any(w == 0.0)
             np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13 * np.abs(w).max())
@@ -431,10 +434,12 @@ def test_closed_form_cp_matches_the_kernel(space, p, pair_id):
     nodes = np.column_stack([rng.uniform(0.0, region.box[0][1], 2000), rng.uniform(0.0, 1.0, 2000)])
     pair = make_pair(pair_id, space, p, dict(PAIRS[pair_id].defaults))
     plan = verifier._Plan([(pair, field, ("cp",)) for field in fields])
-    b = verifier._Batch(space, lift(nodes)[0], plan)
-    (v, w, _, _), rows = b.weights[0], plan.rows(space, lift(nodes)[0])
+    coords = lift(nodes)[0]
+    b = verifier._Batch(space, coords, plan)
+    (r, _, rho, _), rows = (x.ravel() for x in coords), plan.rows(space, coords)
+    v, w = eval_monomials(pair.monomials[:2], log_features(r, rho, pair.radius))
     for f in range(len(fields)):
-        xi, wf = v ** (1.0 / p) * b.df[f], w ** (1.0 / p) * b.vals[f]
+        xi, wf = v ** (1.0 / p) * b.df[f].ravel(), w ** (1.0 / p) * b.vals[f].ravel()
         eta = xi + wf
         scale = np.maximum(np.abs(xi) ** p, np.abs(wf) ** p)
         assert np.all(np.abs(rows[f] - cp_value_batch(xi, eta, p)) <= 1e-12 * scale)
@@ -463,6 +468,43 @@ def test_a_family_row_does_not_depend_on_its_listed_siblings(pair_id, p):
     assert len(seen) == 3 * len(fields)
 
 
+@pytest.mark.parametrize(
+    "space",
+    (SpaceParams(1, 1, 1.0), SpaceParams(2, 1, 0.0), SpaceParams(2, 2, 1.0), SpaceParams(1, 1, 0.0)),
+    ids=str,
+)
+@pytest.mark.parametrize("p", (1.25, 1.5, 2.0, 3.0))
+@pytest.mark.parametrize("pair_id", PAIRS)
+def test_table_rows_match_the_product_form(space, p, pair_id):
+    # every monomial term from the exponent table against its chain of
+    # products, on random polar nodes, for a real and a phase-twisted field;
+    # the copies with inner_rho 0.8 vanish below it, and there every row is
+    # an exact 0. In (1,1,0) log_ball's phi < 0 at p = 3, and
+    # dambrosio_power's kappa, w and h are 0 at p = 2
+    base = _closed_form_fields(space)
+    fields = [build_test_field(space, replace(f.spec, inner_rho=0.8)) for f in base] + base
+    region, lift = verifier._polar_pieces(fields)
+    rng = np.random.default_rng(151)
+    nodes = np.column_stack([rng.uniform(0.0, region.box[0][1], 2000), rng.uniform(0.0, 1.0, 2000)])
+    pair = make_pair(pair_id, space, p, dict(PAIRS[pair_id].defaults), allow_negative_phi=True)
+    # w^e with e < 0 is infinite where kappa, and so w, is 0
+    powers = ((-1.0 / (p - 1.0), p / (p - 1.0)),) if pair.kappa > 0.0 else ()
+    powers += ((0.5, p), (0.0, 0.5))  # q = 0.5 needs a log 0 far below -745 / 0.5
+    names = (*verifier._IDENTITY, "mass", *(("w^e|f|^q", e, q) for e, q in powers))
+    plan = verifier._Plan([(pair, field, names) for field in fields])
+    coords, log_jac = lift(nodes)
+    rows = plan.rows(space, coords, log_jac)
+    r, _, rho, _ = (x.ravel() for x in coords)
+    for f, field in enumerate(fields):
+        want = oracles.product_rows(pair, field, r, rho, names)
+        zero = field.eval_radial(r, rho)[0] == 0.0
+        assert np.any(zero) == (f < 2)
+        for name in names:
+            got, row = rows[plan.component[id(pair), f, name]], want[name] * np.exp(log_jac).ravel()
+            assert np.all(np.abs(got - row) <= 1e-13 * np.abs(row).max()), name
+            assert np.all(got[zero] == 0.0), name
+
+
 @pytest.mark.parametrize("p", (1.25, 1.5, 1.75))
 def test_closed_form_g_is_zero_where_the_field_is(p):
     # |f|^(p-2) is infinite where f = 0 for p < 2, but G is exactly 0 there,
@@ -476,11 +518,12 @@ def test_closed_form_g_is_zero_where_the_field_is(p):
     with np.errstate(all="raise", under="ignore"):
         pair = make_pair("dambrosio_power", SP, p, {"alpha": 0.0, "beta": 0.0})
         plan = verifier._Plan([(pair, field, ("cp",)) for field in fields])
-        b = verifier._Batch(SP, lift(nodes)[0], plan)
+        coords, log_jac = lift(nodes)
+        rows = plan.rows(SP, coords, log_jac)
         for f in (0, 1):
-            zero = b.vals[f] == 0.0
+            zero = fields[f].eval_radial(coords[0], coords[2])[0].ravel() == 0.0
             assert np.any(zero) and np.any(~zero)
-            g = b.g[f, p]
+            g = rows[plan.component[id(pair), f, "cp"]]
             assert np.all(np.isfinite(g))
             assert np.all(g[zero] == 0.0)
             assert np.any(g[~zero] != 0.0)
@@ -505,10 +548,10 @@ def test_sweep_terms_vanish_exactly_outside_a_fields_support(monkeypatch):
     cases = [(pair, f) for pair in pairs for f in fields]
     region, lift = verifier._polar_pieces(fields)
     rng = np.random.default_rng(127)
-    nodes = np.column_stack(
-        [rng.uniform(0.0, region.box[0][1], 5000), rng.uniform(0.0, 1.0, 5000)]
-    )
-    (_, _, rho), _ = lift(nodes)
+    # the integrand takes runs of 15 nodes that share tau, as a cell's are
+    tau = np.repeat(rng.uniform(0.0, region.box[0][1], 333), 15)
+    nodes = np.column_stack([tau, rng.uniform(0.0, 1.0, tau.size)])
+    rho = lift(nodes)[0][2].ravel()
     seen = {}
 
     def capture(integrand, n_comp, region, settings):
@@ -516,11 +559,12 @@ def test_sweep_terms_vanish_exactly_outside_a_fields_support(monkeypatch):
         return [None] * n_comp
 
     monkeypatch.setattr(verifier, "integrate_vector", capture)
-    verifier._integrate_cases([(*case, verifier._IDENTITY) for case in cases], None)
-    out = seen["out"]
+    listed = [(*case, verifier._IDENTITY) for case in cases]
+    verifier._integrate_cases(listed, None)
+    out, plan = seen["out"], verifier._Plan(listed)
     assert np.all(np.isfinite(out))
-    for ci, (_, f) in enumerate(cases):
-        rows = out[4 * ci : 4 * (ci + 1)]
+    for pair, f in cases:
+        rows = out[[plan.component[id(pair), plan.slot[id(f)], name] for name in verifier._IDENTITY]]
         outside = rho < f.spec.inner_rho
         assert np.any(outside) == (f.spec.inner_rho > 0.5)
         assert np.all(rows[:, outside] == 0.0)
@@ -540,9 +584,11 @@ def test_polar_identity_terms_match_cartesian_cubature(space):
         x, y = pts[:, : space.m], pts[:, space.m :]
         r, rho = radial_coords(space, x, y)
         inside = (rho >= 0.5) & (rho <= 2.0) & (r > field.spec.x_floor)
-        coords = (r[inside], np.linalg.norm(y[inside], axis=1), rho[inside])
+        r, s, rho = r[inside], np.linalg.norm(y[inside], axis=1), rho[inside]
+        coords = tuple(x[:, None] for x in (r, s, rho, np.log(r / rho)))
         out = np.zeros((4, pts.shape[0]))
-        out[:, inside] = plan.rows(space, coords)
+        rows = [plan.component[id(pair), 0, name] for name in verifier._IDENTITY]
+        out[:, inside] = plan.rows(space, coords)[rows]
         return out
 
     a = 1.0 + space.gamma
@@ -559,6 +605,55 @@ def test_identity_in_four_and_five_dimensions(space):
     pair = make_pair("dambrosio_power", space, 2.0, {"alpha": 0.0, "beta": 0.0})
     rep = verify_identity(pair, annulus_field(space), IntegrationSettings(max_evals=3_000_000))
     assert rep.converged and rep.passed
+
+
+@pytest.mark.parametrize("space", (SpaceParams(1, 1, 1.0), SpaceParams(2, 2, 1.0)), ids=str)
+@pytest.mark.parametrize("pair_id", PAIRS)
+def test_field_checks_are_invariant_under_dilation(space, pair_id, monkeypatch):
+    # identity, inequality and ckn on one mesh, on a bump field dilated by
+    # lam with R scaled along: every pair is homogeneous, so the verdicts,
+    # ratios and relative residuals agree within their errors, and the evals
+    # within 2x. lam = 1e-2 counts only where rel_tol |lhs| > abs_tol there:
+    # below that the stop test is abs_tol's
+    settings = IntegrationSettings()
+    results = []
+    integrate = verifier.integrate_vector
+
+    def recording(*args):
+        results.append(integrate(*args))
+        return results[-1]
+
+    monkeypatch.setattr(verifier, "integrate_vector", recording)
+    for p in (1.5, 2.0, 3.0):
+        runs = []
+        for lam in (1.0, 1e2, 1e-2):
+            params = dict(PAIRS[pair_id].defaults)
+            params.update({"R": lam * params["R"]} if "R" in params else {})
+            pair = make_pair(pair_id, space, p, params)
+            field = build_test_field(
+                space,
+                TestFieldSpec("bump_radial_x_cutoff", inner_rho=0.5 * lam, outer_rho=2.0 * lam, x_floor=0.125 * lam),
+            )
+            ckn = CknParams(p=p, q=p, r=p, delta=0.5, b=0.0, c=0.5 / p)
+            identity, inequality, ckn_rep = verifier.verify_checks(
+                [("identity", (pair, field)), ("inequality", (pair, field)), ("ckn", (pair, field, ckn))], settings
+            )
+            res = results.pop()
+            if settings.rel_tol * identity.lhs <= settings.abs_tol:
+                continue
+            rel = sum(r.error_estimate / abs(r.value) for r in res if r.value != 0.0)
+            ratios = (identity.rel_residual, inequality.ratio, ckn_rep.left / ckn_rep.right)
+            passed = [rep.passed for rep in (identity, inequality, ckn_rep)]
+            runs.append((lam, passed, ratios, rel, res[0].evals))
+        assert [lam for lam, *_ in runs][:2] == [1.0, 1e2]
+        (_, passed, ratios, rel, evals) = runs[0]
+        for lam, passed_lam, ratios_lam, rel_lam, evals_lam in runs[1:]:
+            assert passed_lam == passed, (p, lam)
+            allow = 10.0 * (rel + rel_lam)
+            assert abs(ratios_lam[0] - ratios[0]) <= allow, (p, lam)
+            for got, want in zip(ratios_lam[1:], ratios[1:]):
+                assert abs(got - want) <= allow * want, (p, lam)
+            assert 0.5 <= evals_lam / evals <= 2.0, (p, lam, evals, evals_lam)
 
 
 # -- inequality -------------------------------------------------------------
@@ -802,8 +897,9 @@ def test_hpw_on_a_dilated_field_converges_within_a_small_budget(scale):
 
 def test_hpw_product_slack_does_not_grow_with_a_dilation():
     # the Garofalo check's slack, relative to its left side, is the same for
-    # a bump field and the same field dilated by 1e2
-    space = SpaceParams(1, 1, 0.0)
+    # a bump field and the same field dilated by 1e2; in (2,1,0) Q = 3, so
+    # the display's constant is 1/2 and the Garofalo constant 1/4
+    space = SpaceParams(2, 1, 0.0)
     relative = []
     for lo, hi in ((0.5, 2.0), (50.0, 200.0)):
         field = build_test_field(space, TestFieldSpec("bump_radial", inner_rho=lo, outer_rho=hi))
@@ -819,6 +915,13 @@ def test_hpw_product_slack_does_not_grow_with_a_dilation():
         assert rep.passed and rep.garofalo["passed"]
         relative.append(slack / left)
     assert 0.5 <= relative[0] / relative[1] <= 2.0
+
+
+def test_hpw_refuses_a_display_that_cannot_fail():
+    # whole_dambrosio's constant |Q-p|/p is 0 at Q = p, where right = 0
+    field = build_test_field(SpaceParams(1, 1, 0.0), TestFieldSpec("bump_radial"))
+    with pytest.raises(ValueError, match=r"vacuous here: its constant \|Q-p\|/p is 0"):
+        verify_hpw("whole_dambrosio", 2.0, field)
 
 
 def test_hpw_validation():
