@@ -13,6 +13,7 @@ input or configuration.
 
 import argparse
 import csv
+import functools
 import json
 import platform
 import sys
@@ -205,19 +206,26 @@ def _weighted_rho_field(space: SpaceParams, c: float, s: float):
 
 def divergence_check(space: SpaceParams, samples: int, seed: int) -> Dict[str, object]:
     """Closed-form vs finite-difference divergence on uniform points of
-    [-2, 2]^n with rho in [0.5, 2] and |x| >= 0.2."""
-    pts = rejection_sample(
-        space, 2.0, lambda r, rho_v: (rho_v >= 0.5) & (rho_v <= 2.0) & (r >= 0.2), samples, seed
-    )
-    r, rho_v = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
-    # Richardson error ~ step^4; 1e-3 of the singular-set distance keeps
-    # it far below the 1e-6 gate without hitting roundoff
-    step = 1e-3 * np.minimum(r, rho_v)
+    [-2, 2]^n with rho in [0.5, 2] and |x| >= 0.2. Raises ValueError when
+    the arithmetic overflows, divides by zero or turns invalid, where a nan
+    error would otherwise read as 0."""
     worst = 0.0
-    for c, s in DIVERGENCE_COMBOS:
-        closed = div_weighted_rho_closed_form(space, pts, c, s)
-        approx = fd_divergence(space, _weighted_rho_field(space, c, s), pts, step)
-        worst = max(worst, float(np.max(np.abs(approx - closed) / np.abs(closed))))
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            keep = lambda r, rho_v: (rho_v >= 0.5) & (rho_v <= 2.0) & (r >= 0.2)  # noqa: E731
+            pts = rejection_sample(space, 2.0, keep, samples, seed)
+            r, rho_v = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
+            # Richardson error ~ step^4; 1e-3 of the singular-set distance keeps
+            # it far below the 1e-6 gate without hitting roundoff
+            step = 1e-3 * np.minimum(r, rho_v)
+            for c, s in DIVERGENCE_COMBOS:
+                closed = div_weighted_rho_closed_form(space, pts, c, s)
+                approx = fd_divergence(space, _weighted_rho_field(space, c, s), pts, step)
+                worst = max(worst, float(np.max(np.abs(approx - closed) / np.abs(closed))))
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"divergence arithmetic failed in space ({space.m},{space.k},{space.gamma:g}): {exc}"
+        ) from None
     return {
         "samples": samples,
         "combos": [list(cs) for cs in DIVERGENCE_COMBOS],
@@ -290,14 +298,24 @@ def _record(name: str, out: object) -> Dict[str, object]:
     }
 
 
-def _versions() -> Dict[str, str]:
-    import scipy  # here, not at the top: only a report needs it, and it slows every CLI import
+@functools.cache  # a metadata read takes about 5 ms, and a suite reports once per entry
+def _scipy_version() -> Optional[str]:
+    """scipy's version, read from its metadata without importing it (it is a
+    test dependency only), or None where it is not installed."""
+    import importlib.metadata  # here, not at the top: it slows every CLI import
 
+    try:
+        return importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
+def _versions() -> Dict[str, Optional[str]]:
     return {
         "package": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": _scipy_version(),
     }
 
 

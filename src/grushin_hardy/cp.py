@@ -312,6 +312,12 @@ def find_constant(kind: CpObjectiveKind) -> ConstantEstimate:
     s_scan = np.concatenate([-radii, radii, [-1.0, 1.0]])
     scores = sign * _quotient(kind, s_scan, np.zeros_like(s_scan))
     scores[np.isnan(scores)] = np.inf
+    if not np.isfinite(scores[np.abs(s_scan) != 1.0]).any():
+        # from p ~ 1.3e4 the quotient over- or underflows at every |s| != 1
+        raise ValueError(
+            f"{kind.kind} at p = {kind.p:g}: no scanned s off the seam s = +-1 gives a "
+            "finite quotient, so the scan cannot bracket the extremum"
+        )
 
     def score(s: float) -> float:
         q = objective(kind, s, 0.0)

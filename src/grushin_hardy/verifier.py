@@ -265,8 +265,11 @@ def _polar_pieces(fields: Sequence[TestField]):
             pieces.append((rho0, rho1, rho_grade, math.inf, 2.0 * x_floor, 1.0))
         pieces.append((rho0, rho1, rho_grade, 2.0 * x_floor, x_floor, 1.0))
     rho0, rho1, rho_grade, r_out, r_in, grade = (np.array(col) for col in zip(*pieces))
-    spheres = math.prod(2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0) for d in (m, space.k))
-    log_span, log_const = np.log(rho1 / rho0), math.log(spheres / a**space.k)
+    # log(|S^(m-1)||S^(k-1)|/a^k), |S^(d-1)| = 2 pi^(d/2)/Gamma(d/2); Gamma overflows from d = 343
+    log_const = -space.k * math.log(a) + sum(
+        math.log(2.0) + d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0) for d in (m, space.k)
+    )
+    log_span = np.log(rho1 / rho0)
 
     def lift(nodes: np.ndarray) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
         grid = nodes.reshape(nodes.shape[0], -1, 2)
@@ -708,7 +711,7 @@ def _hpw_plan(case: str, p: float, field: TestField):
     spec = PAIRS[pair_id]
     if p <= 1.0:
         raise ValueError("p must be > 1")
-    if "R" in spec.params and not math.isfinite(field.spec.R):
+    if "R" in spec.defaults and not math.isfinite(field.spec.R):
         raise ValueError(f"{case} needs a field built with finite R")
     if field.space.gamma > 0.0 and not field.spec.x_floor > 0.0:
         _refuse(field, pair_id, "gamma > 0 weights are singular on {x=0}; use x_floor > 0")

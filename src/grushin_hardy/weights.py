@@ -16,10 +16,12 @@ follow from one expansion of the divergence (_expand): kappa cancels its
 term with w0's exponents, and the rest, phi, is one monomial or exactly 0.
 phi_numeric cross-checks phi by finite differences.
 
-Everything known about a pair is its entry in PAIRS: parameters, validity
-rules, v and w0, and its uncertainty display's point (see hpw_pair), if it
-has one. The extremal that fields.ExtremalField builds is derived too, from
-the term that kappa cancels (WeightPair.kappa_term).
+A pair declares only its entry in PAIRS: default parameters, v and w0, and
+its uncertainty display's point (see hpw_pair), if it has one. Everything
+else is derived from the same expansion: make_pair refuses a pair whose
+kappa is not positive, which is the paper's condition (with R > 0 for a
+ball), and the extremal that fields.ExtremalField builds follows from the
+term that kappa cancels (WeightPair.kappa_term).
 """
 
 from dataclasses import dataclass, field
@@ -76,11 +78,9 @@ class HpwSpec:
 
 @dataclass(frozen=True)
 class PairSpec:
-    """Everything known about one catalog pair; see PAIRS."""
+    """Everything declared about one catalog pair; see PAIRS."""
 
-    params: Tuple[str, ...]  # required parameters
-    defaults: Dict[str, float]  # the CLI's parameters
-    rules: Tuple[Tuple[Callable, str], ...]  # (holds(k), message), checked in order
+    defaults: Dict[str, float]  # the CLI's parameters; their keys are the required ones
     v: Monomial
     w: Monomial  # w0 = w / kappa^p, with c = 1
     hpw: Optional[HpwSpec] = None
@@ -114,21 +114,15 @@ def eval_monomials(rows: np.ndarray, features: np.ndarray) -> np.ndarray:
     return np.multiply(np.exp(logs, out=logs), c[:, None], out=logs)
 
 
-_R_POSITIVE = (lambda k: k.R > 0, "requires R > 0")
-
 PAIRS: Dict[str, PairSpec] = {
     "nch_ball": PairSpec(
-        params=("R",),
         defaults={"R": 4.0},
-        rules=(_R_POSITIVE,),
         v=lambda k: (1.0, 0.0, 0.0, 0.0, 0.0),
         w=lambda k: (1.0, k.g * k.p, 0.0, -k.p, 0.0),
         hpw=HpwSpec("ball_nch", lambda k: {"R": k.R}),
     ),
     "dambrosio_power": PairSpec(
-        params=("alpha", "beta"),
         defaults={"alpha": 0.0, "beta": 0.0},
-        rules=((lambda k: k.Q > k.alpha - k.beta, "requires Q > alpha - beta"),),
         # v = r^(beta - g p) rho^(p (1+g) - alpha), w0 = r^beta rho^(-alpha)
         v=lambda k: (1.0, k.beta - k.g * k.p, k.beta + k.p - k.alpha, 0.0, 0.0),
         w=lambda k: (1.0, k.beta, k.beta - k.alpha, 0.0, 0.0),
@@ -139,16 +133,12 @@ PAIRS: Dict[str, PairSpec] = {
         ),
     ),
     "darca_power": PairSpec(
-        params=("alpha", "theta", "R"),
-        defaults={"theta": 0.5, "alpha": 1.0, "R": 1e30},
-        rules=(_R_POSITIVE, (lambda k: k.Q > k.p * k.theta, "requires Q > p*theta")),
+        defaults={"alpha": 1.0, "theta": 0.5, "R": 1e30},
         v=lambda k: (1.0, k.g * k.alpha, k.p * (1.0 - k.theta), 0.0, 0.0),
         w=lambda k: (1.0, k.g * (k.alpha + k.p), -k.p * k.theta, 0.0, 0.0),
     ),
     "log_ball": PairSpec(
-        params=("alpha", "R"),
         defaults={"alpha": -3.0, "R": 4.0},
-        rules=(_R_POSITIVE, (lambda k: k.alpha + 1 < 0, "requires alpha + 1 < 0")),
         v=lambda k: (1.0, 0.0, 0.0, 0.0, k.alpha + k.p),
         w=lambda k: (1.0, k.g * k.p, -k.p, 0.0, k.alpha),
         hpw=HpwSpec("log_ball", lambda k: {"alpha": k.p, "R": k.R}),
@@ -175,7 +165,6 @@ class WeightPair:
     params: Dict[str, float]
     kappa: float
     kappa_term: int  # _expand's term j that kappa cancels; it fixes the extremal's base
-    x_singular: bool  # singular on {x=0}: gamma > 0, or v or w has a negative |x| exponent
     monomials: np.ndarray = field(compare=False)  # the WEIGHTS as (4, 5) rows (c, e1, ..., e4)
 
     @property
@@ -185,6 +174,11 @@ class WeightPair:
     @property
     def sharp_constant(self) -> float:
         return self.kappa**self.p
+
+    @property
+    def x_singular(self) -> bool:
+        """Singular on {x=0}: gamma > 0, or v or w has a negative |x| exponent."""
+        return self.space.gamma > 0 or min(self.monomials[:2, 1].tolist()) < 0
 
     @property
     def radius(self) -> Optional[float]:
@@ -215,9 +209,9 @@ class WeightPair:
         return self._row("phi", pts)
 
 
-def _expand(v: Tuple[float, ...], w: Tuple[float, ...], k: SimpleNamespace):
-    """kappa, the index j of the term it cancels, and the rows phi / kappa^(p-1)
-    and h0 = v^(1/p) w0^((p-1)/p) of v, w0.
+def _expand(spec: PairSpec, space: SpaceParams, p: float, params: Dict[str, float]):
+    """v, w0, kappa, the index j of the term it cancels, and the rows
+    phi / kappa^(p-1) and h0 = v^(1/p) w0^((p-1)/p) of spec at these params.
 
     With h0 = c (r/rho)^e1 H and H = rho^e2 (R-rho)^e3 log(R/rho)^e4, r/rho is
     constant along grad_gamma(rho) and |grad_gamma(rho)| = (r/rho)^gamma, so
@@ -225,19 +219,21 @@ def _expand(v: Tuple[float, ...], w: Tuple[float, ...], k: SimpleNamespace):
     ((e2+Q-1)/rho - e3/(R-rho) - e4/(rho log(R/rho))). The term with w0's
     exponents is p kappa w0; the others are phi / kappa^(p-1).
     """
-    h = (v[0] ** (1.0 / k.p),) + tuple(b + (a - b) / k.p for a, b in zip(v[1:], w[1:]))
+    k = SimpleNamespace(g=space.gamma, p=p, Q=space.Q, **params)
+    v, w = spec.v(k), spec.w(k)
+    h = (v[0] ** (1.0 / p),) + tuple(b + (a - b) / p for a, b in zip(v[1:], w[1:]))
     c, e2, e3, e4 = h[0], *h[2:]
-    coefs = (c * (e2 + k.Q - 1.0), -c * e3, -c * e4)
+    # a coefficient within rounding of 0 is 0, as Q - p is at Q = p
+    tol = 16.0 * _EPS * c * (abs(e2) + k.Q + 1.0)
+    coefs = [x if abs(x) > tol else 0.0 for x in (c * (e2 + k.Q - 1.0), -c * e3, -c * e4)]
     offsets = [max(abs(e + s - b) for e, s, b in zip(h[2:], shift, w[2:])) for shift in _SHIFTS]
     j = offsets.index(min(offsets))
-    # a defect coefficient within rounding of 0 is 0, as Q - p is at Q = p
-    tol = 16.0 * _EPS * c * (abs(e2) + k.Q + 1.0)
-    rest = [i for i in range(3) if i != j and abs(coefs[i]) > tol]
+    rest = [i for i in range(3) if i != j and coefs[i] != 0.0]
     phi = (0.0,) * 5
     if rest:
         (i,) = rest  # every catalog defect is one monomial
         phi = (coefs[i], w[1]) + tuple(b + s - t for b, s, t in zip(w[2:], _SHIFTS[i], _SHIFTS[j]))
-    return coefs[j] / k.p, j, phi, h
+    return v, w, coefs[j] / p, j, phi, h
 
 
 def make_pair(
@@ -248,13 +244,17 @@ def make_pair(
     allow_negative_phi: bool = False,
 ) -> WeightPair:
     """Validated catalog entry; error messages name the violated constraint.
-    A pair with phi < 0 gives the identity only: allow_negative_phi admits it."""
+
+    The refusals are derived, in this order: R > 0 where R is a parameter,
+    then the paper's condition kappa > 0, with kappa from _expand, then a
+    sharp constant kappa^p in (0, inf). A pair with phi < 0 gives the
+    identity only: allow_negative_phi admits it."""
     spec = PAIRS.get(pair_id)
     if spec is None:
         raise ValueError(f"unknown pair id {pair_id!r}; expected one of {PAIR_IDS}")
     if not 1 < p < np.inf:
         raise ValueError("requires p > 1 and finite")
-    required = spec.params
+    required = tuple(spec.defaults)
     missing = [k for k in required if k not in params]
     extra = [k for k in params if k not in required]
     if missing or extra:
@@ -264,49 +264,42 @@ def make_pair(
     params = {k: float(params[k]) for k in required}
     if not np.all(np.isfinite(list(params.values()))):
         raise ValueError(f"{pair_id} parameters must be finite")
-    k = SimpleNamespace(g=space.gamma, p=p, Q=space.Q, **params)
-    for holds, message in spec.rules:
-        if not holds(k):
-            raise ValueError(message)
-    v, w = spec.v(k), spec.w(k)
-    kappa, j, phi, h = _expand(v, w, k)
-    with np.errstate(over="ignore"):
+    if params.get("R", 1.0) <= 0:
+        raise ValueError("requires R > 0")
+    v, w, kappa, j, phi, h = _expand(spec, space, p, params)
+    if not kappa > 0:
+        named = ", ".join(f"{name} = {x:g}" for name, x in params.items())
+        raise ValueError(
+            f"{pair_id} requires kappa > 0, but its divergence expansion gives "
+            f"kappa = {kappa:g} at Q = {space.Q:g}, p = {p:g}, {named}"
+        )
+    with np.errstate(over="ignore", under="ignore"):
         C = np.float64(kappa) ** p
-        if not np.isfinite(C):
-            raise ValueError(f"{pair_id}: the sharp constant kappa^p = {kappa:g}^{p:g} overflows")
+    if not np.isfinite(C):
+        raise ValueError(f"{pair_id}: the sharp constant kappa^p = {kappa:g}^{p:g} overflows")
+    if C == 0.0:
+        raise ValueError(f"{pair_id}: the sharp constant kappa^p = {kappa:g}^{p:g} underflows to 0")
     if phi[0] < 0 and not allow_negative_phi:
         raise ValueError(
             f"{pair_id}: phi < 0 here, so only the identity holds; pass allow_negative_phi"
         )
     scale = kappa ** (p - 1.0)
     rows = (v, (C, *w[1:]), (scale * phi[0], *phi[1:]), (scale * h[0], *h[1:]))
-    return WeightPair(
-        id=pair_id,
-        space=space,
-        p=p,
-        params=params,
-        kappa=kappa,
-        kappa_term=j,
-        x_singular=space.gamma > 0 or min(v[1], w[1]) < 0,
-        monomials=np.array(rows),
-    )
+    return WeightPair(pair_id, space, p, params, kappa, j, np.array(rows))
 
 
 def hpw_pair(case: str, space: SpaceParams, p: float, R: float) -> WeightPair:
     """The pair of uncertainty display case at its HpwSpec.point, given the
     field's R, with rows (v, w0, 0, 0) and kappa = |kappa| (see
-    verifier.verify_hpw). The display reads only v, w0 and |kappa|, so no
-    rule of the pair is checked: log_ball's point alpha = p breaks
-    alpha + 1 < 0, and its kappa is -(p+1)/p."""
+    verifier.verify_hpw), derived as make_pair derives it. The display reads
+    only v, w0 and |kappa|, so nothing is refused here: log_ball's point
+    alpha = p has kappa = -(p+1)/p."""
     pair_id = HPW_PAIRS[case]
     spec = PAIRS[pair_id]
     params = spec.hpw.point(SimpleNamespace(g=space.gamma, p=p, R=R))
-    k = SimpleNamespace(g=space.gamma, p=p, Q=space.Q, **params)
-    v, w0 = spec.v(k), spec.w(k)
-    kappa, j, _, _ = _expand(v, w0, k)
-    x_singular = space.gamma > 0 or min(v[1], w0[1]) < 0
+    v, w0, kappa, j, _, _ = _expand(spec, space, p, params)
     rows = np.array((v, w0, (0.0,) * 5, (0.0,) * 5))
-    return WeightPair(pair_id, space, p, params, abs(kappa), j, x_singular, rows)
+    return WeightPair(pair_id, space, p, params, abs(kappa), j, rows)
 
 
 def phi_numeric(pair: WeightPair, pts: np.ndarray, step: np.ndarray) -> np.ndarray:

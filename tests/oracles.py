@@ -245,6 +245,18 @@ HAND_KAPPA = {
     "log_ball": lambda k: abs(k.alpha + 1.0) / k.p,
 }
 
+_R_POSITIVE = (lambda k: k.R > 0, "requires R > 0")
+
+# pair id -> the hand-typed validity rules, (holds(k), message) checked in
+# order; k holds the pair's parameters with g = gamma, p and Q. make_pair
+# derives the same refusal: R > 0, then kappa > 0 from the expansion
+HAND_RULES = {
+    "nch_ball": (_R_POSITIVE,),
+    "dambrosio_power": ((lambda k: k.Q > k.alpha - k.beta, "requires Q > alpha - beta"),),
+    "darca_power": (_R_POSITIVE, (lambda k: k.Q > k.p * k.theta, "requires Q > p*theta")),
+    "log_ball": (_R_POSITIVE, (lambda k: k.alpha + 1 < 0, "requires alpha + 1 < 0")),
+}
+
 # pair id -> (v, w, phi, x_exponents): v, w and phi as f(|x|, rho, k), phi
 # None when it is identically 0, and the |x| exponents of v and w, a negative
 # one being singular on {x=0}; k is hand_scalars' namespace

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -124,7 +125,40 @@ def test_verify_validation_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, bad)
     code, _, err = run_cli(capsys, "verify", "--config", path)
     assert code == 2
-    assert "requires Q > alpha - beta" in err
+    assert "dambrosio_power requires kappa > 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 6.1 - 3.1 rounds below Q = 3, but the expansion's kappa is 0
+        (["verify", "--config", "CONFIG"], "requires kappa > 0, .* kappa = 0 at Q = 3, p = 1.5"),
+        # kappa^p = (3e-6)^1e6 is 0 in floats
+        (["sharpness", "--pair", "dambrosio_power", "--p", "1e6"], r"kappa\^p = .* underflows to 0"),
+        # rho overflows, so every relative error is nan
+        (["check-divergence", "--space", "1,1,1e6"], "divergence arithmetic failed"),
+        # the quotient over- or underflows at every scanned |s| != 1
+        (["constants", "--kind", "cp", "--p", "1e5"], "no scanned s off the seam"),
+    ],
+)
+def test_degenerate_input_exits_2_without_a_traceback(tmp_path, capsys, argv, message):
+    pair = {"id": "dambrosio_power", "alpha": 6.1, "beta": 3.1}
+    path = write_config(tmp_path, dict(BASE_CONFIG, pair=pair, p=1.5, checks=["sharpness"]))
+    code, out, err = run_cli(capsys, *(path if a == "CONFIG" else a for a in argv))
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert re.match(f"error: .*{message}", err) and err.count("\n") == 1
+
+
+def test_verify_runs_at_m_400(tmp_path, capsys):
+    # |S^(m-1)| = 2 pi^(m/2)/Gamma(m/2) is taken in logs: Gamma overflows from
+    # m = 343, and the terms (about 1e-158 here) must not underflow to 0
+    cfg = dict(BASE_CONFIG, space={"m": 400, "k": 1, "gamma": 1.0}, checks=["identity", "inequality", "hpw"])
+    code, out, err = run_cli(capsys, "verify", "--config", write_config(tmp_path, cfg))
+    assert code in (0, 1) and err == ""
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == ["identity", "inequality", "hpw"]
+    assert checks[0]["terms"]["lhs"] > 0.0 and checks[2]["terms"]["left"] > 0.0
 
 
 def test_verify_empty_checks(tmp_path, capsys):
@@ -437,6 +471,20 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     proc = run_python(code, check=True)
     assert proc.stdout.strip() == "False True"
+
+
+def test_versions_report_an_absent_scipy_as_none(monkeypatch):
+    import importlib.metadata
+
+    def absent(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(importlib.metadata, "version", absent)
+    cli._scipy_version.cache_clear()
+    try:
+        assert cli._versions()["scipy"] is None
+    finally:
+        cli._scipy_version.cache_clear()
 
 
 def test_condition_with_an_overflowing_space_prints_one_error_line():

@@ -1,5 +1,7 @@
 """Weight-pair catalog: validation, closed forms, and the defect condition."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,6 @@ def test_sharp_constants():
 @pytest.mark.parametrize("pair_id", PAIR_IDS)
 def test_pair_spec_is_complete(pair_id):
     spec = PAIRS[pair_id]
-    assert sorted(spec.defaults) == sorted(spec.params)
     pair = make_pair(pair_id, SP, 2.0, dict(spec.defaults))
     assert pair.kappa == pytest.approx(oracles.hand_scalars(pair).kappa, rel=1e-13, abs=0)
     phi = pair.phi_batch(sample_points(SP, np.random.default_rng(3), 50))
@@ -63,21 +64,77 @@ def test_validation_messages():
             make_pair("nch_ball", SP, bad, {"R": 4.0})
         with pytest.raises(ValueError, match="parameters must be finite"):
             make_pair("nch_ball", SP, 2.0, {"R": bad})
-    with pytest.raises(ValueError, match="requires Q > alpha - beta"):
+    with pytest.raises(ValueError, match=r"requires kappa > 0, .* kappa = -0.5 at Q = 3, p = 2, alpha = 4, beta = 0$"):
         make_pair("dambrosio_power", SP, 2.0, {"alpha": 4.0, "beta": 0.0})
-    with pytest.raises(ValueError, match=r"requires Q > p\*theta"):
+    with pytest.raises(ValueError, match=r"requires kappa > 0, .* kappa = -0.5 at Q = 3, p = 2, alpha = 0, theta = 2, R = 4$"):
         make_pair("darca_power", SP, 2.0, {"alpha": 0.0, "theta": 2.0, "R": 4.0})
-    with pytest.raises(ValueError, match="requires alpha \\+ 1 < 0"):
+    with pytest.raises(ValueError, match=r"requires kappa > 0, .* kappa = 0 at Q = 3, p = 2, alpha = -1, R = 4$"):
         make_pair("log_ball", SP, 2.0, {"alpha": -1.0, "R": 4.0})
     with pytest.raises(ValueError, match="requires R > 0"):
         make_pair("nch_ball", SP, 2.0, {"R": 0.0})
     with pytest.raises(ValueError, match="missing"):
         make_pair("dambrosio_power", SP, 2.0, {"alpha": 0.0})
+    with pytest.raises(ValueError, match=r"takes parameters \('alpha', 'theta', 'R'\)"):
+        make_pair("darca_power", SP, 2.0, {})
     with pytest.raises(ValueError, match="unexpected"):
         make_pair("nch_ball", SP, 2.0, {"R": 4.0, "alpha": 1.0})
     # kappa = Q/2 = 5e307 is finite, but kappa^2 overflows
     with pytest.raises(ValueError, match=r"kappa\^p = 5e\+307\^2 overflows"):
         make_pair("dambrosio_power", SpaceParams(1, 1, 1e308), 2.0, {"alpha": 0.0, "beta": 0.0})
+
+
+def _hand_rules_hold(pair_id, space, p, params):
+    k = SimpleNamespace(g=space.gamma, p=p, Q=space.Q, **params)
+    return all(holds(k) for holds, _ in oracles.HAND_RULES[pair_id])
+
+
+def _accepts(pair_id, space, p, params):
+    try:
+        make_pair(pair_id, space, p, params, allow_negative_phi=True)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("pair_id", PAIR_IDS)
+def test_derived_refusal_matches_the_hand_rules_off_the_boundary(pair_id):
+    # 5,000 draws per pair: spaces up to (4,4,3.7), p in (1.01, 6) and every
+    # parameter, R included, in (-8, 8)
+    rng = np.random.default_rng(12)
+    names, mismatches = tuple(PAIRS[pair_id].defaults), []
+    for _ in range(5000):
+        space = SpaceParams(int(rng.integers(1, 5)), int(rng.integers(1, 5)), rng.uniform(0.0, 3.7))
+        p = rng.uniform(1.01, 6.0)
+        params = dict(zip(names, rng.uniform(-8.0, 8.0, len(names))))
+        if _accepts(pair_id, space, p, params) != _hand_rules_hold(pair_id, space, p, params):
+            mismatches.append((space, p, params))
+    assert mismatches == []
+
+
+def test_every_pair_with_kappa_zero_is_refused():
+    # alpha - beta = Q, theta = Q/p and alpha = -1 put kappa at 0 up to
+    # rounding; the hand rules accept some of these grid points, where
+    # alpha - beta rounds below Q (6.1 - 3.1 < 3), and refuse others
+    spaces = [(1, 1, 1.0), (1, 3, 1.5), (2, 1, 0.0), (2, 2, 1.0), (3, 2, 0.5), (4, 4, 3.7), (1, 1, 0.0)]
+    hand_accepts = 0
+    for space in (SpaceParams(*s) for s in spaces):
+        for p in (1.1, 1.5, 2.0, 3.0, 4.7):
+            Q = space.Q
+            cases = [("dambrosio_power", {"alpha": b + Q, "beta": b}) for b in (-3.3, 0.7, 3.1)]
+            cases += [("darca_power", {"alpha": a, "theta": Q / p, "R": 4.0}) for a in (-2.5, 1.0)]
+            cases += [("log_ball", {"alpha": -1.0, "R": R}) for R in (0.5, 4.0)]
+            for pair_id, params in cases:
+                with pytest.raises(ValueError, match="requires kappa > 0, .* kappa = 0 at"):
+                    make_pair(pair_id, space, p, params, allow_negative_phi=True)
+                hand_accepts += _hand_rules_hold(pair_id, space, p, params)
+    assert hand_accepts > 0
+
+
+def test_an_underflowing_sharp_constant_is_refused():
+    # kappa = 3/p: 0.015^200 and (3e-6)^1e6 are 0 in floats
+    for p in (200.0, 1e6):
+        with pytest.raises(ValueError, match=r"kappa\^p = .* underflows to 0"):
+            make_pair("dambrosio_power", SP, p, {"alpha": 0.0, "beta": 0.0})
 
 
 def test_log_ball_subcritical_flag():
