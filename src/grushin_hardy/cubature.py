@@ -11,8 +11,9 @@ cut needs no refinement.
 Cell i is row i of one set of numpy arrays that double when full; these
 arrays are the only refinement state. Each round sums the live rows in id
 order, for the stop test and the result alike, so results are bit-identical
-across runs, and picks its worst live cells by a stable sort of their
-scores; the batch is split by array indexing and evaluated in one call.
+across runs. A round splits, worst err/tol first, every cell that an unmet
+component needs: its worst live cells until those left hold at most half its
+tolerance. The batch is split by array indexing and evaluated in one call.
 
 Integrands are batch callables mapping an (N, n) coordinate array to (N,)
 real or complex values. The nodes come cell by cell, each cell's 15^n in
@@ -249,13 +250,13 @@ def integrate_vector(
         met = error <= tol
         if met.all():
             break
-        # worst err/tol first, so a large term cannot steer while a small one
-        # waits, ties by smaller id; split together only cells within 4x of
-        # the worst, since splitting negligible cells alongside one hot cell
-        # would waste most of the evaluation budget
-        score = (live_errs / tol).max(axis=1)
-        order = np.argsort(-score, kind="stable")[:batch_cap]
-        batch = live[order[score[order] >= 0.25 * score[order[0]]]]
+        # an unmet component needs its worst cells until those left hold at
+        # most half its tolerance; split them all, worst err/tol first so a
+        # large term cannot steer while a small one waits, ties by smaller id
+        worst = np.argsort(-live_errs[:, ~met], axis=0, kind="stable")
+        ranked = live_errs[worst, np.flatnonzero(~met)]
+        cand = np.unique(worst[error[~met] - (np.cumsum(ranked, axis=0) - ranked) > 0.5 * tol[~met]])
+        batch = live[cand[np.argsort(-(live_errs[cand] / tol).max(axis=1), kind="stable")][:batch_cap]]
         # a refused batch stays alive: its cells are still part of the mesh
         if (n_cells + 2 * len(batch)) * rule.points_per_cell > settings.max_evals:
             break

@@ -128,14 +128,15 @@ class TestField:
         band = spec.smoothness_margin * (spec.outer_rho - spec.inner_rho)
         return (spec.inner_rho, spec.inner_rho + band, spec.outer_rho - band, spec.outer_rho)
 
-    def eval_radial(
-        self, r: np.ndarray, rho: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """f and its partials f_r = df/d|x| and f_rho = df/drho on arrays of
-        |x| and rho that broadcast, such as (M, K) and (M, 1): the window and
-        phase are evaluated on rho's shape, the |x| cutoff on r's. Real for a
-        field without a phase, complex with one, and exact zeros outside the
-        support."""
+    @property
+    def modulus(self) -> tuple:
+        """Fields with one modulus have one |f|: they differ only in their phase."""
+        return type(self), self.spec.inner_rho, self.spec.outer_rho, self.spec.x_floor, self.spec.smoothness_margin
+
+    def eval_modulus(self, r: np.ndarray, rho: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """|f| and its partials in |x| and rho, the field without its phase, on
+        arrays of |x| and rho that broadcast, such as (M, K) and (M, 1): the
+        window on rho's shape, the |x| cutoff on r's; 0 outside the support."""
         spec = self.spec
         inside = (rho >= spec.inner_rho) & (rho <= spec.outer_rho)
         amp, d_amp = np.zeros(rho.shape), np.zeros(rho.shape)
@@ -143,14 +144,21 @@ class TestField:
         if spec.x_floor > 0.0:
             u = r / spec.x_floor - 1.0
             cut = smoothstep5(u)
-            f, f_r, f_rho = amp * cut, amp / spec.x_floor * smoothstep5_prime(u), d_amp * cut
-        else:
-            f, f_r, f_rho = amp, np.zeros_like(amp), d_amp
-        if spec.phase_kappa != 0.0:
-            phase = np.exp(1j * spec.phase_kappa * rho)
-            f_rho = (f_rho + 1j * spec.phase_kappa * f) * phase
-            f, f_r = f * phase, f_r * phase
-        return f, f_r, f_rho
+            return amp * cut, amp / spec.x_floor * smoothstep5_prime(u), d_amp * cut
+        return amp, np.zeros_like(amp), d_amp
+
+    def twist(self, rho: np.ndarray, f: np.ndarray, f_r: np.ndarray, f_rho: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """eval_modulus's f, f_r and f_rho with the phase exp(i kappa rho),
+        evaluated on rho's shape; a field without a phase keeps them."""
+        kappa = self.spec.phase_kappa
+        if kappa == 0.0:
+            return f, f_r, f_rho
+        phase = np.exp(1j * kappa * rho)
+        return f * phase, f_r * phase, (f_rho + 1j * kappa * f) * phase
+
+    def eval_radial(self, r: np.ndarray, rho: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """f and its partials f_r = df/d|x| and f_rho = df/drho: eval_modulus, then twist."""
+        return self.twist(rho, *self.eval_modulus(r, rho))
 
     def eval_batch(self, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Values (N,) and Euclidean gradients (N, m+k), both complex, of an
@@ -206,6 +214,8 @@ class ExtremalField(TestField):
         b = self._b(np.asarray(rho, dtype=float), self.pair.radius)
         with np.errstate(divide="ignore"):
             return self._sign * np.log(b / self._anchor(self.pair.radius))
+
+    modulus = property(id)  # the profile depends on the pair too: no other field shares it
 
     def rho_of_tau(self, tau: np.ndarray) -> np.ndarray:
         return _rho_of_tau(self.pair, np.asarray(tau, dtype=float))

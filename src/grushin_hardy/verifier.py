@@ -311,18 +311,18 @@ def _log_abs(x: np.ndarray) -> np.ndarray:
 
 class _Batch:
     """What every field integrand shares on one batch: the nodes' (r, s, rho,
-    log(r/rho)), rho on (M, 1) and the rest on (M, K), and each field's f,
-    f_r and f_rho (see TestField.eval_radial) and Df. r and rho are both of
-    degree 1 under the dilations, so Df = (r/rho)^gamma (r f_r + rho f_rho)/rho.
+    log(r/rho)), rho on (M, 1) and the rest on (M, K), each modulus's |f|,
+    and each field's f, f_r, f_rho (its modulus's, twisted) and Df. r and rho
+    have degree 1 under the dilations, so Df = (r/rho)^gamma (r f_r + rho f_rho)/rho.
     """
 
     def __init__(self, space: SpaceParams, coords, plan: "_Plan"):
         self.space = space
         r, _, rho, _ = self.nodes = coords
         scale = (r / rho) ** space.gamma / rho
-        radial = [field.eval_radial(r, rho) for field in plan.fields]
-        self.vals = [f for f, _, _ in radial]
-        self.partials = [(f_r, f_rho) for _, f_r, f_rho in radial]
+        self.moduli = {f: plan.fields[f].eval_modulus(r, rho) for f in dict.fromkeys(plan.modulus)}
+        radial = [field.twist(rho, *self.moduli[f]) for field, f in zip(plan.fields, plan.modulus)]
+        self.vals, self.partials = [f for f, _, _ in radial], [(f_r, f_rho) for _, f_r, f_rho in radial]
         self.df = [scale * (r * f_r + rho * f_rho) for _, f_r, f_rho in radial]
 
     def grad_sq(self, f: int) -> np.ndarray:
@@ -381,9 +381,9 @@ _IDENTITY = ("lhs", "w", "cp", "phi")  # lhs = w + cp + phi
 
 
 def _one_hot(on: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:
-    """(len(on), 2n) columns that hold row i's two values in columns 2 on[i]
-    and 2 on[i] + 1, and zeros elsewhere and where on[i] is -1."""
-    return ((on[:, None] == np.arange(n))[:, :, None] * values[:, None]).reshape(len(on), 2 * n)
+    """(len(on), w n) columns that hold row i's w values in columns w on[i]
+    to w on[i] + w - 1, and zeros elsewhere and where on[i] is -1."""
+    return ((on[:, None] == np.arange(n))[:, :, None] * values[:, None]).reshape(len(on), n * values.shape[1])
 
 
 def _index(rows: List[int]):
@@ -392,36 +392,81 @@ def _index(rows: List[int]):
     return slice(rows[0], rows[-1] + 1) if consecutive else np.array(rows)
 
 
+def _monomial(pair: Optional[WeightPair], name) -> tuple:
+    """A monomial term's (weight, e, c, q, q', j) for pair (see _MONOMIALS)."""
+    term, *params = (name,) if isinstance(name, str) else name
+    return _MONOMIALS[term](pair and pair.p, *params)
+
+
 class _Plan:
     """What every batch of one integration evaluates, resolved once from its
     cases (see _integrate_cases). A batch's rows are the products, the
     listed monomial terms by term and field slot, so that a cp's completion
     reads whole blocks, and last the hidden ones: the lhs and w that a cp
-    reads where no case lists them, and the roots. Component (id(pair), field
-    slot, name) is its row. The exponent table has a row per monomial term,
-    on the features Phi = [1, log(r/rho), log rho, (log(R-rho), log log(R/rho))
-    per R that a row reads, (log|f|, log|Df|) per field slot, log jac].
+    reads where no case lists them, and the roots. Component key(pair, field,
+    name) is row(pair, field, name). A monomial term with q' = 0 but cp reads
+    |f| only, which fields that differ only in their phase share (a modulus),
+    so it is one component per modulus; a listed term whose |c|^e is 0 (phi
+    where the pair's is) is none, and reads 0. The exponent table has a row
+    per monomial term, on the features Phi = [1, log(r/rho), log rho,
+    (log(R-rho), log log(R/rho)) per R that a row reads, log|f| per modulus,
+    log|Df| per field, log jac].
     """
 
     def __init__(self, cases: Sequence[tuple]):
         self.fields = list({id(field): field for _, field, _ in cases}.values())
-        self.slot = {id(field): i for i, field in enumerate(self.fields)}
+        first: Dict[object, int] = {}  # the slot of the first field of each modulus
+        self.modulus = [first.setdefault(field.modulus, f) for f, field in enumerate(self.fields)]
         pairs = {id(pair): pair for pair, _, _ in cases}
-        listed = dict.fromkeys((id(pair), self.slot[id(field)], n) for pair, field, names in cases for n in names)
+        listed = dict.fromkeys(self.key(pair, field, n) for pair, field, names in cases for n in names)
         blocks: Dict[str, list] = {"": [], **{term: [] for term in _MONOMIALS}}  # "": the products
         hidden: Dict[str, list] = {term: [] for term in _MONOMIALS}
         for key in listed:
             term = key[2] if isinstance(key[2], str) else key[2][0]
             blocks["" if term in _FAMILY else term].append(key)
-        needs = [(i, f, name) for i, f, _ in blocks["cp"] for name in ("lhs", "w")]
+        needs = [self.key(pairs[i], self.fields[f], name) for i, f, _ in blocks["cp"] for name in ("lhs", "w")]
         needs += [(i, -1, root) for i, _, name in blocks[""] for root in _TERMS[_FAMILY[name]][1]]
         for key in dict.fromkeys(key for key in needs if key not in listed):
             hidden[key[2]].append(key)
         for block in (*blocks.values(), *hidden.values()):
             block.sort(key=itemgetter(1))
         keys = [key for block in (*blocks.values(), *hidden.values()) for key in block]
+        self.products = len(blocks[""])
+
+        # table row n: e (log|c|, e1, e2), e (e3, e4) on its R's columns, q on its
+        # modulus's, q' on its field's, j on log jac's, by array ops on the pairs
+        keys, mono_keys, index = keys[: self.products], keys[self.products :], {i: n for n, i in enumerate(pairs)}
+        who = [index[i] for i, _, _ in mono_keys]
+        spec = [_monomial(pairs[i], name) for i, _, name in mono_keys]
+        weight, e, c, q, dq, j = np.fromiter(chain.from_iterable(spec), float, 6 * len(spec)).reshape(-1, 6).T
+        stack = np.array([np.zeros((4, 5)) if pair is None else pair.monomials for pair in pairs.values()])
+        mono, radius = stack[who, weight.astype(int)], [pair and pair.radius for pair in pairs.values()]
+        reads_r = stack[:, :, 3:].any(axis=(1, 2))
+        self.radii = list(dict.fromkeys(R for R, reads in zip(radius, reads_r) if reads))
+        on_r = np.array([self.radii.index(R) if R in self.radii else -1 for R in radius])[who]
+        on_f = np.array([f for _, f, _ in mono_keys], dtype=int)  # a root's -1 reads no field
+        n_r, n_u, n_f = len(self.radii), len(set(self.modulus)), len(self.fields)
+        on_u = np.unique(self.modulus + [-1], return_inverse=True)[1][on_f] - 1  # the column of a row's |f|
+        # the factor k = |c|^e goes in as log k, and a negative c (only phi's
+        # can be) flips the sign; a row with k = 0 is left out where it is
+        # listed and nothing else reads it, and is an exact 0 (log 0) elsewhere
+        c = c * mono[:, 0]
+        k = np.power(np.abs(c), e, out=np.full(len(spec), np.inf), where=(c != 0.0) | (e >= 0.0))
+        keep = np.array([kk != 0.0 or key in needs or key[2] == "cp" for kk, key in zip(k, mono_keys)], dtype=bool)
+        table = np.zeros((len(spec), 4 + 2 * n_r + n_u + n_f))
+        table[:, 0] = _log_abs(k)
+        table[:, 1:3] = e[:, None] * mono[:, 1:3]
+        table[:, 3 : 3 + 2 * n_r] = _one_hot(on_r, n_r, e[:, None] * mono[:, 3:])
+        table[:, 3 + 2 * n_r : -1 - n_f] = _one_hot(on_u, n_u, q[:, None])
+        table[:, -1 - n_f : -1] = _one_hot(on_f, n_f, dq[:, None])
+        table[:, -1] = j
+        self.table, self.negative = table[keep], np.flatnonzero(c[keep] < 0.0)
+        if len(self.table) == 1:  # numpy's one-row product takes gemv, whose last bits differ from gemm's
+            self.table = np.vstack([self.table, self.table])
+        keys += [key for key, kept in zip(mono_keys, keep) if kept]
         row = {key: n for n, key in enumerate(keys)}
-        self.component, self.products = {key: row[key] for key in listed}, len(blocks[""])
+        self.component = {key: row.get(key) for key in listed}  # None: exactly 0
+        self.n_components = sum(n is not None for n in self.component.values())
 
         steps: Dict[tuple, list] = {}  # (id(pair), slot, family) -> its rows
         for i, f, name in blocks[""]:
@@ -432,7 +477,7 @@ class _Plan:
             for (i, f, family), rows in steps.items()
         ]
         self.cp = []  # per field slot: its cp rows, their lhs and w rows, and p - 1
-        cp_rows = [[row[i, f, name] for i, f, _ in blocks["cp"]] for name in ("cp", "lhs", "w")]
+        cp_rows = [[row[self.key(pairs[i], self.fields[f], n)] for i, f, _ in blocks["cp"]] for n in ("cp", "lhs", "w")]
         coef = np.array([pairs[i].p - 1.0 for i, _, _ in blocks["cp"]])[:, None]
         start = 0
         for f, group in groupby(blocks["cp"], key=itemgetter(1)):
@@ -440,35 +485,16 @@ class _Plan:
             self.cp.append((*(_index(rows[start:end]) for rows in cp_rows), coef[start:end], f))
             start = end
 
-        # table row n: e (log|c|, e1, e2), e (e3, e4) on its R's columns and
-        # (q, q') on its field's, j on log jac's, by array ops on the pairs
-        keys = keys[self.products :]
-        index = {i: n for n, i in enumerate(pairs)}
-        who, p = [index[i] for i, _, _ in keys], [pair and pair.p for pair in pairs.values()]
-        spec = [
-            _MONOMIALS[name](p[n]) if isinstance(name, str) else _MONOMIALS[name[0]](p[n], *name[1:])
-            for n, (_, _, name) in zip(who, keys)
-        ]
-        weight, e, c, q, dq, j = np.fromiter(chain.from_iterable(spec), float, 6 * len(keys)).reshape(-1, 6).T
-        stack = np.array([np.zeros((4, 5)) if pair is None else pair.monomials for pair in pairs.values()])
-        mono, radius = stack[who, weight.astype(int)], [pair and pair.radius for pair in pairs.values()]
-        reads_r = stack[:, :, 3:].any(axis=(1, 2))
-        self.radii = list(dict.fromkeys(R for R, reads in zip(radius, reads_r) if reads))
-        on_r = np.array([self.radii.index(R) if R in self.radii else -1 for R in radius])[who]
-        on_f = np.array([f for _, f, _ in keys], dtype=int)  # a root's -1 reads no field
-        # the factor k = |c|^e goes in as log k, and a negative c (only phi's
-        # can be) flips the sign; a row with k = 0 is set to 0 after the exp,
-        # since an exp that underflows is several times slower
-        c = c * mono[:, 0]
-        k = np.power(np.abs(c), e, out=np.full(len(keys), np.inf), where=(c != 0.0) | (e >= 0.0))
-        self.zero, self.negative = np.flatnonzero(k == 0.0), np.flatnonzero(c < 0.0)
-        self.table = np.zeros((len(keys), 4 + 2 * (len(self.radii) + len(self.fields))))
-        np.log(k, out=self.table[:, 0], where=k > 0.0)
-        self.table[:, 1:3] = e[:, None] * mono[:, 1:3]
-        self.table[:, 3 : 3 + 2 * len(self.radii)] = _one_hot(on_r, len(self.radii), e[:, None] * mono[:, 3:])
-        self.table[:, 3 + 2 * len(self.radii) : -1] = _one_hot(on_f, len(self.fields), np.stack([q, dq], 1))
-        self.table[:, -1] = j
-        self.table[self.zero] = 0.0
+    def key(self, pair: Optional[WeightPair], field: TestField, name) -> tuple:
+        """A case's term as (id(pair), field slot, name), with the slot of the
+        modulus's first field for a monomial term that reads |f| but not Df."""
+        f = self.fields.index(field)
+        twin = name != "cp" and name not in _FAMILY and _monomial(pair, name)[4] == 0.0
+        return id(pair), self.modulus[f] if twin else f, name
+
+    def row(self, pair: Optional[WeightPair], field: TestField, name) -> Optional[int]:
+        """A case's term's row of rows(), or None for a term that is exactly 0."""
+        return self.component[self.key(pair, field, name)]
 
     def rows(self, space: SpaceParams, coords, log_jac=0.0) -> np.ndarray:
         """Every component's row on the nodes' (r, s, rho, log(r/rho)) as lift
@@ -478,12 +504,11 @@ class _Plan:
         phi[0], phi[1], phi[2], phi[-1] = 1.0, log_ratio, np.log(rho), log_jac
         for n, R in enumerate(self.radii):
             phi[3 + 2 * n : 5 + 2 * n] = log_features(rho[:, 0], rho[:, 0], R)[2:, :, None]
-        for f, col in enumerate(range(3 + 2 * len(self.radii), len(phi) - 1, 2)):
-            phi[col], phi[col + 1] = _log_abs(b.vals[f]), _log_abs(b.df[f])
+        for col, x in enumerate([f for f, _, _ in b.moduli.values()] + b.df, 3 + 2 * len(self.radii)):
+            phi[col] = _log_abs(x)
         out = np.empty((self.products + len(self.table), log_ratio.size))
         table = np.matmul(self.table, phi.reshape(len(phi), -1), out=out[self.products :])
         np.exp(table, out=table)
-        table[self.zero] = 0.0
         table[self.negative] *= -1.0
         for cp, lhs, w, coef, f in self.cp:
             out[cp] *= (b.df[f] / np.where(b.vals[f] != 0.0, b.vals[f], 1.0)).real.reshape(-1)
@@ -493,17 +518,18 @@ class _Plan:
         for writer, rows, f, p, roots in self.steps:
             writer(b, *[None if k is None else grid[k] for k in rows], f, p, *grid[roots])
         grid[: self.products] *= np.exp(log_jac)
-        return out[: len(self.component)]
+        return out[: self.n_components]
 
 
 def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSettings]) -> List[Dict]:
     """Integrate the terms of every case on one shared mesh.
 
     A case is one check's integrand on one field, (pair, field, names): the
-    names of its terms in _MONOMIALS or _TERMS. Each distinct (pair, field,
-    name) is one component, integrated once however many cases list it, and
-    every case that lists it reads its value and error. Cases share one
-    space and one support region; returns each case's results by term name.
+    names of its terms in _MONOMIALS or _TERMS. Each component (_Plan.key)
+    is integrated once however many cases list it, and every case that lists
+    it reads its value and error (both 0 for a term that is exactly 0).
+    Cases share one space and one support region; returns each case's
+    results by term name.
     """
     if len(cases) == 0:
         raise ValueError("the integration needs at least one case")
@@ -526,11 +552,10 @@ def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSetti
                 f"integrand arithmetic failed in space ({space.m},{space.k},{space.gamma:g}): {exc}"
             ) from None
 
-    res = integrate_vector(integrand, len(plan.component), region, settings)
-    return [
-        {name: res[plan.component[id(pair), plan.slot[id(field)], name]] for name in names}
-        for pair, field, names in cases
-    ]
+    res = integrate_vector(integrand, plan.n_components, region, settings)
+    zero = IntegralResult(0.0, 0.0, res[0].evals, True)
+    found = {key: zero if n is None else res[n] for key, n in plan.component.items()}
+    return [{name: found[plan.key(pair, field, name)] for name in names} for pair, field, names in cases]
 
 
 def _summary(res: Dict[object, IntegralResult], names: Sequence) -> Tuple[List[float], float, bool]:
@@ -783,14 +808,14 @@ def verify_checks(
     """Run field checks on one shared mesh and return their reports in order.
 
     Each check is (name, args): a FIELD_CHECKS name and the arguments its
-    verify_* function takes, without settings. Every precondition and
-    constant search runs before the one integration, whose batches evaluate
-    the weights, |f|^q and |Df|^q once for all the checks. A term that
-    several checks list (such as the identity's lhs, w and cp) is integrated
-    once, and each of those checks reports its value and error estimate. A
-    report's quadrature_error and converged come from the terms it lists
-    alone, but every integral steers the refinement, so a check's values can
-    differ, within its error, from a run with other checks.
+    verify_* function takes, without settings. Preconditions and constant
+    searches run before the one integration, whose batches evaluate |f| once
+    per modulus (fields that differ only in phase share one) and Df once per
+    field. A term that several checks list, or that reads |f| only on fields
+    of one modulus, is integrated once; one that is identically 0 (phi where
+    the pair's is) reads 0 with error 0. A report's quadrature_error and
+    converged come from its own terms, but every integral steers the mesh,
+    so a check's values can differ, within its error, from another run's.
     """
     plans = [FIELD_CHECKS[name](*args) for name, args in checks]
     results = _integrate_cases([next(plan) for plan in plans], settings)

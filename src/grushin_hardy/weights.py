@@ -225,7 +225,11 @@ def _expand(spec: PairSpec, space: SpaceParams, p: float, params: Dict[str, floa
     c, e2, e3, e4 = h[0], *h[2:]
     # a coefficient within rounding of 0 is 0, as Q - p is at Q = p
     tol = 16.0 * _EPS * c * (abs(e2) + k.Q + 1.0)
-    coefs = [x if abs(x) > tol else 0.0 for x in (c * (e2 + k.Q - 1.0), -c * e3, -c * e4)]
+    coefs = [c * (e2 + k.Q - 1.0), -c * e3, -c * e4]
+    if not np.isfinite([*coefs, tol]).all():  # an infinite tol would round every coefficient to 0
+        named = ", ".join(f"{name} = {x:g}" for name, x in params.items())
+        raise ValueError(f"the divergence expansion overflows at Q = {k.Q:g}, p = {p:g}, {named}")
+    coefs = [x if abs(x) > tol else 0.0 for x in coefs]
     offsets = [max(abs(e + s - b) for e, s, b in zip(h[2:], shift, w[2:])) for shift in _SHIFTS]
     j = offsets.index(min(offsets))
     rest = [i for i in range(3) if i != j and coefs[i] != 0.0]

@@ -150,6 +150,16 @@ def test_degenerate_input_exits_2_without_a_traceback(tmp_path, capsys, argv, me
     assert re.match(f"error: .*{message}", err) and err.count("\n") == 1
 
 
+def test_an_overflowing_expansion_exits_2_naming_the_overflow(tmp_path, capsys):
+    # Q + beta - alpha overflows; it used to be reported as kappa = 0
+    pair = {"id": "dambrosio_power", "alpha": 1e308, "beta": -1e308}
+    path = write_config(tmp_path, dict(BASE_CONFIG, pair=pair, p=2.0, checks=["identity"]))
+    code, out, err = run_cli(capsys, "verify", "--config", path)
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert err == "error: the divergence expansion overflows at Q = 3, p = 2, alpha = 1e+308, beta = -1e+308\n"
+
+
 def test_verify_runs_at_m_400(tmp_path, capsys):
     # |S^(m-1)| = 2 pi^(m/2)/Gamma(m/2) is taken in logs: Gamma overflows from
     # m = 343, and the terms (about 1e-158 here) must not underflow to 0
@@ -593,8 +603,10 @@ def test_verify_all_integrates_once_per_entry_and_sharpness_level(tmp_path, caps
 
 
 def test_a_term_shared_by_checks_is_integrated_once(monkeypatch):
-    # ALL_SUITE[0]'s field checks list 17 terms, 7 of them another check's;
-    # ALL_SUITE[1]'s identity and inequality share lhs and w_term
+    # ALL_SUITE[0]'s field checks list 17 terms, 7 of them another check's,
+    # and its pair's phi is identically 0, so the identity's phi_term reads
+    # 0 and is no component; ALL_SUITE[1]'s identity and inequality share
+    # lhs and w_term
     integrate = verifier.integrate_vector
     components = []  # of each 2-D (field-check) integration
 
@@ -607,7 +619,7 @@ def test_a_term_shared_by_checks_is_integrated_once(monkeypatch):
     lhs_w = ("identity", "inequality", "ckn")
     cp = ("identity", "remainder_pge2", "ckn")
     cases = (
-        (cli.ALL_SUITE[0], 10, {"lhs": lhs_w, "w_term": lhs_w, "cp_term": cp}),
+        (cli.ALL_SUITE[0], 9, {"lhs": lhs_w, "w_term": lhs_w, "cp_term": cp}),
         (cli.ALL_SUITE[1], 4, {"lhs": lhs_w[:2], "w_term": lhs_w[:2]}),
     )
     for entry, n_components, shared in cases:

@@ -84,40 +84,53 @@ def test_settings_and_region_validation():
 
 
 def _piece_spy(weights, n_components=1):
-    """An integrand on the unit pieces of [0, len(weights)] whose first call
-    gives piece i the error weights[i] * E (the same degree-20 profile on
-    each piece, scaled) and whose later calls are zero; it records the cell
-    centers of each call in call order."""
+    """An integrand on the unit pieces of [0, P] whose first call gives piece
+    i the error weights[i] * E (the same degree-20 profile on each piece,
+    scaled), or component c's piece i weights[c][i] * E for (C, P) weights,
+    and whose later calls are zero; it records the cell centers of each call
+    in call order."""
     calls = []
     profile = cubature._NODES_1D**20
 
     def f(pts):
         # the middle Kronrod node of each cell is its center
         calls.append(pts[7::15, 0].tolist())
-        scale = np.repeat(weights, 15) if len(calls) == 1 else np.zeros(len(pts))
+        scale = np.repeat(weights, 15, axis=-1) if len(calls) == 1 else np.zeros(len(pts))
         return np.broadcast_to(scale * np.tile(profile, len(pts) // 15), (n_components, len(pts)))
 
-    region = Region(box=((0.0, float(len(weights))),), cuts=tuple(range(1, len(weights))))
+    pieces = np.shape(weights)[-1]
+    region = Region(box=((0.0, float(pieces)),), cuts=tuple(range(1, pieces)))
     return f, region, calls
 
 
+# E: the Kronrod-minus-Gauss error of _piece_spy's profile on one unit piece
+_SPY_ERROR = 0.5 * abs((cubature._W15_1D - cubature._W7_1D) @ cubature._NODES_1D**20)
+
+
 @pytest.mark.parametrize(
-    "weights,split",
+    "weights,tol,split",
     [
-        # pieces within 4x of the worst are split together, worst first and
-        # ties by smaller id; piece 2 (0.2 E) waits for a later round
-        ([1.0, 1.0, 0.2, 0.3], [0, 1, 3]),
-        ([0.3, 1.0, 0.2, 1.0], [1, 3, 0]),
+        # a tolerance of 1.2 E: after pieces 0 and 1 the pieces left hold
+        # 0.5 E <= 0.6 E, so pieces 2 and 3 are not split
+        ([1.0, 1.0, 0.2, 0.3], 1.2, [0, 1]),
+        # 0.5 E: pieces 1 and 3 leave 0.3 E > 0.25 E, so piece 0 (0.2 E, 5x
+        # below the worst) is split too; worst first, ties by smaller id
+        ([0.2, 1.0, 0.1, 1.0], 0.5, [1, 3, 0]),
+        # each component needs its own worst piece, and the union is split
+        # worst err/tol first; pieces 1 and 2 are needed by neither
+        ([[1.0, 0.1, 0.1, 0.1], [0.1, 0.1, 0.1, 5.0]], 1.2, [3, 0]),
     ],
 )
-def test_a_round_splits_the_cells_within_4x_of_the_worst(weights, split):
-    f, region, calls = _piece_spy(weights)
-    res = integrate_vector(f, 1, region)[0]
-    assert res.converged
+def test_a_round_splits_every_cell_an_unmet_component_needs(weights, tol, split):
+    n_components = len(weights) if np.ndim(weights) == 2 else 1
+    f, region, calls = _piece_spy(weights, n_components)
+    res = integrate_vector(f, n_components, region, IntegrationSettings(rel_tol=1e-300, abs_tol=tol * _SPY_ERROR))
+    assert all(r.converged for r in res)
     assert calls[0] == [0.5, 1.5, 2.5, 3.5]
-    # each split piece becomes its two halves, in batch order
+    # each split piece becomes its two halves, in batch order, and the
+    # pieces left meet the tolerance
     assert calls[1] == [c for i in split for c in (i + 0.25, i + 0.75)]
-    assert calls[2] == [2.25, 2.75]
+    assert len(calls) == 2
 
 
 def test_a_wide_bundle_splits_fewer_cells_per_round():

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from scipy.special import beta as beta_fn
 
 from grushin_hardy.cp import ConstantEstimate, cp_value_batch
-from grushin_hardy.cubature import IntegrationSettings, Region, integrate_vector
+from grushin_hardy.cubature import IntegralResult, IntegrationSettings, Region, integrate_vector
 from grushin_hardy.fields import (
     TestField,
     TestFieldSpec,
@@ -40,6 +40,12 @@ SP = SpaceParams(1, 1, 1.0)
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "constants.json").read_text())
 
 
+def _read(plan, rows, pair, field, name):
+    """A term's row of plan.rows' output; a term that is exactly 0 has none."""
+    n = plan.row(pair, field, name)
+    return np.zeros(rows.shape[1]) if n is None else rows[n]
+
+
 def annulus_field(space, **kwargs):
     xf = kwargs.pop("x_floor", 0.25 * 0.5)
     family = "bump_radial_x_cutoff" if xf > 0 else "bump_radial"
@@ -48,7 +54,7 @@ def annulus_field(space, **kwargs):
 
 
 class _ZeroField(TestField):
-    def eval_radial(self, r, rho):
+    def eval_modulus(self, r, rho):
         zero = np.zeros_like(rho)
         return zero, zero, zero
 
@@ -61,8 +67,8 @@ class _RotatedField(TestField):
         self._base = base
         self._phase = phase
 
-    def eval_radial(self, r, rho):
-        return tuple(part * self._phase for part in self._base.eval_radial(r, rho))
+    def twist(self, rho, f, f_r, f_rho):
+        return tuple(part * self._phase for part in self._base.twist(rho, f, f_r, f_rho))
 
 
 def golden_estimate(kind, p, half_width=2e-3):
@@ -463,7 +469,7 @@ def test_a_family_row_does_not_depend_on_its_listed_siblings(pair_id, p):
         rows = plan.rows(SP, coords)
         for f, field in enumerate(fields):
             for name in set(names) & {"lhs", "w", "cp"}:
-                row = rows[plan.component[id(pair), f, name]]
+                row = rows[plan.row(pair, field, name)]
                 np.testing.assert_array_equal(seen.setdefault((f, name), row), row)
     assert len(seen) == 3 * len(fields)
 
@@ -500,7 +506,7 @@ def test_table_rows_match_the_product_form(space, p, pair_id):
         zero = field.eval_radial(r, rho)[0] == 0.0
         assert np.any(zero) == (f < 2)
         for name in names:
-            got, row = rows[plan.component[id(pair), f, name]], want[name] * np.exp(log_jac).ravel()
+            got, row = _read(plan, rows, pair, field, name), want[name] * np.exp(log_jac).ravel()
             assert np.all(np.abs(got - row) <= 1e-13 * np.abs(row).max()), name
             assert np.all(got[zero] == 0.0), name
 
@@ -523,10 +529,61 @@ def test_closed_form_g_is_zero_where_the_field_is(p):
         for f in (0, 1):
             zero = fields[f].eval_radial(coords[0], coords[2])[0].ravel() == 0.0
             assert np.any(zero) and np.any(~zero)
-            g = rows[plan.component[id(pair), f, "cp"]]
+            g = rows[plan.row(pair, fields[f], "cp")]
             assert np.all(np.isfinite(g))
             assert np.all(g[zero] == 0.0)
             assert np.any(g[~zero] != 0.0)
+
+
+def _twin_sweep(space):
+    """Gate 4's cases in space: every pair at p = 1.5, 2 and 3, on a real
+    field and on its phase-twisted twin, which has the same |f|."""
+    xf = 0.125 if space.gamma > 0 else 0.0
+    real = build_test_field(space, TestFieldSpec("bump_radial_x_cutoff" if xf else "bump_radial", x_floor=xf))
+    twisted = build_test_field(space, TestFieldSpec("phase_twisted", x_floor=xf, phase_kappa=1.0))
+    pairs = [make_pair(pair_id, space, p, dict(PAIRS[pair_id].defaults)) for pair_id in PAIRS for p in (1.5, 2.0, 3.0)]
+    return [(pair, field) for pair in pairs for field in (real, twisted)]
+
+
+def test_a_zero_phi_is_no_component_and_reads_exactly_0(monkeypatch):
+    # dambrosio_power's phi is identically 0: its row is never evaluated,
+    # and it reads value 0 and error 0
+    pair = make_pair("dambrosio_power", SP, 2.0, {"alpha": 0.0, "beta": 0.0})
+    field = annulus_field(SP)
+    integrate, components = verifier.integrate_vector, []
+
+    def counting(integrand, n_components, region, settings=None):
+        components.append(n_components)
+        return integrate(integrand, n_components, region, settings)
+
+    monkeypatch.setattr(verifier, "integrate_vector", counting)
+    (res,) = verifier._integrate_cases([(pair, field, verifier._IDENTITY)], None)
+    assert components == [3]
+    assert verifier._Plan([(pair, field, verifier._IDENTITY)]).row(pair, field, "phi") is None
+    assert res["phi"] == IntegralResult(0.0, 0.0, res["lhs"].evals, True)
+    rep = verify_identity(pair, field)
+    assert rep.phi_term == 0.0 and rep.passed
+
+
+@pytest.mark.parametrize("space", (SpaceParams(1, 1, 1.0), SpaceParams(2, 1, 0.0)), ids=str)
+def test_a_twisted_case_reads_its_real_twins_w_and_phi(space):
+    # w and phi read |f| only, so the twins share one component of each
+    reports = verify_identity_sweep(_twin_sweep(space), IntegrationSettings(rel_tol=1e-6))
+    for real, twisted in zip(reports[::2], reports[1::2]):
+        assert twisted.lhs != real.lhs and twisted.passed and real.passed
+        assert twisted.w_term.hex() == real.w_term.hex()
+        assert twisted.phi_term.hex() == real.phi_term.hex()
+
+
+def test_sweep_terms_agree_with_each_case_integrated_alone():
+    # the shared mesh, refined for every case, moves a case's terms by no
+    # more than their errors
+    cases = [(pair, field, verifier._IDENTITY) for pair, field in _twin_sweep(SP)]
+    for case, res in zip(cases, verifier._integrate_cases(cases, None)):
+        (alone,) = verifier._integrate_cases([case], None)
+        for name in verifier._IDENTITY:
+            shared, own = res[name], alone[name]
+            assert abs(shared.value - own.value) <= 10.0 * (shared.error_estimate + own.error_estimate), name
 
 
 def test_sweep_terms_vanish_exactly_outside_a_fields_support(monkeypatch):
@@ -556,7 +613,7 @@ def test_sweep_terms_vanish_exactly_outside_a_fields_support(monkeypatch):
 
     def capture(integrand, n_comp, region, settings):
         seen["out"] = integrand(nodes)
-        return [None] * n_comp
+        return [IntegralResult(0.0, 0.0, 0, False)] * n_comp
 
     monkeypatch.setattr(verifier, "integrate_vector", capture)
     listed = [(*case, verifier._IDENTITY) for case in cases]
@@ -564,7 +621,7 @@ def test_sweep_terms_vanish_exactly_outside_a_fields_support(monkeypatch):
     out, plan = seen["out"], verifier._Plan(listed)
     assert np.all(np.isfinite(out))
     for pair, f in cases:
-        rows = out[[plan.component[id(pair), plan.slot[id(f)], name] for name in verifier._IDENTITY]]
+        rows = np.array([_read(plan, out, pair, f, name) for name in verifier._IDENTITY])
         outside = rho < f.spec.inner_rho
         assert np.any(outside) == (f.spec.inner_rho > 0.5)
         assert np.all(rows[:, outside] == 0.0)
@@ -587,8 +644,8 @@ def test_polar_identity_terms_match_cartesian_cubature(space):
         r, s, rho = r[inside], np.linalg.norm(y[inside], axis=1), rho[inside]
         coords = tuple(x[:, None] for x in (r, s, rho, np.log(r / rho)))
         out = np.zeros((4, pts.shape[0]))
-        rows = [plan.component[id(pair), 0, name] for name in verifier._IDENTITY]
-        out[:, inside] = plan.rows(space, coords)[rows]
+        rows = plan.rows(space, coords)
+        out[:, inside] = [_read(plan, rows, pair, field, name) for name in verifier._IDENTITY]
         return out
 
     a = 1.0 + space.gamma

@@ -130,6 +130,13 @@ def test_every_pair_with_kappa_zero_is_refused():
     assert hand_accepts > 0
 
 
+def test_an_overflowing_expansion_is_refused_as_an_overflow():
+    # Q + beta - alpha overflows to -inf, which made the rounding tolerance
+    # infinite and rounded kappa, about -1e308, to 0
+    with pytest.raises(ValueError, match="divergence expansion overflows at Q = 3, p = 2, alpha = 1e"):
+        make_pair("dambrosio_power", SP, 2.0, {"alpha": 1e308, "beta": -1e308})
+
+
 def test_an_underflowing_sharp_constant_is_refused():
     # kappa = 3/p: 0.015^200 and (3e-6)^1e6 are 0 in floats
     for p in (200.0, 1e6):
