@@ -255,7 +255,8 @@ def integrate_vector(
         # large term cannot steer while a small one waits, ties by smaller id
         worst = np.argsort(-live_errs[:, ~met], axis=0, kind="stable")
         ranked = live_errs[worst, np.flatnonzero(~met)]
-        cand = np.unique(worst[error[~met] - (np.cumsum(ranked, axis=0) - ranked) > 0.5 * tol[~met]])
+        needed = worst[error[~met] - (np.cumsum(ranked, axis=0) - ranked) > 0.5 * tol[~met]]
+        cand = np.flatnonzero(np.bincount(needed, minlength=len(live)))
         batch = live[cand[np.argsort(-(live_errs[cand] / tol).max(axis=1), kind="stable")][:batch_cap]]
         # a refused batch stays alive: its cells are still part of the mesh
         if (n_cells + 2 * len(batch)) * rule.points_per_cell > settings.max_evals:

@@ -131,7 +131,8 @@ class TestField:
     @property
     def modulus(self) -> tuple:
         """Fields with one modulus have one |f|: they differ only in their phase."""
-        return type(self), self.spec.inner_rho, self.spec.outer_rho, self.spec.x_floor, self.spec.smoothness_margin
+        spec = self.spec
+        return type(self), spec.inner_rho, spec.outer_rho, spec.x_floor, spec.smoothness_margin
 
     def eval_modulus(self, r: np.ndarray, rho: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """|f| and its partials in |x| and rho, the field without its phase, on

@@ -320,8 +320,8 @@ class _Batch:
         self.space = space
         r, _, rho, _ = self.nodes = coords
         scale = (r / rho) ** space.gamma / rho
-        self.moduli = {f: plan.fields[f].eval_modulus(r, rho) for f in dict.fromkeys(plan.modulus)}
-        radial = [field.twist(rho, *self.moduli[f]) for field, f in zip(plan.fields, plan.modulus)]
+        self.moduli = [plan.fields[f].eval_modulus(r, rho) for f in dict.fromkeys(plan.first)]
+        radial = [field.twist(rho, *self.moduli[u]) for field, u in zip(plan.fields, plan.modulus)]
         self.vals, self.partials = [f for f, _, _ in radial], [(f_r, f_rho) for _, f_r, f_rho in radial]
         self.df = [scale * (r * f_r + rho * f_rho) for _, f_r, f_rho in radial]
 
@@ -376,6 +376,8 @@ _TERMS: Dict[Tuple[str, ...], Tuple[Callable[..., object], Tuple[str, ...]]] = {
     ("grad_sq",): (lambda b, row, f, p: np.copyto(row, b.grad_sq(f)), ()),
 }
 _FAMILY = {name: family for family in _TERMS for name in family}
+# the monomial terms but cp that read |f| and not Df (q' = 0), which fields with one modulus share
+_TWINS = {t for t, mono in _MONOMIALS.items() if t != "cp" and mono(*[2.0] * mono.__code__.co_argcount)[4] == 0.0}
 
 _IDENTITY = ("lhs", "w", "cp", "phi")  # lhs = w + cp + phi
 
@@ -392,19 +394,13 @@ def _index(rows: List[int]):
     return slice(rows[0], rows[-1] + 1) if consecutive else np.array(rows)
 
 
-def _monomial(pair: Optional[WeightPair], name) -> tuple:
-    """A monomial term's (weight, e, c, q, q', j) for pair (see _MONOMIALS)."""
-    term, *params = (name,) if isinstance(name, str) else name
-    return _MONOMIALS[term](pair and pair.p, *params)
-
-
 class _Plan:
     """What every batch of one integration evaluates, resolved once from its
     cases (see _integrate_cases). A batch's rows are the products, the
     listed monomial terms by term and field slot, so that a cp's completion
     reads whole blocks, and last the hidden ones: the lhs and w that a cp
-    reads where no case lists them, and the roots. Component key(pair, field,
-    name) is row(pair, field, name). A monomial term with q' = 0 but cp reads
+    reads where no case lists them, and the roots. A case's term is the row
+    row(pair, field, name). A monomial term with q' = 0 but cp reads
     |f| only, which fields that differ only in their phase share (a modulus),
     so it is one component per modulus; a listed term whose |c|^e is 0 (phi
     where the pair's is) is none, and reads 0. The exponent table has a row
@@ -415,16 +411,20 @@ class _Plan:
 
     def __init__(self, cases: Sequence[tuple]):
         self.fields = list({id(field): field for _, field, _ in cases}.values())
-        first: Dict[object, int] = {}  # the slot of the first field of each modulus
-        self.modulus = [first.setdefault(field.modulus, f) for f, field in enumerate(self.fields)]
+        self.slot = {id(field): i for i, field in enumerate(self.fields)}
+        moduli = list(dict.fromkeys(field.modulus for field in self.fields))
+        self.modulus = [moduli.index(field.modulus) for field in self.fields]  # of each field slot
+        self.first = [self.modulus.index(u) for u in self.modulus]  # the first field slot of its modulus
         pairs = {id(pair): pair for pair, _, _ in cases}
-        listed = dict.fromkeys(self.key(pair, field, n) for pair, field, names in cases for n in names)
+        self.cases = [[self._key(id(pair), self.slot[id(field)], n) for n in ns] for pair, field, ns in cases]
+        listed = dict.fromkeys(chain.from_iterable(self.cases))
         blocks: Dict[str, list] = {"": [], **{term: [] for term in _MONOMIALS}}  # "": the products
         hidden: Dict[str, list] = {term: [] for term in _MONOMIALS}
         for key in listed:
             term = key[2] if isinstance(key[2], str) else key[2][0]
             blocks["" if term in _FAMILY else term].append(key)
-        needs = [self.key(pairs[i], self.fields[f], name) for i, f, _ in blocks["cp"] for name in ("lhs", "w")]
+        cp_reads = {(i, f, cp): [self._key(i, f, "lhs"), self._key(i, f, "w")] for i, f, cp in blocks["cp"]}
+        needs = [key for keys in cp_reads.values() for key in keys]
         needs += [(i, -1, root) for i, _, name in blocks[""] for root in _TERMS[_FAMILY[name]][1]]
         for key in dict.fromkeys(key for key in needs if key not in listed):
             hidden[key[2]].append(key)
@@ -435,35 +435,36 @@ class _Plan:
 
         # table row n: e (log|c|, e1, e2), e (e3, e4) on its R's columns, q on its
         # modulus's, q' on its field's, j on log jac's, by array ops on the pairs
-        keys, mono_keys, index = keys[: self.products], keys[self.products :], {i: n for n, i in enumerate(pairs)}
-        who = [index[i] for i, _, _ in mono_keys]
-        spec = [_monomial(pairs[i], name) for i, _, name in mono_keys]
+        keys, terms, index = keys[: self.products], keys[self.products :], {i: n for n, i in enumerate(pairs)}
+        who, p = [index[i] for i, _, _ in terms], [pair and pair.p for pair in pairs.values()]
+        spec = [
+            _MONOMIALS[name](p[n]) if isinstance(name, str) else _MONOMIALS[name[0]](p[n], *name[1:])
+            for n, (_, _, name) in zip(who, terms)
+        ]
         weight, e, c, q, dq, j = np.fromiter(chain.from_iterable(spec), float, 6 * len(spec)).reshape(-1, 6).T
         stack = np.array([np.zeros((4, 5)) if pair is None else pair.monomials for pair in pairs.values()])
         mono, radius = stack[who, weight.astype(int)], [pair and pair.radius for pair in pairs.values()]
         reads_r = stack[:, :, 3:].any(axis=(1, 2))
         self.radii = list(dict.fromkeys(R for R, reads in zip(radius, reads_r) if reads))
         on_r = np.array([self.radii.index(R) if R in self.radii else -1 for R in radius])[who]
-        on_f = np.array([f for _, f, _ in mono_keys], dtype=int)  # a root's -1 reads no field
-        n_r, n_u, n_f = len(self.radii), len(set(self.modulus)), len(self.fields)
-        on_u = np.unique(self.modulus + [-1], return_inverse=True)[1][on_f] - 1  # the column of a row's |f|
-        # the factor k = |c|^e goes in as log k, and a negative c (only phi's
-        # can be) flips the sign; a row with k = 0 is left out where it is
-        # listed and nothing else reads it, and is an exact 0 (log 0) elsewhere
+        on_f = np.array([f for _, f, _ in terms], dtype=int)  # a root's -1 reads no field
+        n_r, n_u, n_f = len(self.radii), len(set(self.first)), len(self.fields)
+        # k = |c|^e goes in as log k, a negative c (only phi's) as a sign flip; a row with
+        # k = 0 is no component unless a cp reads it, and then an exact 0 through log 0
         c = c * mono[:, 0]
         k = np.power(np.abs(c), e, out=np.full(len(spec), np.inf), where=(c != 0.0) | (e >= 0.0))
-        keep = np.array([kk != 0.0 or key in needs or key[2] == "cp" for kk, key in zip(k, mono_keys)], dtype=bool)
+        keep = np.array([x != 0.0 or key in cp_reads or key in needs for x, key in zip(k.tolist(), terms)], bool)
         table = np.zeros((len(spec), 4 + 2 * n_r + n_u + n_f))
         table[:, 0] = _log_abs(k)
         table[:, 1:3] = e[:, None] * mono[:, 1:3]
         table[:, 3 : 3 + 2 * n_r] = _one_hot(on_r, n_r, e[:, None] * mono[:, 3:])
-        table[:, 3 + 2 * n_r : -1 - n_f] = _one_hot(on_u, n_u, q[:, None])
+        table[:, 3 + 2 * n_r : -1 - n_f] = _one_hot(np.array(self.modulus + [-1])[on_f], n_u, q[:, None])
         table[:, -1 - n_f : -1] = _one_hot(on_f, n_f, dq[:, None])
         table[:, -1] = j
         self.table, self.negative = table[keep], np.flatnonzero(c[keep] < 0.0)
         if len(self.table) == 1:  # numpy's one-row product takes gemv, whose last bits differ from gemm's
             self.table = np.vstack([self.table, self.table])
-        keys += [key for key, kept in zip(mono_keys, keep) if kept]
+        keys += [key for key, kept in zip(terms, keep) if kept]
         row = {key: n for n, key in enumerate(keys)}
         self.component = {key: row.get(key) for key in listed}  # None: exactly 0
         self.n_components = sum(n is not None for n in self.component.values())
@@ -477,7 +478,7 @@ class _Plan:
             for (i, f, family), rows in steps.items()
         ]
         self.cp = []  # per field slot: its cp rows, their lhs and w rows, and p - 1
-        cp_rows = [[row[self.key(pairs[i], self.fields[f], n)] for i, f, _ in blocks["cp"]] for n in ("cp", "lhs", "w")]
+        cp_rows = [[row[key] for key in col] for col in zip(*[(key, *cp_reads[key]) for key in blocks["cp"]])]
         coef = np.array([pairs[i].p - 1.0 for i, _, _ in blocks["cp"]])[:, None]
         start = 0
         for f, group in groupby(blocks["cp"], key=itemgetter(1)):
@@ -485,16 +486,13 @@ class _Plan:
             self.cp.append((*(_index(rows[start:end]) for rows in cp_rows), coef[start:end], f))
             start = end
 
-    def key(self, pair: Optional[WeightPair], field: TestField, name) -> tuple:
-        """A case's term as (id(pair), field slot, name), with the slot of the
-        modulus's first field for a monomial term that reads |f| but not Df."""
-        f = self.fields.index(field)
-        twin = name != "cp" and name not in _FAMILY and _monomial(pair, name)[4] == 0.0
-        return id(pair), self.modulus[f] if twin else f, name
+    def _key(self, i: int, f: int, name) -> tuple:
+        """The component key of a term on pair id i and field slot f: a _TWINS term's is its modulus's."""
+        return i, self.first[f] if (name if isinstance(name, str) else name[0]) in _TWINS else f, name
 
     def row(self, pair: Optional[WeightPair], field: TestField, name) -> Optional[int]:
         """A case's term's row of rows(), or None for a term that is exactly 0."""
-        return self.component[self.key(pair, field, name)]
+        return self.component[self._key(id(pair), self.slot[id(field)], name)]
 
     def rows(self, space: SpaceParams, coords, log_jac=0.0) -> np.ndarray:
         """Every component's row on the nodes' (r, s, rho, log(r/rho)) as lift
@@ -504,7 +502,7 @@ class _Plan:
         phi[0], phi[1], phi[2], phi[-1] = 1.0, log_ratio, np.log(rho), log_jac
         for n, R in enumerate(self.radii):
             phi[3 + 2 * n : 5 + 2 * n] = log_features(rho[:, 0], rho[:, 0], R)[2:, :, None]
-        for col, x in enumerate([f for f, _, _ in b.moduli.values()] + b.df, 3 + 2 * len(self.radii)):
+        for col, x in enumerate([f for f, _, _ in b.moduli] + b.df, 3 + 2 * len(self.radii)):
             phi[col] = _log_abs(x)
         out = np.empty((self.products + len(self.table), log_ratio.size))
         table = np.matmul(self.table, phi.reshape(len(phi), -1), out=out[self.products :])
@@ -525,7 +523,7 @@ def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSetti
     """Integrate the terms of every case on one shared mesh.
 
     A case is one check's integrand on one field, (pair, field, names): the
-    names of its terms in _MONOMIALS or _TERMS. Each component (_Plan.key)
+    names of its terms in _MONOMIALS or _TERMS. Each component (_Plan._key)
     is integrated once however many cases list it, and every case that lists
     it reads its value and error (both 0 for a term that is exactly 0).
     Cases share one space and one support region; returns each case's
@@ -555,7 +553,7 @@ def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSetti
     res = integrate_vector(integrand, plan.n_components, region, settings)
     zero = IntegralResult(0.0, 0.0, res[0].evals, True)
     found = {key: zero if n is None else res[n] for key, n in plan.component.items()}
-    return [{name: found[plan.key(pair, field, name)] for name in names} for pair, field, names in cases]
+    return [{n: found[key] for n, key in zip(ns, keys)} for (_, _, ns), keys in zip(cases, plan.cases)]
 
 
 def _summary(res: Dict[object, IntegralResult], names: Sequence) -> Tuple[List[float], float, bool]:
