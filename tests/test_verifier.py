@@ -568,7 +568,12 @@ def test_a_zero_phi_is_no_component_and_reads_exactly_0(monkeypatch):
 @pytest.mark.parametrize("space", (SpaceParams(1, 1, 1.0), SpaceParams(2, 1, 0.0)), ids=str)
 def test_a_twisted_case_reads_its_real_twins_w_and_phi(space):
     # w and phi read |f| only, so the twins share one component of each
-    reports = verify_identity_sweep(_twin_sweep(space), IntegrationSettings(rel_tol=1e-6))
+    cases = _twin_sweep(space)
+    plan = verifier._Plan([(pair, field, verifier._IDENTITY) for pair, field in cases])
+    for (pair, real), (_, twisted) in zip(cases[::2], cases[1::2]):
+        for name, shared in (("lhs", False), ("cp", False), ("w", True), ("phi", True)):
+            assert (plan.row(pair, real, name) == plan.row(pair, twisted, name)) == shared, name
+    reports = verify_identity_sweep(cases, IntegrationSettings(rel_tol=1e-6))
     for real, twisted in zip(reports[::2], reports[1::2]):
         assert twisted.lhs != real.lhs and twisted.passed and real.passed
         assert twisted.w_term.hex() == real.w_term.hex()
