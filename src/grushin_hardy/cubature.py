@@ -8,12 +8,12 @@ singularity along one axis is refined only across it. A region may cut
 its box on axis 0 into pieces; every piece starts as one cell, and all
 cells are refined together against one global tolerance, so a kink on a
 cut needs no refinement.
-Cell i is row i of one set of numpy arrays that double when full; these
-arrays are the only refinement state. Each round sums the live rows in id
-order, for the stop test and the result alike, so results are bit-identical
-across runs. A round splits, worst err/tol first, every cell that an unmet
-component needs: its worst live cells until those left hold at most half its
-tolerance. The batch is split by array indexing and evaluated in one call.
+The refinement state is the live cells, one row of a few numpy arrays each,
+in the order the cells were made. Each round sums the rows in that order, for
+the stop test and the result alike, so results are bit-identical across runs.
+A round splits, worst err/tol first, every cell that an unmet component
+needs (its worst cells until those left hold at most half its tolerance),
+drops them and appends their halves, evaluated in one call.
 
 Integrands are batch callables mapping an (N, n) coordinate array to (N,)
 real or complex values. The nodes come cell by cell, each cell's 15^n in
@@ -112,7 +112,7 @@ class IntegrationSettings:
     def __post_init__(self) -> None:
         if not (0 < self.rel_tol < np.inf and 0 < self.abs_tol < np.inf):
             raise ValueError("tolerances must be > 0 and finite")
-        if self.max_evals < 1:
+        if not self.max_evals >= 1:
             raise ValueError("max_evals must be >= 1")
 
 
@@ -174,19 +174,6 @@ def _initial_cells(region: Region) -> Tuple[np.ndarray, np.ndarray]:
     return centers, halves
 
 
-def _put(store: np.ndarray, rows: np.ndarray, start: int) -> np.ndarray:
-    """Write rows into store from row start, doubling it when full; the dtype
-    widens to the rows', so a real store stays real until a complex batch."""
-    end = start + len(rows)
-    dtype = np.result_type(store, rows)
-    if end > len(store) or dtype != store.dtype:
-        grown = np.empty((max(end, 2 * len(store)),) + store.shape[1:], dtype=dtype)
-        grown[:start] = store[:start]
-        store = grown
-    store[start:end] = rows
-    return store
-
-
 def integrate_vector(
     integrand: Callable[[np.ndarray], np.ndarray],
     n_components: int,
@@ -207,12 +194,10 @@ def integrate_vector(
     rule = _rule(region.dim)
 
     n_cells = 0
-    # row i of each array is cell i, in id order: center, half-widths,
-    # value, error, split axis and whether it is still part of the mesh
-    cells: List[np.ndarray] = []
 
-    def push(cs: np.ndarray, hs: np.ndarray) -> None:
-        nonlocal n_cells, cells
+    def evaluate(cs: np.ndarray, hs: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """One batch's rows: center, half-widths, value, error, split axis."""
+        nonlocal n_cells
         pts = cs[:, None, :] + hs[:, None, :] * rule.points[None, :, :]
         flat = pts.reshape(-1, region.dim)
         out = np.asarray(integrand(flat))
@@ -229,46 +214,44 @@ def integrate_vector(
             raise ValueError(
                 f"integrand component {comp} is {out[comp, node]} at node {tuple(flat[node].tolist())}"
             )
-        start, n_cells = n_cells, n_cells + cs.shape[0]
-        rows = (cs, hs, vals, errs, split, np.ones(cs.shape[0], dtype=bool))
-        cells = [_put(store, new, start) for store, new in zip(cells or [r[:0] for r in rows], rows)]
+        n_cells += cs.shape[0]
+        return cs, hs, vals, errs, split
 
-    push(*_initial_cells(region))
-    # cap the batch so one evaluation stays within ~3M value slots even for
-    # wide bundles; a fixed 64-cell cap would allocate hundreds of MB when
-    # n_components is large
+    # the live cells in creation order: center, half-widths, value, error,
+    # split axis; in C order, in which numpy sums a column row by row
+    cells = [np.ascontiguousarray(rows) for rows in evaluate(*_initial_cells(region))]
+    # cap one evaluation at ~3M value slots; a fixed 64-cell cap would
+    # allocate hundreds of MB when n_components is large
     batch_cap = max(1, min(64, 3_000_000 // (rule.points_per_cell * n_components)))
 
     while True:
-        centers, halves, vals, errs, axes, alive = cells
-        live = np.flatnonzero(alive[:n_cells])
-        # summed in id order, so the result does not depend on the refinement
-        # history
-        live_errs = errs[live]
-        total, error = vals[live].sum(axis=0), live_errs.sum(axis=0)
+        centers, halves, vals, errs, axes = cells
+        # summed in creation order, so the result does not depend on the
+        # refinement history
+        total, error = vals.sum(axis=0), errs.sum(axis=0)
         tol = np.maximum(settings.abs_tol, settings.rel_tol * np.abs(total))
         met = error <= tol
         if met.all():
             break
         # an unmet component needs its worst cells until those left hold at
         # most half its tolerance; split them all, worst err/tol first so a
-        # large term cannot steer while a small one waits, ties by smaller id
-        worst = np.argsort(-live_errs[:, ~met], axis=0, kind="stable")
-        ranked = live_errs[worst, np.flatnonzero(~met)]
+        # large term cannot steer while a small one waits, ties by the older cell
+        worst = np.argsort(-errs[:, ~met], axis=0, kind="stable")
+        ranked = errs[worst, np.flatnonzero(~met)]
         needed = worst[error[~met] - (np.cumsum(ranked, axis=0) - ranked) > 0.5 * tol[~met]]
-        cand = np.flatnonzero(np.bincount(needed, minlength=len(live)))
-        batch = live[cand[np.argsort(-(live_errs[cand] / tol).max(axis=1), kind="stable")][:batch_cap]]
-        # a refused batch stays alive: its cells are still part of the mesh
+        cand = np.flatnonzero(np.bincount(needed, minlength=len(errs)))
+        batch = cand[np.argsort(-(errs[cand] / tol).max(axis=1), kind="stable")][:batch_cap]
+        # a refused batch's cells stay: they are still part of the mesh
         if (n_cells + 2 * len(batch)) * rule.points_per_cell > settings.max_evals:
             break
-        alive[batch] = False
         # each cell becomes its two halves on its split axis, in batch order
         cs = np.repeat(centers[batch], 2, axis=0)
         hs = np.repeat(halves[batch], 2, axis=0)
         idx, ax = np.arange(cs.shape[0]), np.repeat(axes[batch], 2)
         hs[idx, ax] *= 0.5
         cs[idx, ax] += np.tile([-1.0, 1.0], len(batch)) * hs[idx, ax]
-        push(cs, hs)
+        keep = np.bincount(batch, minlength=len(errs)) == 0
+        cells = [np.concatenate([old[keep], new]) for old, new in zip(cells, evaluate(cs, hs))]
 
     evals = n_cells * rule.points_per_cell
     return [

@@ -103,6 +103,8 @@ class TestFieldSpec:
             raise ValueError("bump_radial has no |x| cutoff; use bump_radial_x_cutoff")
         if self.family == "bump_radial_x_cutoff" and self.x_floor <= 0.0:
             raise ValueError("bump_radial_x_cutoff requires x_floor > 0")
+        if not abs(self.phase_kappa) < np.inf:
+            raise ValueError("requires a finite phase_kappa")
         if self.phase_kappa != 0.0 and self.family != "phase_twisted":
             raise ValueError("phase_kappa only applies to the phase_twisted family")
 
@@ -277,6 +279,8 @@ def build_extremal_field(
     lam2 = max(2.0 * _J1 / (band * 0.03 * kappa**2) - 2.0 * _J0 * band, 8.0)
     plateau = lam2 * 2.0 ** (truncation_level - 2)
     tau_hi = plateau + 2.0 * band
+    if not tau_hi - band < tau_hi:  # the plateau doubles per level; the band does not
+        raise ValueError(f"truncation_level {truncation_level}: tau_hi = {tau_hi:g} cannot resolve band {band:g}")
 
     sign = 1.0 if ascending else -1.0
     R = pair.params.get("R", float("inf"))

@@ -40,8 +40,11 @@ class SpaceParams:
     gamma: float
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.k < 1:
-            raise ValueError("m and k must be positive integers")
+        for name in ("m", "k"):
+            value = getattr(self, name)
+            # numpy integers pass; floats such as 1.0, 1.5, NaN and inf do not
+            if not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer")
         if not 0 <= self.gamma < np.inf:
             raise ValueError("gamma must be >= 0 and finite")
 

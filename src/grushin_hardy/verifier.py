@@ -150,11 +150,11 @@ class CknParams:
     c: float
 
     def __post_init__(self) -> None:
-        if not self.p > 1.0:
+        if not 1.0 < self.p < np.inf:
             raise ValueError("CknParams: p must lie in (1, inf)")
-        if not self.q > 1.0:
+        if not 1.0 < self.q < np.inf:
             raise ValueError("CknParams: q must lie in (1, inf)")
-        if not self.r > 0.0:
+        if not 0.0 < self.r < np.inf:
             raise ValueError("CknParams: r must lie in (0, inf)")
         if self.p + self.q < self.r:
             raise ValueError("CknParams: requires p + q >= r")
@@ -163,9 +163,10 @@ class CknParams:
         if not lo - 1e-12 <= self.delta <= hi + 1e-12:
             raise ValueError("CknParams: delta must lie in [0,1] and [(r-q)/r, p/r]")
         balance = self.delta * self.r / self.p + (1.0 - self.delta) * self.r / self.q
-        if abs(balance - 1.0) > 1e-9:
+        if not abs(balance - 1.0) <= 1e-9:
             raise ValueError("CknParams: requires delta*r/p + (1-delta)*r/q = 1")
-        if abs(self.c - (self.delta / self.p + self.b * (1.0 - self.delta))) > 1e-9:
+        # NaN fails the test, and so does b = c = inf (their difference is NaN)
+        if not abs(self.c - (self.delta / self.p + self.b * (1.0 - self.delta))) <= 1e-9:
             raise ValueError("CknParams: requires c = delta/p + b*(1-delta)")
 
 
@@ -436,14 +437,14 @@ class _Plan:
         # table row n: e (log|c|, e1, e2), e (e3, e4) on its R's columns, q on its
         # modulus's, q' on its field's, j on log jac's, by array ops on the pairs
         keys, terms, index = keys[: self.products], keys[self.products :], {i: n for n, i in enumerate(pairs)}
-        who, p = [index[i] for i, _, _ in terms], [pair and pair.p for pair in pairs.values()]
+        who, p = [index[i] for i, _, _ in terms], [pair.p for pair in pairs.values()]
         spec = [
             _MONOMIALS[name](p[n]) if isinstance(name, str) else _MONOMIALS[name[0]](p[n], *name[1:])
             for n, (_, _, name) in zip(who, terms)
         ]
         weight, e, c, q, dq, j = np.fromiter(chain.from_iterable(spec), float, 6 * len(spec)).reshape(-1, 6).T
-        stack = np.array([np.zeros((4, 5)) if pair is None else pair.monomials for pair in pairs.values()])
-        mono, radius = stack[who, weight.astype(int)], [pair and pair.radius for pair in pairs.values()]
+        stack = np.array([pair.monomials for pair in pairs.values()])
+        mono, radius = stack[who, weight.astype(int)], [pair.radius for pair in pairs.values()]
         reads_r = stack[:, :, 3:].any(axis=(1, 2))
         self.radii = list(dict.fromkeys(R for R, reads in zip(radius, reads_r) if reads))
         on_r = np.array([self.radii.index(R) if R in self.radii else -1 for R in radius])[who]
@@ -474,7 +475,7 @@ class _Plan:
             family = _FAMILY[name]
             steps.setdefault((i, f, family), [None] * len(family))[family.index(name)] = row[i, f, name]
         self.steps = [
-            (_TERMS[family][0], rows, f, pairs[i] and pairs[i].p, [row[i, -1, r] for r in _TERMS[family][1]])
+            (_TERMS[family][0], rows, f, pairs[i].p, [row[i, -1, r] for r in _TERMS[family][1]])
             for (i, f, family), rows in steps.items()
         ]
         self.cp = []  # per field slot: its cp rows, their lhs and w rows, and p - 1
@@ -490,7 +491,7 @@ class _Plan:
         """The component key of a term on pair id i and field slot f: a _TWINS term's is its modulus's."""
         return i, self.first[f] if (name if isinstance(name, str) else name[0]) in _TWINS else f, name
 
-    def row(self, pair: Optional[WeightPair], field: TestField, name) -> Optional[int]:
+    def row(self, pair: WeightPair, field: TestField, name) -> Optional[int]:
         """A case's term's row of rows(), or None for a term that is exactly 0."""
         return self.component[self._key(id(pair), self.slot[id(field)], name)]
 

@@ -75,8 +75,10 @@ def test_settings_and_region_validation():
             IntegrationSettings(rel_tol=bad)
         with pytest.raises(ValueError, match="tolerances"):
             IntegrationSettings(abs_tol=bad)
-    with pytest.raises(ValueError, match="max_evals"):
-        IntegrationSettings(max_evals=0)
+    # a NaN budget would never refuse a batch
+    for bad in (0, float("nan")):
+        with pytest.raises(ValueError, match="max_evals"):
+            IntegrationSettings(max_evals=bad)
     # the tensor rule is the only one: not an option, still readable
     with pytest.raises(TypeError):
         IntegrationSettings(rule="genz_malik")

@@ -88,6 +88,9 @@ def test_spec_validation():
         TestFieldSpec(family="bump_radial_x_cutoff", x_floor=0.0)
     with pytest.raises(ValueError, match="build_extremal_field"):
         build_test_field(SP, TestFieldSpec(family="extremal_truncated"))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite phase_kappa"):
+            TestFieldSpec(family="phase_twisted", phase_kappa=bad)
 
 
 def test_plateau_and_support_values():

@@ -44,6 +44,11 @@ def test_space_params_validation():
         SpaceParams(1, 1, -0.1)
     with pytest.raises(ValueError, match="finite"):
         SpaceParams(1, 1, float("nan"))
+    # m < 1 is False for NaN, so each dimension must be an integer
+    for m, k in ((1.5, 1), (float("nan"), 1), (1, float("inf")), (1.0, 1)):
+        with pytest.raises(ValueError, match="m must|k must"):
+            SpaceParams(m, k, 1.0)
+    assert SpaceParams(np.int64(2), 1, 1.0).n == 3
 
 
 def test_rho_values():

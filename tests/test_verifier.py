@@ -312,7 +312,9 @@ def test_polar_terms_match_beta_function_oracle(space):
     betas = (0.0, 0.5, 1.0, 2.0)
     region, lift = verifier._polar_pieces([field])
 
-    plan = verifier._Plan([(None, field, ("mass",))])
+    # mass reads no weight (exponent 0), so any pair serves
+    whole = make_pair("dambrosio_power", space, 2.0, {"alpha": 0.0, "beta": 0.0})
+    plan = verifier._Plan([(whole, field, ("mass",))])
 
     def integrand(nodes):
         coords, log_jac = lift(nodes)
@@ -404,7 +406,9 @@ def test_radial_kernel_matches_the_nd_path(space):
     pts = np.hstack([r[:, None] * directions(space.m), s[:, None] * directions(space.k)])
     r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
     fields = _kernel_fields(space)
-    plan = verifier._Plan([(None, field, ("grad_sq",)) for field in fields])
+    # grad_sq reads the fields only, so any pair serves
+    whole = make_pair("dambrosio_power", space, 2.0, {"alpha": 0.0, "beta": 0.0})
+    plan = verifier._Plan([(whole, field, ("grad_sq",)) for field in fields])
     b = verifier._Batch(space, tuple(x[:, None] for x in (r, s, rho, np.log(r / rho))), plan)
     for slot, field in enumerate(fields):
         vals, grads = field.eval_batch(pts)
@@ -856,6 +860,9 @@ def test_ckn_delta_half():
 def test_ckn_params_validation():
     with pytest.raises(ValueError, match=r"p must lie in \(1, inf\)"):
         CknParams(p=1.0, q=2.0, r=2.0, delta=0.5, b=-0.5, c=0.0)
+    # at p = inf and delta = 0 the balance conditions still hold
+    with pytest.raises(ValueError, match=r"p must lie in \(1, inf\)"):
+        CknParams(p=float("inf"), q=2.0, r=2.0, delta=0.0, b=0.3, c=0.3)
     with pytest.raises(ValueError, match=r"requires p \+ q >= r"):
         CknParams(p=1.5, q=1.2, r=3.0, delta=0.5, b=0.0, c=0.25)
     with pytest.raises(ValueError, match="delta must lie in"):
@@ -864,6 +871,10 @@ def test_ckn_params_validation():
         CknParams(p=2.0, q=3.0, r=2.0, delta=0.5, b=0.0, c=0.25)
     with pytest.raises(ValueError, match="requires c = delta/p"):
         CknParams(p=2.0, q=2.0, r=2.0, delta=0.5, b=-0.5, c=0.1)
+    nan, inf = float("nan"), float("inf")
+    for b, c in ((nan, 0.0), (-0.5, nan), (inf, inf)):
+        with pytest.raises(ValueError, match=r"requires c = delta/p \+ b"):
+            CknParams(p=2.0, q=2.0, r=2.0, delta=0.5, b=b, c=c)
 
     pair = make_pair("dambrosio_power", SP, 3.0, {"alpha": 0.0, "beta": 0.0})
     ckn = CknParams(p=2.0, q=2.0, r=2.0, delta=0.5, b=-0.5, c=0.0)
