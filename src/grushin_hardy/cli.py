@@ -2,8 +2,11 @@
 and emit machine-readable reports.
 
 A run is described by a JSON config file (key-value with nesting) or by
-flags; flags override file values. Reports echo the fully normalized
-configuration so a report alone reproduces its run. JSON output is canonical
+flags; flags override file values. A file of {"entries": [configs],
+"suite": label} runs them as one suite, whose field checks share a mesh
+wherever their space, support and quadrature settings agree. Reports echo
+the fully normalized configuration so a report alone reproduces its run: a
+suite report's echo is itself an entries file. JSON output is canonical
 (sorted keys, two-space indent) and byte-identical across repeat runs except
 for the wall_clock_seconds field.
 
@@ -319,23 +322,39 @@ def _versions() -> Dict[str, Optional[str]]:
     }
 
 
+def _run_configs(configs: List[RunConfig]) -> List[Tuple[Dict, List[Dict]]]:
+    """Each config's echo and check records, in declared order. The field
+    checks of all configs that share a space, a support (the field's x_floor
+    and outer_rho) and quadrature settings run together on one mesh
+    (verify_checks); sharpness, divergence and condition run per config."""
+    built = [_build_objects(config) for config in configs]
+    groups: Dict[tuple, list] = {}  # mesh -> its (config index, (name, args)), in order
+    for n, (config, (pair, field, _)) in enumerate(zip(configs, built)):
+        mesh = (config.space, field.spec.x_floor, field.spec.outer_rho, config.quadrature)
+        for name in config.checks:
+            if name in FIELD_CHECKS:
+                groups.setdefault(mesh, []).append((n, (name, _field_args(name, config, pair, field))))
+    reports: List[list] = [[] for _ in configs]
+    for (*_, settings), group in groups.items():
+        for (n, _), rep in zip(group, verify_checks([check for _, check in group], settings)):
+            reports[n].append(rep)
+    out = []
+    for config, (pair, _, field_echo), shared in zip(configs, built, map(iter, reports)):
+        checks = [
+            _record(name, next(shared) if name in FIELD_CHECKS else _run_check(name, config, pair))
+            for name in config.checks
+        ]
+        echo = config_to_dict(config)
+        echo["field"] = field_echo
+        out.append((echo, checks))
+    return out
+
+
 def run(config: RunConfig) -> Dict:
     """Execute the configured checks and build the report, in declared order.
     The field checks run first, together on one mesh (verify_checks)."""
     t0 = time.time()
-    pair, field, field_echo = _build_objects(config)
-    shared = [
-        (name, _field_args(name, config, pair, field))
-        for name in config.checks
-        if name in FIELD_CHECKS
-    ]
-    reports = iter(verify_checks(shared, config.quadrature) if shared else ())
-    checks = [
-        _record(name, next(reports) if name in FIELD_CHECKS else _run_check(name, config, pair))
-        for name in config.checks
-    ]
-    echo = config_to_dict(config)
-    echo["field"] = field_echo
+    [(echo, checks)] = _run_configs([config])
     return _report(echo, checks, t0)
 
 
@@ -445,26 +464,41 @@ ALL_SUITE: Tuple[Dict, ...] = (
 )
 
 
-def _execute_suite(entries: List[Dict]) -> Dict:
+def _execute_suite(entries: List[Dict], label: Optional[str] = "all") -> Dict:
+    """Run a suite's entries as configs (see _run_configs) and report their
+    checks in one list, each name tagged with its entry."""
     t0 = time.time()
     configs = [config_from_dict(e) for e in entries]
     checks: List[Dict] = []
     echoes: List[Dict] = []
-    for config in configs:
-        rep = run(config)
-        echoes.append(rep["config"])
-        pr = rep["config"]["pair"]
+    for config, (echo, records) in zip(configs, _run_configs(configs)):
+        echoes.append(echo)
+        pr = echo["pair"]
         tag = (
             f"{pr['id']}@({config.space.m},{config.space.k},{config.space.gamma})"
             f",p={config.p}"
         )
-        family = rep["config"]["field"]["family"]
+        family = echo["field"]["family"]
         if family in ("phase_twisted", "extremal_truncated"):
             tag += f",{family}"
-        for check in rep["checks"]:
+        for check in records:
             check["name"] = f"{check['name']}[{tag}]"
             checks.append(check)
-    return _report({"suite": "all", "entries": echoes}, checks, t0)
+    return _report({"suite": label, "entries": echoes}, checks, t0)
+
+
+def _suite_entries(data: Dict, args) -> Tuple[List[Dict], Optional[str]]:
+    """The entries and label of a suite config, the shape of a suite
+    report's config echo, with the flag overrides applied to every entry."""
+    for key in data:
+        if key not in ("entries", "suite"):
+            raise ValueError(f"unknown suite config key {key!r}")
+    entries, label = data["entries"], data.get("suite")
+    if not isinstance(entries, list) or not entries:
+        raise ValueError("entries must be a non-empty list of configs")
+    if label is not None and not isinstance(label, str):
+        raise ValueError("suite must be a string")
+    return [_apply_overrides(_section(e, f"entries[{i}]"), args) for i, e in enumerate(entries)], label
 
 
 def _emit(report: Dict, out: Optional[str]) -> None:
@@ -529,7 +563,10 @@ def cmd_verify(args) -> int:
     else:
         with open(args.config) as fh:
             data = _section(json.load(fh), "config")
-        report = run(config_from_dict(_apply_overrides(data, args)))
+        if "entries" in data:
+            report = _execute_suite(*_suite_entries(data, args))
+        else:
+            report = run(config_from_dict(_apply_overrides(data, args)))
     _emit(report, args.out)
     return 0 if report["summary"]["failed"] == 0 else 1
 

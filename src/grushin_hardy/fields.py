@@ -105,6 +105,8 @@ class TestFieldSpec:
             raise ValueError("bump_radial_x_cutoff requires x_floor > 0")
         if not abs(self.phase_kappa) < np.inf:
             raise ValueError("requires a finite phase_kappa")
+        if not abs(self.extremal_exponent) < np.inf:
+            raise ValueError("requires a finite extremal_exponent")
         if self.phase_kappa != 0.0 and self.family != "phase_twisted":
             raise ValueError("phase_kappa only applies to the phase_twisted family")
 
@@ -271,13 +273,14 @@ def build_extremal_field(
     doubles the plateau per level; the level-2 width is solved from the p=2
     band-energy model so its Rayleigh gap lands near 3 percent.
     """
-    if truncation_level < 0 or int(truncation_level) != truncation_level:
+    if not truncation_level >= 0 or truncation_level % 1 != 0:
         raise ValueError("truncation_level must be a nonnegative integer")
     kappa = pair.kappa
 
     band = min(max(2.5 / max(kappa, 0.4), 1.5), 6.0)
     lam2 = max(2.0 * _J1 / (band * 0.03 * kappa**2) - 2.0 * _J0 * band, 8.0)
-    plateau = lam2 * 2.0 ** (truncation_level - 2)
+    # 2.0 ** n overflows from n = 1024; lam2 2^1023 is already inf, and refused below
+    plateau = lam2 * 2.0 ** (min(truncation_level, 1025) - 2)
     tau_hi = plateau + 2.0 * band
     if not tau_hi - band < tau_hi:  # the plateau doubles per level; the band does not
         raise ValueError(f"truncation_level {truncation_level}: tau_hi = {tau_hi:g} cannot resolve band {band:g}")

@@ -589,19 +589,104 @@ def test_report_config_reproduces_its_run(entry):
     assert cli._dump(again) == cli._dump(report)
 
 
-def test_verify_all_integrates_once_per_entry_and_sharpness_level(tmp_path, capsys, monkeypatch):
+def count_integrations(monkeypatch, dim=None):
+    """The n_components of each integration (of dimension dim only, if
+    given), appended in call order to the list returned."""
     integrate = verifier.integrate_vector
-    components = []  # of each integration, in call order
+    components = []
 
-    def counting(integrand, n_components, *args, **kwargs):
-        components.append(n_components)
-        return integrate(integrand, n_components, *args, **kwargs)
+    def counting(integrand, n_components, region, settings=None):
+        if dim is None or region.dim == dim:
+            components.append(n_components)
+        return integrate(integrand, n_components, region, settings)
 
     monkeypatch.setattr(verifier, "integrate_vector", counting)
+    return components
+
+
+def test_verify_all_integrates_once_per_mesh_and_sharpness_level(tmp_path, capsys, monkeypatch):
+    # entries 0-2 share (1,1,1), x_floor 0.125 and outer_rho 2, so their
+    # field checks share one mesh; entry 3 is in (1,1,2)
+    components = count_integrations(monkeypatch)
     code, _, _ = run_cli(capsys, "verify", "--all", "--out", str(tmp_path / "all.json"))
     assert code == 0
-    levels = 3  # sharpness_probe's default, one 1-D integration per level
-    assert len(components) == len(cli.ALL_SUITE) + levels, components
+    meshes, levels = 2, 3  # sharpness_probe's default, one 1-D integration per level
+    assert len(components) == meshes + levels, components
+
+
+def test_verify_all_echo_reruns_through_verify_config(tmp_path, capsys):
+    # the module docstring's promise holds for a suite: its config echo is
+    # an entries file, and rerunning it reproduces the report
+    first, again = tmp_path / "all.json", tmp_path / "again.json"
+    assert run_cli(capsys, "verify", "--all", "--out", str(first))[0] == 0
+    report = json.loads(first.read_text())
+    path = write_config(tmp_path, report["config"], "echo.json")
+    assert run_cli(capsys, "verify", "--config", path, "--out", str(again))[0] == 0
+    texts = []
+    for out in (first, again):
+        rep = json.loads(out.read_text())
+        rep.pop("wall_clock_seconds")
+        texts.append(cli._dump(rep))
+    assert texts[0] == texts[1]
+
+
+SWEEP_P = (1.5, 1.75, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 8.0)
+
+
+def test_an_entries_file_integrates_once_per_mesh(tmp_path, capsys, monkeypatch):
+    # ten configs on one support: one 2-D integration of every field check,
+    # each verdict that of the config run alone
+    entries = [dict(BASE_CONFIG, p=p, checks=["identity", "inequality"]) for p in SWEEP_P]
+    alone = [[c["passed"] for c in cli.run(cli.config_from_dict(e))["checks"]] for e in entries]
+    components = count_integrations(monkeypatch, dim=2)
+    path = write_config(tmp_path, {"entries": entries, "suite": "p sweep"})
+    code, out, _ = run_cli(capsys, "verify", "--config", path)
+    assert len(components) == 1, components
+    report = json.loads(out)
+    assert code == (0 if all(map(all, alone)) else 1)
+    assert report["config"]["suite"] == "p sweep"
+    assert [c["passed"] for c in report["checks"]] == [v for verdicts in alone for v in verdicts]
+    assert [c["name"].split("[")[0] for c in report["checks"]] == ["identity", "inequality"] * len(SWEEP_P)
+
+
+def test_entries_on_different_meshes_integrate_apart(tmp_path, capsys, monkeypatch):
+    # a mesh is one space, one support (x_floor, outer_rho) and one set of
+    # quadrature settings; entries that differ in any integrate separately
+    entries = [
+        BASE_CONFIG,
+        dict(BASE_CONFIG, p=3.0),  # BASE_CONFIG's mesh
+        dict(BASE_CONFIG, quadrature={"rel_tol": 1e-6}),
+        dict(BASE_CONFIG, space={"m": 2, "k": 1, "gamma": 1.0}),
+        dict(BASE_CONFIG, field={"outer_rho": 2.5}),
+        dict(BASE_CONFIG, checks=["divergence"]),  # no field check
+    ]
+    components = count_integrations(monkeypatch, dim=2)
+    code, out, _ = run_cli(capsys, "verify", "--config", write_config(tmp_path, {"entries": entries}))
+    assert code == 0
+    assert len(components) == 4, components
+    report = json.loads(out)
+    assert report["config"]["suite"] is None
+    assert [c["name"].split("[")[0] for c in report["checks"]] == ["identity"] * 5 + ["divergence"]
+
+
+@pytest.mark.parametrize(
+    "suite, message",
+    [
+        # a pair singular on {x=0} needs a field that keeps off it
+        ({"entries": [BASE_CONFIG, dict(BASE_CONFIG, field={"x_floor": 0.0})]}, "use a field with x_floor > 0"),
+        ({"entries": [BASE_CONFIG], "p": 2.0}, "unknown suite config key 'p'"),
+        ({"entries": []}, "entries must be a non-empty list"),
+        ({"entries": BASE_CONFIG}, "entries must be a non-empty list"),
+        ({"entries": [BASE_CONFIG, ["identity"]]}, r"entries\[1\] must be an object"),
+        ({"entries": [BASE_CONFIG], "suite": 1}, "suite must be a string"),
+        ({"entries": [dict(BASE_CONFIG, checks=["identty"])]}, "unknown check"),
+    ],
+)
+def test_a_bad_entries_file_exits_2_with_its_message(tmp_path, capsys, suite, message):
+    code, out, err = run_cli(capsys, "verify", "--config", write_config(tmp_path, suite))
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert re.match(f"error: .*{message}", err) and err.count("\n") == 1
 
 
 def test_a_term_shared_by_checks_is_integrated_once(monkeypatch):
@@ -609,15 +694,7 @@ def test_a_term_shared_by_checks_is_integrated_once(monkeypatch):
     # and its pair's phi is identically 0, so the identity's phi_term reads
     # 0 and is no component; ALL_SUITE[1]'s identity and inequality share
     # lhs and w_term
-    integrate = verifier.integrate_vector
-    components = []  # of each 2-D (field-check) integration
-
-    def counting(integrand, n_components, region, settings=None):
-        if region.dim == 2:
-            components.append(n_components)
-        return integrate(integrand, n_components, region, settings)
-
-    monkeypatch.setattr(verifier, "integrate_vector", counting)
+    components = count_integrations(monkeypatch, dim=2)  # of each field-check integration
     lhs_w = ("identity", "inequality", "ckn")
     cp = ("identity", "remainder_pge2", "ckn")
     cases = (

@@ -91,6 +91,8 @@ def test_spec_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite phase_kappa"):
             TestFieldSpec(family="phase_twisted", phase_kappa=bad)
+        with pytest.raises(ValueError, match="finite extremal_exponent"):
+            TestFieldSpec(family="bump_radial", extremal_exponent=bad)
 
 
 def test_plateau_and_support_values():
@@ -289,8 +291,10 @@ def test_extremal_truncation_schedule():
     assert plateaus[2] == pytest.approx(2.0 * plateaus[1], rel=1e-15)
     margins = [h.spec.smoothness_margin for h in fields]
     assert margins[0] > margins[1] > margins[2]
-    with pytest.raises(ValueError, match="truncation_level"):
-        build_extremal_field(pair, truncation_level=-1)
+    # 2.0 ** (level - 2) overflows from level 1026, and inf is no integer level
+    for bad in (-1, 2000, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="truncation_level"):
+            build_extremal_field(pair, truncation_level=bad)
 
 
 @pytest.mark.parametrize("pair_id,params", PAIR_CASES, ids=[c[0] for c in PAIR_CASES])
