@@ -279,7 +279,7 @@ def build_extremal_field(
 
     band = min(max(2.5 / max(kappa, 0.4), 1.5), 6.0)
     lam2 = max(2.0 * _J1 / (band * 0.03 * kappa**2) - 2.0 * _J0 * band, 8.0)
-    # 2.0 ** n overflows from n = 1024; lam2 2^1023 is already inf, and refused below
+    # 2.0 ** n overflows from n = 1024; lam2 >= 8, so lam2 2^1023 is inf and refused below
     plateau = lam2 * 2.0 ** (min(truncation_level, 1025) - 2)
     tau_hi = plateau + 2.0 * band
     if not tau_hi - band < tau_hi:  # the plateau doubles per level; the band does not

@@ -610,7 +610,7 @@ def test_verify_all_integrates_once_per_mesh_and_sharpness_level(tmp_path, capsy
     components = count_integrations(monkeypatch)
     code, _, _ = run_cli(capsys, "verify", "--all", "--out", str(tmp_path / "all.json"))
     assert code == 0
-    meshes, levels = 2, 3  # sharpness_probe's default, one 1-D integration per level
+    meshes, levels = 2, 3  # levels: sharpness_probe's default, one 1-D integration each
     assert len(components) == meshes + levels, components
 
 
