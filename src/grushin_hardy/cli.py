@@ -41,8 +41,9 @@ from .geometry import (
 from .verifier import (
     FIELD_CHECKS,
     CknParams,
+    finish_checks,
     sharpness_probe,
-    verify_checks,
+    start_checks,
     verify_ckn,
     verify_hpw,
     verify_identity,
@@ -326,7 +327,8 @@ def _run_configs(configs: List[RunConfig]) -> List[Tuple[Dict, List[Dict]]]:
     """Each config's echo and check records, in declared order. The field
     checks of all configs that share a space, a support (the field's x_floor
     and outer_rho) and quadrature settings run together on one mesh
-    (verify_checks); sharpness, divergence and condition run per config."""
+    (verify_checks), each group's preconditions before any integration;
+    sharpness, divergence and condition run per config."""
     built = [_build_objects(config) for config in configs]
     groups: Dict[tuple, list] = {}  # mesh -> its (config index, (name, args)), in order
     for n, (config, (pair, field, _)) in enumerate(zip(configs, built)):
@@ -334,9 +336,11 @@ def _run_configs(configs: List[RunConfig]) -> List[Tuple[Dict, List[Dict]]]:
         for name in config.checks:
             if name in FIELD_CHECKS:
                 groups.setdefault(mesh, []).append((n, (name, _field_args(name, config, pair, field))))
+    # every group's preconditions and constant searches run before the first integration
+    started = [(group, settings, start_checks([c for _, c in group])) for (*_, settings), group in groups.items()]
     reports: List[list] = [[] for _ in configs]
-    for (*_, settings), group in groups.items():
-        for (n, _), rep in zip(group, verify_checks([check for _, check in group], settings)):
+    for group, settings, plans in started:
+        for (n, _), rep in zip(group, finish_checks(plans, settings)):
             reports[n].append(rep)
     out = []
     for config, (pair, _, field_echo), shared in zip(configs, built, map(iter, reports)):
@@ -669,9 +673,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main call, not at import: a parser takes about 1.4 ms to build
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

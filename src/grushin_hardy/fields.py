@@ -66,6 +66,18 @@ def smoothstep5_prime(u: np.ndarray) -> np.ndarray:
     return 30.0 * c * c * (1.0 - c) ** 2
 
 
+def _log_step_ratio(s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """log g(u) for g = (1+u) smoothstep5'(u) / (30 smoothstep5(u)) at u =
+    1/(1+exp(-s)), and its derivative in s. g falls strictly from inf to 0
+    on (0, 1); log g = log(1+u) + 2 log(1-u) - log u - log(6u^2 - 15u + 10),
+    in s so that u and 1-u keep their relative precision at both ends."""
+    log_u, log_w = -np.logaddexp(0.0, -s), -np.logaddexp(0.0, s)
+    u, w = np.exp(log_u), np.exp(log_w)
+    q = 10.0 + u * (6.0 * u - 15.0)
+    value = np.log1p(u) + 2.0 * log_w - log_u - np.log(q)
+    return value, u * w / (1.0 + u) - 2.0 * u - w - (12.0 * u - 15.0) * u * w / q
+
+
 def _window(t: np.ndarray, lo: float, hi: float, band: float) -> Tuple[np.ndarray, np.ndarray]:
     """Plateau window rising on [lo, lo+band], falling on [hi-band, hi]."""
     up = smoothstep5((t - lo) / band)
@@ -131,6 +143,28 @@ class TestField:
         spec = self.spec
         band = spec.smoothness_margin * (spec.outer_rho - spec.inner_rho)
         return (spec.inner_rho, spec.inner_rho + band, spec.outer_rho - band, spec.outer_rho)
+
+    def df_zero_x(self, rho: np.ndarray) -> np.ndarray:
+        """The |x| where D|f| = 0, per rho strictly inside the window's falling
+        band, on a field with x_floor > 0.
+
+        There D|f| is proportional to r A C'(r) + rho A'(rho) C(r), where A is
+        the window and C(r) = S(u) the cutoff, u = r/x_floor - 1, so the curve
+        solves (1+u) S'(u)/S(u) = -rho A'/A = (rho/band) S'(v)/S(v), with v =
+        (outer_rho - rho)/band. The left side falls strictly from inf to 0 on
+        (0, 1), so the root is unique; it runs from |x| = 2 x_floor at the
+        band's start to x_floor at outer_rho. Newton steps on the log of both
+        sides, in s = log(u/(1-u)) from u = v, reach it to rounding in five.
+        """
+        spec = self.spec
+        band = spec.smoothness_margin * (spec.outer_rho - spec.inner_rho)
+        v = (spec.outer_rho - rho) / band
+        s = np.log(v) - np.log1p(-v)
+        target = np.log(rho / band) - np.log1p(v) + _log_step_ratio(s)[0]
+        for _ in range(6):
+            value, slope = _log_step_ratio(s)
+            s = s - (value - target) / slope
+        return spec.x_floor * (1.0 + np.exp(-np.logaddexp(0.0, -s)))
 
     @property
     def modulus(self) -> tuple:
@@ -230,6 +264,9 @@ class ExtremalField(TestField):
         taus = np.array([0.0, self.band, self.tau_hi - self.band, self.tau_hi])
         rhos = np.clip(self.rho_of_tau(taus), self.spec.inner_rho, self.spec.outer_rho)
         return tuple(rhos.tolist())
+
+    def df_zero_x(self, rho: np.ndarray) -> np.ndarray:
+        raise NotImplementedError("the extremal's profile puts no D|f| = 0 curve across a band corner to corner")
 
     def window(self, tau: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Plateau window S(tau) and S'(tau)."""

@@ -53,6 +53,8 @@ __all__ = [
     "CknReport",
     "HpwReport",
     "verify_checks",
+    "start_checks",
+    "finish_checks",
     "verify_identity",
     "verify_identity_sweep",
     "verify_inequality",
@@ -228,7 +230,7 @@ def _check_remainder(pair: WeightPair, field: TestField, p_ok: bool, p_rule: str
     _check_support(pair, field)
 
 
-def _polar_pieces(fields: Sequence[TestField]):
+def _polar_pieces(fields: Sequence[TestField], curve: Optional[TestField] = None):
     """The fields' support as Grushin-polar pieces, and the lift of nodes.
 
     Fields, weights, Df and |grad f|^2 depend on (|x|, rho) only, so every
@@ -239,7 +241,11 @@ def _polar_pieces(fields: Sequence[TestField]):
     breakpoints, x_floor and 2 x_floor), geometric in tau, and psi between
     the curves |x| = r_out and |x| = r_in, psi = arccos((r0/rho)^a), linear
     in t; so every kink lies on a cell edge and |x| < x_floor is never
-    sampled. Two square-root edges are graded away: from the apex of a kink
+    sampled. Given curve, a field of the plan's one modulus, the piece of
+    its falling window band and cutoff band is split along the curve D|f| =
+    0 (TestField.df_zero_x), which runs corner to corner, so that each half
+    narrows linearly to its corner; NaN in r_out or r_in stands for the
+    curve. Two square-root edges are graded away: from the apex of a kink
     curve rho takes tau^2 for tau, and with x_floor = 0 psi runs up to pi/2
     as (pi/2)(1 - (1-t)^a). lift takes nodes (M, K, 2) that share their tau
     along K, or flat (N, 2) nodes as K = 1, and gives their (r, s, rho,
@@ -256,6 +262,7 @@ def _polar_pieces(fields: Sequence[TestField]):
     breaks = {lo, x_floor, 2.0 * x_floor}.union(*(f.rho_breaks() for f in fields))
     edges = sorted(b for b in breaks if lo <= b <= outer)
     pieces = []  # (rho0, rho1, rho grading, r_out, r_in, psi grading)
+    fall = None if curve is None else curve.rho_breaks()[2:]
     for rho0, rho1 in zip(edges, edges[1:]):
         if x_floor == 0.0:
             pieces.append((rho0, rho1, 1.0, math.inf, 0.0, a))
@@ -264,7 +271,8 @@ def _polar_pieces(fields: Sequence[TestField]):
         rho_grade = 2.0 if rho0 in (x_floor, 2.0 * x_floor) else 1.0
         if rho0 >= 2.0 * x_floor:
             pieces.append((rho0, rho1, rho_grade, math.inf, 2.0 * x_floor, 1.0))
-        pieces.append((rho0, rho1, rho_grade, 2.0 * x_floor, x_floor, 1.0))
+        cuts = (2.0 * x_floor, math.nan, x_floor) if (rho0, rho1) == fall else (2.0 * x_floor, x_floor)
+        pieces += [(rho0, rho1, rho_grade, r_out, r_in, 1.0) for r_out, r_in in zip(cuts, cuts[1:])]
     rho0, rho1, rho_grade, r_out, r_in, grade = (np.array(col) for col in zip(*pieces))
     # log(|S^(m-1)||S^(k-1)|/a^k), |S^(d-1)| = 2 pi^(d/2)/Gamma(d/2); Gamma overflows from d = 343
     log_const = -space.k * math.log(a) + sum(
@@ -277,9 +285,15 @@ def _polar_pieces(fields: Sequence[TestField]):
         i = np.minimum(grid[:, :1, 0].astype(int), len(pieces) - 1)  # the nodes lie in [0, pieces]
         tau, t, span, rg, g = grid[:, :1, 0] - i, grid[:, :, 1], log_span[i], rho_grade[i], grade[i]
         rho = rho0[i] * np.exp(span * tau**rg)
-        cos_hi = np.minimum(1.0, (r_in[i] / rho) ** a)
+        outer_r, inner_r = r_out[i], r_in[i]
+        if curve is not None:
+            # x_floor <= curve <= 2 x_floor, so fmax and fmin take it over NaN, and keep the other bound
+            on = np.isnan(outer_r) | np.isnan(inner_r)
+            x = curve.df_zero_x(rho[on])
+            outer_r[on], inner_r[on] = np.fmax(outer_r[on], x), np.fmin(inner_r[on], x)
+        cos_hi = np.minimum(1.0, (inner_r / rho) ** a)
         sin_hi = np.sqrt(1.0 - cos_hi**2)
-        width = np.arccos(cos_hi) - np.arccos(np.minimum(1.0, (r_out[i] / rho) ** a))
+        width = np.arccos(cos_hi) - np.arccos(np.minimum(1.0, (outer_r / rho) ** a))
         # log of spheres rho^(Q-1)/a^k drho/dtau dpsi/dt, less (1-t)^(g-1)
         d_rho = rho * span * rg * tau ** (rg - 1.0)
         log_side = (space.Q - 1.0) * np.log(rho) + np.log(d_rho * width * g)
@@ -520,6 +534,19 @@ class _Plan:
         return out[: self.n_components]
 
 
+def _curve_field(plan: _Plan) -> Optional[TestField]:
+    """The field whose D|f| = 0 curve _polar_pieces makes a piece edge, or
+    None. |Df|^q kinks on that curve for 0 < q < 2, so it is cut only when a
+    table row reads Df with such an exponent (lhs, and cp through its lhs),
+    and only on one modulus with x_floor > 0 whose cutoff band lies below
+    its falling window band, where the curve runs corner to corner."""
+    field = plan.fields[0]
+    if not 0.0 < 2.0 * field.spec.x_floor < field.rho_breaks()[2] or isinstance(field, ExtremalField):
+        return None
+    dq = plan.table[:, -1 - len(plan.fields) : -1]
+    return field if len(set(plan.modulus)) == 1 and ((dq > 0.0) & (dq < 2.0)).any() else None
+
+
 def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSettings]) -> List[Dict]:
     """Integrate the terms of every case on one shared mesh.
 
@@ -536,7 +563,7 @@ def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSetti
     if any(field.space != space for _, field, _ in cases):
         raise ValueError("sweep cases must share one space")
     plan = _Plan(cases)
-    region, lift = _polar_pieces(plan.fields)
+    region, lift = _polar_pieces(plan.fields, _curve_field(plan))
 
     def integrand(nodes: np.ndarray) -> np.ndarray:
         # an overflow, division by zero or invalid operation outside the
@@ -816,9 +843,26 @@ def verify_checks(
     converged come from its own terms, but every integral steers the mesh,
     so a check's values can differ, within its error, from another run's.
     """
+    return finish_checks(start_checks(checks), settings)
+
+
+def start_checks(checks: Sequence[Tuple[str, tuple]]) -> Tuple[List[Generator], List[tuple]]:
+    """verify_checks's first phase: start each check's plan, which runs its
+    precondition and constant searches, and return the plans with their
+    cases. Nothing is integrated, so a caller can refuse bad input from
+    several meshes' checks before the first integration."""
     plans = [FIELD_CHECKS[name](*args) for name, args in checks]
-    results = _integrate_cases([next(plan) for plan in plans], settings)
-    return [plan.send(res) for plan, res in zip(plans, results)]
+    return plans, [next(plan) for plan in plans]
+
+
+def finish_checks(
+    started: Tuple[List[Generator], List[tuple]],
+    settings: Optional[IntegrationSettings] = None,
+) -> List[_Report]:
+    """verify_checks's second phase: integrate start_checks's cases on one
+    shared mesh and return the checks' reports in order."""
+    plans, cases = started
+    return [plan.send(res) for plan, res in zip(plans, _integrate_cases(cases, settings))]
 
 
 def verify_identity(

@@ -669,6 +669,45 @@ def test_entries_on_different_meshes_integrate_apart(tmp_path, capsys, monkeypat
     assert [c["name"].split("[")[0] for c in report["checks"]] == ["identity"] * 5 + ["divergence"]
 
 
+def test_a_suite_refuses_a_bad_entry_before_any_integration(tmp_path, capsys, monkeypatch):
+    # the third entry's precondition fails; the two meshes before it are
+    # never integrated, because every group's preconditions run first
+    components = count_integrations(monkeypatch)
+    log_ball = dict(cli.ALL_SUITE[3], checks=["identity"])
+    entries = [BASE_CONFIG, log_ball, dict(BASE_CONFIG, field={"x_floor": 0.0})]
+    code, out, err = run_cli(capsys, "verify", "--config", write_config(tmp_path, {"entries": entries}))
+    assert code == 2 and out == ""
+    assert "pair is singular on {x=0}" in err
+    assert components == []
+
+
+def test_verify_all_meshes_keep_their_eval_counts(tmp_path, capsys, monkeypatch):
+    # neither mesh group lists a Df exponent in (0, 2), so neither is cut
+    integrate, evals = verifier.integrate_vector, []
+
+    def counting(integrand, n_components, region, settings=None):
+        res = integrate(integrand, n_components, region, settings)
+        if region.dim == 2:
+            evals.append(res[0].evals)
+        return res
+
+    monkeypatch.setattr(verifier, "integrate_vector", counting)
+    assert run_cli(capsys, "verify", "--all", "--out", str(tmp_path / "all.json"))[0] == 0
+    assert evals == [18_900, 22_500]
+
+
+def test_main_reuses_one_parser(tmp_path, capsys):
+    # the parser is built on the first call only, and a second call reports the same
+    texts = []
+    for name in ("first.json", "second.json"):
+        assert run_cli(capsys, "verify", "--all", "--out", str(tmp_path / name))[0] == 0
+        report = json.loads((tmp_path / name).read_text())
+        report.pop("wall_clock_seconds")
+        texts.append(cli._dump(report))
+    assert texts[0] == texts[1]
+    assert cli._parser() is cli._parser()
+
+
 @pytest.mark.parametrize(
     "suite, message",
     [

@@ -371,6 +371,96 @@ def test_polar_pieces_put_cutoff_kinks_on_edges(x_floor):
         assert abs(vol.value - exact) <= 1e-11 * exact
 
 
+CURVE_SPACES = (SpaceParams(1, 1, 1.0), SpaceParams(2, 2, 1.0))
+
+
+@pytest.mark.parametrize("space", CURVE_SPACES, ids=str)
+def test_df_zero_x_is_a_zero_of_the_kernels_d_abs_f(space):
+    # across the falling window band the curve runs from |x| = 2 x_floor
+    # down to x_floor, and the kernel's Df of the real field vanishes on it
+    field = annulus_field(space)
+    _, _, fall, outer = field.rho_breaks()
+    rho = np.linspace(fall, outer, 1001)[1:-1, None]
+    r = field.df_zero_x(rho)
+    assert np.all(np.diff(r[:, 0]) < 0.0)
+    np.testing.assert_allclose(field.df_zero_x(np.array([fall + 1e-9, outer - 1e-9])), [0.25, 0.125], rtol=1e-6)
+    plan = verifier._Plan([(make_pair("dambrosio_power", space, 1.5, {"alpha": 0.0, "beta": 0.0}), field, ("lhs",))])
+    b = verifier._Batch(space, (r, np.zeros_like(r), rho, np.log(r / rho)), plan)
+    (f_r, f_rho), scale = b.partials[0], (r / rho) ** space.gamma / rho
+    size = scale * (np.abs(r * f_r) + np.abs(rho * f_rho))
+    assert np.all(size > 0.0)
+    assert np.max(np.abs(b.df[0]) / size) <= 1e-10
+
+
+def _pieces_of(monkeypatch, cases):
+    """The polar pieces (their count) that _integrate_cases integrates cases on, and its results."""
+    integrate, boxes = verifier.integrate_vector, []
+
+    def recording(integrand, n_components, region, settings=None):
+        boxes.append(int(region.box[0][1]))
+        return integrate(integrand, n_components, region, settings)
+
+    monkeypatch.setattr(verifier, "integrate_vector", recording)
+    res = verifier._integrate_cases(cases, IntegrationSettings(rel_tol=1e-10))
+    return boxes.pop(), res
+
+
+@pytest.mark.parametrize("space", CURVE_SPACES, ids=str)
+def test_the_curve_cut_moves_no_integral_beyond_its_error(space, monkeypatch):
+    # the cut splits one piece in two; the split pieces hold the same volume,
+    # and mass, w and lhs agree with the uncut mesh's within their errors
+    field = annulus_field(space)
+    pair = make_pair("dambrosio_power", space, 1.5, {"alpha": 0.0, "beta": 0.0})
+    names = ("lhs", "w", "mass")
+    cut, (with_cut,) = _pieces_of(monkeypatch, [(pair, field, names)])
+    monkeypatch.setattr(verifier, "_curve_field", lambda plan: None)
+    uncut, (without,) = _pieces_of(monkeypatch, [(pair, field, names)])
+    assert cut == uncut + 1
+    for name in names:
+        a, b = with_cut[name], without[name]
+        assert a.converged and b.converged
+        assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, name
+    assert with_cut["lhs"].evals < without["lhs"].evals
+
+    def volumes(region, lift):
+        jac = lambda n: np.exp(lift(n.reshape(-1, verifier._AXIS_NODES, 2))[1]).reshape(1, -1)
+        n = int(region.box[0][1])
+        return [
+            integrate_vector(jac, 1, Region(box=((i, i + 1.0), (0.0, 1.0))), IntegrationSettings(rel_tol=1e-13))[0]
+            for i in range(n)
+        ]
+
+    split = volumes(*verifier._polar_pieces([field], field))
+    whole = volumes(*verifier._polar_pieces([field]))
+    # the split pieces are the last two of the falling band's three
+    assert abs(split[-1].value + split[-2].value - whole[-1].value) <= 1e-12 * whole[-1].value
+    assert [r.value for r in split[:-2]] == [r.value for r in whole[:-1]]
+
+
+def test_a_plan_without_a_sub_quadratic_df_or_with_two_moduli_keeps_its_pieces(monkeypatch):
+    # the cut needs a Df exponent in (0, 2) and exactly one modulus
+    field, other = annulus_field(SP), annulus_field(SP, smoothness_margin=0.2)
+    pair = {p: make_pair("dambrosio_power", SP, p, {"alpha": 0.0, "beta": 0.0}) for p in (1.5, 2.0, 3.0)}
+    uncut = int(verifier._polar_pieces([field])[0].box[0][1])
+    plain = [
+        [(pair[2.0], field, verifier._IDENTITY), (pair[3.0], field, ("lhs", "cp"))],
+        [(pair[1.5], field, ("w", "mass", "eta_p", "mixed", "min", "grad_sq"))],
+    ]
+    for cases in plain:
+        assert _pieces_of(monkeypatch, cases)[0] == uncut
+    assert _pieces_of(monkeypatch, [(pair[1.5], field, ("cp",))])[0] == uncut + 1
+    two = [(pair[1.5], field, ("lhs",)), (pair[1.5], other, ("lhs",))]
+    assert verifier._curve_field(verifier._Plan(two)) is None
+    assert _pieces_of(monkeypatch, two)[0] == int(verifier._polar_pieces([field, other])[0].box[0][1])
+
+
+def test_the_gate_4_sweep_on_1_1_1_keeps_its_eval_count():
+    # the D|f| = 0 cut took this sweep from 52,650 evals to 33,525
+    cases = [(pair, field, verifier._IDENTITY) for pair, field in _twin_sweep(SP)]
+    res = verifier._integrate_cases(cases, IntegrationSettings(rel_tol=1e-8))
+    assert res[0]["lhs"].evals <= 34_000
+
+
 def _kernel_fields(space):
     """One field of every family: a radial bump, an x-cutoff bump, a
     phase-twisted x-cutoff field and an extremal field."""
