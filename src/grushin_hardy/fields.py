@@ -160,9 +160,10 @@ class TestField:
         band = spec.smoothness_margin * (spec.outer_rho - spec.inner_rho)
         v = (spec.outer_rho - rho) / band
         s = np.log(v) - np.log1p(-v)
-        target = np.log(rho / band) - np.log1p(v) + _log_step_ratio(s)[0]
-        for _ in range(6):
+        for step in range(5):
             value, slope = _log_step_ratio(s)
+            if step == 0:
+                target = np.log(rho / band) - np.log1p(v) + value
             s = s - (value - target) / slope
         return spec.x_floor * (1.0 + np.exp(-np.logaddexp(0.0, -s)))
 

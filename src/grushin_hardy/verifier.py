@@ -239,15 +239,18 @@ def _polar_pieces(fields: Sequence[TestField], curve: Optional[TestField] = None
     cos(psi)^(1/a-1) drho dpsi. Piece i is the unit cell [i, i+1] x [0, 1]
     of the nodes (i + tau, t). rho runs between two cuts (the fields' window
     breakpoints, x_floor and 2 x_floor), geometric in tau, and psi between
-    the curves |x| = r_out and |x| = r_in, psi = arccos((r0/rho)^a), linear
-    in t; so every kink lies on a cell edge and |x| < x_floor is never
-    sampled. Given curve, a field of the plan's one modulus, the piece of
-    its falling window band and cutoff band is split along the curve D|f| =
-    0 (TestField.df_zero_x), which runs corner to corner, so that each half
-    narrows linearly to its corner; NaN in r_out or r_in stands for the
-    curve. Two square-root edges are graded away: from the apex of a kink
-    curve rho takes tau^2 for tau, and with x_floor = 0 psi runs up to pi/2
-    as (pi/2)(1 - (1-t)^a). lift takes nodes (M, K, 2) that share their tau
+    the curves |x| = r_out and |x| = r_in, where d = pi/2 - psi =
+    arcsin((r0/rho)^a) and d^(1/a) is linear in t; so every kink lies on a
+    cell edge and |x| < x_floor is never sampled. dpsi then carries
+    d^(1-1/a), which cancels the cos(psi)^(1/a-1) = sin(d)^(1/a-1) of dz
+    toward the y axis whether or not a piece reaches it: that is linear psi
+    at a = 1, and psi = (pi/2)(1 - (1-t)^a) with x_floor = 0. From the apex
+    of a kink curve psi's range grows like sqrt(rho - rho0), so there rho
+    takes tau^2 for tau. Given curve, a field of the plan's one modulus, the
+    piece of its falling window band and cutoff band is split along the
+    curve D|f| = 0 (TestField.df_zero_x), which runs corner to corner, so
+    that each half narrows linearly to its corner; NaN in r_out or r_in
+    stands for the curve. lift takes nodes (M, K, 2) that share their tau
     along K, or flat (N, 2) nodes as K = 1, and gives their (r, s, rho,
     log(r/rho)), where r = |x| and s = |y|, and the log of their Jacobian,
     in logs: log(r/rho) = log(cos psi)/a. rho and every factor of rho alone
@@ -261,19 +264,18 @@ def _polar_pieces(fields: Sequence[TestField], curve: Optional[TestField] = None
     lo = max(min(f.spec.inner_rho for f in fields), x_floor)
     breaks = {lo, x_floor, 2.0 * x_floor}.union(*(f.rho_breaks() for f in fields))
     edges = sorted(b for b in breaks if lo <= b <= outer)
-    pieces = []  # (rho0, rho1, rho grading, r_out, r_in, psi grading)
+    pieces = []  # (rho0, rho1, rho grading, r_out, r_in)
     fall = None if curve is None else curve.rho_breaks()[2:]
     for rho0, rho1 in zip(edges, edges[1:]):
         if x_floor == 0.0:
-            pieces.append((rho0, rho1, 1.0, math.inf, 0.0, a))
+            pieces.append((rho0, rho1, 1.0, math.inf, 0.0))
             continue
-        # from the apex of a kink curve psi's range grows like sqrt(rho - rho0)
         rho_grade = 2.0 if rho0 in (x_floor, 2.0 * x_floor) else 1.0
         if rho0 >= 2.0 * x_floor:
-            pieces.append((rho0, rho1, rho_grade, math.inf, 2.0 * x_floor, 1.0))
+            pieces.append((rho0, rho1, rho_grade, math.inf, 2.0 * x_floor))
         cuts = (2.0 * x_floor, math.nan, x_floor) if (rho0, rho1) == fall else (2.0 * x_floor, x_floor)
-        pieces += [(rho0, rho1, rho_grade, r_out, r_in, 1.0) for r_out, r_in in zip(cuts, cuts[1:])]
-    rho0, rho1, rho_grade, r_out, r_in, grade = (np.array(col) for col in zip(*pieces))
+        pieces += [(rho0, rho1, rho_grade, r_out, r_in) for r_out, r_in in zip(cuts, cuts[1:])]
+    rho0, rho1, rho_grade, r_out, r_in = (np.array(col) for col in zip(*pieces))
     # log(|S^(m-1)||S^(k-1)|/a^k), |S^(d-1)| = 2 pi^(d/2)/Gamma(d/2); Gamma overflows from d = 343
     log_const = -space.k * math.log(a) + sum(
         math.log(2.0) + d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0) for d in (m, space.k)
@@ -283,7 +285,7 @@ def _polar_pieces(fields: Sequence[TestField], curve: Optional[TestField] = None
     def lift(nodes: np.ndarray) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
         grid = nodes.reshape(nodes.shape[0], -1, 2)
         i = np.minimum(grid[:, :1, 0].astype(int), len(pieces) - 1)  # the nodes lie in [0, pieces]
-        tau, t, span, rg, g = grid[:, :1, 0] - i, grid[:, :, 1], log_span[i], rho_grade[i], grade[i]
+        tau, t, span, rg = grid[:, :1, 0] - i, grid[:, :, 1], log_span[i], rho_grade[i]
         rho = rho0[i] * np.exp(span * tau**rg)
         outer_r, inner_r = r_out[i], r_in[i]
         if curve is not None:
@@ -291,22 +293,19 @@ def _polar_pieces(fields: Sequence[TestField], curve: Optional[TestField] = None
             on = np.isnan(outer_r) | np.isnan(inner_r)
             x = curve.df_zero_x(rho[on])
             outer_r[on], inner_r[on] = np.fmax(outer_r[on], x), np.fmin(inner_r[on], x)
-        cos_hi = np.minimum(1.0, (inner_r / rho) ** a)
-        sin_hi = np.sqrt(1.0 - cos_hi**2)
-        width = np.arccos(cos_hi) - np.arccos(np.minimum(1.0, (outer_r / rho) ** a))
-        # log of spheres rho^(Q-1)/a^k drho/dtau dpsi/dt, less (1-t)^(g-1)
-        d_rho = rho * span * rg * tau ** (rg - 1.0)
-        log_side = (space.Q - 1.0) * np.log(rho) + np.log(d_rho * width * g)
-        # psi = psi_hi - delta, expanded so that cos(psi) keeps its relative
-        # precision where it vanishes on the y axis
-        log_rest = np.log1p(-t)
-        delta = width * np.exp(g * log_rest)
-        cos_d, sin_d = np.cos(delta), np.sin(delta)
-        cos, sin = cos_hi * cos_d + sin_hi * sin_d, sin_hi * cos_d - cos_hi * sin_d
+        # sigma = d^(1/a) runs linearly from |x| = r_out to r_in; cos psi =
+        # sin d keeps its relative precision where it vanishes on the y axis
+        sig_out, sig_in = (np.arcsin(np.minimum(1.0, (b / rho) ** a)) ** (1.0 / a) for b in (outer_r, inner_r))
+        sigma = sig_out - (sig_out - sig_in) * t
+        d = sigma**a
+        cos, sin = np.sin(d), np.cos(d)
         log_cos = np.log(cos)
         r, s = rho * cos ** (1.0 / a), rho**a * sin / a
-        # r^(m-1) s^(k-1) (rho^a/a) cos^(1/a-1) in logs, with the rho factors above
-        log_jac = (m / a - 1.0) * log_cos + (space.k - 1) * np.log(sin) + (g - 1.0) * log_rest
+        # log of spheres rho^(Q-1)/a^k, drho/dtau and (dpsi/dsigma)/sigma^(a-1) dsigma/dt
+        d_rho = rho * span * rg * tau ** (rg - 1.0)
+        log_side = (space.Q - 1.0) * np.log(rho) + np.log(d_rho * (sig_out - sig_in) * a)
+        # r^(m-1) s^(k-1) (rho^a/a) cos^(1/a-1) sigma^(a-1) in logs, with the rho factors above
+        log_jac = (m / a - 1.0) * log_cos + (space.k - 1) * np.log(sin) + (a - 1.0) * np.log(sigma)
         log_jac += log_const + log_side
         return (r, s, rho, log_cos / a), log_jac
 

@@ -513,6 +513,24 @@ def test_condition_with_an_overflowing_space_prints_one_error_line():
     assert lines[0].startswith("error: condition arithmetic failed in space (1,1,300): ")
 
 
+@pytest.mark.parametrize("gamma", (15.0, 30.0))
+def test_a_large_gamma_cutoff_field_passes_identity_and_inequality(tmp_path, capsys, gamma):
+    # cos(psi)^(1/a-1) is singular on the y axis, just past the cutoff's
+    # |x| = x_floor; with psi linear there, cells piled up toward the axis
+    # until a node rounded onto it and the integrand took log 0
+    config = dict(
+        BASE_CONFIG,
+        space={"m": 1, "k": 1, "gamma": gamma},
+        checks=["identity", "inequality"],
+        field={"family": "bump_radial_x_cutoff", "x_floor": 0.125},
+    )
+    code, out, err = run_cli(capsys, "verify", "--config", write_config(tmp_path, config))
+    assert code == 0, err
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["passed"]) for c in checks] == [("identity", True), ("inequality", True)]
+    assert all(c["terms"]["converged"] is True for c in checks)
+
+
 def test_verify_all_with_an_overflowing_space_prints_one_error_line():
     # gamma = 300 overflows the polar Jacobian; in a fresh process, where no
     # warning filter hides them, numpy's RuntimeWarnings must not precede
@@ -682,7 +700,9 @@ def test_a_suite_refuses_a_bad_entry_before_any_integration(tmp_path, capsys, mo
 
 
 def test_verify_all_meshes_keep_their_eval_counts(tmp_path, capsys, monkeypatch):
-    # neither mesh group lists a Df exponent in (0, 2), so neither is cut
+    # neither mesh group lists a Df exponent in (0, 2), so neither is cut;
+    # the angular map that grades psi toward the y axis on every piece took
+    # them from 18,900 and 22,500 evals
     integrate, evals = verifier.integrate_vector, []
 
     def counting(integrand, n_components, region, settings=None):
@@ -693,7 +713,7 @@ def test_verify_all_meshes_keep_their_eval_counts(tmp_path, capsys, monkeypatch)
 
     monkeypatch.setattr(verifier, "integrate_vector", counting)
     assert run_cli(capsys, "verify", "--all", "--out", str(tmp_path / "all.json"))[0] == 0
-    assert evals == [18_900, 22_500]
+    assert evals == [10_350, 9_450]
 
 
 def test_main_reuses_one_parser(tmp_path, capsys):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import beta as beta_fn
+from scipy.special import betainc
 
 from grushin_hardy.cp import ConstantEstimate, cp_value_batch
 from grushin_hardy.cubature import IntegralResult, IntegrationSettings, Region, integrate_vector
@@ -303,9 +304,10 @@ ORACLE_SPACES = (SpaceParams(2, 1, 0.0), SpaceParams(1, 2, 1.5), SpaceParams(1, 
 
 @pytest.mark.parametrize("space", ORACLE_SPACES, ids=str)
 def test_polar_terms_match_beta_function_oracle(space):
-    # x_floor = 0: psi runs up to the y axis, where the graded map keeps the
-    # Jacobian bounded; beta = 0.5 leaves (|x|/rho)^beta singular along that
-    # whole edge, so the cells must split across it only
+    # x_floor = 0: psi runs up to the y axis, where the angular map (d^(1/a)
+    # linear in t, d = pi/2 - psi) keeps the Jacobian bounded; beta = 0.5
+    # leaves (|x|/rho)^beta singular along that whole edge, so the cells must
+    # split across it only
     field = build_test_field(
         space, TestFieldSpec(family="bump_radial", inner_rho=0.5, outer_rho=2.0)
     )
@@ -369,6 +371,60 @@ def test_polar_pieces_put_cutoff_kinks_on_edges(x_floor):
         )
         exact = _radial_oracle(space, lambda rho: 1.0, 0.5, 2.0, 0.0)
         assert abs(vol.value - exact) <= 1e-11 * exact
+
+
+def _piece_volume(space, rho0, rho1, r_out, r_in):
+    """Exact volume of the polar piece rho0 < rho < rho1, r_in(rho) < |x| <
+    r_out(rho): in d = arcsin((|x|/rho)^a) the angular part is int sin(d)^(m/a-1)
+    cos(d)^(k-1) dd = B(A, B) I_(sin^2 d)(A, B)/2, A = m/(2a), B = k/2."""
+    a, A, B = 1.0 + space.gamma, space.m / (2.0 * (1.0 + space.gamma)), space.k / 2.0
+
+    def shell(rho):
+        ends = [betainc(A, B, min(1.0, (bound(rho) / rho) ** (2.0 * a))) for bound in (r_out, r_in)]
+        return beta_fn(A, B) / 2.0 * (ends[0] - ends[1]) * rho ** (space.Q - 1.0)
+
+    radial, _ = quad(shell, rho0, rho1, epsabs=0.0, epsrel=1e-13, limit=500)
+    return _sphere_area(space.m) * _sphere_area(space.k) * a**-space.k * radial
+
+
+@pytest.mark.parametrize(
+    "space", (SpaceParams(1, 1, 1.0), SpaceParams(1, 1, 2.0), SpaceParams(2, 2, 1.0), SpaceParams(3, 2, 0.5)), ids=str
+)
+@pytest.mark.parametrize("x_floor", (0.125, 0.3))
+def test_polar_piece_jacobians_match_quad_volumes(space, x_floor):
+    # every piece's Jacobian integrates to its exact volume, with and without
+    # the D|f| = 0 cut; the pieces stop at |x| = x_floor, just short of the y
+    # axis where cos(psi)^(1/a-1) is singular
+    field = annulus_field(space, x_floor=x_floor)
+    curve = lambda rho: field.df_zero_x(np.array([rho]))[0]
+    edges = sorted(b for b in {x_floor, 2.0 * x_floor, *field.rho_breaks()} if 0.5 <= b)
+    for cut in (None, field):
+        layout = []  # (rho0, rho1, r_out, r_in) in _polar_pieces's order
+        for rho0, rho1 in zip(edges, edges[1:]):
+            if rho0 >= 2.0 * x_floor:
+                layout.append((rho0, rho1, math.inf, 2.0 * x_floor))
+            split = cut is not None and (rho0, rho1) == field.rho_breaks()[2:]
+            cuts = (2.0 * x_floor, curve, x_floor) if split else (2.0 * x_floor, x_floor)
+            layout += [(rho0, rho1, r_out, r_in) for r_out, r_in in zip(cuts, cuts[1:])]
+        region, lift = verifier._polar_pieces([field], cut)
+        assert region.box[0][1] == len(layout)
+        jac = lambda n: np.exp(lift(n.reshape(-1, verifier._AXIS_NODES, 2))[1]).reshape(1, -1)
+        for i, (rho0, rho1, r_out, r_in) in enumerate(layout):
+            bounds = [b if callable(b) else (lambda rho, b=b: b) for b in (r_out, r_in)]
+            exact = _piece_volume(space, rho0, rho1, *bounds)
+            (vol,) = integrate_vector(jac, 1, Region(box=((i, i + 1.0), (0.0, 1.0))), IntegrationSettings(rel_tol=1e-13))
+            assert abs(vol.value - exact) <= 1e-12 * exact, (cut is not None, i, vol.value, exact)
+
+
+@pytest.mark.parametrize("space", (SpaceParams(1, 1, 1.0), SpaceParams(1, 1, 2.0)), ids=str)
+def test_a_cutoff_volume_converges_without_piling_cells_on_the_y_axis(space):
+    # cos(psi)^(1/a-1) is singular on the y axis, just past |x| = x_floor;
+    # the angular map cancels it there as well (linear psi took 9,000 and
+    # 14,400 evals)
+    region, lift = verifier._polar_pieces([annulus_field(space)])
+    (vol,) = integrate_vector(lambda n: np.exp(lift(n)[1]).reshape(1, -1), 1, region, IntegrationSettings(rel_tol=1e-10))
+    assert vol.converged
+    assert vol.evals <= 3_600
 
 
 CURVE_SPACES = (SpaceParams(1, 1, 1.0), SpaceParams(2, 2, 1.0))
@@ -455,10 +511,24 @@ def test_a_plan_without_a_sub_quadratic_df_or_with_two_moduli_keeps_its_pieces(m
 
 
 def test_the_gate_4_sweep_on_1_1_1_keeps_its_eval_count():
-    # the D|f| = 0 cut took this sweep from 52,650 evals to 33,525
+    # the D|f| = 0 cut took this sweep from 52,650 evals to 33,525, and the
+    # angular map that grades psi toward the y axis on every piece to 15,075
     cases = [(pair, field, verifier._IDENTITY) for pair, field in _twin_sweep(SP)]
     res = verifier._integrate_cases(cases, IntegrationSettings(rel_tol=1e-8))
-    assert res[0]["lhs"].evals <= 34_000
+    assert res[0]["lhs"].evals <= 16_000
+
+
+def test_the_gate_4_sweep_on_2_1_0_keeps_its_eval_counts():
+    # at gamma = 0 the angular map is linear psi, as before: the mesh of the
+    # sweep, and of the sweep with p = 1.25 added, does not change
+    space = SpaceParams(2, 1, 0.0)
+    real, twisted = (field for _, field in _twin_sweep(space)[:2])
+    evals = []
+    for ps in ((1.5, 2.0, 3.0), (1.25, 1.5, 2.0, 3.0)):
+        pairs = [make_pair(pair_id, space, p, dict(PAIRS[pair_id].defaults)) for pair_id in PAIRS for p in ps]
+        cases = [(pair, field, verifier._IDENTITY) for pair in pairs for field in (real, twisted)]
+        evals.append(verifier._integrate_cases(cases, IntegrationSettings(rel_tol=1e-8))[0]["lhs"].evals)
+    assert evals == [3_825, 6_075]
 
 
 def _kernel_fields(space):
