@@ -34,16 +34,16 @@ from .geometry import (
     SpaceParams,
     div_weighted_rho_closed_form,
     fd_divergence,
+    float_faults,
     grad_gamma_rho,
     radial_coords,
 )
-# the verify_* names stay bound here, unused, for tools that rebind them
+# the one-check verify_* names stay bound here, unused, for tools that rebind them
 from .verifier import (
     FIELD_CHECKS,
     CknParams,
-    finish_checks,
     sharpness_probe,
-    start_checks,
+    verify_checks,
     verify_ckn,
     verify_hpw,
     verify_identity,
@@ -214,22 +214,17 @@ def divergence_check(space: SpaceParams, samples: int, seed: int) -> Dict[str, o
     the arithmetic overflows, divides by zero or turns invalid, where a nan
     error would otherwise read as 0."""
     worst = 0.0
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            keep = lambda r, rho_v: (rho_v >= 0.5) & (rho_v <= 2.0) & (r >= 0.2)  # noqa: E731
-            pts = rejection_sample(space, 2.0, keep, samples, seed)
-            r, rho_v = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
-            # Richardson error ~ step^4; 1e-3 of the singular-set distance keeps
-            # it far below the 1e-6 gate without hitting roundoff
-            step = 1e-3 * np.minimum(r, rho_v)
-            for c, s in DIVERGENCE_COMBOS:
-                closed = div_weighted_rho_closed_form(space, pts, c, s)
-                approx = fd_divergence(space, _weighted_rho_field(space, c, s), pts, step)
-                worst = max(worst, float(np.max(np.abs(approx - closed) / np.abs(closed))))
-    except FloatingPointError as exc:
-        raise ValueError(
-            f"divergence arithmetic failed in space ({space.m},{space.k},{space.gamma:g}): {exc}"
-        ) from None
+    with float_faults("divergence", space):
+        keep = lambda r, rho_v: (rho_v >= 0.5) & (rho_v <= 2.0) & (r >= 0.2)  # noqa: E731
+        pts = rejection_sample(space, 2.0, keep, samples, seed)
+        r, rho_v = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
+        # Richardson error ~ step^4; 1e-3 of the singular-set distance keeps
+        # it far below the 1e-6 gate without hitting roundoff
+        step = 1e-3 * np.minimum(r, rho_v)
+        for c, s in DIVERGENCE_COMBOS:
+            closed = div_weighted_rho_closed_form(space, pts, c, s)
+            approx = fd_divergence(space, _weighted_rho_field(space, c, s), pts, step)
+            worst = max(worst, float(np.max(np.abs(approx - closed) / np.abs(closed))))
     return {
         "samples": samples,
         "combos": [list(cs) for cs in DIVERGENCE_COMBOS],
@@ -325,25 +320,21 @@ def _versions() -> Dict[str, Optional[str]]:
 
 def _run_configs(configs: List[RunConfig]) -> List[Tuple[Dict, List[Dict]]]:
     """Each config's echo and check records, in declared order. The field
-    checks of all configs that share a space, a support (the field's x_floor
-    and outer_rho) and quadrature settings run together on one mesh
-    (verify_checks), each group's preconditions before any integration;
+    checks of all configs run in one verify_checks call, each with its
+    config's quadrature settings, so every precondition runs before any
+    integration, and checks that share a space, a support (the field's
+    x_floor and outer_rho) and quadrature settings share one mesh;
     sharpness, divergence and condition run per config."""
     built = [_build_objects(config) for config in configs]
-    groups: Dict[tuple, list] = {}  # mesh -> its (config index, (name, args)), in order
-    for n, (config, (pair, field, _)) in enumerate(zip(configs, built)):
-        mesh = (config.space, field.spec.x_floor, field.spec.outer_rho, config.quadrature)
-        for name in config.checks:
-            if name in FIELD_CHECKS:
-                groups.setdefault(mesh, []).append((n, (name, _field_args(name, config, pair, field))))
-    # every group's preconditions and constant searches run before the first integration
-    started = [(group, settings, start_checks([c for _, c in group])) for (*_, settings), group in groups.items()]
-    reports: List[list] = [[] for _ in configs]
-    for group, settings, plans in started:
-        for (n, _), rep in zip(group, finish_checks(plans, settings)):
-            reports[n].append(rep)
+    field_checks = [
+        (name, _field_args(name, config, pair, field), config.quadrature)
+        for config, (pair, field, _) in zip(configs, built)
+        for name in config.checks
+        if name in FIELD_CHECKS
+    ]
+    shared = iter(verify_checks(field_checks))
     out = []
-    for config, (pair, _, field_echo), shared in zip(configs, built, map(iter, reports)):
+    for config, (pair, _, field_echo) in zip(configs, built):
         checks = [
             _record(name, next(shared) if name in FIELD_CHECKS else _run_check(name, config, pair))
             for name in config.checks
@@ -356,7 +347,7 @@ def _run_configs(configs: List[RunConfig]) -> List[Tuple[Dict, List[Dict]]]:
 
 def run(config: RunConfig) -> Dict:
     """Execute the configured checks and build the report, in declared order.
-    The field checks run first, together on one mesh (verify_checks)."""
+    The field checks run first, in one verify_checks call, on one mesh."""
     t0 = time.time()
     [(echo, checks)] = _run_configs([config])
     return _report(echo, checks, t0)

@@ -16,13 +16,15 @@ the finite-difference divergence act on (N, m+k) point batches.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Iterator, Tuple
 
 import numpy as np
 
 __all__ = [
     "SpaceParams",
+    "float_faults",
     "radial_coords",
     "grad_gamma_rho",
     "unit_grad_gamma_rho",
@@ -56,6 +58,17 @@ class SpaceParams:
     def Q(self) -> float:
         # homogeneous dimension; automatically >= 2 for m, k >= 1
         return self.m + (1.0 + self.gamma) * self.k
+
+
+@contextmanager
+def float_faults(what: str, space: SpaceParams) -> Iterator[None]:
+    """Raise numpy's overflow, division by zero or invalid operation in the block
+    as ValueError("<what> arithmetic failed in space (m,k,gamma): <numpy's message>")."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(f"{what} arithmetic failed in space ({space.m},{space.k},{space.gamma:g}): {exc}") from None
 
 
 def radial_coords(space: SpaceParams, x: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -39,7 +39,7 @@ from .cp import cp_value_batch  # unused here; perfbench/tracer.py rebinds it
 from .cubature import IntegralResult, IntegrationSettings, Region, integrate_vector
 from .fields import ExtremalField, TestField, build_extremal_field
 from .fields import radial_derivative_batch  # unused here; perfbench/tracer.py rebinds it
-from .geometry import SpaceParams
+from .geometry import SpaceParams, float_faults
 from .geometry import radial_coords  # unused here; perfbench/tracer.py rebinds it
 from .weights import HPW_PAIRS, PAIRS, WEIGHTS, WeightPair, hpw_pair, log_features
 
@@ -53,8 +53,6 @@ __all__ = [
     "CknReport",
     "HpwReport",
     "verify_checks",
-    "start_checks",
-    "finish_checks",
     "verify_identity",
     "verify_identity_sweep",
     "verify_inequality",
@@ -259,8 +257,6 @@ def _polar_pieces(fields: Sequence[TestField], curve: Optional[TestField] = None
     space = fields[0].space
     m, a = space.m, 1.0 + space.gamma
     x_floor, outer = fields[0].spec.x_floor, fields[0].spec.outer_rho
-    if any((f.spec.x_floor, f.spec.outer_rho) != (x_floor, outer) for f in fields[1:]):
-        raise ValueError("sweep fields must share one support region")
     lo = max(min(f.spec.inner_rho for f in fields), x_floor)
     breaks = {lo, x_floor, 2.0 * x_floor}.union(*(f.rho_breaks() for f in fields))
     edges = sorted(b for b in breaks if lo <= b <= outer)
@@ -550,17 +546,13 @@ def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSetti
     """Integrate the terms of every case on one shared mesh.
 
     A case is one check's integrand on one field, (pair, field, names): the
-    names of its terms in _MONOMIALS or _TERMS. Each component (_Plan._key)
-    is integrated once however many cases list it, and every case that lists
-    it reads its value and error (both 0 for a term that is exactly 0).
-    Cases share one space and one support region; returns each case's
-    results by term name.
+    names of its terms in _MONOMIALS or _TERMS. The cases' fields share one
+    space, x_floor and outer_rho (verify_checks groups them by these). Each
+    component (_Plan._key) is integrated once however many cases list it,
+    and every case that lists it reads its value and error (both 0 for a
+    term that is exactly 0). Returns each case's results by term name.
     """
-    if len(cases) == 0:
-        raise ValueError("the integration needs at least one case")
     space = cases[0][1].space
-    if any(field.space != space for _, field, _ in cases):
-        raise ValueError("sweep cases must share one space")
     plan = _Plan(cases)
     region, lift = _polar_pieces(plan.fields, _curve_field(plan))
 
@@ -568,14 +560,9 @@ def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSetti
         # an overflow, division by zero or invalid operation outside the
         # kernels' own errstate blocks stops the run with a message, instead
         # of a stream of RuntimeWarnings ahead of the non-finite stop
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                # a cell's nodes share tau in runs of _AXIS_NODES
-                return plan.rows(space, *lift(nodes.reshape(-1, _AXIS_NODES, 2)))
-        except FloatingPointError as exc:
-            raise ValueError(
-                f"integrand arithmetic failed in space ({space.m},{space.k},{space.gamma:g}): {exc}"
-            ) from None
+        with float_faults("integrand", space):
+            # a cell's nodes share tau in runs of _AXIS_NODES
+            return plan.rows(space, *lift(nodes.reshape(-1, _AXIS_NODES, 2)))
 
     res = integrate_vector(integrand, plan.n_components, region, settings)
     zero = IntegralResult(0.0, 0.0, res[0].evals, True)
@@ -755,18 +742,16 @@ def _ckn_plan(pair: WeightPair, field: TestField, ckn: CknParams):
 
 
 def _hpw_plan(case: str, p: float, field: TestField):
-    pair_id = HPW_PAIRS.get(case)
-    if pair_id is None:
+    if case not in HPW_PAIRS:
         raise ValueError(f"case must be one of {tuple(HPW_PAIRS)}")
-    spec = PAIRS[pair_id]
+    spec = PAIRS[HPW_PAIRS[case]]
     if p <= 1.0:
         raise ValueError("p must be > 1")
     if "R" in spec.defaults and not math.isfinite(field.spec.R):
         raise ValueError(f"{case} needs a field built with finite R")
-    if field.space.gamma > 0.0 and not field.spec.x_floor > 0.0:
-        _refuse(field, pair_id, "gamma > 0 weights are singular on {x=0}; use x_floor > 0")
     space, pp = field.space, p / (p - 1.0)
     pair = hpw_pair(case, space, p, field.spec.R)
+    _check_support(pair, field)
     if pair.kappa == 0.0:
         raise ValueError(f"{case} is vacuous here: its constant |Q-p|/p is 0 at Q = p = {p:g}")
     garofalo_p2 = spec.hpw.garofalo and p == 2.0
@@ -826,42 +811,33 @@ FIELD_CHECKS: Dict[str, Callable[..., Generator]] = {
 }
 
 
-def verify_checks(
-    checks: Sequence[Tuple[str, tuple]],
-    settings: Optional[IntegrationSettings] = None,
-) -> List[_Report]:
-    """Run field checks on one shared mesh and return their reports in order.
+def verify_checks(checks: Sequence[Tuple[str, tuple, Optional[IntegrationSettings]]]) -> List[_Report]:
+    """Run field checks on shared meshes and return their reports in order.
 
-    Each check is (name, args): a FIELD_CHECKS name and the arguments its
-    verify_* function takes, without settings. Preconditions and constant
-    searches run before the one integration, whose batches evaluate |f| once
-    per modulus (fields that differ only in phase share one) and Df once per
-    field. A term that several checks list, or that reads |f| only on fields
-    of one modulus, is integrated once; one that is identically 0 (phi where
-    the pair's is) reads 0 with error 0. A report's quadrature_error and
-    converged come from its own terms, but every integral steers the mesh,
-    so a check's values can differ, within its error, from another run's.
+    Each check is (name, args, settings): a FIELD_CHECKS name, the arguments
+    its verify_* function takes without settings, and its quadrature
+    settings (None for the defaults). Every precondition and constant search
+    runs before the first integration. The checks whose fields share a
+    space, x_floor and outer_rho and whose settings agree share one mesh,
+    whose batches evaluate |f| once per modulus (fields that differ only in
+    phase share one) and Df once per field. A term that several of its
+    checks list, or that reads |f| only on fields of one modulus, is
+    integrated once; one that is identically 0 (phi where the pair's is)
+    reads 0 with error 0. A report's quadrature_error and converged come
+    from its own terms, but every integral on a mesh steers it, so a
+    check's values can differ, within its error, from another run's.
     """
-    return finish_checks(start_checks(checks), settings)
-
-
-def start_checks(checks: Sequence[Tuple[str, tuple]]) -> Tuple[List[Generator], List[tuple]]:
-    """verify_checks's first phase: start each check's plan, which runs its
-    precondition and constant searches, and return the plans with their
-    cases. Nothing is integrated, so a caller can refuse bad input from
-    several meshes' checks before the first integration."""
-    plans = [FIELD_CHECKS[name](*args) for name, args in checks]
-    return plans, [next(plan) for plan in plans]
-
-
-def finish_checks(
-    started: Tuple[List[Generator], List[tuple]],
-    settings: Optional[IntegrationSettings] = None,
-) -> List[_Report]:
-    """verify_checks's second phase: integrate start_checks's cases on one
-    shared mesh and return the checks' reports in order."""
-    plans, cases = started
-    return [plan.send(res) for plan, res in zip(plans, _integrate_cases(cases, settings))]
+    plans = [FIELD_CHECKS[name](*args) for name, args, _ in checks]
+    cases = [next(plan) for plan in plans]
+    meshes: Dict[tuple, List[int]] = {}  # (space, x_floor, outer_rho, settings) -> its checks, in order
+    for n, ((_, field, _), (*_, settings)) in enumerate(zip(cases, checks)):
+        mesh = (field.space, field.spec.x_floor, field.spec.outer_rho, settings or IntegrationSettings())
+        meshes.setdefault(mesh, []).append(n)
+    reports: Dict[int, _Report] = {}
+    for (*_, settings), group in meshes.items():
+        for n, res in zip(group, _integrate_cases([cases[n] for n in group], settings)):
+            reports[n] = plans[n].send(res)
+    return [reports[n] for n in range(len(plans))]
 
 
 def verify_identity(
@@ -870,20 +846,21 @@ def verify_identity(
     settings: Optional[IntegrationSettings] = None,
 ) -> IdentityReport:
     """Check lhs = w_term + cp_term + phi_term on one field."""
-    return verify_checks([("identity", (pair, field))], settings)[0]
+    return verify_checks([("identity", (pair, field), settings)])[0]
 
 
 def verify_identity_sweep(
     cases: Sequence[Tuple[WeightPair, TestField]],
     settings: Optional[IntegrationSettings] = None,
 ) -> List[IdentityReport]:
-    """Check the identity for many (pair, field) cases on one shared mesh
-    (see verify_checks). Each report's four components are sampled at
-    identical points, so the quadrature error still cancels inside its
-    residual. All cases must live on one space and the fields must share one
-    outer_rho and one x_floor.
+    """Check the identity for many (pair, field) cases, on one shared mesh
+    per space, x_floor and outer_rho (see verify_checks). Each report's four
+    components are sampled at identical points, so the quadrature error
+    still cancels inside its residual.
     """
-    return verify_checks([("identity", case) for case in cases], settings)
+    if not cases:
+        raise ValueError("the sweep needs at least one case")
+    return verify_checks([("identity", case, settings) for case in cases])
 
 
 def verify_inequality(
@@ -892,7 +869,7 @@ def verify_inequality(
     settings: Optional[IntegrationSettings] = None,
 ) -> InequalityReport:
     """Check lhs >= w_term up to quadrature slack."""
-    return verify_checks([("inequality", (pair, field))], settings)[0]
+    return verify_checks([("inequality", (pair, field), settings)])[0]
 
 
 def verify_remainder_p_ge2(
@@ -902,7 +879,7 @@ def verify_remainder_p_ge2(
     constant: Optional[ConstantEstimate] = None,
 ) -> RemainderPge2Report:
     """Check cp_term >= c_p * eta_term for p >= 2 on a phi = 0 pair."""
-    return verify_checks([("remainder_pge2", (pair, field, constant))], settings)[0]
+    return verify_checks([("remainder_pge2", (pair, field, constant), settings)])[0]
 
 
 def verify_remainder_p_lt2(
@@ -912,7 +889,7 @@ def verify_remainder_p_lt2(
     constants: Optional[Dict[str, ConstantEstimate]] = None,
 ) -> RemainderPlt2Report:
     """Check the two-sided and min-form remainder bounds for 1 < p < 2."""
-    return verify_checks([("remainder_plt2", (pair, field, constants))], settings)[0]
+    return verify_checks([("remainder_plt2", (pair, field, constants), settings)])[0]
 
 
 def sharpness_probe(
@@ -989,7 +966,7 @@ def verify_ckn(
     bracket_mismatch); the inequality is
     B^(delta/p) * (int w^(b q) |f|^q)^((1-delta)/q) >= (int w^(c r) |f|^r)^(1/r).
     """
-    return verify_checks([("ckn", (pair, field, ckn))], settings)[0]
+    return verify_checks([("ckn", (pair, field, ckn), settings)])[0]
 
 
 def verify_hpw(
@@ -1014,4 +991,4 @@ def verify_hpw(
     the CLI run's own pair, dambrosio_power's alpha and beta or log_ball's
     alpha, do not enter it, although the CLI's report echoes them.
     """
-    return verify_checks([("hpw", (case, p, field))], settings)[0]
+    return verify_checks([("hpw", (case, p, field), settings)])[0]

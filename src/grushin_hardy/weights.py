@@ -33,6 +33,7 @@ import numpy as np
 from grushin_hardy.geometry import (
     SpaceParams,
     fd_divergence,
+    float_faults,
     radial_coords,
     unit_grad_gamma_rho,
 )
@@ -368,25 +369,20 @@ def condition_report(pair: WeightPair, samples: int, seed: int = 0) -> Dict[str,
     # a numpy scalar, so that an overflowing box edge raises like the arrays do
     scale = np.float64(pair.radius if pair.radius is not None else 2.0)
     a = 1.0 + space.gamma
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            half = np.repeat([0.9 * scale, (0.9 * scale) ** a / a], [space.m, space.k])
-            pts = rejection_sample(
-                space,
-                half,
-                lambda r, rho: (rho >= 0.3 * scale) & (rho <= 0.9 * scale) & (r >= 0.1 * rho),
-                samples,
-                seed,
-            )
-            r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
-            margin = np.minimum(rho, r) if space.gamma > 0 else rho
-            if pair.radius is not None:
-                margin = np.minimum(margin, pair.radius - rho)
-            phi = pair.phi_batch(pts)
-            w = pair.w_batch(pts)
-            mismatch = np.abs(phi - phi_numeric(pair, pts, 1e-4 * margin)) / (1.0 + pair.p * w)
-    except FloatingPointError as exc:
-        raise ValueError(
-            f"condition arithmetic failed in space ({space.m},{space.k},{space.gamma:g}): {exc}"
-        ) from None
+    with float_faults("condition", space):
+        half = np.repeat([0.9 * scale, (0.9 * scale) ** a / a], [space.m, space.k])
+        pts = rejection_sample(
+            space,
+            half,
+            lambda r, rho: (rho >= 0.3 * scale) & (rho <= 0.9 * scale) & (r >= 0.1 * rho),
+            samples,
+            seed,
+        )
+        r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
+        margin = np.minimum(rho, r) if space.gamma > 0 else rho
+        if pair.radius is not None:
+            margin = np.minimum(margin, pair.radius - rho)
+        phi = pair.phi_batch(pts)
+        w = pair.w_batch(pts)
+        mismatch = np.abs(phi - phi_numeric(pair, pts, 1e-4 * margin)) / (1.0 + pair.p * w)
     return {"min_phi": float(np.min(phi)), "max_abs_mismatch": float(np.max(mismatch))}

@@ -87,6 +87,34 @@ def test_traced_sweep_counts_one_point_per_node():
     )
 
 
+def test_traced_checks_on_two_meshes_count_each_mesh_once():
+    # verify_checks integrates each mesh's checks once: one call over two
+    # supports records two integrations, whose evals and cells are the sums
+    # of each mesh's own
+    module = load_tracer_module()
+    space = SpaceParams(1, 1, 1.0)
+    pair = weights.make_pair("dambrosio_power", space, 2.0, {"alpha": 0.0, "beta": 0.0})
+    meshes = [
+        build_test_field(
+            space, TestFieldSpec(family="bump_radial_x_cutoff", inner_rho=0.5, outer_rho=outer, x_floor=0.125)
+        )
+        for outer in (2.0, 2.5)
+    ]
+    settings = IntegrationSettings(rel_tol=1e-3)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        for run_id, run_fields in enumerate((meshes, meshes[:1], meshes[1:])):
+            tracer.run_id = run_id
+            verifier.verify_checks([("identity", (pair, field), settings) for field in run_fields])
+    finally:
+        tracer.uninstall()
+    both, *alone = (tracer.layer_metrics(run_id) for run_id in range(3))
+    assert [m[f"spans.{module.INTEGRATE}"] for m in (both, *alone)] == [2, 1, 1]
+    for key in ("cubature.evals", "cubature.cells"):
+        assert both[key] == sum(m[key] for m in alone) > 0, key
+
+
 def test_traced_verify_all_calls_each_check_through_its_module_name(tmp_path):
     module = load_tracer_module()
     tracer = module.Tracer()

@@ -699,6 +699,19 @@ def test_a_suite_refuses_a_bad_entry_before_any_integration(tmp_path, capsys, mo
     assert components == []
 
 
+def test_a_suite_on_two_quadrature_settings_refuses_a_bad_entry_before_any_integration(
+    tmp_path, capsys, monkeypatch
+):
+    # the entries' rel_tol differ, so their checks run on two meshes; the
+    # second entry's precondition fails before the first mesh integrates
+    components = count_integrations(monkeypatch)
+    entries = [dict(BASE_CONFIG, quadrature={"rel_tol": 1e-6}), dict(BASE_CONFIG, field={"x_floor": 0.0})]
+    code, out, err = run_cli(capsys, "verify", "--config", write_config(tmp_path, {"entries": entries}))
+    assert code == 2 and out == ""
+    assert "pair is singular on {x=0}" in err
+    assert components == []
+
+
 def test_verify_all_meshes_keep_their_eval_counts(tmp_path, capsys, monkeypatch):
     # neither mesh group lists a Df exponent in (0, 2), so neither is cut;
     # the angular map that grades psi toward the y axis on every piece took
@@ -958,7 +971,7 @@ def test_sharpness_on_a_whole_space_pair_past_the_float_range(capsys):
     [
         ({"m": 1, "k": 1, "gamma": 0.0}, {"id": "nch_ball", "R": 4.0}, ["identity"]),  # out to R
         ({"m": 1, "k": 1, "gamma": 1.0}, BASE_CONFIG["pair"], ["identity"]),  # down to x = 0
-        # hpw has its own x-floor rule at gamma > 0
+        # hpw refuses through its display pair's support rule
         ({"m": 1, "k": 1, "gamma": 1.0}, {"id": "nch_ball", "R": 4.0}, ["hpw"]),
     ],
     ids=["nch_ball", "gamma-1", "hpw"],

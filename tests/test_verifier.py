@@ -234,17 +234,39 @@ def test_sweep_validation():
     with pytest.raises(ValueError, match="at least one case"):
         verify_identity_sweep([])
 
+    # a sweep over two spaces, or two supports, integrates each mesh's cases
+    # apart: every report is the one a sweep of its own mesh's cases gives
     other = SpaceParams(1, 1, 2.0)
-    cases = [(pair, field), (make_pair("nch_ball", other, 2.0, {"R": 4.0}), annulus_field(other))]
-    with pytest.raises(ValueError, match="share one space"):
-        verify_identity_sweep(cases)
-
     narrow = build_test_field(
         SP,
         TestFieldSpec(family="bump_radial_x_cutoff", inner_rho=0.5, outer_rho=1.5, x_floor=0.125),
     )
-    with pytest.raises(ValueError, match="share one support region"):
-        verify_identity_sweep([(pair, field), (pair, narrow)])
+    first = [(pair, field), (make_pair("dambrosio_power", SP, 3.0, {"alpha": 0.0, "beta": 0.0}), field)]
+    for second in ([(make_pair("nch_ball", other, 2.0, {"R": 4.0}), annulus_field(other))], [(pair, narrow)]):
+        alone = verify_identity_sweep(first) + verify_identity_sweep(second)
+        assert verify_identity_sweep([first[0], second[0], first[1]]) == [alone[0], alone[2], alone[1]]
+
+
+def test_verify_checks_refuses_before_any_integration(monkeypatch):
+    # two supports and two settings make three meshes ahead of the last
+    # check, whose field reaches {x=0} on a singular pair: nothing integrates
+    calls = []
+    monkeypatch.setattr(verifier, "integrate_vector", lambda *args: calls.append(args))
+    pair = make_pair("dambrosio_power", SP, 2.0, {"alpha": 0.0, "beta": 0.0})
+    field = annulus_field(SP)
+    wide = build_test_field(
+        SP, TestFieldSpec(family="bump_radial_x_cutoff", inner_rho=0.5, outer_rho=2.5, x_floor=0.125)
+    )
+    loose = IntegrationSettings(rel_tol=1e-6)
+    checks = [
+        ("identity", (pair, field), None),
+        ("inequality", (pair, wide), None),
+        ("identity", (pair, field), loose),
+        ("identity", (pair, annulus_field(SP, x_floor=0.0)), loose),
+    ]
+    with pytest.raises(ValueError, match="pair is singular on"):
+        verifier.verify_checks(checks)
+    assert calls == []
 
 
 def test_unimodular_covariance():
@@ -862,7 +884,11 @@ def test_field_checks_are_invariant_under_dilation(space, pair_id, monkeypatch):
             )
             ckn = CknParams(p=p, q=p, r=p, delta=0.5, b=0.0, c=0.5 / p)
             identity, inequality, ckn_rep = verifier.verify_checks(
-                [("identity", (pair, field)), ("inequality", (pair, field)), ("ckn", (pair, field, ckn))], settings
+                [
+                    ("identity", (pair, field), settings),
+                    ("inequality", (pair, field), settings),
+                    ("ckn", (pair, field, ckn), settings),
+                ]
             )
             res = results.pop()
             if settings.rel_tol * identity.lhs <= settings.abs_tol:
@@ -1155,6 +1181,18 @@ def test_hpw_refuses_a_display_that_cannot_fail():
     field = build_test_field(SpaceParams(1, 1, 0.0), TestFieldSpec("bump_radial"))
     with pytest.raises(ValueError, match=r"vacuous here: its constant \|Q-p\|/p is 0"):
         verify_hpw("whole_dambrosio", 2.0, field)
+
+
+def test_hpw_keeps_the_ball_support_rule():
+    # ball_nch's display pair is nch_ball at the field's R, so hpw refuses a
+    # field past 0.9 R as the identity on that pair does
+    field = build_test_field(
+        SP, TestFieldSpec(family="bump_radial_x_cutoff", inner_rho=0.5, outer_rho=2.0, x_floor=0.125, R=2.1)
+    )
+    with pytest.raises(ValueError, match="outer_rho <= 0.9 R on a ball domain"):
+        verify_identity(make_pair("nch_ball", SP, 2.0, {"R": 2.1}), field)
+    with pytest.raises(ValueError, match="outer_rho <= 0.9 R on a ball domain"):
+        verify_hpw("ball_nch", 2.0, field)
 
 
 def test_hpw_validation():
