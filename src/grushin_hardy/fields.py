@@ -1,11 +1,15 @@
 """Compactly supported smooth complex test fields with exact first derivatives.
 
 Every field is radial in rho up to an |x| cutoff and an optional complex
-phase exp(i kappa rho), so it is a function of (|x|, rho): eval_radial gives
-f and its partials in |x| and rho, from which the integrands build Df and
-|grad f|, and eval_batch lifts them to Euclidean gradients on (N, m+k)
-batches. The transitions are C^2 quintic smoothsteps; only first
-derivatives enter any identity, so C^2 regularity is enough.
+phase exp(i kappa rho), so it is a function of (|x|, rho): f = exp(i kappa
+rho) m with m = |f|. m and its partials in |x| and rho (eval_modulus) are
+per modulus, shared by fields that differ only in their phase, and kappa
+is all that is per field; the integrands build Df, |Df|, Re(Df/f) and
+|grad f| from these in real arithmetic. twist and eval_radial give the
+complex f and its partials, and eval_batch lifts them to Euclidean
+gradients on (N, m+k) batches: they are the oracles that the tests check
+the integrands against. The transitions are C^2 quintic smoothsteps; only
+first derivatives enter any identity, so C^2 regularity is enough.
 
 Extremal fields multiply a profile b^kap by a plateau window in tau =
 s log(b/anchor), where the profile is exp(-kappa_eff tau) times a constant.
@@ -169,7 +173,8 @@ class TestField:
 
     @property
     def modulus(self) -> tuple:
-        """Fields with one modulus have one |f|: they differ only in their phase."""
+        """Fields with one modulus have one |f| and one eval_modulus: they
+        differ only in their phase, whose rate spec.phase_kappa is per field."""
         spec = self.spec
         return type(self), spec.inner_rho, spec.outer_rho, spec.x_floor, spec.smoothness_margin
 
@@ -188,8 +193,10 @@ class TestField:
         return amp, np.zeros_like(amp), d_amp
 
     def twist(self, rho: np.ndarray, f: np.ndarray, f_r: np.ndarray, f_rho: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """eval_modulus's f, f_r and f_rho with the phase exp(i kappa rho),
-        evaluated on rho's shape; a field without a phase keeps them."""
+        """eval_modulus's f, f_r and f_rho with the per-field phase
+        exp(i kappa rho), evaluated on rho's shape; a field without a phase
+        keeps them. Only the eval_radial and eval_batch oracles call it: the
+        integrands read the modulus and kappa, in real arithmetic."""
         kappa = self.spec.phase_kappa
         if kappa == 0.0:
             return f, f_r, f_rho

@@ -16,10 +16,12 @@ eta = xi + w^(1/p) f, so xi - eta = -w^(1/p) f. Every weight is a monomial,
 so every term but C_p's G part and the products (see _TERMS) is a monomial
 c weight^e |f|^q |Df|^q' jac, one row of an exponent table on the log
 features (see _Plan); C_p(xi, eta) comes in closed form from the identity's
-own rows. Every factor of rho alone is evaluated once per axis-0 node. The
-pieces cover only the fields' support, away from {x=0} wherever a weight is
-singular there, so every weight is finite at every node, and a term is an
-exact 0 wherever its field vanishes.
+own rows. A field is exp(i kappa rho) times its modulus |f|, and every term
+reads only |f|, |Df| and Re(Df/f), so a batch evaluates |f| per modulus and
+holds no complex array (see _Batch). Every factor of rho alone is evaluated
+once per axis-0 node. The pieces cover only the fields' support, away from
+{x=0} wherever a weight is singular there, so every weight is finite at
+every node, and a term is an exact 0 wherever its field vanishes.
 
 A report's `passed` is the stated tolerance check and additionally
 requires the underlying quadrature to have converged; a non-converged
@@ -314,63 +316,80 @@ _LOG_ZERO = -1e300
 _AXIS_NODES = 15  # integrate_vector's nodes per axis of a cell, axis 0 slowest
 
 
-def _log_abs(x: np.ndarray) -> np.ndarray:
-    size = np.abs(x)
-    return np.log(size, out=np.full(size.shape, _LOG_ZERO), where=size > 0.0)
+def _log_size(size: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """log of sizes >= 0, with _LOG_ZERO for log 0, into out if given (size broadcasts to it)."""
+    out = np.empty(size.shape) if out is None else out
+    out[...] = _LOG_ZERO
+    return np.log(size, out=out, where=size > 0.0)
 
 
 class _Batch:
-    """What every field integrand shares on one batch: the nodes' (r, s, rho,
-    log(r/rho)), rho on (M, 1) and the rest on (M, K), each modulus's |f|,
-    and each field's f, f_r, f_rho (its modulus's, twisted) and Df. r and rho
-    have degree 1 under the dilations, so Df = (r/rho)^gamma (r f_r + rho f_rho)/rho.
+    """What every field integrand shares on one batch, in real arithmetic:
+    the nodes' (r, s, rho, log(r/rho)), rho on (M, 1) and the rest on (M, K);
+    per modulus its |f| = m, partials m_r and m_rho (eval_modulus), Dm =
+    (r/rho)^gamma (r m_r + rho m_rho)/rho (r and rho have degree 1 under the
+    dilations) and, where a field has a phase, t = (r/rho)^gamma m; per field
+    only its phase rate kappa and |Df|. A field is f = exp(i kappa rho) m, so
+    Df = exp(i kappa rho) (Dm + i kappa t): |Df| = hypot(Dm, kappa t) and
+    Re(Df/f) = Dm/m, and no array is complex.
     """
 
     def __init__(self, space: SpaceParams, coords, plan: "_Plan"):
-        self.space = space
+        self.space, self.modulus, self.kappa = space, plan.modulus, [f.spec.phase_kappa for f in plan.fields]
         r, _, rho, _ = self.nodes = coords
-        scale = (r / rho) ** space.gamma / rho
+        ratio = (r / rho) ** space.gamma
         self.moduli = [plan.fields[f].eval_modulus(r, rho) for f in dict.fromkeys(plan.first)]
-        radial = [field.twist(rho, *self.moduli[u]) for field, u in zip(plan.fields, plan.modulus)]
-        self.vals, self.partials = [f for f, _, _ in radial], [(f_r, f_rho) for _, f_r, f_rho in radial]
-        self.df = [scale * (r * f_r + rho * f_rho) for _, f_r, f_rho in radial]
+        self.dm = [ratio / rho * (r * m_r + rho * m_rho) for _, m_r, m_rho in self.moduli]
+        phases = list(zip(self.modulus, self.kappa))
+        self.t = {u: ratio * self.moduli[u][0] for u, k in phases if k}
+        self.abs_df = [np.hypot(self.dm[u], k * self.t[u]) if k else np.abs(self.dm[u]) for u, k in phases]
+
+    def re_ratio(self, u: int) -> np.ndarray:
+        """Re(Df/f) = Dm/m of modulus u's fields, with Dm where m is 0."""
+        m = self.moduli[u][0]
+        return self.dm[u] / np.where(m != 0.0, m, 1.0)
 
     def grad_sq(self, f: int) -> np.ndarray:
         """Euclidean |grad f|^2 of field slot f, from grad r . grad rho =
-        (r/rho)^(2g+1) and |grad rho|^2 = (r^(4g+2) + (1+g)^2 s^2)/rho^(4g+2)."""
-        f_r, f_rho = self.partials[f]
+        (r/rho)^(2g+1), |grad rho|^2 = (r^(4g+2) + (1+g)^2 s^2)/rho^(4g+2) and
+        the phase's |f_rho|^2 = m_rho^2 + kappa^2 m^2."""
+        m, m_r, m_rho = self.moduli[self.modulus[f]]
         r, s, rho, _ = self.nodes
         g = self.space.gamma
-        cross = (f_r * np.conj(f_rho)).real * (r / rho) ** (2.0 * g + 1.0)
+        cross = m_r * m_rho * (r / rho) ** (2.0 * g + 1.0)
         grad_rho_sq = (r ** (4.0 * g + 2.0) + (1.0 + g) ** 2 * s**2) / rho ** (4.0 * g + 2.0)
-        return np.abs(f_r) ** 2 + 2.0 * cross + np.abs(f_rho) ** 2 * grad_rho_sq
+        return m_r**2 + 2.0 * cross + (m_rho**2 + (self.kappa[f] * m) ** 2) * grad_rho_sq
 
 
 def _eta_rows(b: _Batch, eta_p, mixed, min_form, f: int, p: float, v_root, w_root) -> None:
-    xi, wf = v_root * b.df[f], w_root * b.vals[f]
-    eta = np.abs(xi + wf)
+    # xi = v^(1/p) Df and w^(1/p) f share f's phase, so |eta| = |xi + w^(1/p) f|
+    # = hypot(v^(1/p) Dm + w^(1/p) m, v^(1/p) kappa t)
+    u, kappa = b.modulus[f], b.kappa[f]
+    wf = w_root * b.moduli[u][0]
+    eta = v_root * b.dm[u] + wf
+    eta = np.hypot(eta, v_root * kappa * b.t[u]) if kappa else np.abs(eta)
     eta_p = np.power(eta, p, out=eta_p)
     with np.errstate(divide="ignore", invalid="ignore"):
         if mixed is not None:
             # (|xi| + |xi-eta|)^(p-2) |eta|^2 <= (|xi| + |xi-eta|)^p -> 0 with s
-            s = np.abs(xi) + np.abs(wf)
+            s = v_root * b.abs_df[f] + wf
             mixed[:] = np.where(s > 0, s ** (p - 2.0) * eta**2, 0.0)
         if min_form is not None:
-            # t -> 0 makes t^(p-2) |eta|^2 -> inf, so |eta|^p wins
-            t = np.abs(wf)
-            min_form[:] = np.where(t > 0, np.minimum(eta_p, t ** (p - 2.0) * eta**2), eta_p)
+            # wf -> 0 makes wf^(p-2) |eta|^2 -> inf, so |eta|^p wins
+            min_form[:] = np.where(wf > 0, np.minimum(eta_p, wf ** (p - 2.0) * eta**2), eta_p)
 
 
 # The term table. A monomial term is c weight^e |f|^q |Df|^q' jac^j: term ->
 # (weight, e, c, q, q', j) given its pair's p and the name's parameters (a
-# name with parameters is (name, *params)). cp's is p h |f|^p, which a batch
-# completes in place to C_p(xi, eta) = v|Df|^p + (p-1) w|f|^p + p h G, with
-# G = |f|^p Re(Df/f) (see cp.py). The roots are what the products read.
+# name with parameters is (name, *params)). "K" is p h |f|^p, which a batch
+# completes in place to cp's phase-free part K = p h G + (p-1) w|f|^p, with
+# G = |f|^p Re(Df/f) = |f|^p Dm/m; a field's cp is then C_p(xi, eta) = K +
+# v|Df|^p, its lhs (see cp.py). The roots are what the products read.
 _V, _W, _PHI, _H = (WEIGHTS.index(name) for name in ("v", "w", "phi", "h"))
 _MONOMIALS: Dict[str, Callable[..., tuple]] = {
     "lhs": lambda p: (_V, 1.0, 1.0, 0.0, p, 1.0),
     "w": lambda p: (_W, 1.0, 1.0, p, 0.0, 1.0),
-    "cp": lambda p: (_H, 1.0, p, p, 0.0, 1.0),
+    "K": lambda p: (_H, 1.0, p, p, 0.0, 1.0),
     "phi": lambda p: (_PHI, 1.0, 1.0, p, 0.0, 1.0),
     "w^e|f|^q": lambda p, e, q: (_W, e, 1.0, q, 0.0, 1.0),
     "mass": lambda p: (_V, 0.0, 1.0, 2.0, 0.0, 1.0),
@@ -386,8 +405,8 @@ _TERMS: Dict[Tuple[str, ...], Tuple[Callable[..., object], Tuple[str, ...]]] = {
     ("grad_sq",): (lambda b, row, f, p: np.copyto(row, b.grad_sq(f)), ()),
 }
 _FAMILY = {name: family for family in _TERMS for name in family}
-# the monomial terms but cp that read |f| and not Df (q' = 0), which fields with one modulus share
-_TWINS = {t for t, mono in _MONOMIALS.items() if t != "cp" and mono(*[2.0] * mono.__code__.co_argcount)[4] == 0.0}
+# the monomial terms that read |f| and not Df (q' = 0), K too: fields with one modulus share them
+_TWINS = {t for t, mono in _MONOMIALS.items() if mono(*[2.0] * mono.__code__.co_argcount)[4] == 0.0}
 
 _IDENTITY = ("lhs", "w", "cp", "phi")  # lhs = w + cp + phi
 
@@ -404,15 +423,28 @@ def _index(rows: List[int]):
     return slice(rows[0], rows[-1] + 1) if consecutive else np.array(rows)
 
 
+def _runs(keys: List[tuple], reads: Dict[tuple, tuple], row: Dict[tuple, int]) -> list:
+    """keys, sorted by their slot (key[1]), in runs of one slot: each run's
+    keys, its rows and the rows of what each of its keys reads, as slices
+    where they are consecutive."""
+    runs = []
+    for _, run in groupby(keys, key=itemgetter(1)):
+        cols = list(zip(*[(key, *reads[key]) for key in run]))
+        runs.append((cols[0], *(_index([row[key] for key in col]) for col in cols)))
+    return runs
+
+
 class _Plan:
     """What every batch of one integration evaluates, resolved once from its
-    cases (see _integrate_cases). A batch's rows are the products, the
-    listed monomial terms by term and field slot, so that a cp's completion
-    reads whole blocks, and last the hidden ones: the lhs and w that a cp
-    reads where no case lists them, and the roots. A case's term is the row
-    row(pair, field, name). A monomial term with q' = 0 but cp reads
-    |f| only, which fields that differ only in their phase share (a modulus),
-    so it is one component per modulus; a listed term whose |c|^e is 0 (phi
+    cases (see _integrate_cases). A batch's rows are the products, the cp
+    rows, the listed monomial terms by term and field slot, and last the
+    hidden ones: the K, lhs and w that a cp reads where no case lists them,
+    and the roots. A case's term is the row row(pair, field, name). A
+    monomial term with q' = 0 reads |f| only, which fields that differ only
+    in their phase share (a modulus), so it is one component per (pair,
+    modulus), like K, which reads Re(Df/f) = Dm/m too; lhs, cp and the
+    products read |Df| and are one per (pair, field), and each cp is its
+    (pair, modulus)'s K plus its own lhs. A listed term whose |c|^e is 0 (phi
     where the pair's is) is none, and reads 0. The exponent table has a row
     per monomial term, on the features Phi = [1, log(r/rho), log rho,
     (log(R-rho), log log(R/rho)) per R that a row reads, log|f| per modulus,
@@ -428,24 +460,26 @@ class _Plan:
         pairs = {id(pair): pair for pair, _, _ in cases}
         self.cases = [[self._key(id(pair), self.slot[id(field)], n) for n in ns] for pair, field, ns in cases]
         listed = dict.fromkeys(chain.from_iterable(self.cases))
-        blocks: Dict[str, list] = {"": [], **{term: [] for term in _MONOMIALS}}  # "": the products
+        blocks: Dict[str, list] = {"": [], "cp": [], **{term: [] for term in _MONOMIALS}}  # "": the products
         hidden: Dict[str, list] = {term: [] for term in _MONOMIALS}
         for key in listed:
             term = key[2] if isinstance(key[2], str) else key[2][0]
             blocks["" if term in _FAMILY else term].append(key)
-        cp_reads = {(i, f, cp): [self._key(i, f, "lhs"), self._key(i, f, "w")] for i, f, cp in blocks["cp"]}
-        needs = [key for keys in cp_reads.values() for key in keys]
-        needs += [(i, -1, root) for i, _, name in blocks[""] for root in _TERMS[_FAMILY[name]][1]]
-        for key in dict.fromkeys(key for key in needs if key not in listed):
+        # a cp reads its K and lhs, and a K its w
+        reads = {(i, f, cp): (self._key(i, f, "K"), (i, f, "lhs")) for i, f, cp in blocks["cp"]}
+        reads.update({(i, u, k): ((i, u, "w"),) for (i, u, k), _ in reads.values()})
+        roots = [(i, -1, root) for i, _, name in blocks[""] for root in _TERMS[_FAMILY[name]][1]]
+        needs = dict.fromkeys(chain(chain.from_iterable(reads.values()), roots))
+        for key in (key for key in needs if key not in listed):
             hidden[key[2]].append(key)
         for block in (*blocks.values(), *hidden.values()):
             block.sort(key=itemgetter(1))
         keys = [key for block in (*blocks.values(), *hidden.values()) for key in block]
-        self.products = len(blocks[""])
+        self.products, self.head = len(blocks[""]), len(blocks[""]) + len(blocks["cp"])
 
         # table row n: e (log|c|, e1, e2), e (e3, e4) on its R's columns, q on its
         # modulus's, q' on its field's, j on log jac's, by array ops on the pairs
-        keys, terms, index = keys[: self.products], keys[self.products :], {i: n for n, i in enumerate(pairs)}
+        keys, terms, index = keys[: self.head], keys[self.head :], {i: n for n, i in enumerate(pairs)}
         who, p = [index[i] for i, _, _ in terms], [pair.p for pair in pairs.values()]
         spec = [
             _MONOMIALS[name](p[n]) if isinstance(name, str) else _MONOMIALS[name[0]](p[n], *name[1:])
@@ -455,17 +489,17 @@ class _Plan:
         stack = np.array([pair.monomials for pair in pairs.values()])
         mono, radius = stack[who, weight.astype(int)], [pair.radius for pair in pairs.values()]
         reads_r = stack[:, :, 3:].any(axis=(1, 2))
-        self.radii = list(dict.fromkeys(R for R, reads in zip(radius, reads_r) if reads))
+        self.radii = list(dict.fromkeys(R for R, reads_R in zip(radius, reads_r) if reads_R))
         on_r = np.array([self.radii.index(R) if R in self.radii else -1 for R in radius])[who]
         on_f = np.array([f for _, f, _ in terms], dtype=int)  # a root's -1 reads no field
         n_r, n_u, n_f = len(self.radii), len(set(self.first)), len(self.fields)
         # k = |c|^e goes in as log k, a negative c (only phi's) as a sign flip; a row with
-        # k = 0 is no component unless a cp reads it, and then an exact 0 through log 0
+        # k = 0 is no component unless another row reads it, and then an exact 0 through log 0
         c = c * mono[:, 0]
         k = np.power(np.abs(c), e, out=np.full(len(spec), np.inf), where=(c != 0.0) | (e >= 0.0))
-        keep = np.array([x != 0.0 or key in cp_reads or key in needs for x, key in zip(k.tolist(), terms)], bool)
+        keep = np.array([x != 0.0 or key in needs for x, key in zip(k.tolist(), terms)], bool)
         table = np.zeros((len(spec), 4 + 2 * n_r + n_u + n_f))
-        table[:, 0] = _log_abs(k)
+        table[:, 0] = _log_size(k)
         table[:, 1:3] = e[:, None] * mono[:, 1:3]
         table[:, 3 : 3 + 2 * n_r] = _one_hot(on_r, n_r, e[:, None] * mono[:, 3:])
         table[:, 3 + 2 * n_r : -1 - n_f] = _one_hot(np.array(self.modulus + [-1])[on_f], n_u, q[:, None])
@@ -487,14 +521,12 @@ class _Plan:
             (_TERMS[family][0], rows, f, pairs[i].p, [row[i, -1, r] for r in _TERMS[family][1]])
             for (i, f, family), rows in steps.items()
         ]
-        self.cp = []  # per field slot: its cp rows, their lhs and w rows, and p - 1
-        cp_rows = [[row[key] for key in col] for col in zip(*[(key, *cp_reads[key]) for key in blocks["cp"]])]
-        coef = np.array([pairs[i].p - 1.0 for i, _, _ in blocks["cp"]])[:, None]
-        start = 0
-        for f, group in groupby(blocks["cp"], key=itemgetter(1)):
-            end = start + len(list(group))
-            self.cp.append((*(_index(rows[start:end]) for rows in cp_rows), coef[start:end], f))
-            start = end
+        # per modulus: its K rows, their w rows and p - 1; per field slot: its cp rows, their K and lhs rows
+        self.k = [
+            (self.modulus[run[0][1]], k, w, np.array([pairs[i].p - 1.0 for i, _, _ in run])[:, None])
+            for run, k, w in _runs(hidden["K"], reads, row)
+        ]
+        self.cp = [rows for _, *rows in _runs(blocks["cp"], reads, row)]
 
     def _key(self, i: int, f: int, name) -> tuple:
         """The component key of a term on pair id i and field slot f: a _TWINS term's is its modulus's."""
@@ -512,16 +544,17 @@ class _Plan:
         phi[0], phi[1], phi[2], phi[-1] = 1.0, log_ratio, np.log(rho), log_jac
         for n, R in enumerate(self.radii):
             phi[3 + 2 * n : 5 + 2 * n] = log_features(rho[:, 0], rho[:, 0], R)[2:, :, None]
-        for col, x in enumerate([f for f, _, _ in b.moduli] + b.df, 3 + 2 * len(self.radii)):
-            phi[col] = _log_abs(x)
-        out = np.empty((self.products + len(self.table), log_ratio.size))
-        table = np.matmul(self.table, phi.reshape(len(phi), -1), out=out[self.products :])
+        for col, x in enumerate([m for m, _, _ in b.moduli] + b.abs_df, 3 + 2 * len(self.radii)):
+            _log_size(x, phi[col])
+        out = np.empty((self.head + len(self.table), log_ratio.size))
+        table = np.matmul(self.table, phi.reshape(len(phi), -1), out=out[self.head :])
         np.exp(table, out=table)
         table[self.negative] *= -1.0
-        for cp, lhs, w, coef, f in self.cp:
-            out[cp] *= (b.df[f] / np.where(b.vals[f] != 0.0, b.vals[f], 1.0)).real.reshape(-1)
-            out[cp] += out[lhs]
-            out[cp] += coef * out[w]
+        for u, k, w, coef in self.k:
+            out[k] *= b.re_ratio(u).reshape(-1)
+            out[k] += coef * out[w]
+        for cp, k, lhs in self.cp:
+            np.add(out[k], out[lhs], out=out[cp])
         grid = out.reshape(len(out), *log_ratio.shape)
         for writer, rows, f, p, roots in self.steps:
             writer(b, *[None if k is None else grid[k] for k in rows], f, p, *grid[roots])
@@ -819,13 +852,14 @@ def verify_checks(checks: Sequence[Tuple[str, tuple, Optional[IntegrationSetting
     settings (None for the defaults). Every precondition and constant search
     runs before the first integration. The checks whose fields share a
     space, x_floor and outer_rho and whose settings agree share one mesh,
-    whose batches evaluate |f| once per modulus (fields that differ only in
-    phase share one) and Df once per field. A term that several of its
-    checks list, or that reads |f| only on fields of one modulus, is
-    integrated once; one that is identically 0 (phi where the pair's is)
-    reads 0 with error 0. A report's quadrature_error and converged come
-    from its own terms, but every integral on a mesh steers it, so a
-    check's values can differ, within its error, from another run's.
+    whose batches evaluate |f|, its partials and Re(Df/f) once per modulus
+    (fields that differ only in phase share one) and |Df| once per field. A
+    term that several of its checks list, or that reads |f| only on fields
+    of one modulus, is integrated once; one that is identically 0 (phi
+    where the pair's is) reads 0 with error 0. A report's quadrature_error
+    and converged come from its own terms, but every integral on a mesh
+    steers it, so a check's values can differ, within its error, from
+    another run's.
     """
     plans = [FIELD_CHECKS[name](*args) for name, args, _ in checks]
     cases = [next(plan) for plan in plans]

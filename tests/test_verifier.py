@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -464,10 +465,10 @@ def test_df_zero_x_is_a_zero_of_the_kernels_d_abs_f(space):
     np.testing.assert_allclose(field.df_zero_x(np.array([fall + 1e-9, outer - 1e-9])), [0.25, 0.125], rtol=1e-6)
     plan = verifier._Plan([(make_pair("dambrosio_power", space, 1.5, {"alpha": 0.0, "beta": 0.0}), field, ("lhs",))])
     b = verifier._Batch(space, (r, np.zeros_like(r), rho, np.log(r / rho)), plan)
-    (f_r, f_rho), scale = b.partials[0], (r / rho) ** space.gamma / rho
+    (_, f_r, f_rho), scale = b.moduli[0], (r / rho) ** space.gamma / rho
     size = scale * (np.abs(r * f_r) + np.abs(rho * f_rho))
     assert np.all(size > 0.0)
-    assert np.max(np.abs(b.df[0]) / size) <= 1e-10
+    assert np.max(np.abs(b.dm[0]) / size) <= 1e-10
 
 
 def _pieces_of(monkeypatch, cases):
@@ -554,8 +555,8 @@ def test_the_gate_4_sweep_on_2_1_0_keeps_its_eval_counts():
 
 
 def _kernel_fields(space):
-    """One field of every family: a radial bump, an x-cutoff bump, a
-    phase-twisted x-cutoff field and an extremal field."""
+    """One field of every family: a radial bump, an x-cutoff bump, its
+    phase-twisted twins at kappa -1.3, 1.3 and 40, and an extremal field."""
 
     def bump(family, **kwargs):
         return build_test_field(space, TestFieldSpec(family=family, inner_rho=0.5, **kwargs))
@@ -563,7 +564,7 @@ def _kernel_fields(space):
     return [
         bump("bump_radial"),
         bump("bump_radial_x_cutoff", x_floor=0.3),
-        bump("phase_twisted", x_floor=0.3, phase_kappa=1.3),
+        *(bump("phase_twisted", x_floor=0.3, phase_kappa=kappa) for kappa in (-1.3, 1.3, 40.0)),
         build_extremal_field(make_pair("nch_ball", space, 2.0, {"R": 4.0}), truncation_level=1),
     ]
 
@@ -573,8 +574,10 @@ def _kernel_fields(space):
 )
 def test_radial_kernel_matches_the_nd_path(space):
     # random points of R^m x R^k, some outside each support, against
-    # eval_batch's Euclidean gradients: D f from radial_derivative_batch and
-    # |grad f|^2 as the squared norm
+    # eval_batch's complex values and Euclidean gradients: |f|, |Df| and
+    # Re(Df/f) (where f is not 0) with D f from radial_derivative_batch, and
+    # |grad f|^2 as the squared norm; the batch's real closed forms read
+    # each modulus once and each field's kappa
     rng = np.random.default_rng(113)
     n, a = 2000, 1.0 + space.gamma
     rho = rng.uniform(0.2, 4.2, n)
@@ -592,16 +595,16 @@ def test_radial_kernel_matches_the_nd_path(space):
     whole = make_pair("dambrosio_power", space, 2.0, {"alpha": 0.0, "beta": 0.0})
     plan = verifier._Plan([(whole, field, ("grad_sq",)) for field in fields])
     b = verifier._Batch(space, tuple(x[:, None] for x in (r, s, rho, np.log(r / rho))), plan)
+    assert len(b.moduli) == 3 and not any(np.iscomplexobj(x) for x in chain(*b.moduli, b.dm, b.abs_df))
     for slot, field in enumerate(fields):
         vals, grads = field.eval_batch(pts)
-        want = (
-            vals,
-            radial_derivative_batch(space, pts, grads),
-            (np.abs(grads) ** 2).sum(axis=1),
-        )
-        got = (b.vals[slot].ravel(), b.df[slot].ravel(), b.grad_sq(slot).ravel())
+        df = radial_derivative_batch(space, pts, grads)
+        on = vals != 0.0
+        u = plan.modulus[slot]
+        want = (np.abs(vals), np.abs(df), (df[on] / vals[on]).real, (np.abs(grads) ** 2).sum(axis=1))
+        got = (b.moduli[u][0].ravel(), b.abs_df[slot].ravel(), b.re_ratio(u).ravel()[on], b.grad_sq(slot).ravel())
         for g, w in zip(got, want):
-            assert np.any(w != 0.0) and np.any(w == 0.0)
+            assert np.any(w != 0.0) and (np.any(w == 0.0) or w is want[2])
             np.testing.assert_allclose(g, w, rtol=1e-13, atol=1e-13 * np.abs(w).max())
 
 
@@ -619,7 +622,8 @@ def _closed_form_fields(space):
 @pytest.mark.parametrize("pair_id", PAIRS)
 def test_closed_form_cp_matches_the_kernel(space, p, pair_id):
     # C_p = v|Df|^p + (p-1) w|f|^p + p h G against cp_value_batch(xi, eta, p),
-    # on random nodes of the polar pieces, for a real and a phase-twisted field
+    # on random nodes of the polar pieces, for a real and a phase-twisted field,
+    # with xi and eta from eval_radial's complex f and partials
     fields = _closed_form_fields(space)
     region, lift = verifier._polar_pieces(fields)
     rng = np.random.default_rng(131)
@@ -627,14 +631,16 @@ def test_closed_form_cp_matches_the_kernel(space, p, pair_id):
     pair = make_pair(pair_id, space, p, dict(PAIRS[pair_id].defaults))
     plan = verifier._Plan([(pair, field, ("cp",)) for field in fields])
     coords = lift(nodes)[0]
-    b = verifier._Batch(space, coords, plan)
     (r, _, rho, _), rows = (x.ravel() for x in coords), plan.rows(space, coords)
     v, w = eval_monomials(pair.monomials[:2], log_features(r, rho, pair.radius))
-    for f in range(len(fields)):
-        xi, wf = v ** (1.0 / p) * b.df[f].ravel(), w ** (1.0 / p) * b.vals[f].ravel()
+    for field in fields:
+        f, f_r, f_rho = field.eval_radial(r, rho)
+        df = (r / rho) ** space.gamma * (r * f_r + rho * f_rho) / rho
+        xi, wf = v ** (1.0 / p) * df, w ** (1.0 / p) * f
         eta = xi + wf
         scale = np.maximum(np.abs(xi) ** p, np.abs(wf) ** p)
-        assert np.all(np.abs(rows[f] - cp_value_batch(xi, eta, p)) <= 1e-12 * scale)
+        cp = _read(plan, rows, pair, field, "cp")
+        assert np.all(np.abs(cp - cp_value_batch(xi, eta, p)) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("p", (1.5, 2.0, 3.0))
@@ -764,6 +770,40 @@ def test_a_twisted_case_reads_its_real_twins_w_and_phi(space):
         assert twisted.lhs != real.lhs and twisted.passed and real.passed
         assert twisted.w_term.hex() == real.w_term.hex()
         assert twisted.phi_term.hex() == real.phi_term.hex()
+
+
+def test_phase_twins_share_one_cp_part_in_real_arithmetic(monkeypatch):
+    # cp - lhs = p h |f|^p Re(Df/f) + (p-1) w |f|^p reads |f| and Re(Df/f) =
+    # Dm/m only, so gate 4's sweep keeps one such row per (pair, modulus): 24
+    # lhs, 12 w, 12 of it and 5 nonzero phi, where a cp row per field made 65
+    cases = [(pair, field, verifier._IDENTITY) for pair, field in _twin_sweep(SP)]
+    plan = verifier._Plan(cases)
+    assert len(plan.table) == 53
+
+    # each twisted case's cp, next to its real twin, is its cp planned alone
+    region, lift = verifier._polar_pieces(plan.fields)
+    rng = np.random.default_rng(157)
+    nodes = np.column_stack([rng.uniform(0.0, region.box[0][1], 2000), rng.uniform(0.0, 1.0, 2000)])
+    coords, log_jac = lift(nodes)
+    rows = plan.rows(SP, coords, log_jac)
+    for pair, field, names in cases[1::2]:
+        assert field.spec.phase_kappa != 0.0
+        alone = verifier._Plan([(pair, field, names)])
+        want = _read(alone, alone.rows(SP, coords, log_jac), pair, field, "cp")
+        got = _read(plan, rows, pair, field, "cp")
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
+
+    # and the integrand applies no phase: twist is left to the eval_radial oracle
+    def no_twist(*args):
+        raise AssertionError("the integrand applied a phase")
+
+    monkeypatch.setattr(TestField, "twist", no_twist)
+    twins = _twin_sweep(SP)[:6]
+    reports = verify_identity_sweep(twins, IntegrationSettings(rel_tol=1e-6))
+    assert all(rep.passed for rep in reports)
+    pair = make_pair("dambrosio_power", SP, 1.5, {"alpha": 0.0, "beta": 0.0})
+    constants = {kind: golden_estimate(kind, 1.5) for kind in ("c1_inf", "c2_sup", "c3_min")}
+    assert verify_remainder_p_lt2(pair, twins[1][1], constants=constants).passed
 
 
 def test_sweep_terms_agree_with_each_case_integrated_alone():
