@@ -22,7 +22,7 @@ import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -266,33 +266,22 @@ def _run_check(name: str, config: RunConfig, pair: WeightPair) -> object:
     return condition_check(pair, samples=200, seed=config.seed)
 
 
-# the residual of each check's report (or sampled record); its keys name the checks
-_RESIDUALS: Dict[str, Callable[[object], float]] = {
-    "identity": lambda rep: rep.residual,
-    "inequality": lambda rep: rep.margin,
-    "remainder_pge2": lambda rep: rep.margin,
-    "remainder_plt2": lambda rep: min(rep.lower_margin, rep.upper_margin, rep.min_margin),
-    "sharpness": lambda rep: rep.final_gap,
-    "ckn": lambda rep: rep.left - rep.right,
-    "hpw": lambda rep: rep.left - rep.right,
-    "divergence": lambda rec: rec["max_rel_err"],
-    "condition": lambda rec: rec["max_abs_mismatch"],
-}
-
-CHECK_NAMES = tuple(_RESIDUALS)
+CHECK_NAMES = (*FIELD_CHECKS, "sharpness", "divergence", "condition")
+# the residual of each sampled check's record; a report carries its own
+_SAMPLED_RESIDUALS = {"divergence": "max_rel_err", "condition": "max_abs_mismatch"}
 
 
 def _record(name: str, out: object) -> Dict[str, object]:
     if isinstance(out, dict):  # a sampled check: no quadrature, and its verdict is no term
         terms = dict(out)
-        passed, qerr = terms.pop("passed"), 0.0
+        passed, qerr, residual = terms.pop("passed"), 0.0, out[_SAMPLED_RESIDUALS[name]]
     else:
-        terms, passed, qerr = out.to_dict(), out.passed, out.quadrature_error
+        terms, passed, qerr, residual = out.to_dict(), out.passed, out.quadrature_error, out.residual
     return {
         "name": name,
         "passed": bool(passed),
         "terms": terms,
-        "residual": float(_RESIDUALS[name](out)),
+        "residual": float(residual),
         "quadrature_error": float(qerr),
     }
 

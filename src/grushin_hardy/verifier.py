@@ -23,16 +23,17 @@ once per axis-0 node. The pieces cover only the fields' support, away from
 {x=0} wherever a weight is singular there, so every weight is finite at
 every node, and a term is an exact 0 wherever its field vanishes.
 
-A report's `passed` is the stated tolerance check and additionally
-requires the underlying quadrature to have converged; a non-converged
-integral never passes.
+Each field check is one spec (FIELD_CHECKS): its precondition, its terms
+and a verdict, which forms the report's keys and margins. A report's
+`passed` requires every margin to hold and every integral to have
+converged; a non-converged integral never passes.
 """
 
 import math
 from dataclasses import asdict, dataclass
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,7 +76,8 @@ _SHARPNESS_GAP = 0.05
 @dataclass(frozen=True)
 class _Report:
     """What every check reports, from its own integrals: their summed error
-    estimate, whether every one converged, and the verdict, which needs both."""
+    estimate, whether every one converged, and the verdict, which needs both.
+    The CLI prints its residual: a field, or a property that asdict skips."""
 
     quadrature_error: float
     converged: bool
@@ -101,6 +103,7 @@ class InequalityReport(_Report):
     w_term: float
     ratio: float
     margin: float
+    residual = property(lambda self: self.margin)
 
     def to_dict(self) -> Dict[str, object]:
         d = asdict(self)
@@ -117,6 +120,7 @@ class RemainderPge2Report(_Report):
     constant: float
     constant_bracket: Tuple[float, float]
     margin: float
+    residual = property(lambda self: self.margin)
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,7 @@ class RemainderPlt2Report(_Report):
     lower_margin: float
     upper_margin: float
     min_margin: float
+    residual = property(lambda self: min(self.lower_margin, self.upper_margin, self.min_margin))
 
 
 @dataclass(frozen=True)
@@ -138,6 +143,7 @@ class SharpnessReport(_Report):
     levels: List[Dict[str, float]]
     sharp_constant: float
     final_gap: float
+    residual = property(lambda self: self.final_gap)
 
 
 @dataclass(frozen=True)
@@ -184,6 +190,7 @@ class CknReport(_Report):
     left: float
     right: float
     consistent: bool
+    residual = property(lambda self: self.left - self.right)
 
 
 @dataclass(frozen=True)
@@ -198,6 +205,7 @@ class HpwReport(_Report):
     right: float
     garofalo: Optional[Dict[str, float]] = None
     classical: Optional[Dict[str, float]] = None
+    residual = property(lambda self: self.left - self.right)
 
 
 def _refuse(field: TestField, pair_id: str, message: str) -> None:
@@ -409,6 +417,8 @@ _FAMILY = {name: family for family in _TERMS for name in family}
 _TWINS = {t for t, mono in _MONOMIALS.items() if mono(*[2.0] * mono.__code__.co_argcount)[4] == 0.0}
 
 _IDENTITY = ("lhs", "w", "cp", "phi")  # lhs = w + cp + phi
+_IDENTITY_KEYS = ("lhs", "w_term", "cp_term", "phi_term")  # their report keys
+_PLT2_KINDS = ("c1_inf", "c2_sup", "c3_min")  # the constants of the 1 < p < 2 remainder bounds
 
 
 def _one_hot(on: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:
@@ -603,20 +613,6 @@ def _integrate_cases(cases: Sequence[tuple], settings: Optional[IntegrationSetti
     return [{n: found[key] for n, key in zip(ns, keys)} for (_, _, ns), keys in zip(cases, plan.cases)]
 
 
-def _summary(res: Dict[object, IntegralResult], names: Sequence) -> Tuple[List[float], float, bool]:
-    """The values of a case's named terms, their summed error estimate (a
-    term listed twice counts twice), and whether every one converged."""
-    listed = [res[name] for name in names]
-    values = [float(r.value) for r in listed]
-    return values, float(sum(r.error_estimate for r in listed)), all(r.converged for r in listed)
-
-
-def _slack(qerr: float, width: float = 0.0, term: float = 0.0) -> float:
-    """How far a margin may fall below 0: 10 times the propagated quadrature
-    error, plus a constant's bracket width times the term it multiplies."""
-    return 10.0 * qerr + width * term
-
-
 def _sides(left: Sequence, right: Sequence, constant: float = 1.0) -> Tuple[float, float, float]:
     """Both sides of prod(base^e) >= constant prod(base^e), over the (e, base,
     error) factors of left and right, and the slack of their difference: 10
@@ -628,153 +624,120 @@ def _sides(left: Sequence, right: Sequence, constant: float = 1.0) -> Tuple[floa
     return sides[0], sides[1], 10.0 * sum(errors)
 
 
-# -- plans: one per field check, taking its verify_* function's arguments
-# without settings. A plan runs the check's precondition and constant
-# searches and yields the check's case, (pair, field, term names); sent the
-# case's integrals by name, it yields the check's report.
+@dataclass(frozen=True)
+class _Spec:
+    """A field check. start takes its verify_* function's arguments without
+    settings, runs the precondition and constant searches, and returns the
+    case, (pair, field, term names), and what verdict reads. verdict takes
+    that, the terms' (value, error) in names order, their summed error and
+    converged, and returns the report's own keys and the margins (a, b) that
+    must hold, a >= b; a slack, 10 times the propagated quadrature error plus
+    a constant's bracket width times its term, lowers b. The report's
+    term_keys take the first terms' values."""
+
+    start: Callable[..., Tuple[tuple, object]]
+    verdict: Callable[..., Tuple[Dict[str, object], List[Tuple[float, float]]]]
+    report: type
+    term_keys: Tuple[str, ...]
 
 
-def _identity_plan(pair: WeightPair, field: TestField):
+def _verdict(spec: _Spec, case: tuple, reads: object, res: Dict[object, IntegralResult]) -> _Report:
+    """A check's report from its case's integrals by term name: their summed
+    error estimate (a term listed twice counts twice), converged when every
+    one converged, and passed when, also, every margin of its verdict holds."""
+    listed = [res[name] for name in case[2]]
+    terms = [(float(r.value), r.error_estimate) for r in listed]
+    qerr = float(sum([r.error_estimate for r in listed]))
+    converged = all([r.converged for r in listed])
+    keys, margins = spec.verdict(reads, terms, qerr, converged)
+    for key, (value, _) in zip(spec.term_keys, terms):
+        keys[key] = value
+    passed = converged and all([a >= b for a, b in margins])
+    return spec.report(**keys, quadrature_error=qerr, converged=converged, passed=passed)
+
+
+def _identity_start(pair: WeightPair, field: TestField):
     _check_support(pair, field)
-    res = yield pair, field, _IDENTITY
-    (lhs, w_term, cp_term, phi_term), qerr, converged = _summary(res, _IDENTITY)
+    return (pair, field, _IDENTITY), None
+
+
+def _identity_verdict(_, terms, qerr, converged):
+    (lhs, _), (w_term, _), (cp_term, _), (phi_term, _) = terms
     residual = lhs - w_term - cp_term - phi_term
     denom = max(lhs, w_term)
-    rel_residual = residual / denom if denom > 0 else 0.0
-    passed = converged and abs(residual) <= max(10.0 * qerr, _IDENTITY_REL_TOL * lhs)
-    yield IdentityReport(
-        lhs=lhs,
-        w_term=w_term,
-        cp_term=cp_term,
-        phi_term=phi_term,
-        residual=residual,
-        rel_residual=rel_residual,
-        quadrature_error=qerr,
-        converged=converged,
-        passed=passed,
-    )
+    keys = {"residual": residual, "rel_residual": residual / denom if denom > 0 else 0.0}
+    return keys, [(max(10.0 * qerr, _IDENTITY_REL_TOL * lhs), abs(residual))]
 
 
-def _inequality_plan(pair: WeightPair, field: TestField):
+def _inequality_start(pair: WeightPair, field: TestField):
     _check_support(pair, field)
-    names = ("lhs", "w")
-    res = yield pair, field, names
-    (lhs, w_term), qerr, converged = _summary(res, names)
-    ratio = lhs / w_term if w_term > 0 else float("nan")
+    return (pair, field, ("lhs", "w")), None
+
+
+def _inequality_verdict(_, terms, qerr, converged):
+    (lhs, _), (w_term, _) = terms
     margin = lhs - w_term
-    passed = converged and margin >= -_slack(qerr)
-    yield InequalityReport(
-        lhs=lhs,
-        w_term=w_term,
-        ratio=ratio,
-        margin=margin,
-        quadrature_error=qerr,
-        converged=converged,
-        passed=passed,
-    )
+    keys = {"ratio": lhs / w_term if w_term > 0 else float("nan"), "margin": margin}
+    return keys, [(margin, -(10.0 * qerr))]
 
 
-def _remainder_pge2_plan(
-    pair: WeightPair, field: TestField, constant: Optional[ConstantEstimate] = None
-):
+def _pge2_start(pair: WeightPair, field: TestField, constant: Optional[ConstantEstimate] = None):
     _check_remainder(pair, field, pair.p >= 2.0, "verify_remainder_p_ge2 needs p >= 2")
-    p = pair.p
     if constant is None:
-        constant = find_constant(CpObjectiveKind(kind="cp_pge2", p=p))
-    names = ("cp", "eta_p")
-    res = yield pair, field, names
-    (cp_term, eta_term), qerr, converged = _summary(res, names)
+        constant = find_constant(CpObjectiveKind(kind="cp_pge2", p=pair.p))
+    return (pair, field, ("cp", "eta_p")), (pair.p, constant)
+
+
+def _pge2_verdict(reads, terms, qerr, converged):
+    p, constant = reads
+    (cp_term, _), (eta_term, _) = terms
     margin = cp_term - constant.value * eta_term
-    passed = converged and margin >= -_slack(qerr, constant.width, eta_term)
-    yield RemainderPge2Report(
-        p=p,
-        cp_term=cp_term,
-        eta_term=eta_term,
-        constant=constant.value,
-        constant_bracket=constant.bracket,
-        margin=margin,
-        quadrature_error=qerr,
-        converged=converged,
-        passed=passed,
-    )
+    keys = {"p": p, "constant": constant.value, "constant_bracket": constant.bracket, "margin": margin}
+    return keys, [(margin, -(10.0 * qerr + constant.width * eta_term))]
 
 
-def _remainder_plt2_plan(
-    pair: WeightPair, field: TestField, constants: Optional[Dict[str, ConstantEstimate]] = None
-):
+def _plt2_start(pair: WeightPair, field: TestField, constants: Optional[Dict[str, ConstantEstimate]] = None):
     _check_remainder(pair, field, 1.0 < pair.p < 2.0, "verify_remainder_p_lt2 needs 1 < p < 2")
-    p = pair.p
     if constants is None:
-        constants = {
-            kind: find_constant(CpObjectiveKind(kind=kind, p=p))
-            for kind in ("c1_inf", "c2_sup", "c3_min")
-        }
-    names = ("cp", "mixed", "min")
-    res = yield pair, field, names
-    (cp_term, mixed_term, min_term), qerr, converged = _summary(res, names)
-    c1, c2, c3 = (constants[k] for k in ("c1_inf", "c2_sup", "c3_min"))
-    lower_margin = cp_term - c1.value * mixed_term
-    upper_margin = c2.value * mixed_term - cp_term
-    min_margin = cp_term - c3.value * min_term
-    ok = (
-        lower_margin >= -_slack(qerr, c1.width, mixed_term)
-        and upper_margin >= -_slack(qerr, c2.width, mixed_term)
-        and min_margin >= -_slack(qerr, c3.width, min_term)
-    )
-    yield RemainderPlt2Report(
-        p=p,
-        cp_term=cp_term,
-        mixed_term=mixed_term,
-        min_term=min_term,
-        c1=c1.value,
-        c2=c2.value,
-        c3=c3.value,
-        lower_margin=lower_margin,
-        upper_margin=upper_margin,
-        min_margin=min_margin,
-        quadrature_error=qerr,
-        converged=converged,
-        passed=converged and ok,
-    )
+        constants = {kind: find_constant(CpObjectiveKind(kind=kind, p=pair.p)) for kind in _PLT2_KINDS}
+    return (pair, field, ("cp", "mixed", "min")), (pair.p, *(constants[kind] for kind in _PLT2_KINDS))
 
 
-def _ckn_plan(pair: WeightPair, field: TestField, ckn: CknParams):
+def _plt2_verdict(reads, terms, qerr, converged):
+    p, c1, c2, c3 = reads
+    (cp_term, _), (mixed_term, _), (min_term, _) = terms
+    margins = [
+        (cp_term - c1.value * mixed_term, -(10.0 * qerr + c1.width * mixed_term)),
+        (c2.value * mixed_term - cp_term, -(10.0 * qerr + c2.width * mixed_term)),
+        (cp_term - c3.value * min_term, -(10.0 * qerr + c3.width * min_term)),
+    ]
+    keys = dict(zip(("lower_margin", "upper_margin", "min_margin"), (margin for margin, _ in margins)))
+    return {"p": p, "c1": c1.value, "c2": c2.value, "c3": c3.value, **keys}, margins
+
+
+def _ckn_start(pair: WeightPair, field: TestField, ckn: CknParams):
     if abs(ckn.p - pair.p) > 1e-12:
         raise ValueError("CknParams p must match the pair's p")
     _check_support(pair, field)
-    p = pair.p
     # with delta = 0, q = r and b = c, so both name one integral
-    name_q, name_r = ("w^e|f|^q", ckn.b * ckn.q, ckn.q), ("w^e|f|^q", ckn.c * ckn.r, ckn.r)
-    names = _IDENTITY + (name_q, name_r)
-    res = yield pair, field, names
-    (lhs, w_term, cp_term, phi_term, int_q, int_r), qerr, converged = _summary(res, names)
+    integrals = (("w^e|f|^q", ckn.b * ckn.q, ckn.q), ("w^e|f|^q", ckn.c * ckn.r, ckn.r))
+    return (pair, field, _IDENTITY + integrals), (ckn, pair.p)
+
+
+def _ckn_verdict(reads, terms, qerr, converged):
+    ckn, p = reads
+    (lhs, e_lhs), (w_term, _), (cp_term, e_cp), (phi_term, _), (int_q, e_q), (int_r, e_r) = terms
     bracket = lhs - cp_term
     mismatch = abs(bracket - (w_term + phi_term))
-    consistent = mismatch <= 10.0 * qerr
-
-    e = {name: r.error_estimate for name, r in res.items()}
-    left_b = (ckn.delta / p, max(bracket, 0.0), e["lhs"] + e["cp"])
-    left_q = ((1.0 - ckn.delta) / ckn.q, max(int_q, 0.0), e[name_q])
-    left, right, slack = _sides([left_b, left_q], [(1.0 / ckn.r, max(int_r, 0.0), e[name_r])])
-    passed = converged and consistent and left >= right - slack
-    yield CknReport(
-        params=ckn,
-        lhs=lhs,
-        cp_term=cp_term,
-        bracket=bracket,
-        w_term=w_term,
-        phi_term=phi_term,
-        bracket_mismatch=mismatch,
-        left=left,
-        right=right,
-        quadrature_error=qerr,
-        converged=converged,
-        consistent=consistent,
-        passed=passed,
-    )
+    left_b = (ckn.delta / p, max(bracket, 0.0), e_lhs + e_cp)
+    left_q = ((1.0 - ckn.delta) / ckn.q, max(int_q, 0.0), e_q)
+    left, right, slack = _sides([left_b, left_q], [(1.0 / ckn.r, max(int_r, 0.0), e_r)])
+    keys = {"params": ckn, "bracket": bracket, "bracket_mismatch": mismatch, "left": left, "right": right}
+    keys["consistent"] = mismatch <= 10.0 * qerr
+    return keys, [(10.0 * qerr, mismatch), (left, right - slack)]
 
 
-def _hpw_plan(case: str, p: float, field: TestField):
+def _hpw_start(case: str, p: float, field: TestField):
     if case not in HPW_PAIRS:
         raise ValueError(f"case must be one of {tuple(HPW_PAIRS)}")
     spec = PAIRS[HPW_PAIRS[case]]
@@ -789,58 +752,46 @@ def _hpw_plan(case: str, p: float, field: TestField):
         raise ValueError(f"{case} is vacuous here: its constant |Q-p|/p is 0 at Q = p = {p:g}")
     garofalo_p2 = spec.hpw.garofalo and p == 2.0
     track_grad = garofalo_p2 and space.gamma == 0.0
-    grad, weight = "lhs", ("w^e|f|^q", -1.0 / (p - 1.0), pp)
-    names = (grad, weight, "mass") + (("grad_sq",) if track_grad else ())
-    res = yield pair, field, names
-    (grad_term, weight_term, mass_term, *_), qerr, converged = _summary(res, names)
-    constant = pair.kappa
-    t = {name: (float(r.value), r.error_estimate) for name, r in res.items()}
-    mass, squares = [(1.0, *t["mass"])], [(2.0, *t["mass"])]
-    left, right, slack = _sides([(1.0 / p, *t[grad]), (1.0 / pp, *t[weight])], mass, constant)
-    passed = converged and left >= right - slack
+    names = ("lhs", ("w^e|f|^q", -1.0 / (p - 1.0), pp), "mass") + (("grad_sq",) if track_grad else ())
+    return (pair, field, names), (case, p, pp, pair.kappa, space, garofalo_p2)
 
+
+def _hpw_verdict(reads, terms, qerr, converged):
+    case, p, pp, constant, space, garofalo_p2 = reads
+    grad, weight, mass = terms[:3]
+    squares = [(2.0, *mass)]
+    left, right, slack = _sides([(1.0 / p, *grad), (1.0 / pp, *weight)], [(1.0, *mass)], constant)
+    margins = [(left, right - slack)]
     garofalo = classical = None
     if garofalo_p2:
         q_sq = ((space.Q - 2.0) / 2.0) ** 2
-        g_left, g_right, g_slack = _sides([(1.0, *t[grad]), (1.0, *t[weight])], squares, q_sq)
+        g_left, g_right, g_slack = _sides([(1.0, *grad), (1.0, *weight)], squares, q_sq)
+        margins.append((g_left, g_right - g_slack))
         garofalo = {"left": g_left, "right": g_right, "passed": bool(converged and g_left >= g_right - g_slack)}
-        passed = passed and garofalo["passed"]
-        if track_grad:
-            (full, e_full), n_sq = t["grad_sq"], (space.n - 2.0) ** 2 / 4.0
-            c_left, c_right, c_slack = _sides([(1.0, full, e_full), (1.0, *t[weight])], squares, n_sq)
-            classical = {
-                "grad_full": full,
-                "left": c_left,
-                "right": c_right,
-                "dominates": bool(full >= grad_term - 10.0 * (e_full + t[grad][1])),
-                "passed": bool(converged and c_left >= c_right - c_slack),
-            }
-            passed = passed and classical["passed"] and classical["dominates"]
-
-    yield HpwReport(
-        case=case,
-        p=p,
-        grad_term=grad_term,
-        weight_term=weight_term,
-        mass_term=mass_term,
-        constant=constant,
-        left=left,
-        right=right,
-        quadrature_error=qerr,
-        converged=converged,
-        passed=passed,
-        garofalo=garofalo,
-        classical=classical,
-    )
+    if len(terms) > 3:  # grad_sq, for the classical gradient form at gamma = 0
+        (full, e_full), n_sq = terms[3], (space.n - 2.0) ** 2 / 4.0
+        c_left, c_right, c_slack = _sides([(1.0, full, e_full), (1.0, *weight)], squares, n_sq)
+        margins += [(c_left, c_right - c_slack), (full, grad[0] - 10.0 * (e_full + grad[1]))]
+        classical = {
+            "grad_full": full,
+            "left": c_left,
+            "right": c_right,
+            "dominates": bool(full >= grad[0] - 10.0 * (e_full + grad[1])),
+            "passed": bool(converged and c_left >= c_right - c_slack),
+        }
+    keys = {"case": case, "p": p, "constant": constant, "left": left, "right": right}
+    return {**keys, "garofalo": garofalo, "classical": classical}, margins
 
 
-FIELD_CHECKS: Dict[str, Callable[..., Generator]] = {
-    "identity": _identity_plan,
-    "inequality": _inequality_plan,
-    "remainder_pge2": _remainder_pge2_plan,
-    "remainder_plt2": _remainder_plt2_plan,
-    "ckn": _ckn_plan,
-    "hpw": _hpw_plan,
+FIELD_CHECKS: Dict[str, _Spec] = {
+    "identity": _Spec(_identity_start, _identity_verdict, IdentityReport, _IDENTITY_KEYS),
+    "inequality": _Spec(_inequality_start, _inequality_verdict, InequalityReport, ("lhs", "w_term")),
+    "remainder_pge2": _Spec(_pge2_start, _pge2_verdict, RemainderPge2Report, ("cp_term", "eta_term")),
+    "remainder_plt2": _Spec(
+        _plt2_start, _plt2_verdict, RemainderPlt2Report, ("cp_term", "mixed_term", "min_term")
+    ),
+    "ckn": _Spec(_ckn_start, _ckn_verdict, CknReport, _IDENTITY_KEYS),
+    "hpw": _Spec(_hpw_start, _hpw_verdict, HpwReport, ("grad_term", "weight_term", "mass_term")),
 }
 
 
@@ -861,17 +812,16 @@ def verify_checks(checks: Sequence[Tuple[str, tuple, Optional[IntegrationSetting
     steers it, so a check's values can differ, within its error, from
     another run's.
     """
-    plans = [FIELD_CHECKS[name](*args) for name, args, _ in checks]
-    cases = [next(plan) for plan in plans]
+    started = [FIELD_CHECKS[name].start(*args) for name, args, _ in checks]
     meshes: Dict[tuple, List[int]] = {}  # (space, x_floor, outer_rho, settings) -> its checks, in order
-    for n, ((_, field, _), (*_, settings)) in enumerate(zip(cases, checks)):
+    for n, (((_, field, _), _), (*_, settings)) in enumerate(zip(started, checks)):
         mesh = (field.space, field.spec.x_floor, field.spec.outer_rho, settings or IntegrationSettings())
         meshes.setdefault(mesh, []).append(n)
-    reports: Dict[int, _Report] = {}
+    reports: List[_Report] = [None] * len(checks)
     for (*_, settings), group in meshes.items():
-        for n, res in zip(group, _integrate_cases([cases[n] for n in group], settings)):
-            reports[n] = plans[n].send(res)
-    return [reports[n] for n in range(len(plans))]
+        for n, res in zip(group, _integrate_cases([started[n][0] for n in group], settings)):
+            reports[n] = _verdict(FIELD_CHECKS[checks[n][0]], *started[n], res)
+    return reports
 
 
 def verify_identity(
