@@ -104,6 +104,39 @@ def build_constants_golden():
     return {"settings": ORACLE_SETTINGS, "entries": entries}
 
 
+def series_numerator(p, s, r2):
+    """The remainder numerator N = (1 + g)^(p/2) - 1 - p s, g = 2 s + r2, in
+    the loop form that the package once used: where |g| <= 0.1 the bracket
+    (1+g)^(p/2) - 1 - (p/2) g is a binomial series summed term by term, at
+    most 39 terms and stopped once every new term is below 1e-17 of its
+    total. At p <= 50 the stop test is met within those terms, so this is
+    the float reference that the package's series must match bit for bit."""
+    a = 0.5 * p
+    g = 2.0 * s + r2
+    out = np.empty_like(g)
+
+    small = np.abs(g) <= 0.1
+    gs = g[small]
+    coef = a * (a - 1.0) / 2.0
+    power = gs * gs
+    total = coef * power
+    c = coef
+    for j in range(2, 40):
+        c = c * (a - j) / (j + 1.0)
+        power = power * gs
+        term = c * power
+        total = total + term
+        if not np.any(np.abs(term) > 1e-17 * (np.abs(total) + 1e-300)):
+            break
+    out[small] = a * r2[small] + total
+
+    gl = g[~small]
+    with np.errstate(invalid="ignore"):
+        direct = np.power(np.maximum(1.0 + gl, 0.0), a) - 1.0
+    out[~small] = direct - p * s[~small]
+    return out
+
+
 def simpson_grid_integral(f, lo, hi, n_per_axis):
     """Composite Simpson cubature of f over the box [lo, hi] in d dimensions.
 

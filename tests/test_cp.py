@@ -19,7 +19,7 @@ from grushin_hardy.cp import (
     objective,
     stated_range,
 )
-from oracles import cp_value
+from oracles import cp_value, series_numerator
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "constants.json")
 
@@ -91,6 +91,31 @@ def test_cp_value_matches_objective_numerator():
             direct = ((1.0 + s) ** 2 + t**2) ** (p / 2.0) - 1.0 - p * s
             via_cp = cp_value(complex(1.0 + s, t), complex(s, t), p)
             assert via_cp == pytest.approx(direct, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.05, 1.25, 1.5, 1.75, 1.999, 2.0, 2.5, 3.0, 4.0, 4.5, 7.3, 50.0])
+def test_numerator_matches_the_loop_series_bit_for_bit(p):
+    # at these p the loop's stop test is met within its 39 terms, so any
+    # other summation of the same series must reproduce it exactly: every
+    # scan score, and so every constant search, stays what it was
+    d, per = cp._RADIUS_DECADES, cp._RADIUS_PER_DECADE
+    radii = np.geomspace(10.0 ** (-d), 10.0**d, 2 * d * per + 1)
+    s_scan = np.concatenate([-radii, radii, [-1.0, 1.0]])
+    r2_scan = s_scan * s_scan
+    assert np.array_equal(cp._numerator(p, s_scan, r2_scan), series_numerator(p, s_scan, r2_scan))
+    rng = np.random.default_rng(112)
+    n = 20000
+    # log-uniform radii, radii near the origin, and points near the circle
+    # |1 + z| = 1, where g = |1 + z|^2 - 1 is small at every radius up to 2
+    r = np.concatenate([10.0 ** rng.uniform(-6.0, 6.0, n), rng.uniform(1e-3, 0.04, n)])
+    theta = rng.uniform(-np.pi, np.pi, 2 * n)
+    phi = rng.uniform(-np.pi, np.pi, n)
+    w = 1.0 + rng.uniform(-0.05, 0.05, n)
+    s = np.concatenate([r * np.cos(theta), -1.0 + w * np.cos(phi)])
+    t = np.concatenate([r * np.sin(theta), w * np.sin(phi)])
+    r2 = s * s + t * t
+    assert (np.abs(2.0 * s + r2) <= 0.1).sum() > n
+    assert np.array_equal(cp._numerator(p, s, r2), series_numerator(p, s, r2))
 
 
 def test_objective_examples():
