@@ -76,6 +76,21 @@ KINDS = ("cp_pge2", "c1_inf", "c2_sup", "c3_min")
 # the axis scan: radius decades on each side of |s| = 1 and radii per decade
 _RADIUS_DECADES = 6
 _RADIUS_PER_DECADE = 40
+_RADII = np.geomspace(
+    10.0**-_RADIUS_DECADES, 10.0**_RADIUS_DECADES, 2 * _RADIUS_DECADES * _RADIUS_PER_DECADE + 1
+)
+_STEP = math.log(10.0) / _RADIUS_PER_DECADE  # the scan step in log|s|
+# both signs of s, then exact s = -1 and s = 1, where the c3_min branches meet
+_S_SCAN = np.concatenate([-_RADII, _RADII, [-1.0, 1.0]])
+_T_SCAN = np.zeros_like(_S_SCAN)
+for _grid in (_RADII, _S_SCAN, _T_SCAN):
+    _grid.flags.writeable = False
+
+# the binomial series of _numerator: at most this many terms, and a term
+# below this share of the total can no longer change it
+_SERIES_TERMS = 39
+_SERIES_STOP = 1e-17
+
 
 @dataclass(frozen=True)
 class CpObjectiveKind:
@@ -136,6 +151,20 @@ def cp_value_batch(xi: np.ndarray, eta: np.ndarray, p: float) -> np.ndarray:
         return np.where(t > 0.0, ap - t ** (p - 1.0) * (t + p * (re / t)), ap)
 
 
+def _series_coefficients(a: float) -> List[float]:
+    """The binomial coefficients C(a, k) of g^k in (1+g)^a, k = 2, 3, ..., by
+    the recurrence C(a, k+1) = C(a, k) (a - k) / (k + 1); they end at the first
+    one that vanishes (integer a) or after _SERIES_TERMS of them."""
+    c = a * (a - 1.0) / 2.0
+    coefs = [c]
+    for j in range(2, _SERIES_TERMS + 1):
+        if c == 0.0:
+            break
+        c = c * (a - j) / (j + 1.0)
+        coefs.append(c)
+    return coefs
+
+
 def _numerator(p: float, s: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """N(s, t) = (1 + g)^(p/2) - 1 - p s with g = 2 s + r^2.
 
@@ -144,6 +173,15 @@ def _numerator(p: float, s: np.ndarray, r2: np.ndarray) -> np.ndarray:
     direct form cancels to eps * |g| absolute error while N itself is of
     order r^2, so the split keeps full relative precision (and makes the
     p = 2 quotient exactly 1 at machine level).
+
+    The series is one table: row k holds C(a, k+2) g^(k+2), the powers by
+    repeated multiplication, and the rows are summed in order (numpy adds
+    the rows of a C-ordered array one by one), so each total is the float sum
+    term after term.  The rows end where the coefficients vanish; otherwise
+    every term past the first one below _SERIES_STOP of its total is smaller
+    still, and cannot change the total.  Where even the last term is not
+    that small (a |g| large, from p ~ 200) the series has not converged, and
+    the point takes the direct form, which does not cancel there.
     """
     a = 0.5 * p
     g = 2.0 * s + r2
@@ -151,18 +189,16 @@ def _numerator(p: float, s: np.ndarray, r2: np.ndarray) -> np.ndarray:
 
     small = np.abs(g) <= 0.1
     gs = g[small]
-    coef = a * (a - 1.0) / 2.0
-    power = gs * gs
-    total = coef * power
-    c = coef
-    for j in range(2, 40):
-        c = c * (a - j) / (j + 1.0)
-        power = power * gs
-        term = c * power
-        total = total + term
-        if not np.any(np.abs(term) > 1e-17 * (np.abs(total) + 1e-300)):
-            break
+    coefs = _series_coefficients(a)
+    terms = np.empty((len(coefs), gs.size))
+    terms[0] = gs * gs
+    for k in range(1, len(coefs)):
+        np.multiply(terms[k - 1], gs, out=terms[k])
+    terms *= np.array(coefs)[:, None]
+    total = terms.sum(axis=0)
     out[small] = a * r2[small] + total
+    if coefs[-1] != 0.0:
+        small[small] = np.abs(terms[-1]) <= _SERIES_STOP * (np.abs(total) + 1e-300)
 
     gl = g[~small]
     with np.errstate(invalid="ignore"):
@@ -210,14 +246,16 @@ def objective(kind: CpObjectiveKind, s: float, t: float) -> float:
             power = g * g
             total = coef * power
             c = coef
-            for j in range(2, 40):
+            for j in range(2, _SERIES_TERMS + 1):
                 c = c * (a - j) / (j + 1.0)
                 power = power * g
                 term = c * power
                 total = total + term
-                if not abs(term) > 1e-17 * (abs(total) + 1e-300):
+                if not abs(term) > _SERIES_STOP * (abs(total) + 1e-300):
+                    num = a * r2 + total
                     break
-            num = a * r2 + total
+            else:  # not converged: the direct form, as in _numerator
+                num = math.pow(max(1.0 + g, 0.0), a) - 1.0 - p * s
         else:
             num = math.pow(max(1.0 + g, 0.0), a) - 1.0 - p * s
         if kind.kind == "cp_pge2":
@@ -305,12 +343,8 @@ def find_constant(kind: CpObjectiveKind) -> ConstantEstimate:
     axis.
     """
     sign = -1.0 if kind.kind == "c2_sup" else 1.0
-    d = _RADIUS_DECADES
-    radii = np.geomspace(10.0 ** (-d), 10.0**d, 2 * d * _RADIUS_PER_DECADE + 1)
-    h = math.log(10.0) / _RADIUS_PER_DECADE  # the scan step in log|s|
-    # both signs of s, then exact s = -1 and s = 1, where the c3_min branches meet
-    s_scan = np.concatenate([-radii, radii, [-1.0, 1.0]])
-    scores = sign * _quotient(kind, s_scan, np.zeros_like(s_scan))
+    radii, s_scan, h = _RADII, _S_SCAN, _STEP
+    scores = sign * _quotient(kind, s_scan, _T_SCAN)
     scores[np.isnan(scores)] = np.inf
     if not np.isfinite(scores[np.abs(s_scan) != 1.0]).any():
         # from p ~ 1.3e4 the quotient over- or underflows at every |s| != 1

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -256,6 +257,39 @@ def test_find_constant_brackets_golden(entry):
         assert lo_r <= est.value < hi_r
     else:
         assert lo_r < est.value <= hi_r
+
+
+@pytest.mark.parametrize("p", [300, 400, 1000])
+def test_numerator_series_at_large_p_matches_exact_arithmetic(p):
+    # from p ~ 200 the binomial series needs more than its 39 terms where
+    # |g| <= 0.1; such points take the direct form in both evaluators.
+    # Reference: the same float inputs in exact rational arithmetic (p/2 is
+    # an integer here)
+    def exact_numerator(s, r2):
+        sf, rf = Fraction(s), Fraction(r2)
+        return (1 + 2 * sf + rf) ** (p // 2) - 1 - p * sf, rf
+
+    d, per = cp._RADIUS_DECADES, cp._RADIUS_PER_DECADE
+    radii = np.geomspace(10.0 ** (-d), 10.0**d, 2 * d * per + 1)
+    s_scan = np.concatenate([-radii, radii])
+    s = s_scan[np.abs(2.0 * s_scan + s_scan * s_scan) <= 0.1]
+    assert s.size > 300
+    for si, ni in zip(s.tolist(), cp._numerator(float(p), s, s * s).tolist()):
+        exact, _ = exact_numerator(si, si * si)
+        assert float(abs(Fraction(ni) / exact - 1)) <= 1e-12, (p, si, ni)
+    # objective, on the band 0.95 <= |1 + z| <= 1.05 where |g| <= 0.1 and
+    # r^p stays finite; its denominator r2^(p/2) is one correctly rounded power
+    rng = np.random.default_rng(113)
+    kind = CpObjectiveKind("cp_pge2", float(p))
+    w, phi = rng.uniform(0.951, 1.049, 50), rng.uniform(0.5, np.pi, 50)
+    checked = 0
+    for si, ti in zip((w * np.cos(phi) - 1.0).tolist(), (w * np.sin(phi)).tolist()):
+        q = objective(kind, si, ti)
+        if math.isfinite(q) and q != 0.0:
+            exact, rf = exact_numerator(si, si * si + ti * ti)
+            assert float(abs(Fraction(q) * rf ** (p // 2) / exact - 1)) <= 1e-12, (p, si, ti, q)
+            checked += 1
+    assert checked >= 25
 
 
 @pytest.mark.parametrize("p", [52.0, 60.0, 100.0, 300.0])
