@@ -117,7 +117,13 @@ def unit_grad_gamma_rho(space: SpaceParams, pts: np.ndarray) -> np.ndarray:
     gamma > 0, this is the continuous extension (0, y/|y|); rows at the
     origin are nan.
     """
-    x, y, r, rho_z = _split(space, pts)
+    return _unit_grad(space, *_split(space, pts))
+
+
+def _unit_grad(
+    space: SpaceParams, x: np.ndarray, y: np.ndarray, r: np.ndarray, rho_z: np.ndarray
+) -> np.ndarray:
+    """unit_grad_gamma_rho from a batch's x, y, |x| and rho (_split's output)."""
     g = space.gamma
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = (rho_z ** (g + 1.0))[:, None]
@@ -153,7 +159,9 @@ def fd_divergence(
 
     via central differences, Richardson-extrapolated from step and step/2,
     with one step per point. field maps an (M, m+k) batch to its (M, m+k)
-    values; it is called once per step size, on every stencil point at once.
+    values, or to (M, F, m+k) values of F fields at once, whose divergences
+    come back as an (F, N) array; it is called once, on the stencil points of
+    both step sizes together.
     Each step must stay below half the distance of its point to the singular
     set ({x = 0} for gamma > 0, otherwise the origin).
     """
@@ -168,14 +176,16 @@ def fd_divergence(
     n = space.n
     axes = np.arange(n)
     # the y partials carry the factor |x|^gamma of Y_j
-    weight = np.ones((n, pts.shape[0]))
-    weight[space.m :] = r**space.gamma
+    weight = np.ones((n, 1, pts.shape[0], 1))
+    weight[space.m :] = r[:, None] ** space.gamma
 
-    def estimate(h: np.ndarray) -> np.ndarray:
-        shift = np.eye(n)[:, None, :] * h[None, :, None]  # (axis, point, coordinate)
-        stencil = np.concatenate([pts + shift, pts - shift]).reshape(-1, n)
-        values = field(stencil).reshape(2, n, -1, n)
-        diff = values[0, axes, :, axes] - values[1, axes, :, axes]  # (axis, point)
-        return np.sum(weight * diff / (2.0 * h), axis=0)
-
-    return (4.0 * estimate(0.5 * step) - estimate(step)) / 3.0
+    h = np.stack([0.5 * step, step])  # (size, point)
+    shift = np.eye(n)[None, :, None, :] * h[:, None, :, None]  # (size, axis, point, coordinate)
+    stencil = np.stack([pts + shift, pts - shift]).reshape(-1, n)
+    values = field(stencil)
+    # (sign, size, axis, point, field, coordinate); each axis keeps its own coordinate
+    diag = values.reshape(2, 2, n, pts.shape[0], -1, n)[:, :, axes, :, :, axes]
+    diff = diag[:, 0] - diag[:, 1]  # (axis, size, point, field)
+    estimate = np.sum(weight * diff / (2.0 * h[:, :, None]), axis=0)
+    div = ((4.0 * estimate[0] - estimate[1]) / 3.0).T
+    return div if values.ndim == 3 else div[0]

@@ -32,10 +32,11 @@ import numpy as np
 
 from grushin_hardy.geometry import (
     SpaceParams,
+    _split,
+    _unit_grad,
     fd_divergence,
     float_faults,
     radial_coords,
-    unit_grad_gamma_rho,
 )
 
 __all__ = [
@@ -186,16 +187,23 @@ class WeightPair:
         """Ball radius for rho_ball domains, None on the whole space."""
         return self.params.get("R")
 
-    def _row(self, name: str, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.space.n:
-            raise ValueError(f"points must have shape (N, {self.space.n})")
-        r, rho = radial_coords(self.space, pts[:, : self.space.m], pts[:, self.space.m :])
-        monomial = self.monomials[[WEIGHTS.index(name)]]
+    def _rows(self, names: Tuple[str, ...], coords: Tuple[np.ndarray, ...]) -> List[np.ndarray]:
+        """The named weights of a batch from its (x, y, |x|, rho), geometry._split's
+        output: the log features once, then each weight on its own eval_monomials
+        call, so each reads as it does alone (a matmul's last bits depend on its
+        row count)."""
+        r, rho = coords[2:]
+        out = []
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = eval_monomials(monomial, log_features(r, rho, self.radius))[0]
-        # points beyond a ball domain (rho > R) lie outside it: nan
-        return out if self.radius is None else np.where(rho > self.radius, np.nan, out)
+            features = log_features(r, rho, self.radius)
+            for name in names:
+                row = eval_monomials(self.monomials[[WEIGHTS.index(name)]], features)[0]
+                # points beyond a ball domain (rho > R) lie outside it: nan
+                out.append(row if self.radius is None else np.where(rho > self.radius, np.nan, row))
+        return out
+
+    def _row(self, name: str, pts: np.ndarray) -> np.ndarray:
+        return self._rows((name,), _split(self.space, pts))[0]
 
     def v_batch(self, pts: np.ndarray) -> np.ndarray:
         """v on an (N, m+k) batch; singular or out-of-domain points give inf/nan."""
@@ -317,17 +325,19 @@ def phi_numeric(pair: WeightPair, pts: np.ndarray, step: np.ndarray) -> np.ndarr
     """
     space, p = pair.space, pair.p
     pts = np.asarray(pts, dtype=float)
+    coords = _split(space, pts)
     R = pair.radius
-    if R is not None:
-        _, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
-        if np.any(step > 0.5 * (R - rho)):
-            raise ValueError("step exceeds half the distance to the ball boundary")
+    if R is not None and np.any(step > 0.5 * (R - coords[3])):
+        raise ValueError("step exceeds half the distance to the ball boundary")
 
+    # each stencil point's coordinates and log features serve v, w and the unit gradient
     def displayed(stencil: np.ndarray) -> np.ndarray:
-        scale = pair.w_batch(stencil) ** ((p - 1.0) / p) * pair.v_batch(stencil) ** (1.0 / p)
-        return scale[:, None] * unit_grad_gamma_rho(space, stencil)
+        at = _split(space, stencil)
+        w_at, v_at = pair._rows(("w", "v"), at)
+        scale = w_at ** ((p - 1.0) / p) * v_at ** (1.0 / p)
+        return scale[:, None] * _unit_grad(space, *at)
 
-    return fd_divergence(space, displayed, pts, step) - p * pair.w_batch(pts)
+    return fd_divergence(space, displayed, pts, step) - p * pair._rows(("w",), coords)[0]
 
 
 def rejection_sample(
@@ -378,11 +388,11 @@ def condition_report(pair: WeightPair, samples: int, seed: int = 0) -> Dict[str,
             samples,
             seed,
         )
-        r, rho = radial_coords(space, pts[:, : space.m], pts[:, space.m :])
+        coords = _split(space, pts)
+        r, rho = coords[2:]
         margin = np.minimum(rho, r) if space.gamma > 0 else rho
         if pair.radius is not None:
             margin = np.minimum(margin, pair.radius - rho)
-        phi = pair.phi_batch(pts)
-        w = pair.w_batch(pts)
+        phi, w = pair._rows(("phi", "w"), coords)
         mismatch = np.abs(phi - phi_numeric(pair, pts, 1e-4 * margin)) / (1.0 + pair.p * w)
     return {"min_phi": float(np.min(phi)), "max_abs_mismatch": float(np.max(mismatch))}

@@ -210,3 +210,25 @@ def test_divergence_closed_form_matches_fd(space, cs):
     step = 1e-4 * np.maximum(1.0, np.linalg.norm(batch, axis=1))
     approx = fd_divergence(space, weighted_rho_field(space, c, s), batch, step)
     np.testing.assert_allclose(approx, closed, rtol=1e-6)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"m{s.m}k{s.k}g{s.gamma}")
+def test_fd_divergence_of_stacked_fields_is_each_fields_divergence(space):
+    # an (M, F, m+k) field gives the (F, N) divergences of its F fields,
+    # each bit for bit what that field alone gives; both Richardson steps
+    # take one field call
+    rng = np.random.default_rng(20241)
+    batch = as_batch(sample_points(space, rng, 30))
+    step = 1e-4 * np.maximum(1.0, np.linalg.norm(batch, axis=1))
+    fields = [weighted_rho_field(space, c, s) for c, s in CS_PAIRS]
+    calls = []
+
+    def stacked_field(pts):
+        calls.append(len(pts))
+        return np.stack([f(pts) for f in fields], axis=1)
+
+    stacked = fd_divergence(space, stacked_field, batch, step)
+    assert calls == [4 * space.n * len(batch)]
+    assert stacked.shape == (len(fields), len(batch))
+    for f, row in zip(fields, stacked):
+        assert np.array_equal(fd_divergence(space, f, batch, step), row)
