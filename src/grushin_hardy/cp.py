@@ -180,7 +180,7 @@ def _numerator(p: float, s: np.ndarray, r2: np.ndarray) -> np.ndarray:
     term after term.  The rows end where the coefficients vanish; otherwise
     every term past the first one below _SERIES_STOP of its total is smaller
     still, and cannot change the total.  Where even the last term is not
-    that small (a |g| large, from p ~ 200) the series has not converged, and
+    that small (a |g| large, from p ~ 170) the series has not converged, and
     the point takes the direct form, which does not cancel there.
     """
     a = 0.5 * p
@@ -240,6 +240,7 @@ def objective(kind: CpObjectiveKind, s: float, t: float) -> float:
     r2 = s * s + t * t
     g = 2.0 * s + r2
     try:
+        num = None
         if abs(g) <= 0.1:
             # the binomial series of _numerator, stopped by the same test
             coef = a * (a - 1.0) / 2.0
@@ -254,9 +255,7 @@ def objective(kind: CpObjectiveKind, s: float, t: float) -> float:
                 if not abs(term) > _SERIES_STOP * (abs(total) + 1e-300):
                     num = a * r2 + total
                     break
-            else:  # not converged: the direct form, as in _numerator
-                num = math.pow(max(1.0 + g, 0.0), a) - 1.0 - p * s
-        else:
+        if num is None:  # |g| > 0.1, or a series that has not converged
             num = math.pow(max(1.0 + g, 0.0), a) - 1.0 - p * s
         if kind.kind == "cp_pge2":
             den = math.pow(r2, a)
