@@ -151,20 +151,6 @@ def cp_value_batch(xi: np.ndarray, eta: np.ndarray, p: float) -> np.ndarray:
         return np.where(t > 0.0, ap - t ** (p - 1.0) * (t + p * (re / t)), ap)
 
 
-def _series_coefficients(a: float) -> List[float]:
-    """The binomial coefficients C(a, k) of g^k in (1+g)^a, k = 2, 3, ..., by
-    the recurrence C(a, k+1) = C(a, k) (a - k) / (k + 1); they end at the first
-    one that vanishes (integer a) or after _SERIES_TERMS of them."""
-    c = a * (a - 1.0) / 2.0
-    coefs = [c]
-    for j in range(2, _SERIES_TERMS + 1):
-        if c == 0.0:
-            break
-        c = c * (a - j) / (j + 1.0)
-        coefs.append(c)
-    return coefs
-
-
 def _numerator(p: float, s: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """N(s, t) = (1 + g)^(p/2) - 1 - p s with g = 2 s + r^2.
 
@@ -177,11 +163,12 @@ def _numerator(p: float, s: np.ndarray, r2: np.ndarray) -> np.ndarray:
     The series is one table: row k holds C(a, k+2) g^(k+2), the powers by
     repeated multiplication, and the rows are summed in order (numpy adds
     the rows of a C-ordered array one by one), so each total is the float sum
-    term after term.  The rows end where the coefficients vanish; otherwise
-    every term past the first one below _SERIES_STOP of its total is smaller
-    still, and cannot change the total.  Where even the last term is not
-    that small (a |g| large, from p ~ 170) the series has not converged, and
-    the point takes the direct form, which does not cancel there.
+    term after term.  The rows end where the coefficients vanish, or after
+    _SERIES_TERMS rows; past the first term below _SERIES_STOP of its total
+    every term is smaller still, and cannot change the total.  Where even
+    the last term is not that small (a |g| large, from p ~ 170) the series
+    has not converged, and the point takes the direct form, which does not
+    cancel there.
     """
     a = 0.5 * p
     g = 2.0 * s + r2
@@ -189,7 +176,12 @@ def _numerator(p: float, s: np.ndarray, r2: np.ndarray) -> np.ndarray:
 
     small = np.abs(g) <= 0.1
     gs = g[small]
-    coefs = _series_coefficients(a)
+    # C(a, k+2) for row k, by the recurrence C(a, j+1) = C(a, j) (a - j) / (j + 1)
+    coefs = [a * (a - 1.0) / 2.0]
+    for j in range(2, _SERIES_TERMS + 1):
+        if coefs[-1] == 0.0:
+            break
+        coefs.append(coefs[-1] * (a - j) / (j + 1.0))
     terms = np.empty((len(coefs), gs.size))
     terms[0] = gs * gs
     for k in range(1, len(coefs)):
