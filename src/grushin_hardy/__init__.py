@@ -19,13 +19,7 @@ from grushin_hardy.fields import (
 from grushin_hardy.geometry import SpaceParams
 from grushin_hardy.verifier import (
     CknParams,
-    CknReport,
-    HpwReport,
-    IdentityReport,
-    InequalityReport,
-    RemainderPge2Report,
-    RemainderPlt2Report,
-    SharpnessReport,
+    Report,
     sharpness_probe,
     verify_ckn,
     verify_hpw,
@@ -56,13 +50,7 @@ __all__ = [
     "condition_report",
     "make_pair",
     "CknParams",
-    "CknReport",
-    "HpwReport",
-    "IdentityReport",
-    "InequalityReport",
-    "RemainderPge2Report",
-    "RemainderPlt2Report",
-    "SharpnessReport",
+    "Report",
     "sharpness_probe",
     "verify_ckn",
     "verify_hpw",

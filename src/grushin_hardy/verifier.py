@@ -23,16 +23,18 @@ once per axis-0 node. The pieces cover only the fields' support, away from
 {x=0} wherever a weight is singular there, so every weight is finite at
 every node, and a term is an exact 0 wherever its field vanishes.
 
-Each field check is one spec (FIELD_CHECKS): its precondition, its terms
-and a verdict, which forms the report's keys and margins. A report's
-`passed` requires every margin to hold and every integral to have
-converged; a non-converged integral never passes.
+Each field check is one spec (FIELD_CHECKS): its precondition, its terms,
+a verdict, which forms the report's keys and margins, and the reader of
+its residual. Every check returns one type, Report. A report's `passed`
+requires every margin to hold and every integral to have converged.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from copy import deepcopy
+from dataclasses import asdict, dataclass, is_dataclass
 from itertools import chain, groupby
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,14 +49,8 @@ from .geometry import radial_coords  # unused here; perfbench/tracer.py rebinds 
 from .weights import HPW_PAIRS, PAIRS, WEIGHTS, WeightPair, hpw_pair, log_features
 
 __all__ = [
-    "IdentityReport",
-    "InequalityReport",
-    "RemainderPge2Report",
-    "RemainderPlt2Report",
-    "SharpnessReport",
+    "Report",
     "CknParams",
-    "CknReport",
-    "HpwReport",
     "verify_checks",
     "verify_identity",
     "verify_identity_sweep",
@@ -73,77 +69,28 @@ _IDENTITY_REL_TOL = 1e-6
 _SHARPNESS_GAP = 0.05
 
 
-@dataclass(frozen=True)
-class _Report:
-    """What every check reports, from its own integrals: their summed error
-    estimate, whether every one converged, and the verdict, which needs both.
-    The CLI prints its residual: a field, or a property that asdict skips."""
+class Report(SimpleNamespace):
+    """A check's keys as read-only attributes, among them its integrals'
+    summed error (quadrature_error), converged and passed, and its residual,
+    the margin that the CLI prints and that only the identity has as a key.
+    to_dict copies the keys as asdict would, with a NaN ratio as None."""
 
-    quadrature_error: float
-    converged: bool
-    passed: bool
+    __slots__ = ("residual",)
 
-    def to_dict(self) -> Dict[str, object]:
-        return asdict(self)
+    def __init__(self, residual: float, /, **keys):
+        super().__init__(**keys)
+        object.__setattr__(self, "residual", residual)
 
+    def __setattr__(self, name: str, *_) -> None:
+        raise AttributeError(f"cannot assign to report key {name!r}")
 
-@dataclass(frozen=True)
-class IdentityReport(_Report):
-    lhs: float
-    w_term: float
-    cp_term: float
-    phi_term: float
-    residual: float
-    rel_residual: float
-
-
-@dataclass(frozen=True)
-class InequalityReport(_Report):
-    lhs: float
-    w_term: float
-    ratio: float
-    margin: float
-    residual = property(lambda self: self.margin)
+    __delattr__ = __setattr__
 
     def to_dict(self) -> Dict[str, object]:
-        d = asdict(self)
-        if not math.isfinite(self.ratio):
+        d = {key: asdict(v) if is_dataclass(v) else deepcopy(v) for key, v in vars(self).items()}
+        if not math.isfinite(d.get("ratio", 0.0)):
             d["ratio"] = None
         return d
-
-
-@dataclass(frozen=True)
-class RemainderPge2Report(_Report):
-    p: float
-    cp_term: float
-    eta_term: float
-    constant: float
-    constant_bracket: Tuple[float, float]
-    margin: float
-    residual = property(lambda self: self.margin)
-
-
-@dataclass(frozen=True)
-class RemainderPlt2Report(_Report):
-    p: float
-    cp_term: float
-    mixed_term: float
-    min_term: float
-    c1: float
-    c2: float
-    c3: float
-    lower_margin: float
-    upper_margin: float
-    min_margin: float
-    residual = property(lambda self: min(self.lower_margin, self.upper_margin, self.min_margin))
-
-
-@dataclass(frozen=True)
-class SharpnessReport(_Report):
-    levels: List[Dict[str, float]]
-    sharp_constant: float
-    final_gap: float
-    residual = property(lambda self: self.final_gap)
 
 
 @dataclass(frozen=True)
@@ -176,36 +123,6 @@ class CknParams:
         # NaN fails the test, and so does b = c = inf (their difference is NaN)
         if not abs(self.c - (self.delta / self.p + self.b * (1.0 - self.delta))) <= 1e-9:
             raise ValueError("CknParams: requires c = delta/p + b*(1-delta)")
-
-
-@dataclass(frozen=True)
-class CknReport(_Report):
-    params: CknParams
-    lhs: float
-    cp_term: float
-    bracket: float
-    w_term: float
-    phi_term: float
-    bracket_mismatch: float
-    left: float
-    right: float
-    consistent: bool
-    residual = property(lambda self: self.left - self.right)
-
-
-@dataclass(frozen=True)
-class HpwReport(_Report):
-    case: str
-    p: float
-    grad_term: float
-    weight_term: float
-    mass_term: float
-    constant: float
-    left: float
-    right: float
-    garofalo: Optional[Dict[str, float]] = None
-    classical: Optional[Dict[str, float]] = None
-    residual = property(lambda self: self.left - self.right)
 
 
 def _refuse(field: TestField, pair_id: str, message: str) -> None:
@@ -419,6 +336,7 @@ _TWINS = {t for t, mono in _MONOMIALS.items() if mono(*[2.0] * mono.__code__.co_
 _IDENTITY = ("lhs", "w", "cp", "phi")  # lhs = w + cp + phi
 _IDENTITY_KEYS = ("lhs", "w_term", "cp_term", "phi_term")  # their report keys
 _PLT2_KINDS = ("c1_inf", "c2_sup", "c3_min")  # the constants of the 1 < p < 2 remainder bounds
+_PLT2_MARGINS = ("lower_margin", "upper_margin", "min_margin")  # their bounds' margins
 
 
 def _one_hot(on: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:
@@ -633,15 +551,20 @@ class _Spec:
     converged, and returns the report's own keys and the margins (a, b) that
     must hold, a >= b; a slack, 10 times the propagated quadrature error plus
     a constant's bracket width times its term, lowers b. The report's
-    term_keys take the first terms' values."""
+    term_keys take the first terms' values, and residual reads the report's
+    residual from its keys."""
 
     start: Callable[..., Tuple[tuple, object]]
     verdict: Callable[..., Tuple[Dict[str, object], List[Tuple[float, float]]]]
-    report: type
     term_keys: Tuple[str, ...]
+    residual: Callable[[Dict[str, object]], float]
 
 
-def _verdict(spec: _Spec, case: tuple, reads: object, res: Dict[object, IntegralResult]) -> _Report:
+def _holds(margin: Tuple[float, float]) -> bool:
+    return bool(margin[0] >= margin[1])
+
+
+def _verdict(spec: _Spec, case: tuple, reads: object, res: Dict[object, IntegralResult]) -> Report:
     """A check's report from its case's integrals by term name: their summed
     error estimate (a term listed twice counts twice), converged when every
     one converged, and passed when, also, every margin of its verdict holds."""
@@ -652,8 +575,8 @@ def _verdict(spec: _Spec, case: tuple, reads: object, res: Dict[object, Integral
     keys, margins = spec.verdict(reads, terms, qerr, converged)
     for key, (value, _) in zip(spec.term_keys, terms):
         keys[key] = value
-    passed = converged and all([a >= b for a, b in margins])
-    return spec.report(**keys, quadrature_error=qerr, converged=converged, passed=passed)
+    passed = converged and all(map(_holds, margins))
+    return Report(spec.residual(keys), **keys, quadrature_error=qerr, converged=converged, passed=passed)
 
 
 def _identity_start(pair: WeightPair, field: TestField):
@@ -711,7 +634,7 @@ def _plt2_verdict(reads, terms, qerr, converged):
         (c2.value * mixed_term - cp_term, -(10.0 * qerr + c2.width * mixed_term)),
         (cp_term - c3.value * min_term, -(10.0 * qerr + c3.width * min_term)),
     ]
-    keys = dict(zip(("lower_margin", "upper_margin", "min_margin"), (margin for margin, _ in margins)))
+    keys = dict(zip(_PLT2_MARGINS, (margin for margin, _ in margins)))
     return {"p": p, "c1": c1.value, "c2": c2.value, "c3": c3.value, **keys}, margins
 
 
@@ -732,9 +655,9 @@ def _ckn_verdict(reads, terms, qerr, converged):
     left_b = (ckn.delta / p, max(bracket, 0.0), e_lhs + e_cp)
     left_q = ((1.0 - ckn.delta) / ckn.q, max(int_q, 0.0), e_q)
     left, right, slack = _sides([left_b, left_q], [(1.0 / ckn.r, max(int_r, 0.0), e_r)])
+    margins = [(10.0 * qerr, mismatch), (left, right - slack)]
     keys = {"params": ckn, "bracket": bracket, "bracket_mismatch": mismatch, "left": left, "right": right}
-    keys["consistent"] = mismatch <= 10.0 * qerr
-    return keys, [(10.0 * qerr, mismatch), (left, right - slack)]
+    return {**keys, "consistent": _holds(margins[0])}, margins
 
 
 def _hpw_start(case: str, p: float, field: TestField):
@@ -767,35 +690,37 @@ def _hpw_verdict(reads, terms, qerr, converged):
         q_sq = ((space.Q - 2.0) / 2.0) ** 2
         g_left, g_right, g_slack = _sides([(1.0, *grad), (1.0, *weight)], squares, q_sq)
         margins.append((g_left, g_right - g_slack))
-        garofalo = {"left": g_left, "right": g_right, "passed": bool(converged and g_left >= g_right - g_slack)}
+        garofalo = {"left": g_left, "right": g_right, "passed": converged and _holds(margins[-1])}
     if len(terms) > 3:  # grad_sq, for the classical gradient form at gamma = 0
         (full, e_full), n_sq = terms[3], (space.n - 2.0) ** 2 / 4.0
         c_left, c_right, c_slack = _sides([(1.0, full, e_full), (1.0, *weight)], squares, n_sq)
         margins += [(c_left, c_right - c_slack), (full, grad[0] - 10.0 * (e_full + grad[1]))]
-        classical = {
-            "grad_full": full,
-            "left": c_left,
-            "right": c_right,
-            "dominates": bool(full >= grad[0] - 10.0 * (e_full + grad[1])),
-            "passed": bool(converged and c_left >= c_right - c_slack),
-        }
+        classical = {"grad_full": full, "left": c_left, "right": c_right, "dominates": _holds(margins[-1])}
+        classical["passed"] = converged and _holds(margins[-2])
     keys = {"case": case, "p": p, "constant": constant, "left": left, "right": right}
     return {**keys, "garofalo": garofalo, "classical": classical}, margins
 
 
+def _gap(keys: Dict[str, float]) -> float:  # the residual of a product inequality
+    return keys["left"] - keys["right"]
+
+
 FIELD_CHECKS: Dict[str, _Spec] = {
-    "identity": _Spec(_identity_start, _identity_verdict, IdentityReport, _IDENTITY_KEYS),
-    "inequality": _Spec(_inequality_start, _inequality_verdict, InequalityReport, ("lhs", "w_term")),
-    "remainder_pge2": _Spec(_pge2_start, _pge2_verdict, RemainderPge2Report, ("cp_term", "eta_term")),
+    "identity": _Spec(_identity_start, _identity_verdict, _IDENTITY_KEYS, itemgetter("residual")),
+    "inequality": _Spec(_inequality_start, _inequality_verdict, ("lhs", "w_term"), itemgetter("margin")),
+    "remainder_pge2": _Spec(_pge2_start, _pge2_verdict, ("cp_term", "eta_term"), itemgetter("margin")),
     "remainder_plt2": _Spec(
-        _plt2_start, _plt2_verdict, RemainderPlt2Report, ("cp_term", "mixed_term", "min_term")
+        _plt2_start,
+        _plt2_verdict,
+        ("cp_term", "mixed_term", "min_term"),
+        lambda keys: min(map(keys.get, _PLT2_MARGINS)),
     ),
-    "ckn": _Spec(_ckn_start, _ckn_verdict, CknReport, _IDENTITY_KEYS),
-    "hpw": _Spec(_hpw_start, _hpw_verdict, HpwReport, ("grad_term", "weight_term", "mass_term")),
+    "ckn": _Spec(_ckn_start, _ckn_verdict, _IDENTITY_KEYS, _gap),
+    "hpw": _Spec(_hpw_start, _hpw_verdict, ("grad_term", "weight_term", "mass_term"), _gap),
 }
 
 
-def verify_checks(checks: Sequence[Tuple[str, tuple, Optional[IntegrationSettings]]]) -> List[_Report]:
+def verify_checks(checks: Sequence[Tuple[str, tuple, Optional[IntegrationSettings]]]) -> List[Report]:
     """Run field checks on shared meshes and return their reports in order.
 
     Each check is (name, args, settings): a FIELD_CHECKS name, the arguments
@@ -817,7 +742,7 @@ def verify_checks(checks: Sequence[Tuple[str, tuple, Optional[IntegrationSetting
     for n, (((_, field, _), _), (*_, settings)) in enumerate(zip(started, checks)):
         mesh = (field.space, field.spec.x_floor, field.spec.outer_rho, settings or IntegrationSettings())
         meshes.setdefault(mesh, []).append(n)
-    reports: List[_Report] = [None] * len(checks)
+    reports: List[Report] = [None] * len(checks)
     for (*_, settings), group in meshes.items():
         for n, res in zip(group, _integrate_cases([started[n][0] for n in group], settings)):
             reports[n] = _verdict(FIELD_CHECKS[checks[n][0]], *started[n], res)
@@ -828,7 +753,7 @@ def verify_identity(
     pair: WeightPair,
     field: TestField,
     settings: Optional[IntegrationSettings] = None,
-) -> IdentityReport:
+) -> Report:
     """Check lhs = w_term + cp_term + phi_term on one field."""
     return verify_checks([("identity", (pair, field), settings)])[0]
 
@@ -836,7 +761,7 @@ def verify_identity(
 def verify_identity_sweep(
     cases: Sequence[Tuple[WeightPair, TestField]],
     settings: Optional[IntegrationSettings] = None,
-) -> List[IdentityReport]:
+) -> List[Report]:
     """Check the identity for many (pair, field) cases, on one shared mesh
     per space, x_floor and outer_rho (see verify_checks). Each report's four
     components are sampled at identical points, so the quadrature error
@@ -851,7 +776,7 @@ def verify_inequality(
     pair: WeightPair,
     field: TestField,
     settings: Optional[IntegrationSettings] = None,
-) -> InequalityReport:
+) -> Report:
     """Check lhs >= w_term up to quadrature slack."""
     return verify_checks([("inequality", (pair, field), settings)])[0]
 
@@ -861,7 +786,7 @@ def verify_remainder_p_ge2(
     field: TestField,
     settings: Optional[IntegrationSettings] = None,
     constant: Optional[ConstantEstimate] = None,
-) -> RemainderPge2Report:
+) -> Report:
     """Check cp_term >= c_p * eta_term for p >= 2 on a phi = 0 pair."""
     return verify_checks([("remainder_pge2", (pair, field, constant), settings)])[0]
 
@@ -871,7 +796,7 @@ def verify_remainder_p_lt2(
     field: TestField,
     settings: Optional[IntegrationSettings] = None,
     constants: Optional[Dict[str, ConstantEstimate]] = None,
-) -> RemainderPlt2Report:
+) -> Report:
     """Check the two-sided and min-form remainder bounds for 1 < p < 2."""
     return verify_checks([("remainder_plt2", (pair, field, constants), settings)])[0]
 
@@ -880,7 +805,7 @@ def sharpness_probe(
     pair: WeightPair,
     levels: int = 3,
     settings: Optional[IntegrationSettings] = None,
-) -> SharpnessReport:
+) -> Report:
     """Rayleigh ratios of truncated extremal fields, one per level.
 
     The profile is constant * exp(-kappa_eff tau) in the pair's natural
@@ -892,10 +817,8 @@ def sharpness_probe(
     if levels < 2:
         raise ValueError("levels must be >= 2")
     sharp = pair.sharp_constant
-    entries: List[Dict[str, float]] = []
     ratios: List[float] = []
     errors: List[float] = []
-    total_err = 0.0
     converged = True
     for level in range(levels):
         ext = build_extremal_field(pair, truncation_level=level)
@@ -916,26 +839,16 @@ def sharpness_probe(
         ratio = num / den
         err = (res[0].error_estimate + ratio * res[1].error_estimate) / den
         converged = converged and res[0].converged and res[1].converged
-        total_err += err
         ratios.append(ratio)
         errors.append(err)
-        entries.append({"truncation_level": level, "rayleigh_ratio": ratio})
 
     final_gap = (ratios[-1] - sharp) / sharp
     above = all(r >= sharp - 10.0 * e for r, e in zip(ratios, errors))
-    monotone = all(
-        ratios[i + 1] <= ratios[i] + 10.0 * (errors[i] + errors[i + 1])
-        for i in range(levels - 1)
-    )
+    monotone = all(b <= a + 10.0 * (ea + eb) for a, b, ea, eb in zip(ratios, ratios[1:], errors, errors[1:]))
     passed = converged and above and monotone and final_gap <= _SHARPNESS_GAP
-    return SharpnessReport(
-        levels=entries,
-        sharp_constant=sharp,
-        final_gap=final_gap,
-        quadrature_error=total_err,
-        converged=converged,
-        passed=passed,
-    )
+    entries = [{"truncation_level": level, "rayleigh_ratio": ratio} for level, ratio in enumerate(ratios)]
+    keys = {"levels": entries, "sharp_constant": sharp, "final_gap": final_gap}
+    return Report(final_gap, **keys, quadrature_error=sum(errors), converged=converged, passed=passed)
 
 
 def verify_ckn(
@@ -943,7 +856,7 @@ def verify_ckn(
     field: TestField,
     ckn: CknParams,
     settings: Optional[IntegrationSettings] = None,
-) -> CknReport:
+) -> Report:
     """Check the interpolation inequality built on the identity bracket.
 
     B = lhs - cp_term equals w_term + phi_term by the identity (reported as
@@ -958,7 +871,7 @@ def verify_hpw(
     p: float,
     field: TestField,
     settings: Optional[IntegrationSettings] = None,
-) -> HpwReport:
+) -> Report:
     """Check one of the three uncertainty-product displays.
 
     Each is its pair's CKN instance at the pair's display point (see

@@ -125,6 +125,13 @@ def test_identity_zero_field():
     assert rep.lhs == 0.0 and rep.w_term == 0.0 and rep.cp_term == 0.0
     assert rep.residual == 0.0
     assert rep.passed
+    # a report is read-only, and two runs of one check compare equal
+    for name in ("lhs", "residual", "new_key"):
+        with pytest.raises(AttributeError):
+            setattr(rep, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(rep, name)
+    assert rep == verify_identity(pair, field)
 
     ineq = verify_inequality(pair, field)
     assert ineq.passed and ineq.margin == 0.0
@@ -146,6 +153,36 @@ def test_identity_report_shape():
         "converged",
         "passed",
     }
+
+    # every check reports one type, whose residual is the margin that its
+    # report class's residual property read, and a key of the identity only
+    dam = make_pair("dambrosio_power", SP, 2.0, {"alpha": 0.0, "beta": 0.0})
+    plt2 = make_pair("dambrosio_power", SP, 1.5, {"alpha": 0.0, "beta": 0.0})
+    ckn = CknParams(p=2.0, q=2.0, r=2.0, delta=0.5, b=0.0, c=0.25)
+    reports = {
+        "identity": rep,
+        "inequality": verify_inequality(pair, annulus_field(SP)),
+        "remainder_pge2": verify_remainder_p_ge2(dam, annulus_field(SP)),
+        "remainder_plt2": verify_remainder_p_lt2(plt2, annulus_field(SP)),
+        "ckn": verify_ckn(dam, annulus_field(SP), ckn),
+        "hpw": verify_hpw("whole_dambrosio", 2.0, annulus_field(SP)),
+        "sharpness": sharpness_probe(dam),
+    }
+    replaced = {
+        "identity": lambda r: d["residual"],
+        "inequality": lambda r: r.margin,
+        "remainder_pge2": lambda r: r.margin,
+        "remainder_plt2": lambda r: min(r.lower_margin, r.upper_margin, r.min_margin),
+        "ckn": lambda r: r.left - r.right,
+        "hpw": lambda r: r.left - r.right,
+        "sharpness": lambda r: r.final_gap,
+    }
+    for name, report in reports.items():
+        assert type(report) is verifier.Report
+        assert report.residual == replaced[name](report), name
+        assert ("residual" in report.to_dict()) == (name == "identity"), name
+    params = reports["ckn"].to_dict()["params"]
+    assert params == {"p": 2.0, "q": 2.0, "r": 2.0, "delta": 0.5, "b": 0.0, "c": 0.25}
 
 
 # -- shared-mesh sweep ------------------------------------------------------
