@@ -357,6 +357,13 @@ def find_constant(kind: CpObjectiveKind) -> ConstantEstimate:
         x_r, f = _golden_section(lambda x: score(side * math.exp(x)), x - h, x + h)
         if f < best_score:
             best_score, best_s = f, side * math.exp(x_r)
+    # past the float range the quotient reads nan, so an extremum against its edge (cp_pge2
+    # from p ~ 1018.5, where r^p overflows just past s = -2) may lie beyond it
+    if not all(math.isfinite(score(best_s * math.exp(dx))) for dx in (-1e-8, 1e-8)):
+        raise ValueError(
+            f"{kind.kind} at p = {kind.p:g}: the quotient leaves the float range next to the "
+            f"extremum found at s = {best_s:.6g}, so the true extremum may lie beyond it"
+        )
 
     refined = True
     for lim in _limit_candidates(kind):

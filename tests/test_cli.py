@@ -139,6 +139,8 @@ def test_verify_validation_exits_2(tmp_path, capsys):
         (["check-divergence", "--space", "1,1,1e6"], "divergence arithmetic failed"),
         # the quotient over- or underflows at every scanned |s| != 1
         (["constants", "--kind", "cp", "--p", "1e5"], "no scanned s off the seam"),
+        # the cp_pge2 minimum lies past the edge of the float range
+        (["constants", "--kind", "cp", "--p", "2000"], "leaves the float range"),
         # from level 52 on, tau_hi - band rounds to tau_hi and the cut leaves the box
         (["sharpness", "--pair", "dambrosio_power", "--levels", "60"], "truncation_level"),
     ],

@@ -305,6 +305,41 @@ def test_find_constant_at_large_p_skips_overflowed_scan_points(p):
     assert lo <= est.value <= hi
 
 
+@pytest.mark.parametrize("p", [1019.0, 2000.0])
+def test_find_constant_refuses_an_extremum_at_the_edge_of_the_float_range(p):
+    # the cp_pge2 minimum lies just past s = -2, where r^p overflows from
+    # p ~ 1018.5, so the search can only reach the edge of the float range
+    with pytest.raises(ValueError, match="leaves the float range"):
+        find_constant(CpObjectiveKind("cp_pge2", p))
+
+
+# float.hex of (value, argmin_s, *bracket) for gate 3's 12 searches and p =
+# 1000, as found before the float-range refusal, which must not move them
+_PINNED_SEARCHES = """
+cp_pge2 2.0 0x1.ffffffffffe78p-1 0x1.9d95b3a64e791p-5 0x1.ffffffffd3ec8p-1 0x1.0000000000351p+0
+cp_pge2 3.0 0x1.2bec333018866p-1 -0x1.b504f35cc00a3p+1 0x1.2bec332ff5a73p-1 0x1.2c2662df51e30p-1
+cp_pge2 4.0 0x1.5555555555555p-2 -0x1.7fffffd236c99p+1 0x1.555555551ab15p-2 0x1.55ee89c5e4139p-2
+cp_pge2 1000.0 0x1.63c7e424c66d5p-994 -0x1.00fa57d0a8df5p+1 -0x1.5fd7fe1796495p-37 0x1.c25c268497682p-44
+c1_inf 1.25 0x1.ea7b62c22b407p-3 -0x1.a91f5f863e5cdp-1 0x1.ea7b62c1be399p-3 0x1.eab06098c8aaep-3
+c2_sup 1.25 0x1.862ef23f22109p+0 -0x1.6465d82d04806p+3 0x1.862ad19a404a5p+0 0x1.862ef23f3dd17p+0
+c3_min 1.25 0x1.06fe0a31b7150p-3 0x1.0000000000000p+0 0x1.06fe0a3153d36p-3 0x1.0b7fa478b402fp-3
+c1_inf 1.5 0x1.f9f6e4990f222p-2 -0x1.c71c72002e04ep-1 0x1.f9f6e498cd6c0p-2 0x1.fa23b77977150p-2
+c2_sup 1.5 0x1.4e7ae9144f0fcp+0 -0x1.b504f20827b5cp+2 0x1.4e73b5bd64827p+0 0x1.4e7ae914686c2p+0
+c3_min 1.5 0x1.504f333f9de68p-2 0x1.0000000000000p+0 0x1.504f333f6379cp-2 0x1.541cfa68321a2p-2
+c1_inf 1.75 0x1.7f7e51d67d44bp-1 -0x1.e6497cef75cecp-1 0x1.7f7e51d656ceap-1 0x1.7f9d69c988ddcp-1
+c2_sup 1.75 0x1.23fadbe51fd14p+0 -0x1.5648c8ae976fap+2 0x1.23f77bb94ef29p+0 0x1.23fadbe5375a6p+0
+c3_min 1.75 0x1.3a27e656b4eb4p-1 0x1.0000000000000p+0 0x1.3a27e656916f9p-1 0x1.3bea30474dbedp-1
+"""
+
+
+@pytest.mark.parametrize("line", _PINNED_SEARCHES.split("\n")[1:-1])
+def test_find_constant_below_the_float_range_edge_is_unchanged(line):
+    kind, p, *hexes = line.split()
+    est = find_constant(CpObjectiveKind(kind, float(p)))
+    assert [float.hex(x) for x in (est.value, est.argmin_s, *est.bracket)] == hexes
+    assert est.refined and est.argmin_t == 0.0
+
+
 @pytest.mark.parametrize("p", [1.25, 1.5, 1.75])
 def test_sandwich_constants(p):
     c1 = find_constant(CpObjectiveKind("c1_inf", p)).value
