@@ -135,17 +135,15 @@ class TestField:
     def __init__(self, space: SpaceParams, spec: TestFieldSpec):
         self.space = space
         self.spec = spec
+        self.rho_band = spec.smoothness_margin * (spec.outer_rho - spec.inner_rho)  # the window's band in rho
 
     def _amplitude(self, rho: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Radial amplitude A(rho) and dA/drho on in-support points."""
-        spec = self.spec
-        band = spec.smoothness_margin * (spec.outer_rho - spec.inner_rho)
-        return _window(rho, spec.inner_rho, spec.outer_rho, band)
+        return _window(rho, self.spec.inner_rho, self.spec.outer_rho, self.rho_band)
 
     def rho_breaks(self) -> Tuple[float, ...]:
         """The rho values where the radial window kinks: its ends and band edges."""
-        spec = self.spec
-        band = spec.smoothness_margin * (spec.outer_rho - spec.inner_rho)
+        spec, band = self.spec, self.rho_band
         return (spec.inner_rho, spec.inner_rho + band, spec.outer_rho - band, spec.outer_rho)
 
     def df_zero_x(self, rho: np.ndarray) -> np.ndarray:
@@ -160,8 +158,7 @@ class TestField:
         band's start to x_floor at outer_rho. Newton steps on the log of both
         sides, in s = log(u/(1-u)) from u = v, reach it to rounding in five.
         """
-        spec = self.spec
-        band = spec.smoothness_margin * (spec.outer_rho - spec.inner_rho)
+        spec, band = self.spec, self.rho_band
         v = (spec.outer_rho - rho) / band
         s = np.log(v) - np.log1p(-v)
         for step in range(5):
